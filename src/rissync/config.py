@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 class PulseConfig:
     """Pulse-shaping and sampling-grid parameters.
 
-    All times are dimensionless multiples of the symbol period. ``period`` is
-    kept explicit for readability but the library fixes it to 1.0.
+    All times are dimensionless multiples of the symbol period.
 
     Attributes
     ----------
@@ -23,7 +22,6 @@ class PulseConfig:
     span: int = 4
     oversampling: int = 2
     obs_len: int = 12
-    period: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.rolloff <= 1.0:
@@ -34,8 +32,6 @@ class PulseConfig:
             raise ValueError(f"oversampling must be >= 1, got {self.oversampling}")
         if self.obs_len < 1:
             raise ValueError(f"obs_len must be >= 1, got {self.obs_len}")
-        if self.period != 1.0:
-            raise ValueError("the symbol period is fixed to 1.0")
 
     @property
     def seq_len(self) -> int:
@@ -49,7 +45,7 @@ class PulseConfig:
 
     @property
     def sample_step(self) -> float:
-        return self.period / self.oversampling
+        return 1.0 / self.oversampling
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ __all__ = [
     "design_mm",
     "design_accelerated",
     "design_phase_aligned",
-    "design_perfect",
     "random_phases",
 ]
 
@@ -505,23 +504,6 @@ def design_phase_aligned(inputs: DesignInputs, cfg: SystemConfig) -> DesignResul
         accelerated=False,
         converged=True,
     )
-
-
-def design_perfect(offsets, channel, noise_cov, cfg: SystemConfig,
-                   init=None) -> DesignResult:
-    """Genie baseline: accelerated design fed the true offsets and channel.
-
-    Perfect knowledge means zero channel-error covariance, so the second
-    moment collapses to the rank-one outer product of the true channel.
-    """
-    channel = _as_complex_vector(channel, "channel")
-    inputs = DesignInputs(
-        offsets=offsets,
-        channel=channel,
-        channel_cov=np.zeros((channel.size, channel.size), dtype=complex),
-        noise_cov=noise_cov,
-    )
-    return design_accelerated(build_problem(inputs, cfg), init=init)
 
 
 def random_phases(n: int, seed) -> np.ndarray:

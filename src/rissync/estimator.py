@@ -3,8 +3,13 @@
 The training observation stacks M reflection patterns; under pattern m every
 surface applies one column block of a scaled-DFT phase matrix while a known
 pilot sequence is transmitted. Timing offsets enter through each surface's
-pulse steering matrix, the cascaded channel enters linearly, and the offsets
-are recovered by alternating 1-D minimizations of the projection residual.
+pulse steering matrix, and the cascaded channel enters linearly.
+
+The offsets are recovered by maximum likelihood on the profiled residual (the
+channel projected out). The training phases have orthogonal columns, so the
+observation matrix has orthogonal columns too and the residual splits into
+one term per surface: each offset is the solution of its own 1-D search
+against ``Z = Phi^H Y``, the observation correlated with every phase column.
 """
 from __future__ import annotations
 
@@ -32,8 +37,9 @@ __all__ = [
 COND_LIMIT = 1e12
 GRID_STEP = 0.02
 REFINE_WIDTH = 1e-6
-SWEEP_TOL = 1e-6
-MAX_SWEEPS = 50
+# Largest off-diagonal entry of phases^H phases, relative to its smallest
+# diagonal entry, that still counts as orthogonal training.
+ORTHO_TOL = 1e-9
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -64,14 +70,14 @@ class TrainingPattern:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Output of the alternating estimator."""
+    """Output of the timing/channel estimators."""
 
     offsets: np.ndarray          # one timing estimate per surface, in (-1, 1)
     channel: np.ndarray          # cascaded-channel estimate, length N*K
     final_cost: float            # residual energy at the returned offsets
-    sweeps: int                  # full coordinate sweeps performed
-    cost_trace: np.ndarray       # residual energy after each sweep
-    converged: bool              # False if the sweep cap was hit
+    sweeps: int                  # passes over the surfaces (always 1)
+    cost_trace: np.ndarray       # residual energy after each pass
+    converged: bool              # always True: every search ends at its bracket width
 
 
 def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
@@ -191,63 +197,50 @@ def _minimize_coordinate(f, incumbent: float, incumbent_cost: float) -> tuple[fl
     return x, cost
 
 
-def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
-                    init=None, sweep_tol: float = SWEEP_TOL,
-                    max_sweeps: int = MAX_SWEEPS) -> EstimationResult:
-    """Joint timing/channel estimate by alternating 1-D residual minimizations.
+def _pattern_correlation(y: np.ndarray, tp: TrainingPattern,
+                         cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``Z = Phi^H Y`` (one row per element) and the phase-column energies.
 
-    Offsets are updated one surface at a time (grid + golden-section on the
-    profile objective); sweeps repeat until no offset moves more than
-    ``sweep_tol`` or the cap is hit. The channel estimate is the final
-    least-squares solve.
+    Raises ValueError unless the phase columns are orthogonal, which is what
+    lets the profile objective split into independent per-element terms.
     """
-    k_surf = cfg.n_surfaces
-    eps = np.zeros(k_surf) if init is None else np.asarray(init, dtype=float).copy()
-    if eps.shape != (k_surf,) or np.any(np.abs(eps) >= 1.0):
-        raise ValueError("init must provide one offset in (-1, 1) per surface")
+    gram = tp.phases.conj().T @ tp.phases
+    energy = gram.diagonal().real
+    off_diag = np.abs(gram - np.diag(gram.diagonal()))
+    if not (energy.min() > 0.0 and off_diag.max() <= ORTHO_TOL * energy.min()):
+        raise ValueError("the timing search needs training phases with orthogonal "
+                         "nonzero columns (phases^H phases diagonal)")
+    z = tp.phases.conj().T @ y.reshape(tp.n_patterns, cfg.pulse.n_samples)
+    return z, energy
 
+
+def _captured_energy(offset: float, z: np.ndarray, energy: np.ndarray,
+                     tp: TrainingPattern, cfg: SystemConfig) -> float:
+    """Observation energy captured by the columns of the elements whose rows
+    of ``Z`` (and phase-column energies) are given, all at one offset.
+
+    With f = steering(offset) pilot, element i's observation-matrix column
+    captures |Z_i f^*|^2 / (|Phi_i|^2 |f|^2); the columns are orthogonal, so
+    these terms add up.
+    """
+    f = steering_matrix(offset, cfg.pulse) @ tp.pilot
+    return float(np.sum(np.abs(z @ f.conj()) ** 2 / energy)) / float(np.vdot(f, f).real)
+
+
+def _search_offset(z: np.ndarray, energy: np.ndarray, tp: TrainingPattern,
+                   cfg: SystemConfig, start: float) -> float:
+    """Offset that maximizes the captured energy; ``start`` is the incumbent."""
+    def lost(x):
+        return -_captured_energy(x, z, energy, tp, cfg)
+
+    offset, _ = _minimize_coordinate(lost, start, lost(start))
+    return offset
+
+
+def _result_at(eps: np.ndarray, y: np.ndarray, tp: TrainingPattern,
+               cfg: SystemConfig) -> EstimationResult:
+    """Least-squares channel and residual at the searched offsets."""
     cost = residual_cost(eps, y, tp, cfg)
-    trace = []
-    converged = False
-    sweeps = 0
-    for _ in range(max_sweeps):
-        sweeps += 1
-        moved = 0.0
-        for k in range(k_surf):
-            def coord(x, k=k):
-                trial = eps.copy()
-                trial[k] = x
-                return residual_cost(trial, y, tp, cfg)
-
-            new_k, cost = _minimize_coordinate(coord, eps[k], cost)
-            moved = max(moved, abs(new_k - eps[k]))
-            eps[k] = new_k
-        trace.append(cost)
-        if moved < sweep_tol:
-            converged = True
-            break
-
-    return EstimationResult(
-        offsets=eps,
-        channel=ls_channel(eps, y, tp, cfg),
-        final_cost=cost,
-        sweeps=sweeps,
-        cost_trace=np.asarray(trace),
-        converged=converged,
-    )
-
-
-def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
-                      cfg: SystemConfig) -> EstimationResult:
-    """Offset-synchronization-naive variant: fits a single shared timing value
-    for all surfaces (1-D search), then the least-squares channel."""
-
-    def shared(x):
-        return residual_cost(np.full(cfg.n_surfaces, x), y, tp, cfg)
-
-    start = shared(0.0)
-    value, cost = _minimize_coordinate(shared, 0.0, start)
-    eps = np.full(cfg.n_surfaces, value)
     return EstimationResult(
         offsets=eps,
         channel=ls_channel(eps, y, tp, cfg),
@@ -256,3 +249,34 @@ def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
         cost_trace=np.asarray([cost]),
         converged=True,
     )
+
+
+def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
+                    init=None) -> EstimationResult:
+    """Joint timing/channel maximum-likelihood estimate.
+
+    With orthogonal training the profile objective is a sum of per-surface
+    terms, so each offset comes from its own 1-D search (grid plus
+    golden-section, never worse than its ``init`` entry). The channel
+    estimate is the least-squares solve at the returned offsets.
+    """
+    k_surf, n_el = cfg.n_surfaces, cfg.n_elements
+    eps = np.zeros(k_surf) if init is None else np.asarray(init, dtype=float).copy()
+    if eps.shape != (k_surf,) or np.any(np.abs(eps) >= 1.0):
+        raise ValueError("init must provide one offset in (-1, 1) per surface")
+
+    z, energy = _pattern_correlation(y, tp, cfg)
+    for k in range(k_surf):
+        rows = slice(k * n_el, (k + 1) * n_el)
+        eps[k] = _search_offset(z[rows], energy[rows], tp, cfg, eps[k])
+    return _result_at(eps, y, tp, cfg)
+
+
+def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
+                      cfg: SystemConfig) -> EstimationResult:
+    """Offset-synchronization-naive variant: fits a single shared timing value
+    for all surfaces (one 1-D search over every element), then the
+    least-squares channel."""
+    z, energy = _pattern_correlation(y, tp, cfg)
+    value = _search_offset(z, energy, tp, cfg, 0.0)
+    return _result_at(np.full(cfg.n_surfaces, value), y, tp, cfg)

@@ -13,7 +13,7 @@ the sweep's included trials.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .design import (
     build_problem,
     design_accelerated,
     design_mm,
-    design_perfect,
     design_phase_aligned,
     mmse_equalizer,
     mse_compact,
@@ -143,13 +142,6 @@ def _draw_offsets(spec: ExperimentSpec, seed) -> np.ndarray:
     return np.clip(eps, -_OFFSET_EDGE, _OFFSET_EDGE)
 
 
-def _draw_common_delta_offsets(spec: ExperimentSpec, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-0.5, 0.5)
-    eps = base + rng.uniform(-spec.delta_max, spec.delta_max, spec.n_surfaces)
-    return np.clip(eps, -_OFFSET_EDGE, _OFFSET_EDGE)
-
-
 def _draw_channels(spec: ExperimentSpec, cfg: SystemConfig, seed):
     if spec.scenario == "rayleigh":
         return gen_rayleigh(cfg, seed)
@@ -183,7 +175,7 @@ def run_estimation_sweep(spec: ExperimentSpec) -> list:
     """Estimator error and matching bounds across the SNR grid.
 
     Per trial: draw channels and offsets, simulate one training block, run
-    the alternating estimator, and record the channel and timing errors next
+    the timing/channel estimator, and record the channel and timing errors next
     to the bound traces evaluated at the true parameters.
     """
     cfg = spec.system_config()
@@ -253,9 +245,11 @@ def run_crlb_sweep(spec: ExperimentSpec) -> list:
 
 def run_async_impact(spec: ExperimentSpec) -> list:
     """Joint offset estimation versus a single-offset fit, under clustered
-    offsets (a shared base value plus per-surface deviations up to delta_max).
+    offsets (a shared base value plus per-surface deviations up to delta_max),
+    whatever the spec's offset model.
     """
     cfg = spec.system_config()
+    clustered = replace(spec, offset_model="common-delta")
     rows = []
     for snr_db in spec.snr_grid_db:
         var = _noise_var(snr_db)
@@ -264,7 +258,7 @@ def run_async_impact(spec: ExperimentSpec) -> list:
         for trial in range(spec.trials):
             streams = _trial_streams(spec.base_seed, trial)
             chans = _draw_channels(spec, cfg, streams["channel"])
-            eps = _draw_common_delta_offsets(spec, streams["offsets"])
+            eps = _draw_offsets(clustered, streams["offsets"])
             pattern = gen_training(cfg, streams["pilot"])
             gains = cascade(chans)
             try:
@@ -316,7 +310,7 @@ def _design_trial(spec: ExperimentSpec, cfg: SystemConfig, snr_db: float,
     optimize = design_accelerated if spec.algorithm == "accelerated" else design_mm
     tuned = optimize(belief_problem)
     aligned = design_phase_aligned(believed, cfg)
-    genie = design_perfect(eps, gains, noise_cov, cfg)
+    genie = design_accelerated(true_problem)  # perfect knowledge of offsets and channel
     scrambled = random_phases(cfg.total_elements, streams["design"])
     scrambled_eq = mmse_equalizer(scrambled, belief_problem)
 

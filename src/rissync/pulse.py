@@ -104,7 +104,7 @@ def rrc_impulse(t, cfg: PulseConfig):
     support the value is exactly zero. Accepts scalars or arrays.
     """
     beta = cfg.rolloff
-    x = np.asarray(t, dtype=float) / cfg.period
+    x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     ax = np.abs(x)
@@ -124,15 +124,13 @@ def rrc_impulse(t, cfg: PulseConfig):
         out[near0] = c0 + c2 * x2 + c4 * x2 * x2
     if nears.any():
         out[nears] = _sing_branch(ax[nears] - x_sing, beta, want_deriv=False)
-
-    out /= np.sqrt(cfg.period)
     return out[0] if scalar else out
 
 
 def rrc_impulse_deriv(t, cfg: PulseConfig):
     """Analytic time derivative of :func:`rrc_impulse` (zero outside the support)."""
     beta = cfg.rolloff
-    x = np.asarray(t, dtype=float) / cfg.period
+    x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     ax = np.abs(x)
@@ -154,8 +152,6 @@ def rrc_impulse_deriv(t, cfg: PulseConfig):
     if nears.any():
         branch = _sing_branch(ax[nears] - x_sing, beta, want_deriv=True)
         out[nears] = np.sign(x[nears]) * branch
-
-    out /= cfg.period ** 1.5
     return out[0] if scalar else out
 
 
@@ -218,8 +214,8 @@ def pulse_autocorr(tau, cfg: PulseConfig):
 
 def _sample_times(offset: float, cfg: PulseConfig) -> np.ndarray:
     rows = np.arange(cfg.n_samples) * cfg.sample_step
-    cols = np.arange(-cfg.span, cfg.obs_len + cfg.span) * cfg.period
-    return rows[:, None] - cols[None, :] - offset * cfg.period
+    cols = np.arange(-cfg.span, cfg.obs_len + cfg.span)
+    return rows[:, None] - cols[None, :] - offset
 
 
 def steering_matrix(offset: float, cfg: PulseConfig) -> np.ndarray:
@@ -238,7 +234,7 @@ def steering_matrix_deriv(offset: float, cfg: PulseConfig) -> np.ndarray:
     """Entrywise derivative of :func:`steering_matrix` with respect to the offset."""
     if not -1.0 < offset < 1.0:
         raise ValueError(f"timing offset must lie in (-1, 1), got {offset}")
-    return -cfg.period * rrc_impulse_deriv(_sample_times(offset, cfg), cfg)
+    return -rrc_impulse_deriv(_sample_times(offset, cfg), cfg)
 
 
 def matched_filter_taps(cfg: PulseConfig) -> np.ndarray:

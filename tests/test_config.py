@@ -17,7 +17,6 @@ def test_pulse_defaults():
     {"span": 0},
     {"oversampling": 0},
     {"obs_len": 0},
-    {"period": 2.0},
 ])
 def test_pulse_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):

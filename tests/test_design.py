@@ -9,7 +9,6 @@ from rissync.design import (
     build_problem,
     design_accelerated,
     design_mm,
-    design_perfect,
     design_phase_aligned,
     expand_phases,
     mmse_equalizer,
@@ -412,7 +411,7 @@ def test_phase_aligned_baseline_shape_and_single_surface_degeneracy():
     assert tuned.objective_trace[-1] <= base_mse + 1e-9 * (1.0 + abs(base_mse))
 
 
-def test_design_perfect_is_rank_one_and_coincides_with_zero_uncertainty():
+def test_perfect_knowledge_second_moment_is_rank_one():
     cfg, inputs = _instance(20)
     root = second_moment_root(inputs.channel,
                               np.zeros((cfg.total_elements,) * 2, dtype=complex))
@@ -422,15 +421,6 @@ def test_design_perfect_is_rank_one_and_coincides_with_zero_uncertainty():
     moment = root @ root
     target = np.outer(inputs.channel, inputs.channel.conj())
     np.testing.assert_allclose(moment, target, atol=1e-12 * np.abs(target).max())
-
-    perfect = design_perfect(inputs.offsets, inputs.channel, inputs.noise_cov, cfg)
-    zero_cov = DesignInputs(offsets=inputs.offsets, channel=inputs.channel,
-                            channel_cov=np.zeros((cfg.total_elements,) * 2,
-                                                 dtype=complex),
-                            noise_cov=inputs.noise_cov)
-    direct = design_accelerated(build_problem(zero_cov, cfg))
-    np.testing.assert_allclose(perfect.objective_trace, direct.objective_trace)
-    np.testing.assert_allclose(perfect.theta, direct.theta)
 
 
 def test_random_phases_unit_and_deterministic():

@@ -1,4 +1,4 @@
-"""Tests for training simulation and the alternating timing/channel estimator."""
+"""Tests for training simulation and the per-surface timing/channel estimator."""
 import numpy as np
 import pytest
 
@@ -6,6 +6,8 @@ from rissync import SingularSystemError, SystemConfig
 from rissync.channel import ChannelSet, cascade, gain_matrix, gen_rayleigh
 from rissync.estimator import (
     TrainingPattern,
+    _captured_energy,
+    _pattern_correlation,
     gen_training,
     ls_channel,
     mle_alternating,
@@ -201,8 +203,38 @@ def test_rank_deficient_observation_raises():
 
 
 # ---------------------------------------------------------------------------
-# alternating estimator
+# per-surface estimator
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k_surf", [1, 2, 4])
+def test_per_surface_captured_energy_matches_residual_oracle(k_surf):
+    # Orthogonal training splits the profile objective: the energy left
+    # outside the observation matrix is the total minus one captured term
+    # per surface, each depending only on that surface's offset.
+    cfg = SystemConfig(k_surf, 3)
+    n = cfg.n_elements
+    for seed in range(3):
+        _, tp, _, y = _instance(cfg, 300 + seed, noise_var=0.2)
+        z, energy = _pattern_correlation(y, tp, cfg)
+        eps = np.random.default_rng(seed).uniform(-0.95, 0.95, k_surf)
+        captured = sum(
+            _captured_energy(e, z[k * n:(k + 1) * n], energy[k * n:(k + 1) * n], tp, cfg)
+            for k, e in enumerate(eps)
+        )
+        separable = float(np.vdot(y, y).real) - captured
+        assert separable == pytest.approx(residual_cost(eps, y, tp, cfg), rel=1e-9)
+
+
+def test_estimators_reject_non_orthogonal_training():
+    _, tp, _, y = _instance(CFG, 70)
+    rng = np.random.default_rng(0)
+    # full rank, so the observation matrix is fine, but the columns overlap
+    skewed = TrainingPattern(phases=np.exp(2j * np.pi * rng.random(tp.phases.shape)),
+                             pilot=tp.pilot)
+    for estimate in (mle_alternating, mle_common_offset):
+        with pytest.raises(ValueError, match="orthogonal"):
+            estimate(y, skewed, CFG)
+
 
 def test_mle_noiseless_exact_recovery():
     ch, tp, offsets, y = _instance(CFG, 40, offsets=np.array([0.30, -0.45]))
