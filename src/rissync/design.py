@@ -6,9 +6,14 @@ surface element and a linear equalizer at the destination so that the
 equalized data block tracks the ideal matched-filter output in mean square.
 
 The mean-squared error is first written in a literal per-surface form
-(``mse_direct``) and, equivalently, in a stacked form (``mse_compact``) built
-from two precomputed operators: a spread stack that carries the second moment
-of the channel estimate and a mean stack that carries the estimate itself.
+(``mse_direct``) and, equivalently, in a structured form (``mse_compact``).
+The structured form rests on one identity: lifted over the block samples, the
+channel second moment M = h h^H + C couples elements i and j through
+M_ij A_k(i) A_k(j)^H, where A_k is surface k's steering matrix. Every
+phase-weighted quantity is therefore a sum over surface pairs,
+sum_{k,k'} (theta_k^T M_kk' theta_k'^*) A_k A_k'^H, and needs only the K^2
+small steering products, the K products A_k W^H with the matched-filter
+window W, and M itself; no array has NK times S rows or columns.
 For a fixed reflection vector the best equalizer is a closed-form Wiener
 solution, which concentrates the objective into a single function of the
 phases. That concentrated objective is maximized with a minorize-maximize
@@ -35,9 +40,6 @@ __all__ = [
     "DesignResult",
     "SurrogateAnchor",
     "white_noise_cov",
-    "expand_phases",
-    "second_moment_root",
-    "reflection_stacks",
     "build_problem",
     "mse_direct",
     "mse_compact",
@@ -119,26 +121,30 @@ class DesignInputs:
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """Phase-independent operators shared by every objective evaluation.
+    """Phase-independent factors shared by every objective evaluation.
 
-    ``spread`` stacks, surface by surface, the Kronecker product of the
-    second-moment factor rows with that surface's pulse steering matrix;
-    ``mean`` does the same with the channel estimate itself. ``window`` is
-    the ideal matched-filter windowing matrix whose output the equalizer
-    chases, and ``window_energy`` its squared Frobenius norm — the MSE of the
-    all-zero equalizer and the ceiling on recoverable energy.
+    ``steer_products[k, k']`` is A_k A_k'^H for the steering matrices A_k
+    (S x L) of surfaces k and k', and ``steer_window[k]`` is A_k W^H.
+    ``moment`` is the channel second moment h h^H + C over all elements, and
+    ``channel`` the estimate h. Together they define the lifted Gram whose
+    (i, j) block of S x S is moment[i, j] A_k(i) A_k(j)^H; it is never formed,
+    but ``gram_norm1`` is its exact largest absolute column sum, the
+    curvature constant of the surrogate. ``window`` is the ideal
+    matched-filter windowing matrix W whose output the equalizer chases, and
+    ``window_energy`` its squared Frobenius norm — the MSE of the all-zero
+    equalizer and the ceiling on recoverable energy.
     """
 
-    spread: np.ndarray        # (NK*S, NK*L) with S samples per block
-    mean: np.ndarray          # (NK*S, L)
-    spread_gram: np.ndarray   # spread @ spread^H, Hermitian PSD
-    spread_gram_norm1: float  # max absolute column sum of the gram
-    mean_window: np.ndarray   # mean @ window^H, (NK*S, L_o)
-    window: np.ndarray        # (L_o, L) circulant autocorrelation window
+    steer_products: np.ndarray  # (K, K, S, S) with S samples per block
+    steer_window: np.ndarray    # (K, S, L_o)
+    moment: np.ndarray          # (NK, NK), Hermitian PSD
+    channel: np.ndarray         # (NK,)
+    gram_norm1: float           # max absolute column sum of the lifted Gram
+    window: np.ndarray          # (L_o, L) circulant autocorrelation window
     window_energy: float
-    noise_cov: np.ndarray     # (S, S)
-    block: int                # samples per observation block, S
-    n_parts: int              # number of reflecting elements, NK
+    noise_cov: np.ndarray       # (S, S)
+    block: int                  # samples per observation block, S
+    n_parts: int                # number of reflecting elements, NK
 
 
 @dataclass(frozen=True)
@@ -160,98 +166,48 @@ def white_noise_cov(noise_var: float, cfg: SystemConfig) -> np.ndarray:
     return noise_var * np.eye(cfg.pulse.n_samples, dtype=complex)
 
 
-def expand_phases(theta, block: int) -> np.ndarray:
-    """Tile a phase vector into the block-row operator used by the stacked MSE.
+def build_problem(inputs: DesignInputs, cfg: SystemConfig) -> DesignProblem:
+    """Assemble all phase-independent factors for one design instance.
 
-    Column block i of the result equals theta[i] times the identity, so
-    multiplying a stacked matrix by it forms the theta-weighted sum of that
-    matrix's row blocks.
-    """
-    theta = _as_complex_vector(theta, "theta")
-    return np.kron(theta[None, :], np.eye(block))
-
-
-def second_moment_root(channel, channel_cov) -> np.ndarray:
-    """Hermitian PSD square root of (estimate outer product + error covariance).
-
-    The covariance must be Hermitian and PSD up to a small relative
+    The channel-error covariance must be PSD up to a small relative
     eigenvalue tolerance; anything more indefinite is rejected rather than
     silently clipped.
     """
-    channel = _as_complex_vector(channel, "channel")
-    cov = np.asarray(channel_cov, dtype=complex)
-    if cov.shape != (channel.size, channel.size):
-        raise ValueError(f"channel_cov must be {(channel.size,) * 2}, got {cov.shape}")
-    scale = max(np.abs(cov).max(), 1.0)
-    if np.abs(cov - cov.conj().T).max() > 1e-10 * scale:
-        raise ValueError("channel_cov must be Hermitian")
-    cov = 0.5 * (cov + cov.conj().T)
+    n_surf, n_parts = cfg.n_surfaces, cfg.total_elements
+    if inputs.offsets.size != n_surf:
+        raise ValueError(f"inputs carry {inputs.offsets.size} offsets, "
+                         f"config expects {n_surf}")
+    if inputs.channel.size != n_parts:
+        raise ValueError(f"expected {n_parts} channel entries, got {inputs.channel.size}")
+    if inputs.noise_cov.shape != (cfg.pulse.n_samples,) * 2:
+        raise ValueError(f"noise_cov must be {(cfg.pulse.n_samples,) * 2}")
+    cov = 0.5 * (inputs.channel_cov + inputs.channel_cov.conj().T)
     eigs = np.linalg.eigvalsh(cov)
     floor = PSD_TOL * max(eigs.max(initial=0.0), 1.0)
     if eigs.min(initial=0.0) < -floor:
         raise ValueError(
             f"channel_cov is not positive semidefinite (eigenvalue {eigs.min():.3e})"
         )
-    moment = np.outer(channel, channel.conj()) + cov
-    w, v = np.linalg.eigh(0.5 * (moment + moment.conj().T))
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
-
-
-def reflection_stacks(offsets, channel, root: np.ndarray,
-                      cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Build the spread and mean stacks from an explicit second-moment factor.
-
-    Any factor with root @ root^H equal to the channel second moment yields
-    the same objective, since only the spread stack's gram matrix enters.
-    Row block k couples factor rows (and channel entries) of surface k with
-    that surface's steering matrix.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    channel = _as_complex_vector(channel, "channel")
-    n_el, n_surf = cfg.n_elements, cfg.n_surfaces
-    if offsets.shape != (n_surf,):
-        raise ValueError(f"expected {n_surf} offsets, got {offsets.shape}")
-    if channel.size != cfg.total_elements:
-        raise ValueError(f"expected {cfg.total_elements} channel entries")
-    if root.shape != (cfg.total_elements, cfg.total_elements):
-        raise ValueError("root must be square over all reflecting elements")
-    spread_blocks, mean_blocks = [], []
-    for k in range(n_surf):
-        steer = steering_matrix(offsets[k], cfg.pulse)
-        rows = root[k * n_el:(k + 1) * n_el, :]
-        gains = channel[k * n_el:(k + 1) * n_el]
-        spread_blocks.append(np.kron(rows, steer))
-        mean_blocks.append(np.kron(gains[:, None], steer))
-    return np.concatenate(spread_blocks, axis=0), np.concatenate(mean_blocks, axis=0)
-
-
-def build_problem(inputs: DesignInputs, cfg: SystemConfig,
-                  root: np.ndarray | None = None) -> DesignProblem:
-    """Assemble all phase-independent operators for one design instance."""
-    if inputs.offsets.size != cfg.n_surfaces:
-        raise ValueError(f"inputs carry {inputs.offsets.size} offsets, "
-                         f"config expects {cfg.n_surfaces}")
-    if inputs.noise_cov.shape != (cfg.pulse.n_samples,) * 2:
-        raise ValueError(f"noise_cov must be {(cfg.pulse.n_samples,) * 2}")
-    if root is None:
-        root = second_moment_root(inputs.channel, inputs.channel_cov)
-    spread, mean = reflection_stacks(inputs.offsets, inputs.channel, root, cfg)
-    gram = spread @ spread.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
+    moment = np.outer(inputs.channel, inputs.channel.conj()) + cov
+    steer = np.stack([steering_matrix(eps, cfg.pulse) for eps in inputs.offsets])
+    products = np.einsum("asl,btl->abst", steer, steer.conj())
+    # Column q of element j's block column in the lifted Gram has absolute sum
+    # sum_a (sum_{i in a} |M_ij|) (column q's absolute sum of A_a A_k(j)^H).
+    moment_sums = np.abs(moment).reshape(n_surf, -1, n_parts).sum(axis=1)
+    column_sums = np.einsum("abj,abq->bjq", moment_sums.reshape(n_surf, n_surf, -1),
+                            np.abs(products).sum(axis=2))
     window = window_matrix(matched_filter_taps(cfg.pulse), cfg.pulse)
     return DesignProblem(
-        spread=spread,
-        mean=mean,
-        spread_gram=gram,
-        spread_gram_norm1=float(np.abs(gram).sum(axis=0).max()),
-        mean_window=mean @ window.conj().T,
+        steer_products=products,
+        steer_window=steer @ window.conj().T,
+        moment=moment,
+        channel=inputs.channel,
+        gram_norm1=float(column_sums.max()),
         window=window,
         window_energy=float(np.sum(window * window)),
         noise_cov=inputs.noise_cov,
         block=cfg.pulse.n_samples,
-        n_parts=cfg.total_elements,
+        n_parts=n_parts,
     )
 
 
@@ -262,7 +218,7 @@ def mse_direct(theta, equalizer: np.ndarray, inputs: DesignInputs,
     Expands the reflection vector into the block-diagonal per-surface
     operator, lifts the channel second moment over the symbol dimension, and
     evaluates the four quadratic/linear traces term by term. Exists as an
-    independent route against the stacked form; prefer ``mse_compact`` for
+    independent route against the structured form; prefer ``mse_compact`` for
     anything iterative.
     """
     theta = _as_complex_vector(theta, "theta")
@@ -289,40 +245,54 @@ def mse_direct(theta, equalizer: np.ndarray, inputs: DesignInputs,
     return quad + noise - 2.0 * cross + float(np.sum(window * window))
 
 
+def _response(theta, problem: DesignProblem):
+    """Phase-weighted moment rows, equalizer normal matrix and target.
+
+    ``rows[a, n]`` sums theta_i M_in over the elements i of surface a. The
+    normal matrix (S x S) is sum_{a,b} (theta_a^T M_ab theta_b^*) A_a A_b^H
+    plus the noise covariance; the target (S x L_o) is
+    sum_a (theta_a . h_a) A_a W^H.
+    """
+    theta = _as_complex_vector(theta, "theta")
+    if theta.size != problem.n_parts:
+        raise ValueError(f"expected {problem.n_parts} phases, got {theta.size}")
+    n_surf = problem.steer_products.shape[0]
+    rows = (theta[:, None] * problem.moment).reshape(n_surf, -1, problem.n_parts).sum(axis=1)
+    pairs = (rows * theta.conj()).reshape(n_surf, n_surf, -1).sum(axis=2)
+    normal = np.einsum("ab,abst->st", pairs, problem.steer_products) + problem.noise_cov
+    normal = 0.5 * (normal + normal.conj().T)
+    gains = (theta * problem.channel).reshape(n_surf, -1).sum(axis=1)
+    target = np.einsum("a,aso->so", gains, problem.steer_window)
+    return rows, normal, target
+
+
 def mse_compact(theta, equalizer: np.ndarray, problem: DesignProblem) -> float:
-    """Data-phase MSE in stacked form: same value as ``mse_direct``."""
-    big = expand_phases(theta, problem.block)
-    front = equalizer @ (big @ problem.spread)
-    quad = float(np.sum((front * front.conj()).real))
-    noise = np.trace(equalizer @ problem.noise_cov @ equalizer.conj().T).real
-    cross = np.trace((equalizer @ big) @ problem.mean_window).real
-    return quad + noise - 2.0 * cross + problem.window_energy
+    """Data-phase MSE in structured form: same value as ``mse_direct``."""
+    _, normal, target = _response(theta, problem)
+    quad = np.trace(equalizer @ normal @ equalizer.conj().T).real
+    cross = np.trace(equalizer @ target).real
+    return quad - 2.0 * cross + problem.window_energy
 
 
 def _concentrated_pieces(theta, problem: DesignProblem):
-    """Shared core: response matrix, its normal matrix, and the Wiener solve.
+    """Shared core: moment rows and the Wiener solve.
 
-    Returns (big, weighted_gram, target, solved, recovered) where ``target``
-    is the phase-weighted mean-window stack and ``solved`` the normal-matrix
-    solve against it; ``recovered`` is the energy the best equalizer captures.
+    Returns (rows, solved, recovered) where ``solved`` is the normal-matrix
+    solve against the target and ``recovered`` the energy the best equalizer
+    captures.
     """
-    big = expand_phases(theta, problem.block)
-    weighted = big @ problem.spread_gram                    # S x NK*S
-    normal = weighted @ big.conj().T + problem.noise_cov
-    normal = 0.5 * (normal + normal.conj().T)
+    rows, normal, target = _response(theta, problem)
     cond = np.linalg.cond(normal)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError("equalizer normal matrix", cond)
-    target = big @ problem.mean_window                      # S x L_o
     solved = np.linalg.solve(normal, target)
     recovered = float(np.vdot(target, solved).real)
-    return big, weighted, target, solved, recovered
+    return rows, solved, recovered
 
 
 def mmse_equalizer(theta, problem: DesignProblem) -> np.ndarray:
     """Closed-form minimizer of the MSE over the equalizer for fixed phases."""
-    _, _, _, solved, _ = _concentrated_pieces(theta, problem)
-    return solved.conj().T
+    return _concentrated_pieces(theta, problem)[1].conj().T
 
 
 def recovered_energy(theta, problem: DesignProblem) -> float:
@@ -331,7 +301,7 @@ def recovered_energy(theta, problem: DesignProblem) -> float:
     Satisfies mse_compact(theta, mmse_equalizer(theta)) =
     window_energy - recovered_energy(theta); the design maximizes it.
     """
-    return _concentrated_pieces(theta, problem)[4]
+    return _concentrated_pieces(theta, problem)[2]
 
 
 @dataclass(frozen=True)
@@ -339,7 +309,7 @@ class SurrogateAnchor:
     """Linearization of the concentrated objective at one feasible point.
 
     On the unit-modulus set the surrogate 2*Re(theta . conj(slice_scores))
-    - scale*||Theta||_F^2 + offset lies below the captured energy everywhere
+    - scale*S*||theta||^2 + offset lies below the captured energy everywhere
     and touches it at ``theta``; maximizing it decouples across elements.
     """
 
@@ -352,12 +322,19 @@ class SurrogateAnchor:
 
 def surrogate_anchor(theta, problem: DesignProblem) -> SurrogateAnchor:
     """Build the touching linear minorant of the captured energy at theta."""
-    big, weighted, target, solved, recovered = _concentrated_pieces(theta, problem)
+    theta = _as_complex_vector(theta, "theta")
+    rows, solved, recovered = _concentrated_pieces(theta, problem)
+    n_surf = problem.steer_products.shape[0]
     outer = solved @ solved.conj().T                        # S x S
-    scale = problem.spread_gram_norm1 * float(np.abs(outer).sum(axis=0).max())
-    score_mat = scale * big - outer @ weighted + solved @ problem.mean_window.conj().T
-    slices = score_mat.reshape(problem.block, problem.n_parts, problem.block)
-    scores = np.einsum("ini->n", slices)
+    scale = problem.gram_norm1 * float(np.abs(outer).sum(axis=0).max())
+    # Element n's score is the trace of its S x S slice of the lifted score
+    # matrix: scale * theta_n * S, minus sum_a rows[a, n] tr(outer A_a A_k(n)^H),
+    # plus conj(h_n) tr(solved (A_k(n) W^H)^H).
+    gram_traces = np.einsum("pq,abqp->ab", outer, problem.steer_products)
+    window_traces = np.einsum("so,aso->a", solved, problem.steer_window.conj())
+    coupled = (rows.reshape(n_surf, n_surf, -1) * gram_traces[:, :, None]).sum(axis=0)
+    mean_part = problem.channel.conj().reshape(n_surf, -1) * window_traces[:, None]
+    scores = scale * problem.block * theta - (coupled - mean_part).reshape(-1)
     noise_part = float(np.vdot(solved, problem.noise_cov @ solved).real)
     offset = -scale * problem.n_parts * problem.block + recovered - 2.0 * noise_part
     return SurrogateAnchor(

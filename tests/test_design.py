@@ -1,7 +1,6 @@
 """Tests for the reflection-pattern and equalizer design module."""
 import numpy as np
 import pytest
-import scipy.linalg
 
 from rissync.config import SystemConfig
 from rissync.design import (
@@ -10,15 +9,12 @@ from rissync.design import (
     design_accelerated,
     design_mm,
     design_phase_aligned,
-    expand_phases,
     mmse_equalizer,
     mse_compact,
     mse_direct,
     phase_update,
     random_phases,
     recovered_energy,
-    reflection_stacks,
-    second_moment_root,
     surrogate_anchor,
     surrogate_value,
     white_noise_cov,
@@ -48,86 +44,68 @@ def _instance(seed, k=2, n=2, noise_var=0.1, cov_scale=0.05):
     return cfg, inputs
 
 
-def test_expand_phases_layout_and_energy():
-    block = 5
-    nk = 4
-    basis = np.zeros(nk, dtype=complex)
-    basis[0] = 1.0
-    big = expand_phases(basis, block)
-    assert big.shape == (block, nk * block)
-    np.testing.assert_array_equal(big[:, :block], np.eye(block))
-    np.testing.assert_array_equal(big[:, block:], 0.0)
-
-    rng = np.random.default_rng(0)
-    theta = _unit(rng, nk)
-    big = expand_phases(theta, block)
-    assert np.isclose(np.linalg.norm(big) ** 2, nk * block)
-    # multiplying a lifted vector recovers the plain inner product
-    x = _cgauss(rng, nk)
-    lifted = np.kron(x[:, None], np.eye(block))
-    np.testing.assert_allclose(big @ lifted, (theta @ x) * np.eye(block),
-                               atol=1e-12)
-
-
-def test_reflection_stack_shapes():
-    cfg, inputs = _instance(1, k=2, n=3)
-    root = second_moment_root(inputs.channel, inputs.channel_cov)
-    spread, mean = reflection_stacks(inputs.offsets, inputs.channel, root, cfg)
-    nk = cfg.total_elements
-    samples = cfg.pulse.n_samples
-    assert spread.shape == (nk * samples, nk * cfg.pulse.seq_len)
-    assert mean.shape == (nk * samples, cfg.pulse.seq_len)
-
-
-def test_stacks_match_per_surface_construction():
-    """The stacked operators must reproduce the literal per-surface algebra."""
-    cfg, inputs = _instance(2, k=2, n=3)
-    rng = np.random.default_rng(3)
-    nk, n_el = cfg.total_elements, cfg.n_elements
-    seq_len = cfg.pulse.seq_len
-    root = second_moment_root(inputs.channel, inputs.channel_cov)
-    spread, mean = reflection_stacks(inputs.offsets, inputs.channel, root, cfg)
-    theta = _unit(rng, nk)
-    big = expand_phases(theta, cfg.pulse.n_samples)
-
-    # independent route: horizontal steering stack times the block-diagonal
-    # per-surface phase operator, then the lifted moment factors
-    eye_seq = np.eye(seq_len)
-    per_surface = scipy.linalg.block_diag(
-        *[np.kron(theta[k * n_el:(k + 1) * n_el][None, :], eye_seq)
-          for k in range(cfg.n_surfaces)]
-    )
-    steer_row = np.concatenate(
-        [steering_matrix(eps, cfg.pulse) for eps in inputs.offsets], axis=1)
-    front = steer_row @ per_surface
-    np.testing.assert_allclose(big @ spread, front @ np.kron(root, eye_seq),
-                               atol=1e-10)
-    np.testing.assert_allclose(big @ mean,
-                               front @ np.kron(inputs.channel[:, None], eye_seq),
-                               atol=1e-10)
-
-
-def test_second_moment_root_is_hermitian_psd_square_root():
-    cfg, inputs = _instance(4, k=2, n=2)
-    root = second_moment_root(inputs.channel, inputs.channel_cov)
-    target = np.outer(inputs.channel, inputs.channel.conj()) + inputs.channel_cov
-    np.testing.assert_allclose(root, root.conj().T, atol=1e-12)
-    np.testing.assert_allclose(root @ root, target, atol=1e-10)
-    assert np.linalg.eigvalsh(root).min() >= -1e-12
-
-
-def test_second_moment_root_rejects_bad_covariance():
+def test_build_problem_rejects_bad_covariance():
+    cfg = SystemConfig(n_surfaces=2, n_elements=2)
     rng = np.random.default_rng(5)
     channel = _cgauss(rng, 4)
+    noise = white_noise_cov(0.1, cfg)
+
+    def problem_with(cov):
+        return build_problem(DesignInputs(offsets=np.zeros(2), channel=channel,
+                                          channel_cov=cov, noise_cov=noise), cfg)
+
     with pytest.raises(ValueError):
-        second_moment_root(channel, -1e-3 * np.eye(4))
+        problem_with(-1e-3 * np.eye(4))
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
-        second_moment_root(channel, skew)
+        problem_with(skew)
     # a tiny negative eigenvalue within the tolerance is accepted
-    root = second_moment_root(channel, -1e-12 * np.eye(4))
-    assert np.all(np.isfinite(root))
+    problem = problem_with(-1e-12 * np.eye(4))
+    assert np.all(np.isfinite(problem.moment))
+
+
+def _relative_gap(actual, expected):
+    return np.abs(np.asarray(actual) - expected).max() / np.abs(expected).max()
+
+
+@pytest.mark.parametrize("geometry", [(1, 2), (2, 3), (3, 2)])
+def test_structured_operators_match_dense_lifted_gram(geometry):
+    """The K^2 steering-product factors reproduce the dense lifted operators:
+    the kron spread stack with a second-moment factor, its Gram, and the
+    theta-expanded normal matrix, target and slice scores built from them."""
+    k, n = geometry
+    for seed in range(3):
+        cfg, inputs = _instance(1300 + 10 * k + seed, k=k, n=n)
+        problem = build_problem(inputs, cfg)
+        block, nk = cfg.pulse.n_samples, cfg.total_elements
+        moment = np.outer(inputs.channel, inputs.channel.conj()) + inputs.channel_cov
+        root = np.linalg.cholesky(moment)
+        steers = [steering_matrix(eps, cfg.pulse) for eps in inputs.offsets]
+        spread = np.concatenate([np.kron(root[s * n:(s + 1) * n], steers[s])
+                                 for s in range(k)])
+        mean = np.concatenate([np.kron(inputs.channel[s * n:(s + 1) * n, None], steers[s])
+                               for s in range(k)])
+        gram = spread @ spread.conj().T
+        mean_window = mean @ problem.window.conj().T
+        norm1 = np.abs(gram).sum(axis=0).max()
+        assert abs(problem.gram_norm1 - norm1) <= 1e-12 * norm1
+
+        theta = _unit(np.random.default_rng(1400 + seed), nk)
+        big = np.kron(theta[None, :], np.eye(block))
+        weighted = big @ gram
+        normal = weighted @ big.conj().T + inputs.noise_cov
+        target = big @ mean_window
+        solved = np.linalg.solve(normal, target)
+        recovered = np.vdot(target, solved).real
+        assert abs(recovered_energy(theta, problem) - recovered) <= 1e-12 * recovered
+        assert _relative_gap(mmse_equalizer(theta, problem), solved.conj().T) <= 1e-12
+
+        outer = solved @ solved.conj().T
+        scale = norm1 * np.abs(outer).sum(axis=0).max()
+        score_mat = scale * big - outer @ weighted + solved @ mean_window.conj().T
+        scores = np.einsum("ini->n", score_mat.reshape(block, nk, block))
+        assert _relative_gap(surrogate_anchor(theta, problem).slice_scores, scores) <= 1e-12
 
 
 @pytest.mark.parametrize("geometry", [(2, 2), (3, 2)])
@@ -372,30 +350,6 @@ def test_design_accelerated_restart_from_converged_point():
         <= 1e-6 * (1.0 + abs(first.objective_trace[-1]))
 
 
-def test_objective_invariant_to_square_root_choice():
-    cfg, inputs = _instance(17, cov_scale=0.3)
-    # make the second moment comfortably positive definite for a Cholesky route
-    moment = np.outer(inputs.channel, inputs.channel.conj()) + inputs.channel_cov
-    moment += 0.1 * np.eye(cfg.total_elements)
-    shifted = DesignInputs(offsets=inputs.offsets, channel=inputs.channel,
-                           channel_cov=inputs.channel_cov + 0.1 * np.eye(cfg.total_elements),
-                           noise_cov=inputs.noise_cov)
-    hermitian = build_problem(shifted, cfg)
-    triangular = build_problem(shifted, cfg,
-                               root=scipy.linalg.cholesky(moment, lower=True))
-    np.testing.assert_allclose(hermitian.spread_gram, triangular.spread_gram,
-                               atol=1e-10 * np.abs(hermitian.spread_gram).max())
-    rng = np.random.default_rng(18)
-    for _ in range(5):
-        theta = _unit(rng, cfg.total_elements)
-        eq = _cgauss(rng, (cfg.pulse.obs_len, cfg.pulse.n_samples))
-        a = mse_compact(theta, eq, hermitian)
-        b = mse_compact(theta, eq, triangular)
-        assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
-        assert abs(recovered_energy(theta, hermitian)
-                   - recovered_energy(theta, triangular)) <= 1e-10
-
-
 def test_phase_aligned_baseline_shape_and_single_surface_degeneracy():
     cfg, inputs = _instance(19, k=1, n=4, noise_var=0.5, cov_scale=0.01)
     aligned = design_phase_aligned(inputs, cfg)
@@ -409,18 +363,6 @@ def test_phase_aligned_baseline_shape_and_single_surface_degeneracy():
     base_mse = mse_compact(aligned.theta, aligned.equalizer, problem)
     assert base_mse <= 1.01 * tuned.objective_trace[-1]
     assert tuned.objective_trace[-1] <= base_mse + 1e-9 * (1.0 + abs(base_mse))
-
-
-def test_perfect_knowledge_second_moment_is_rank_one():
-    cfg, inputs = _instance(20)
-    root = second_moment_root(inputs.channel,
-                              np.zeros((cfg.total_elements,) * 2, dtype=complex))
-    # the square root inflates eigenvalue roundoff to sqrt(eps) relative scale
-    singulars = np.linalg.svd(root, compute_uv=False)
-    assert singulars[1:].max() <= 1e-7 * singulars[0]
-    moment = root @ root
-    target = np.outer(inputs.channel, inputs.channel.conj())
-    np.testing.assert_allclose(moment, target, atol=1e-12 * np.abs(target).max())
 
 
 def test_random_phases_unit_and_deterministic():

@@ -257,13 +257,18 @@ def test_mle_single_surface_matches_exhaustive_search():
     assert abs(res.offsets[0] - best) < 1e-3 + 1e-5
 
 
-def test_mle_cost_trace_is_monotone():
+def test_mle_offsets_are_local_optimum_of_residual_cost():
+    step = 1e-4
     for seed in range(20):
         ch, tp, offsets, y = _instance(CFG, 100 + seed, noise_var=0.1)
         res = mle_alternating(y, tp, CFG)
-        trace = res.cost_trace
-        assert np.all(np.diff(trace) <= 1e-10 * (1.0 + trace[:-1]))
-        assert res.final_cost == pytest.approx(trace[-1])
+        cost = residual_cost(res.offsets, y, tp, CFG)
+        assert res.final_cost == pytest.approx(cost, rel=1e-12)
+        for k in range(CFG.n_surfaces):
+            for shift in (-step, step):
+                moved = res.offsets.copy()
+                moved[k] += shift
+                assert residual_cost(moved, y, tp, CFG) >= cost
 
 
 def test_mle_permutation_equivariance():
