@@ -9,6 +9,7 @@ later sources win. Exit codes: 0 success, 1 bad arguments or I/O trouble,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import FailureRateError, SingularSystemError
@@ -26,12 +27,22 @@ from .harness import (
     run_estimation_sweep,
 )
 
-_RUNNERS = {
-    "estimation": run_estimation_sweep,
-    "crlb": run_crlb_sweep,
-    "async": run_async_impact,
-    "design": run_design_sweep,
+# subcommand -> (sweep kind it runs, help text); "sweep" takes its kind from
+# --kind or the config file, and "convergence" writes traces, not a sweep.
+_COMMANDS = {
+    "estimate": ("estimation", "Estimator error and bound curves across the SNR grid."),
+    "crlb": ("crlb", "Bound curves only (no estimator runs)."),
+    "design": ("design", "Compare reflection-design schemes end to end."),
+    "convergence": (None, "Write objective traces of both design loops."),
+    "sweep": (None, "Generic driver; pick the operation with --kind."),
 }
+
+
+def _runners() -> dict:
+    """Sweep kind -> harness runner, read from this module's namespace when
+    called, so a runner rebound or patched here is the one that runs."""
+    return {"estimation": run_estimation_sweep, "crlb": run_crlb_sweep,
+            "async": run_async_impact, "design": run_design_sweep}
 
 
 def _parse_snr_grid(text: str) -> tuple:
@@ -101,7 +112,8 @@ def _add_spec_flags(sp: argparse.ArgumentParser):
                     help="comma-separated SNR grid in dB, e.g. '0,10,20,30'")
     sp.add_argument("--trials", type=int, help="Monte Carlo trials per SNR point")
     sp.add_argument("--offset-model", choices=OFFSET_MODELS,
-                    help="how true timing offsets are drawn")
+                    help="how true timing offsets are drawn ('sweep --kind async' "
+                         "always draws clustered common-delta offsets)")
     sp.add_argument("--delta-max", type=float, metavar="D",
                     help="per-surface deviation bound for the common-delta model")
     sp.add_argument("--algorithm", choices=ALGORITHMS,
@@ -117,18 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Timing/channel estimation and reflection-design experiments.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    descriptions = {
-        "estimate": "Estimator error and bound curves across the SNR grid.",
-        "crlb": "Bound curves only (no estimator runs).",
-        "design": "Compare reflection-design schemes end to end.",
-        "convergence": "Write objective traces of both design loops.",
-        "sweep": "Generic driver; pick the operation with --kind.",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _COMMANDS.items():
         sp = sub.add_parser(name, help=desc, description=desc)
         _add_spec_flags(sp)
         if name == "sweep":
-            sp.add_argument("--kind", choices=sorted(_RUNNERS),
+            sp.add_argument("--kind", choices=sorted(_runners()),
                             help="which operation to run (default: estimation)")
     return parser
 
@@ -169,25 +174,34 @@ def _run(args: argparse.Namespace) -> int:
             print(path)
         return 0
 
+    kind = _COMMANDS[args.command][0]
     if args.command == "sweep":
         kind = args.kind or settings.get("kind") or "estimation"
-        if kind not in _RUNNERS:
-            raise ValueError(f"kind must be one of {sorted(_RUNNERS)}, got {kind!r}")
-        runner = _RUNNERS[kind]
-    else:
-        runner = {"estimate": run_estimation_sweep,
-                  "crlb": run_crlb_sweep,
-                  "design": run_design_sweep}[args.command]
-
-    rows = runner(spec)
+    runners = _runners()
+    if kind not in runners:
+        raise ValueError(f"kind must be one of {sorted(runners)}, got {kind!r}")
+    rows = runners[kind](spec)
     _write_text(args.out, format_sweep_rows(rows))
     return 0
+
+
+def _attach_snr_lists(argv: list) -> list:
+    """Write '--snr-db LIST' as '--snr-db=LIST' when LIST starts with a minus
+    sign: argparse takes any '-' token that is not a plain number, such as
+    '-10,0', for an option and would leave --snr-db without its value."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--snr-db" and re.match(r"-[\d.]", token):
+            out[-1] = f"--snr-db={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_snr_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse handles --help and usage errors itself
         return 0 if exc.code in (0, None) else 1
 

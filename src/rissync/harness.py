@@ -2,22 +2,25 @@
 
 Every trial owns its own random streams, derived from (base seed, trial
 index), so results do not depend on execution order and identical
-experiment settings reproduce identical output byte for byte. Trials that die in
-an ill-conditioned linear solve are excluded and counted; an exclusion rate
-above one percent aborts the whole run.
+experiment settings reproduce identical output byte for byte. Each trial is
+drawn once and scored at every SNR point, so the points share common random
+numbers. A trial that dies in an ill-conditioned linear solve is excluded at
+that point and counted; an exclusion rate above one percent aborts the run.
 
 Reported metrics are normalized mean-squared errors. For estimates the
 normalizer is that trial's own squared true-parameter norm; for the matching
-error-bound traces the normalizer is the empirical mean of those norms over
-the sweep's included trials.
+error-bound traces it is the empirical mean of those norms over the point's
+included trials. The bounds are exactly proportional to the noise variance,
+so each trial's are evaluated once at unit variance and scaled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .channel import MmWaveParams, cascade, gen_mmwave, gen_rayleigh
+from .channel import ChannelSet, MmWaveParams, cascade, gen_mmwave, gen_rayleigh
 from .config import SystemConfig
 from .crlb import crlb
 from .design import (
@@ -32,7 +35,8 @@ from .design import (
     white_noise_cov,
 )
 from .errors import FailureRateError, SingularSystemError
-from .estimator import gen_training, mle_alternating, mle_common_offset, simulate_training
+from .estimator import (TrainingPattern, gen_training, mle_alternating,
+                        mle_common_offset, simulate_training)
 
 __all__ = [
     "ExperimentSpec",
@@ -148,170 +152,152 @@ def _draw_channels(spec: ExperimentSpec, cfg: SystemConfig, seed):
     return gen_mmwave(cfg, MmWaveParams(n_x=spec.n_x), seed)
 
 
-def _check_exclusions(excluded: int, total: int):
-    if excluded > EXCLUSION_LIMIT * total:
-        raise FailureRateError(excluded, total, EXCLUSION_LIMIT)
-
-
-def _aggregate(snr_db: float, metric: str, values, excluded: int) -> SweepRow:
-    vals = np.asarray(values, dtype=float)
-    mean = float(vals.mean()) if vals.size else float("nan")
+def _aggregate(snr_db: float, metric: str, vals: np.ndarray, excluded: int) -> SweepRow:
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return SweepRow(snr_db=float(snr_db), metric=metric, mean=mean,
+    return SweepRow(snr_db=float(snr_db), metric=metric, mean=float(vals.mean()),
                     stderr=stderr, trials=int(vals.size), excluded=excluded)
 
 
-def _bound_rows(snr_db: float, name: str, traces, norms, excluded: int) -> SweepRow:
-    """Bound trace normalized by the empirical mean of the true-squared norms."""
-    traces = np.asarray(traces, dtype=float)
-    norms = np.asarray(norms, dtype=float)
-    if traces.size == 0:
-        return SweepRow(float(snr_db), name, float("nan"), 0.0, 0, excluded)
-    normalizer = norms.mean()
-    return _aggregate(snr_db, name, traces / normalizer, excluded)
+# Bound metrics -> the per-trial norm their sweep mean is divided by.
+_BOUND_NORMS = {"channel_crlb": "channel_norm", "timing_crlb": "timing_norm"}
+_ESTIMATION_METRICS = ("channel_nmse", "timing_nmse", *_BOUND_NORMS)
+_ASYNC_METRICS = ("channel_nmse", "channel_nmse_sync_naive")
+_DESIGN_METRICS = ("nmse_proposed", "nmse_phase_aligned", "nmse_perfect", "nmse_random")
 
 
-def run_estimation_sweep(spec: ExperimentSpec) -> list:
-    """Estimator error and matching bounds across the SNR grid.
+@dataclass(frozen=True)
+class _Trial:
+    """One trial's draws, shared by every SNR point of a sweep."""
 
-    Per trial: draw channels and offsets, simulate one training block, run
-    the timing/channel estimator, and record the channel and timing errors next
-    to the bound traces evaluated at the true parameters.
+    spec: ExperimentSpec
+    cfg: SystemConfig
+    streams: dict
+    channels: ChannelSet
+    offsets: np.ndarray
+    pattern: TrainingPattern
+    gains: np.ndarray
+    channel_norm: float  # squared norms of the true parameters
+    timing_norm: float
+
+    @cached_property
+    def unit_bound_traces(self) -> tuple:
+        """Channel and timing bound traces at unit noise variance.
+
+        Both bounds are exactly proportional to the noise variance and their
+        conditioning checks do not depend on it, so one evaluation serves
+        every SNR point; a trial that fails here fails at every point.
+        """
+        bounds = crlb(self.offsets, self.gains, self.pattern, 1.0, self.cfg)
+        return np.trace(bounds.channel_cov).real, np.trace(bounds.timing_cov)
+
+
+def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
+    streams = _trial_streams(spec.base_seed, trial)
+    channels = _draw_channels(spec, cfg, streams["channel"])
+    offsets, gains = _draw_offsets(spec, streams["offsets"]), cascade(channels)
+    return _Trial(spec=spec, cfg=cfg, streams=streams, channels=channels, offsets=offsets,
+                  pattern=gen_training(cfg, streams["pilot"]), gains=gains,
+                  channel_norm=float(np.sum(np.abs(gains) ** 2)),
+                  timing_norm=float(np.sum(offsets ** 2)))
+
+
+def _sweep(spec: ExperimentSpec, score, metrics) -> list:
+    """Score every trial at every SNR point; one row per (SNR, metric).
+
+    Each trial is drawn once, scored by ``score(trial, noise_var) -> {metric:
+    value}`` at every point, and dropped before the next is drawn. A trial
+    whose scoring raises :class:`SingularSystemError` is excluded at that
+    point only; the run aborts once one point's exclusions pass the limit.
     """
     cfg = spec.system_config()
-    rows = []
-    for snr_db in spec.snr_grid_db:
-        var = _noise_var(snr_db)
-        nmse_ch, nmse_eps = [], []
-        bound_ch, bound_eps, norm_ch, norm_eps = [], [], [], []
-        excluded = 0
-        for trial in range(spec.trials):
-            streams = _trial_streams(spec.base_seed, trial)
-            chans = _draw_channels(spec, cfg, streams["channel"])
-            eps = _draw_offsets(spec, streams["offsets"])
-            pattern = gen_training(cfg, streams["pilot"])
-            gains = cascade(chans)
+    noise_vars = [_noise_var(snr_db) for snr_db in spec.snr_grid_db]
+    scored = [[] for _ in noise_vars]
+    for index in range(spec.trials):
+        trial = _draw_trial(spec, cfg, index)
+        for results, var in zip(scored, noise_vars):
             try:
-                obs = simulate_training(chans, eps, pattern, var, cfg, streams["noise"])
-                est = mle_alternating(obs, pattern, cfg)
-                bounds = crlb(eps, gains, pattern, var, cfg)
+                results.append(score(trial, var))
             except SingularSystemError:
-                excluded += 1
-                continue
-            ch_norm = float(np.sum(np.abs(gains) ** 2))
-            eps_norm = float(np.sum(eps ** 2))
-            nmse_ch.append(np.sum(np.abs(est.channel - gains) ** 2) / ch_norm)
-            nmse_eps.append(np.sum((est.offsets - eps) ** 2) / eps_norm)
-            bound_ch.append(np.trace(bounds.channel_cov).real)
-            bound_eps.append(np.trace(bounds.timing_cov))
-            norm_ch.append(ch_norm)
-            norm_eps.append(eps_norm)
-        _check_exclusions(excluded, spec.trials)
-        rows.append(_aggregate(snr_db, "channel_nmse", nmse_ch, excluded))
-        rows.append(_aggregate(snr_db, "timing_nmse", nmse_eps, excluded))
-        rows.append(_bound_rows(snr_db, "channel_crlb", bound_ch, norm_ch, excluded))
-        rows.append(_bound_rows(snr_db, "timing_crlb", bound_eps, norm_eps, excluded))
+                excluded = index + 1 - len(results)
+                if excluded > EXCLUSION_LIMIT * spec.trials:
+                    raise FailureRateError(excluded, spec.trials, EXCLUSION_LIMIT) from None
+    rows = []
+    for snr_db, results in zip(spec.snr_grid_db, scored):
+        excluded = spec.trials - len(results)
+        for metric in metrics:
+            values = np.array([r[metric] for r in results], dtype=float)
+            if metric in _BOUND_NORMS:
+                values = values / np.mean([r[_BOUND_NORMS[metric]] for r in results])
+            rows.append(_aggregate(snr_db, metric, values, excluded))
     return rows
 
 
-def run_crlb_sweep(spec: ExperimentSpec) -> list:
-    """Bound curves only — no estimator, so it is fast at any SNR."""
-    cfg = spec.system_config()
-    rows = []
-    for snr_db in spec.snr_grid_db:
-        var = _noise_var(snr_db)
-        bound_ch, bound_eps, norm_ch, norm_eps = [], [], [], []
-        excluded = 0
-        for trial in range(spec.trials):
-            streams = _trial_streams(spec.base_seed, trial)
-            chans = _draw_channels(spec, cfg, streams["channel"])
-            eps = _draw_offsets(spec, streams["offsets"])
-            pattern = gen_training(cfg, streams["pilot"])
-            gains = cascade(chans)
-            try:
-                bounds = crlb(eps, gains, pattern, var, cfg)
-            except SingularSystemError:
-                excluded += 1
-                continue
-            bound_ch.append(np.trace(bounds.channel_cov).real)
-            bound_eps.append(np.trace(bounds.timing_cov))
-            norm_ch.append(float(np.sum(np.abs(gains) ** 2)))
-            norm_eps.append(float(np.sum(eps ** 2)))
-        _check_exclusions(excluded, spec.trials)
-        rows.append(_bound_rows(snr_db, "channel_crlb", bound_ch, norm_ch, excluded))
-        rows.append(_bound_rows(snr_db, "timing_crlb", bound_eps, norm_eps, excluded))
-    return rows
+def _observe(trial: _Trial, var: float):
+    """Simulate the trial's training block at noise variance ``var`` and run
+    the joint estimator on it; returns (observation, estimate)."""
+    obs = simulate_training(trial.channels, trial.offsets, trial.pattern, var,
+                            trial.cfg, trial.streams["noise"])
+    return obs, mle_alternating(obs, trial.pattern, trial.cfg)
 
 
-def run_async_impact(spec: ExperimentSpec) -> list:
-    """Joint offset estimation versus a single-offset fit, under clustered
-    offsets (a shared base value plus per-surface deviations up to delta_max),
-    whatever the spec's offset model.
-    """
-    cfg = spec.system_config()
-    clustered = replace(spec, offset_model="common-delta")
-    rows = []
-    for snr_db in spec.snr_grid_db:
-        var = _noise_var(snr_db)
-        nmse_joint, nmse_common = [], []
-        excluded = 0
-        for trial in range(spec.trials):
-            streams = _trial_streams(spec.base_seed, trial)
-            chans = _draw_channels(spec, cfg, streams["channel"])
-            eps = _draw_offsets(clustered, streams["offsets"])
-            pattern = gen_training(cfg, streams["pilot"])
-            gains = cascade(chans)
-            try:
-                obs = simulate_training(chans, eps, pattern, var, cfg, streams["noise"])
-                joint = mle_alternating(obs, pattern, cfg)
-                naive = mle_common_offset(obs, pattern, cfg)
-            except SingularSystemError:
-                excluded += 1
-                continue
-            ch_norm = float(np.sum(np.abs(gains) ** 2))
-            nmse_joint.append(np.sum(np.abs(joint.channel - gains) ** 2) / ch_norm)
-            nmse_common.append(np.sum(np.abs(naive.channel - gains) ** 2) / ch_norm)
-        _check_exclusions(excluded, spec.trials)
-        rows.append(_aggregate(snr_db, "channel_nmse", nmse_joint, excluded))
-        rows.append(_aggregate(snr_db, "channel_nmse_sync_naive", nmse_common, excluded))
-    return rows
+def _believed(trial: _Trial, var: float, est) -> DesignInputs:
+    """Design inputs as the receiver sees them after training: the estimates,
+    the bound at the estimates as their uncertainty, and the noise."""
+    bounds = crlb(est.offsets, est.channel, trial.pattern, var, trial.cfg)
+    return DesignInputs(offsets=est.offsets, channel=est.channel,
+                        channel_cov=bounds.channel_cov,
+                        noise_cov=white_noise_cov(var, trial.cfg))
 
 
-def _design_trial(spec: ExperimentSpec, cfg: SystemConfig, snr_db: float,
-                  trial: int) -> dict:
+def _channel_nmse(estimate: np.ndarray, trial: _Trial) -> float:
+    return np.sum(np.abs(estimate - trial.gains) ** 2) / trial.channel_norm
+
+
+def _score_bounds(trial: _Trial, var: float) -> dict:
+    channel_trace, timing_trace = trial.unit_bound_traces
+    return {"channel_crlb": var * channel_trace, "timing_crlb": var * timing_trace,
+            "channel_norm": trial.channel_norm, "timing_norm": trial.timing_norm}
+
+
+def _score_estimation(trial: _Trial, var: float) -> dict:
+    bounds = _score_bounds(trial, var)
+    _, est = _observe(trial, var)
+    return {"channel_nmse": _channel_nmse(est.channel, trial),
+            "timing_nmse": np.sum((est.offsets - trial.offsets) ** 2) / trial.timing_norm,
+            **bounds}
+
+
+def _score_async(trial: _Trial, var: float) -> dict:
+    obs, joint = _observe(trial, var)
+    naive = mle_common_offset(obs, trial.pattern, trial.cfg)
+    return {"channel_nmse": _channel_nmse(joint.channel, trial),
+            "channel_nmse_sync_naive": _channel_nmse(naive.channel, trial)}
+
+
+def _score_design(trial: _Trial, var: float) -> dict:
     """Full pipeline for one trial: estimate, bound, design, score.
 
     Every scheme is scored under the true channel and offsets (zero
     uncertainty), normalized by the window energy, so the comparison measures
     what each design would actually achieve.
     """
-    var = _noise_var(snr_db)
-    streams = _trial_streams(spec.base_seed, trial)
-    chans = _draw_channels(spec, cfg, streams["channel"])
-    eps = _draw_offsets(spec, streams["offsets"])
-    pattern = gen_training(cfg, streams["pilot"])
-    gains = cascade(chans)
-    noise_cov = white_noise_cov(var, cfg)
-
-    obs = simulate_training(chans, eps, pattern, var, cfg, streams["noise"])
-    est = mle_alternating(obs, pattern, cfg)
-    bounds = crlb(est.offsets, est.channel, pattern, var, cfg)
-    believed = DesignInputs(offsets=est.offsets, channel=est.channel,
-                            channel_cov=bounds.channel_cov, noise_cov=noise_cov)
+    cfg = trial.cfg
+    _, est = _observe(trial, var)
+    believed = _believed(trial, var, est)
     belief_problem = build_problem(believed, cfg)
 
     truth = DesignInputs(
-        offsets=eps, channel=gains,
+        offsets=trial.offsets, channel=trial.gains,
         channel_cov=np.zeros((cfg.total_elements,) * 2, dtype=complex),
-        noise_cov=noise_cov)
+        noise_cov=believed.noise_cov)
     true_problem = build_problem(truth, cfg)
     energy = true_problem.window_energy
 
-    optimize = design_accelerated if spec.algorithm == "accelerated" else design_mm
+    optimize = design_accelerated if trial.spec.algorithm == "accelerated" else design_mm
     tuned = optimize(belief_problem)
     aligned = design_phase_aligned(believed, cfg)
     genie = design_accelerated(true_problem)  # perfect knowledge of offsets and channel
-    scrambled = random_phases(cfg.total_elements, streams["design"])
+    scrambled = random_phases(cfg.total_elements, trial.streams["design"])
     scrambled_eq = mmse_equalizer(scrambled, belief_problem)
 
     return {
@@ -323,47 +309,46 @@ def _design_trial(spec: ExperimentSpec, cfg: SystemConfig, snr_db: float,
     }
 
 
-_DESIGN_METRICS = ("nmse_proposed", "nmse_phase_aligned", "nmse_perfect", "nmse_random")
+def _design_trial(spec: ExperimentSpec, cfg: SystemConfig, snr_db: float,
+                  trial: int) -> dict:
+    return _score_design(_draw_trial(spec, cfg, trial), _noise_var(snr_db))
+
+
+def run_estimation_sweep(spec: ExperimentSpec) -> list:
+    """Estimator error and matching bounds across the SNR grid.
+
+    Per trial: draw channels and offsets, simulate one training block per SNR
+    point, run the timing/channel estimator, and record the channel and timing
+    errors next to the bound traces evaluated at the true parameters.
+    """
+    return _sweep(spec, _score_estimation, _ESTIMATION_METRICS)
+
+
+def run_crlb_sweep(spec: ExperimentSpec) -> list:
+    """Bound curves only — no estimator, so it is fast at any SNR."""
+    return _sweep(spec, _score_bounds, tuple(_BOUND_NORMS))
+
+
+def run_async_impact(spec: ExperimentSpec) -> list:
+    """Joint offset estimation versus a single-offset fit, under clustered
+    offsets (a shared base value plus per-surface deviations up to delta_max),
+    whatever the spec's offset model.
+    """
+    return _sweep(replace(spec, offset_model="common-delta"), _score_async, _ASYNC_METRICS)
 
 
 def run_design_sweep(spec: ExperimentSpec) -> list:
     """Compare reflection-design schemes end to end across the SNR grid."""
-    cfg = spec.system_config()
-    rows = []
-    for snr_db in spec.snr_grid_db:
-        values = {name: [] for name in _DESIGN_METRICS}
-        excluded = 0
-        for trial in range(spec.trials):
-            try:
-                scored = _design_trial(spec, cfg, snr_db, trial)
-            except SingularSystemError:
-                excluded += 1
-                continue
-            for name in _DESIGN_METRICS:
-                values[name].append(scored[name])
-        _check_exclusions(excluded, spec.trials)
-        for name in _DESIGN_METRICS:
-            rows.append(_aggregate(snr_db, name, values[name], excluded))
-    return rows
+    return _sweep(spec, _score_design, _DESIGN_METRICS)
 
 
 def run_convergence(spec: ExperimentSpec) -> dict:
     """Objective-versus-iteration traces of both design loops on one matched
     instance (trial zero of the experiment, at the first SNR of the grid)."""
-    cfg = spec.system_config()
-    snr_db = spec.snr_grid_db[0]
-    var = _noise_var(snr_db)
-    streams = _trial_streams(spec.base_seed, 0)
-    chans = _draw_channels(spec, cfg, streams["channel"])
-    eps = _draw_offsets(spec, streams["offsets"])
-    pattern = gen_training(cfg, streams["pilot"])
-    obs = simulate_training(chans, eps, pattern, var, cfg, streams["noise"])
-    est = mle_alternating(obs, pattern, cfg)
-    bounds = crlb(est.offsets, est.channel, pattern, var, cfg)
-    believed = DesignInputs(offsets=est.offsets, channel=est.channel,
-                            channel_cov=bounds.channel_cov,
-                            noise_cov=white_noise_cov(var, cfg))
-    problem = build_problem(believed, cfg)
+    trial = _draw_trial(spec, spec.system_config(), 0)
+    var = _noise_var(spec.snr_grid_db[0])
+    _, est = _observe(trial, var)
+    problem = build_problem(_believed(trial, var, est), trial.cfg)
     return {
         "mm": design_mm(problem).objective_trace,
         "accelerated": design_accelerated(problem).objective_trace,

@@ -116,6 +116,16 @@ def test_sweep_kind_from_config(tmp_path, capsys):
     assert metrics == {"channel_crlb", "timing_crlb"}
 
 
+def test_snr_list_may_start_with_a_negative_value(capsys):
+    argv = ["crlb", "--surfaces", "2", "--nx", "2", "--ny", "1",
+            "--trials", "2", "--seed", "3"]
+    assert cli.main(argv + ["--snr-db", "-10,0"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(argv + ["--snr-db=-10,0"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert [line.split(",")[0] for line in spaced.splitlines()[1:]] == ["-10", "-10", "0", "0"]
+
+
 def test_convergence_writes_trace_files(tmp_path):
     prefix = tmp_path / "trace"
     argv = ["convergence", "--surfaces", "2", "--nx", "2", "--ny", "1",

@@ -255,6 +255,22 @@ def test_exclusion_rate_above_limit_aborts(monkeypatch):
         run_estimation_sweep(spec)
 
 
+def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
+    calls = {"n": 0}
+
+    def always_fails(y, tp, cfg, **kwargs):
+        calls["n"] += 1
+        raise SingularSystemError("forced failure", 1e99)
+
+    monkeypatch.setattr(harness, "mle_alternating", always_fails)
+    spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0),
+                          trials=100, base_seed=0)
+    with pytest.raises(FailureRateError) as info:
+        run_estimation_sweep(spec)
+    # one exclusion per 100 trials is allowed, so the second one aborts
+    assert info.value.excluded == 2 and calls["n"] == 3
+
+
 def test_exclusion_at_limit_is_tolerated(monkeypatch):
     calls = {"n": 0}
 
@@ -271,6 +287,67 @@ def test_exclusion_at_limit_is_tolerated(monkeypatch):
     for row in rows:
         assert row.excluded == 1
         assert row.trials == 99
+
+
+# ------------------------------------------------------- trial driver
+
+RUNNERS = [run_estimation_sweep, run_crlb_sweep, run_async_impact, run_design_sweep]
+
+
+def _counting(monkeypatch, name):
+    calls = {"n": 0}
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("runner", [run_crlb_sweep, run_estimation_sweep])
+def test_bound_is_evaluated_once_per_trial(monkeypatch, runner):
+    calls = _counting(monkeypatch, "crlb")
+    runner(ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY))
+    assert calls["n"] == TINY["trials"]
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_each_trial_is_drawn_once(monkeypatch, runner):
+    calls = _counting(monkeypatch, "gen_training")
+    runner(ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY))
+    assert calls["n"] == TINY["trials"]
+
+
+def test_failure_at_one_point_excludes_the_trial_there_only(monkeypatch):
+    seen = {}
+    simulate = harness.simulate_training
+
+    def recording(ch, offsets, tp, noise_var, cfg, noise_seed):
+        seen["var"] = noise_var
+        return simulate(ch, offsets, tp, noise_var, cfg, noise_seed)
+
+    def fails_once_at_10db(y, tp, cfg, **kwargs):
+        if seen["var"] == 0.1 and not seen.get("failed"):
+            seen["failed"] = True
+            raise SingularSystemError("forced failure", 1e99)
+        return _fake_estimate(2, 2)
+
+    monkeypatch.setattr(harness, "simulate_training", recording)
+    monkeypatch.setattr(harness, "mle_alternating", fails_once_at_10db)
+    spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0, 20.0),
+                          trials=100, base_seed=0)
+    for row in run_estimation_sweep(spec):
+        dropped = 1 if row.snr_db == 10.0 else 0
+        assert (row.excluded, row.trials) == (dropped, 100 - dropped)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_points_share_trials_whatever_the_grid(runner):
+    alone = runner(ExperimentSpec(snr_grid_db=(20.0,), **TINY))
+    in_grid = runner(ExperimentSpec(snr_grid_db=(0.0, 20.0), **TINY))
+    assert [r for r in in_grid if r.snr_db == 20.0] == alone
 
 
 # ------------------------------------------------------------- output
