@@ -188,11 +188,13 @@ def _run(args: argparse.Namespace) -> int:
 def _attach_snr_lists(argv: list) -> list:
     """Write '--snr-db LIST' as '--snr-db=LIST' when LIST starts with a minus
     sign: argparse takes any '-' token that is not a plain number, such as
-    '-10,0', for an option and would leave --snr-db without its value."""
+    '-10,0', for an option and would leave --snr-db without its value. Any
+    abbreviation argparse accepts, '--sn' and longer, is treated alike."""
     out = []
     for token in argv:
-        if out and out[-1] == "--snr-db" and re.match(r"-[\d.]", token):
-            out[-1] = f"--snr-db={token}"
+        flag = out[-1] if out else ""
+        if len(flag) >= 4 and "--snr-db".startswith(flag) and re.match(r"-[\d.]", token):
+            out[-1] = f"{flag}={token}"
         else:
             out.append(token)
     return out

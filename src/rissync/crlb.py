@@ -1,11 +1,11 @@
 """Fisher information and closed-form error bounds for the training estimator.
 
 The training observation is linear in the cascaded channel and smooth in the
-timing offsets, so the information matrix has an explicit three-block Gram
-structure over the real coordinates (offsets, channel real part, channel
-imaginary part). The closed-form bounds profile the channel out analytically;
-a brute-force inversion of the full information matrix provides the same
-quantities through a different route and the two must agree.
+timing offsets. With orthogonal training the observation Gram is diagonal, so
+:func:`crlb` profiles the channel out one surface at a time in closed form; it
+rejects other training with ValueError. The dense route inverts the full
+information matrix over (offsets, Re channel, Im channel), for any training,
+and is the reference the closed forms must agree with.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from .channel import block_gains
 from .config import SystemConfig
-from .errors import SingularSystemError
-from .estimator import COND_LIMIT, TrainingPattern, observation_matrix
+from .estimator import (TrainingPattern, _check_spread, _pilot_rows, _stack_columns,
+                        _training_gram, observation_matrix)
 from .pulse import steering_matrix_deriv
 
 __all__ = [
@@ -46,16 +46,7 @@ def observation_matrix_deriv(offsets, tp: TrainingPattern,
     """Entrywise derivative of the observation matrix: column block k is
     differentiated with respect to offset k (other blocks' derivatives are
     zero there, so the result stacks each block's own derivative)."""
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.shape != (cfg.n_surfaces,):
-        raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
-    n_el = cfg.n_elements
-    blocks = []
-    for k, eps in enumerate(offsets):
-        slope = steering_matrix_deriv(eps, cfg.pulse) @ tp.pilot
-        phi_k = tp.phases[:, k * n_el:(k + 1) * n_el]
-        blocks.append(np.kron(phi_k, slope[:, None]))
-    return np.concatenate(blocks, axis=1)
+    return _stack_columns(tp, _pilot_rows(steering_matrix_deriv, offsets, tp, cfg), cfg)
 
 
 def fim(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
@@ -76,51 +67,33 @@ def fim(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
     return 0.5 * (j + j.T)
 
 
-def _solve_checked(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystemError(what, float(cond))
-    return np.linalg.solve(mat, rhs)
-
-
 def crlb(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
          cfg: SystemConfig) -> CrlbResult:
-    """Closed-form bounds with the channel profiled out analytically.
+    """Closed-form bounds for orthogonal training, with the channel profiled out.
 
-    timing_cov = (noise_var/2) * inv(Re{W^H P W}) with W the offset-direction
-    mean derivative and P the projector off the observation column space;
-    channel_cov = (noise_var/2) * (2Z + V timing_part V^H) with Z the inverse
-    training Gram and V its reaction to offset perturbations.
+    With f_k surface k's filtered pilot, f'_k its offset derivative and
+    c_k = f_k^H f'_k / |f_k|^2, surface k's profiled timing information is
+    J_k = sum_{i in k} |Phi_i|^2 |h_i|^2 (|f'_k|^2 - |c_k|^2 |f_k|^2), so
+    timing_cov = (noise_var/2) diag(1/J). channel_cov = noise_var diag(1/G),
+    with G_i = |Phi_i|^2 |f_k|^2 the diagonal training Gram, plus the rank-one
+    block (noise_var/2) c_k h_k (c_k h_k)^H / J_k for each surface. Raises
+    ValueError on non-orthogonal training, and SingularSystemError when G or
+    J is not positive or its max/min ratio exceeds COND_LIMIT.
     """
     if noise_var <= 0:
         raise ValueError(f"noise_var must be > 0, got {noise_var}")
-    nmat = observation_matrix(offsets, tp, cfg)
-    nd = observation_matrix_deriv(offsets, tp, cfg)
-    he = block_gains(np.asarray(channel), cfg.n_surfaces)
-    w = nd @ he.T  # mean derivative along each offset coordinate
-
-    q, r = np.linalg.qr(nmat)
-    cond_n = np.linalg.cond(r)
-    if not np.isfinite(cond_n) or cond_n > COND_LIMIT:
-        raise SingularSystemError("training observation matrix", float(cond_n))
-
-    pw = w - q @ (q.conj().T @ w)  # project off the channel directions
-    core = (w.conj().T @ pw).real
-    core = 0.5 * (core + core.T)
-    kdim = cfg.n_surfaces
-    timing_cov = (noise_var / 2.0) * _solve_checked(
-        core, np.eye(kdim), "profiled timing information (unidentifiable configuration)"
-    )
-    timing_cov = 0.5 * (timing_cov + timing_cov.T)
-
-    # Z = inv(N^H N) via the QR factor; V = Z N^H W
-    gram = r.conj().T @ r
-    z = _solve_checked(gram, np.eye(gram.shape[0]), "training Gram matrix")
-    v = _solve_checked(gram, nmat.conj().T @ w, "training Gram matrix")
-    upsilon = (2.0 / noise_var) * timing_cov  # inv(core), reuse the solve
-    channel_cov = (noise_var / 2.0) * (2.0 * z + v @ upsilon @ v.conj().T)
-    channel_cov = 0.5 * (channel_cov + channel_cov.conj().T)
-    return CrlbResult(timing_cov=timing_cov, channel_cov=channel_cov)
+    pilots, gram = _training_gram(offsets, tp, cfg)
+    _check_spread(gram, "training Gram matrix")
+    slopes = _pilot_rows(steering_matrix_deriv, offsets, tp, cfg)
+    pilot_energy = np.sum(np.abs(pilots) ** 2, axis=1)
+    c = np.sum(pilots.conj() * slopes, axis=1) / pilot_energy
+    h = np.asarray(channel).reshape(cfg.n_surfaces, cfg.n_elements)
+    info = (np.sum(gram.reshape(h.shape) * np.abs(h) ** 2, axis=1)
+            * (np.sum(np.abs(slopes) ** 2, axis=1) / pilot_energy - np.abs(c) ** 2))
+    _check_spread(info, "profiled timing information (unidentifiable configuration)")
+    reaction = block_gains((c[:, None] * h / np.sqrt(info)[:, None]).reshape(-1), cfg.n_surfaces)
+    channel_cov = np.diag(noise_var / gram) + (noise_var / 2.0) * (reaction.T @ reaction.conj())
+    return CrlbResult(timing_cov=np.diag(noise_var / (2.0 * info)), channel_cov=channel_cov)
 
 
 def crlb_from_fim(offsets, channel: np.ndarray, tp: TrainingPattern,
@@ -129,7 +102,8 @@ def crlb_from_fim(offsets, channel: np.ndarray, tp: TrainingPattern,
     coordinates, then map the (Re, Im) channel blocks back to a complex
     covariance. Must agree with :func:`crlb` to solver accuracy."""
     j = fim(offsets, channel, tp, noise_var, cfg)
-    jinv = _solve_checked(j, np.eye(j.shape[0]), "Fisher information matrix")
+    _check_spread(np.linalg.svd(j, compute_uv=False), "Fisher information matrix")
+    jinv = np.linalg.solve(j, np.eye(j.shape[0]))
     kdim = cfg.n_surfaces
     nk = cfg.total_elements
     timing_cov = 0.5 * (jinv[:kdim, :kdim] + jinv[:kdim, :kdim].T)

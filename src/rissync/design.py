@@ -427,22 +427,20 @@ def design_accelerated(problem: DesignProblem, init=None,
         residual = step_one - theta
         curvature = step_two - step_one - residual
         curve_norm = np.linalg.norm(curvature)
-        candidate = step_two
+        candidate, new_rec = step_two, None
         if curve_norm > 0.0:
             alpha = -np.linalg.norm(residual) / curve_norm
-            accepted = False
             for _ in range(MAX_BACKTRACKS + 1):
                 trial = np.exp(1j * np.angle(
                     theta - 2.0 * alpha * residual + alpha * alpha * curvature))
                 trial_rec = recovered_energy(trial, problem)
                 if trial_rec >= current:
-                    candidate, accepted = trial, True
+                    candidate, new_rec = trial, trial_rec
                     break
                 alpha = (alpha - 1.0) / 2.0
-            if not accepted:
-                candidate = step_two
         theta = candidate
-        new_rec = recovered_energy(theta, problem)
+        if new_rec is None:  # the double update, not yet scored
+            new_rec = recovered_energy(theta, problem)
         iterations += 1
         trace.append(problem.window_energy - new_rec)
         change = abs(new_rec - current)

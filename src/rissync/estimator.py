@@ -9,7 +9,9 @@ The offsets are recovered by maximum likelihood on the profiled residual (the
 channel projected out). The training phases have orthogonal columns, so the
 observation matrix has orthogonal columns too and the residual splits into
 one term per surface: each offset is the solution of its own 1-D search
-against ``Z = Phi^H Y``, the observation correlated with every phase column.
+against ``Z = Phi^H Y``, the observation correlated with every phase column,
+and the channel and residual are per-element closed forms. Other training is
+rejected; ``residual_cost`` keeps a dense QR as the reference.
 """
 from __future__ import annotations
 
@@ -97,24 +99,26 @@ def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
     return TrainingPattern(phases=phases, pilot=pilot)
 
 
-def observation_matrix(offsets: np.ndarray, tp: TrainingPattern,
-                       cfg: SystemConfig) -> np.ndarray:
-    """Linear map from the cascaded channel to the stacked training output.
-
-    Column block k is the Kronecker product of surface k's phase columns with
-    the pulse-filtered pilot at that surface's offset; rows are pattern-major
-    (pattern index varies slowest).
-    """
+def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
+    """``steer(offset_k) @ pilot`` for each surface k, one row per surface."""
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape != (cfg.n_surfaces,):
         raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
-    n_el = cfg.n_elements
-    blocks = []
-    for k, eps in enumerate(offsets):
-        filtered = steering_matrix(eps, cfg.pulse) @ tp.pilot  # (n_samples,)
-        phi_k = tp.phases[:, k * n_el:(k + 1) * n_el]
-        blocks.append(np.kron(phi_k, filtered[:, None]))
-    return np.concatenate(blocks, axis=1)
+    return np.array([steer(eps, cfg.pulse) @ tp.pilot for eps in offsets])
+
+
+def _stack_columns(tp: TrainingPattern, rows: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Column i (element i, on surface k) is phase column i kron ``rows[k]``;
+    rows are pattern-major (pattern index varies slowest)."""
+    columns = np.repeat(rows.T, cfg.n_elements, axis=1)
+    return (tp.phases[:, None, :] * columns[None]).reshape(-1, cfg.total_elements)
+
+
+def observation_matrix(offsets: np.ndarray, tp: TrainingPattern,
+                       cfg: SystemConfig) -> np.ndarray:
+    """Linear map from the cascaded channel to the stacked training output:
+    each element's phase column times its surface's filtered pilot."""
+    return _stack_columns(tp, _pilot_rows(steering_matrix, offsets, tp, cfg), cfg)
 
 
 def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var: float,
@@ -131,20 +135,60 @@ def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var: f
     return clean + np.sqrt(noise_var / 2.0) * noise
 
 
-def _qr_checked(nmat: np.ndarray, what: str):
-    q, r = np.linalg.qr(nmat)
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+def _check_spread(values: np.ndarray, what: str) -> None:
+    """Raise SingularSystemError unless ``values``, a matrix's singular values or
+    positive diagonal, are positive with max/min (its cond) <= COND_LIMIT."""
+    low = values.min()
+    cond = values.max() / low if low > 0 else np.inf
+    if not cond <= COND_LIMIT:
         raise SingularSystemError(what, float(cond))
-    return q, r
+
+
+def _column_energies(tp: TrainingPattern) -> np.ndarray:
+    """Diagonal |Phi_i|^2 of ``phases^H phases``. Raises ValueError unless that
+    Gram is diagonal: the timing search, the channel and the bound rest on it."""
+    gram = tp.phases.conj().T @ tp.phases
+    energy = gram.diagonal().real
+    off_diag = np.abs(gram - np.diag(gram.diagonal()))
+    if not (energy.min() > 0.0 and off_diag.max() <= ORTHO_TOL * energy.min()):
+        raise ValueError("orthogonal-training estimation and bounds need phases with "
+                         "orthogonal nonzero columns (phases^H phases diagonal)")
+    return energy
+
+
+def _pattern_correlation(y: np.ndarray, tp: TrainingPattern,
+                         cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``Z = Phi^H Y`` (one row per element) and the phase-column energies."""
+    z = tp.phases.conj().T @ y.reshape(tp.n_patterns, cfg.pulse.n_samples)
+    return z, _column_energies(tp)
+
+
+def _training_gram(offsets, tp: TrainingPattern,
+                   cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered pilots f_k (one row per surface) and the diagonal observation
+    Gram N^H N, G_i = |Phi_i|^2 |f_k|^2 for element i of surface k."""
+    pilots = _pilot_rows(steering_matrix, offsets, tp, cfg)
+    pilot_energy = np.repeat(np.sum(np.abs(pilots) ** 2, axis=1), cfg.n_elements)
+    return pilots, _column_energies(tp) * pilot_energy
+
+
+def _ls_fit(offsets, z: np.ndarray, tp: TrainingPattern,
+            cfg: SystemConfig) -> tuple[np.ndarray, float]:
+    """Least-squares channel Z_i f_k^* / G_i and the energy it captures,
+    sum |Z_i f_k^*|^2 / G_i. Raises SingularSystemError where the observation
+    matrix, whose singular values are sqrt(G), is ill-conditioned."""
+    pilots, gram = _training_gram(offsets, tp, cfg)
+    _check_spread(np.sqrt(gram), "training observation matrix")
+    z = z.reshape(cfg.n_surfaces, cfg.n_elements, -1)
+    corr = np.einsum("kns,ks->kn", z, pilots.conj()).reshape(-1)
+    return corr / gram, float(np.sum(np.abs(corr) ** 2 / gram))
 
 
 def ls_channel(offsets, y: np.ndarray, tp: TrainingPattern,
                cfg: SystemConfig) -> np.ndarray:
-    """Least-squares cascaded-channel estimate at the given offsets (QR solve)."""
-    nmat = observation_matrix(offsets, tp, cfg)
-    q, r = _qr_checked(nmat, "training observation matrix")
-    return np.linalg.solve(r, q.conj().T @ y)
+    """Least-squares cascaded-channel estimate at the given offsets, one
+    element at a time (orthogonal training only; ValueError otherwise)."""
+    return _ls_fit(offsets, _pattern_correlation(y, tp, cfg)[0], tp, cfg)[0]
 
 
 def residual_cost(offsets, y: np.ndarray, tp: TrainingPattern,
@@ -152,10 +196,11 @@ def residual_cost(offsets, y: np.ndarray, tp: TrainingPattern,
     """Energy of y outside the observation matrix's column space.
 
     This is the profile objective for timing estimation: the channel has been
-    eliminated by projecting onto the orthogonal complement.
+    eliminated by projecting onto the orthogonal complement. A QR of the dense
+    observation matrix, for any training: the reference for the closed forms.
     """
-    nmat = observation_matrix(offsets, tp, cfg)
-    q, _ = _qr_checked(nmat, "training observation matrix")
+    q, r = np.linalg.qr(observation_matrix(offsets, tp, cfg))
+    _check_spread(np.linalg.svd(r, compute_uv=False), "training observation matrix")
     total = float(np.vdot(y, y).real)
     captured = float(np.vdot(q.conj().T @ y, q.conj().T @ y).real)
     return max(total - captured, 0.0)
@@ -182,38 +227,6 @@ def _golden_min(f, lo: float, hi: float, width: float) -> tuple[float, float]:
 _EDGE = 1.0 - 1e-9  # keep searches strictly inside the open interval
 
 
-def _minimize_coordinate(f, incumbent: float, incumbent_cost: float) -> tuple[float, float]:
-    """Coarse grid over (-1, 1) then golden-section refinement around the best
-    cell; never returns a point worse than the incumbent."""
-    grid = np.arange(-0.99, 0.991, GRID_STEP)
-    costs = [f(x) for x in grid]
-    i_best = int(np.argmin(costs))
-    best_x, best_f = float(grid[i_best]), costs[i_best]
-    lo = max(best_x - GRID_STEP, -_EDGE)
-    hi = min(best_x + GRID_STEP, _EDGE)
-    x_ref, f_ref = _golden_min(f, lo, hi, REFINE_WIDTH)
-    candidates = [(incumbent_cost, incumbent), (best_f, best_x), (f_ref, x_ref)]
-    cost, x = min(candidates, key=lambda c: c[0])
-    return x, cost
-
-
-def _pattern_correlation(y: np.ndarray, tp: TrainingPattern,
-                         cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``Z = Phi^H Y`` (one row per element) and the phase-column energies.
-
-    Raises ValueError unless the phase columns are orthogonal, which is what
-    lets the profile objective split into independent per-element terms.
-    """
-    gram = tp.phases.conj().T @ tp.phases
-    energy = gram.diagonal().real
-    off_diag = np.abs(gram - np.diag(gram.diagonal()))
-    if not (energy.min() > 0.0 and off_diag.max() <= ORTHO_TOL * energy.min()):
-        raise ValueError("the timing search needs training phases with orthogonal "
-                         "nonzero columns (phases^H phases diagonal)")
-    z = tp.phases.conj().T @ y.reshape(tp.n_patterns, cfg.pulse.n_samples)
-    return z, energy
-
-
 def _captured_energy(offset: float, z: np.ndarray, energy: np.ndarray,
                      tp: TrainingPattern, cfg: SystemConfig) -> float:
     """Observation energy captured by the columns of the elements whose rows
@@ -229,21 +242,31 @@ def _captured_energy(offset: float, z: np.ndarray, energy: np.ndarray,
 
 def _search_offset(z: np.ndarray, energy: np.ndarray, tp: TrainingPattern,
                    cfg: SystemConfig, start: float) -> float:
-    """Offset that maximizes the captured energy; ``start`` is the incumbent."""
+    """Offset that maximizes the captured energy: a coarse grid over (-1, 1),
+    then golden-section refinement around the best cell; never worse than
+    the incumbent ``start``."""
     def lost(x):
         return -_captured_energy(x, z, energy, tp, cfg)
 
-    offset, _ = _minimize_coordinate(lost, start, lost(start))
-    return offset
+    grid = np.arange(-0.99, 0.991, GRID_STEP)
+    costs = [lost(x) for x in grid]
+    i_best = int(np.argmin(costs))
+    best_x, best_f = float(grid[i_best]), costs[i_best]
+    lo = max(best_x - GRID_STEP, -_EDGE)
+    hi = min(best_x + GRID_STEP, _EDGE)
+    x_ref, f_ref = _golden_min(lost, lo, hi, REFINE_WIDTH)
+    candidates = [(lost(start), start), (best_f, best_x), (f_ref, x_ref)]
+    return min(candidates, key=lambda c: c[0])[1]
 
 
-def _result_at(eps: np.ndarray, y: np.ndarray, tp: TrainingPattern,
+def _result_at(eps: np.ndarray, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
                cfg: SystemConfig) -> EstimationResult:
     """Least-squares channel and residual at the searched offsets."""
-    cost = residual_cost(eps, y, tp, cfg)
+    channel, captured = _ls_fit(eps, z, tp, cfg)
+    cost = max(float(np.vdot(y, y).real) - captured, 0.0)
     return EstimationResult(
         offsets=eps,
-        channel=ls_channel(eps, y, tp, cfg),
+        channel=channel,
         final_cost=cost,
         sweeps=1,
         cost_trace=np.asarray([cost]),
@@ -269,7 +292,7 @@ def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
     for k in range(k_surf):
         rows = slice(k * n_el, (k + 1) * n_el)
         eps[k] = _search_offset(z[rows], energy[rows], tp, cfg, eps[k])
-    return _result_at(eps, y, tp, cfg)
+    return _result_at(eps, z, y, tp, cfg)
 
 
 def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
@@ -279,4 +302,4 @@ def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
     least-squares channel."""
     z, energy = _pattern_correlation(y, tp, cfg)
     value = _search_offset(z, energy, tp, cfg, 0.0)
-    return _result_at(np.full(cfg.n_surfaces, value), y, tp, cfg)
+    return _result_at(np.full(cfg.n_surfaces, value), z, y, tp, cfg)

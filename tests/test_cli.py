@@ -126,6 +126,18 @@ def test_snr_list_may_start_with_a_negative_value(capsys):
     assert [line.split(",")[0] for line in spaced.splitlines()[1:]] == ["-10", "-10", "0", "0"]
 
 
+def test_abbreviated_snr_flag_takes_a_negative_list(capsys):
+    argv = ["crlb", "--surfaces", "2", "--nx", "2", "--ny", "1",
+            "--trials", "2", "--seed", "3"]
+    assert cli.main(argv + ["--snr-db", "-10,0"]) == 0
+    full = capsys.readouterr().out
+    for flag in ("--sn", "--snr", "--snr-", "--snr-d"):
+        assert cli.main(argv + [flag, "-10,0"]) == 0, flag
+        assert capsys.readouterr().out == full
+    # '--s' is ambiguous (--scenario, --seed, --surfaces) and stays a usage error
+    assert cli.main(argv + ["--s", "-10,0"]) == 1
+
+
 def test_convergence_writes_trace_files(tmp_path):
     prefix = tmp_path / "trace"
     argv = ["convergence", "--surfaces", "2", "--nx", "2", "--ny", "1",

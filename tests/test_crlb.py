@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from rissync import SingularSystemError, SystemConfig
-from rissync.channel import cascade, gen_rayleigh
+from rissync.channel import MmWaveParams, cascade, gen_mmwave, gen_rayleigh
 from rissync.crlb import crlb, crlb_from_fim, fim, observation_matrix_deriv
-from rissync.estimator import gen_training, observation_matrix
+from rissync.estimator import TrainingPattern, gen_training, observation_matrix
 
 CFG = SystemConfig(n_surfaces=2, n_elements=4)
 
@@ -102,6 +102,31 @@ def test_closed_form_matches_information_inverse():
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
 
 
+def test_closed_form_matches_information_inverse_at_bench_geometry():
+    # mmWave, K=4 surfaces of 4x4 elements (NK=64): the bounds workload's size
+    cfg = SystemConfig(n_surfaces=4, n_elements=16)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        vec = cascade(gen_mmwave(cfg, MmWaveParams(n_x=4), rng.integers(2**32)))
+        tp = gen_training(cfg, rng.integers(2**32))
+        offsets = rng.uniform(-0.9, 0.9, cfg.n_surfaces)
+        a = crlb(offsets, vec, tp, 0.1, cfg)
+        b = crlb_from_fim(offsets, vec, tp, 0.1, cfg)
+        for lhs, rhs in ((a.timing_cov, b.timing_cov), (a.channel_cov, b.channel_cov)):
+            assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(rhs))
+
+
+def test_crlb_rejects_non_orthogonal_training():
+    vec, tp, offsets = _instance(CFG, 7)
+    rng = np.random.default_rng(0)
+    # full rank, so the dense route still inverts, but the columns overlap
+    skewed = TrainingPattern(phases=np.exp(2j * np.pi * rng.random(tp.phases.shape)),
+                             pilot=tp.pilot)
+    crlb_from_fim(offsets, vec, skewed, 0.1, CFG)
+    with pytest.raises(ValueError, match="orthogonal"):
+        crlb(offsets, vec, skewed, 0.1, CFG)
+
+
 def test_bounds_are_positive_definite_and_linear_in_noise():
     vec, tp, offsets = _instance(SystemConfig(2, 16), 3)
     res = crlb(offsets, vec, tp, 0.1, SystemConfig(2, 16))
@@ -131,6 +156,15 @@ def test_zero_channel_is_flagged_unidentifiable():
     vec, tp, offsets = _instance(CFG, 5)
     with pytest.raises(SingularSystemError):
         crlb(offsets, np.zeros_like(vec), tp, 0.1, CFG)
+
+
+def test_one_surface_with_zero_channel_is_flagged_unidentifiable():
+    # the other surfaces are fine, but this one's offset moves nothing
+    vec, tp, offsets = _instance(CFG, 8)
+    vec[CFG.n_elements:] = 0.0
+    for bound in (crlb, crlb_from_fim):
+        with pytest.raises(SingularSystemError):
+            bound(offsets, vec, tp, 0.1, CFG)
 
 
 def test_fim_rejects_nonpositive_noise():

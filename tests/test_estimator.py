@@ -1,4 +1,6 @@
 """Tests for training simulation and the per-surface timing/channel estimator."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,15 @@ def test_residual_cost_identity_and_nonnegativity():
     assert residual_cost(offsets, y, tp, CFG) <= 1e-16 * float(np.vdot(y, y).real)
 
 
+def test_ls_channel_rejects_non_orthogonal_training():
+    _, tp, offsets, y = _instance(CFG, 13)
+    rng = np.random.default_rng(1)
+    skewed = TrainingPattern(phases=np.exp(2j * np.pi * rng.random(tp.phases.shape)),
+                             pilot=tp.pilot)
+    with pytest.raises(ValueError, match="orthogonal"):
+        ls_channel(offsets, y, skewed, CFG)
+
+
 def test_rank_deficient_observation_raises():
     cfg = SystemConfig(2, 1)
     pilot = gen_training(cfg, 0).pilot
@@ -234,6 +245,29 @@ def test_estimators_reject_non_orthogonal_training():
     for estimate in (mle_alternating, mle_common_offset):
         with pytest.raises(ValueError, match="orthogonal"):
             estimate(y, skewed, CFG)
+
+
+def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
+    # Past the simulation, the closed forms need neither the observation
+    # matrix nor any dense factorization or solve.
+    # the package re-exports a function named crlb over the submodule's name
+    crlb_module = importlib.import_module("rissync.crlb")
+    estimator_module = importlib.import_module("rissync.estimator")
+
+    _, tp, offsets, y = _instance(CFG, 71, noise_var=0.1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense route used")
+
+    for module in (estimator_module, crlb_module):
+        monkeypatch.setattr(module, "observation_matrix", forbidden)
+    monkeypatch.setattr(crlb_module, "observation_matrix_deriv", forbidden)
+    for name in ("qr", "solve", "inv", "cond", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    res = mle_alternating(y, tp, CFG)
+    mle_common_offset(y, tp, CFG)
+    ls_channel(res.offsets, y, tp, CFG)
+    crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
 
 
 def test_mle_noiseless_exact_recovery():
