@@ -19,16 +19,18 @@ solution, which concentrates the objective into a single function of the
 phases. That concentrated objective is maximized with a minorize-maximize
 scheme whose inner step is a per-element phase alignment against a linear
 surrogate; an optional squared-extrapolation accelerator with step
-backtracking speeds up the fixed-point iteration without giving up monotone
-progress.
+backtracking wraps that step and speeds up the fixed-point iteration without
+giving up monotone progress. Both loops run in one driver whose state is the
+surrogate anchor at the current iterate: one Wiener solve gives its captured
+energy and the next surrogate, so each iterate is solved once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
+from .channel import block_gains
 from .config import SystemConfig
 from .errors import SingularSystemError
 from .estimator import COND_LIMIT
@@ -222,15 +224,10 @@ def mse_direct(theta, equalizer: np.ndarray, inputs: DesignInputs,
     anything iterative.
     """
     theta = _as_complex_vector(theta, "theta")
-    n_el, n_surf = cfg.n_elements, cfg.n_surfaces
     if theta.size != cfg.total_elements:
         raise ValueError(f"expected {cfg.total_elements} phases, got {theta.size}")
-    seq_len = cfg.pulse.seq_len
-    eye_seq = np.eye(seq_len)
-    per_surface = scipy.linalg.block_diag(
-        *[np.kron(theta[k * n_el:(k + 1) * n_el][None, :], eye_seq)
-          for k in range(n_surf)]
-    )
+    eye_seq = np.eye(cfg.pulse.seq_len)
+    per_surface = np.kron(block_gains(theta, cfg.n_surfaces), eye_seq)
     steer_row = np.concatenate(
         [steering_matrix(eps, cfg.pulse) for eps in inputs.offsets], axis=1)
     signal_map = steer_row @ per_surface                    # block samples x NK*L
@@ -354,10 +351,14 @@ def surrogate_value(theta, anchor: SurrogateAnchor, problem: DesignProblem) -> f
     return linear - penalty + anchor.offset
 
 
+def _aligned(anchor: SurrogateAnchor) -> np.ndarray:
+    """Maximizer of the anchored surrogate: each phase follows its slice score."""
+    return np.exp(1j * np.angle(anchor.slice_scores))
+
+
 def phase_update(theta, problem: DesignProblem) -> np.ndarray:
     """One minorize-maximize step: align each phase with its slice score."""
-    anchor = surrogate_anchor(theta, problem)
-    return np.exp(1j * np.angle(anchor.slice_scores))
+    return _aligned(surrogate_anchor(theta, problem))
 
 
 def _check_init(init, n_parts: int) -> np.ndarray:
@@ -371,37 +372,69 @@ def _check_init(init, n_parts: int) -> np.ndarray:
     return theta
 
 
+def _design_loop(step, problem: DesignProblem, init, rel_tol: float, max_iters: int,
+                 accelerated: bool) -> DesignResult:
+    """Iterate ``step`` (anchor -> anchor at the next iterate) from ``init``.
+
+    The anchor carries the phases, their slice scores and the captured energy
+    of one Wiener solve, so every iterate is solved once. Stops when the
+    captured energy changes by at most ``rel_tol`` relative, or after
+    ``max_iters`` steps (reported through ``converged``).
+    """
+    anchor = surrogate_anchor(_check_init(init, problem.n_parts), problem)
+    trace = [problem.window_energy - anchor.recovered]
+    tiny = np.finfo(float).tiny
+    converged = False
+    for _ in range(max_iters):
+        previous = anchor.recovered
+        anchor = step(anchor, problem)
+        trace.append(problem.window_energy - anchor.recovered)
+        if abs(anchor.recovered - previous) <= rel_tol * max(anchor.recovered, tiny):
+            converged = True
+            break
+    return DesignResult(
+        theta=anchor.theta,
+        equalizer=mmse_equalizer(anchor.theta, problem),
+        objective_trace=np.asarray(trace),
+        iterations=len(trace) - 1,
+        accelerated=accelerated,
+        converged=converged,
+    )
+
+
+def _mm_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateAnchor:
+    return surrogate_anchor(_aligned(anchor), problem)
+
+
+def _squarem_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateAnchor:
+    theta, step_one = anchor.theta, _aligned(anchor)
+    step_two = _aligned(surrogate_anchor(step_one, problem))
+    residual = step_one - theta
+    curvature = step_two - step_one - residual
+    curve_norm = np.linalg.norm(curvature)
+    if curve_norm > 0.0:
+        alpha = -np.linalg.norm(residual) / curve_norm
+        for _ in range(MAX_BACKTRACKS + 1):
+            trial = surrogate_anchor(np.exp(1j * np.angle(
+                theta - 2.0 * alpha * residual + alpha * alpha * curvature)), problem)
+            if trial.recovered >= anchor.recovered:
+                return trial
+            alpha = (alpha - 1.0) / 2.0
+    return surrogate_anchor(step_two, problem)
+
+
 def design_mm(problem: DesignProblem, init=None, rel_tol: float = DESIGN_TOL,
               max_iters: int = MAX_ITERS) -> DesignResult:
     """Plain minorize-maximize design loop.
 
-    Repeats the per-element phase alignment until the captured energy changes
-    by less than ``rel_tol`` relative, or the iteration cap is hit (reported
-    through ``converged``). The objective trace stores the achieved MSE at
-    every iterate, which is non-increasing by the surrogate construction.
+    Each iteration aligns every phase with its slice score at the current
+    iterate and solves the new iterate once. The loop stops when the captured
+    energy changes by at most ``rel_tol`` relative, or at the iteration cap
+    (reported through ``converged``), which it usually reaches. The objective
+    trace stores the achieved MSE at every iterate, which is non-increasing
+    by the surrogate construction.
     """
-    theta = _check_init(init, problem.n_parts)
-    anchor = surrogate_anchor(theta, problem)
-    trace = [problem.window_energy - anchor.recovered]
-    iterations = 0
-    converged = False
-    for _ in range(max_iters):
-        theta = np.exp(1j * np.angle(anchor.slice_scores))
-        anchor = surrogate_anchor(theta, problem)
-        iterations += 1
-        trace.append(problem.window_energy - anchor.recovered)
-        change = abs(trace[-1] - trace[-2])
-        if change <= rel_tol * max(anchor.recovered, np.finfo(float).tiny):
-            converged = True
-            break
-    return DesignResult(
-        theta=theta,
-        equalizer=mmse_equalizer(theta, problem),
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        accelerated=False,
-        converged=converged,
-    )
+    return _design_loop(_mm_step, problem, init, rel_tol, max_iters, accelerated=False)
 
 
 def design_accelerated(problem: DesignProblem, init=None,
@@ -409,53 +442,17 @@ def design_accelerated(problem: DesignProblem, init=None,
                        max_iters: int = MAX_ITERS) -> DesignResult:
     """Squared-extrapolation accelerated variant of ``design_mm``.
 
-    Each outer iteration takes two alignment steps, extrapolates along the
-    squared fixed-point residual with a Cauchy-Barzilai-Borwein steplength,
-    and halves the step toward the plain double update until the move is
-    non-increasing in MSE; after ``MAX_BACKTRACKS`` halvings it falls back to
-    the double update, which the surrogate construction already guarantees
-    monotone. Stopping mirrors ``design_mm``.
+    Each outer iteration wraps two plain steps: the first comes from the
+    current iterate's anchor, the second from one solve. It extrapolates
+    along the squared fixed-point residual with a Cauchy-Barzilai-Borwein
+    steplength, and halves the step toward the plain double update until the
+    move is non-increasing in MSE; after ``MAX_BACKTRACKS`` halvings it falls
+    back to the double update, which the surrogate construction already
+    guarantees monotone. Every candidate is scored through its anchor, so the
+    accepted one starts the next iteration without another solve. Stopping
+    is that of ``design_mm``.
     """
-    theta = _check_init(init, problem.n_parts)
-    current = recovered_energy(theta, problem)
-    trace = [problem.window_energy - current]
-    iterations = 0
-    converged = False
-    for _ in range(max_iters):
-        step_one = phase_update(theta, problem)
-        step_two = phase_update(step_one, problem)
-        residual = step_one - theta
-        curvature = step_two - step_one - residual
-        curve_norm = np.linalg.norm(curvature)
-        candidate, new_rec = step_two, None
-        if curve_norm > 0.0:
-            alpha = -np.linalg.norm(residual) / curve_norm
-            for _ in range(MAX_BACKTRACKS + 1):
-                trial = np.exp(1j * np.angle(
-                    theta - 2.0 * alpha * residual + alpha * alpha * curvature))
-                trial_rec = recovered_energy(trial, problem)
-                if trial_rec >= current:
-                    candidate, new_rec = trial, trial_rec
-                    break
-                alpha = (alpha - 1.0) / 2.0
-        theta = candidate
-        if new_rec is None:  # the double update, not yet scored
-            new_rec = recovered_energy(theta, problem)
-        iterations += 1
-        trace.append(problem.window_energy - new_rec)
-        change = abs(new_rec - current)
-        current = new_rec
-        if change <= rel_tol * max(current, np.finfo(float).tiny):
-            converged = True
-            break
-    return DesignResult(
-        theta=theta,
-        equalizer=mmse_equalizer(theta, problem),
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        accelerated=True,
-        converged=converged,
-    )
+    return _design_loop(_squarem_step, problem, init, rel_tol, max_iters, accelerated=True)
 
 
 def design_phase_aligned(inputs: DesignInputs, cfg: SystemConfig) -> DesignResult:

@@ -78,7 +78,6 @@ class EstimationResult:
     channel: np.ndarray          # cascaded-channel estimate, length N*K
     final_cost: float            # residual energy at the returned offsets
     sweeps: int                  # passes over the surfaces (always 1)
-    cost_trace: np.ndarray       # residual energy after each pass
     converged: bool              # always True: every search ends at its bracket width
 
 
@@ -269,7 +268,6 @@ def _result_at(eps: np.ndarray, z: np.ndarray, y: np.ndarray, tp: TrainingPatter
         channel=channel,
         final_cost=cost,
         sweeps=1,
-        cost_trace=np.asarray([cost]),
         converged=True,
     )
 

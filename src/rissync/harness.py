@@ -19,6 +19,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+# numpy loads its random module on first use; every sweep draws from it, so
+# load it with the package rather than inside the first trial.
+import numpy.random  # noqa: F401
 
 from .channel import ChannelSet, MmWaveParams, cascade, gen_mmwave, gen_rayleigh
 from .config import SystemConfig

@@ -1,4 +1,6 @@
 """Tests for the command-line interface."""
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,3 +200,14 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_estimation_sweep", doomed)
     assert cli.main(["estimate"] + FAST) == 2
     assert "excluded" in capsys.readouterr().err
+
+
+def test_import_needs_no_scipy_and_loads_the_random_streams():
+    """scipy is a test-only dependency; numpy.random, which every sweep draws
+    from, is loaded with the package instead of inside the first trial."""
+    probe = ("import sys, rissync.cli; "
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+             "'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from rissync import design as design_module
 from rissync.config import SystemConfig
 from rissync.design import (
     DesignInputs,
@@ -348,6 +349,49 @@ def test_design_accelerated_restart_from_converged_point():
     assert again.iterations <= 2
     assert abs(again.objective_trace[-1] - first.objective_trace[-1]) \
         <= 1e-6 * (1.0 + abs(first.objective_trace[-1]))
+
+
+LOOPS = (design_mm, design_accelerated)
+
+
+def test_design_loops_solve_each_point_once(monkeypatch):
+    """Every Wiener solve is at a new phase vector; only the final equalizer
+    solves the returned point again."""
+    solved = []
+    original = design_module._concentrated_pieces
+
+    def recording(theta, problem):
+        solved.append(np.asarray(theta, dtype=complex).tobytes())
+        return original(theta, problem)
+
+    monkeypatch.setattr(design_module, "_concentrated_pieces", recording)
+    for seed in range(6):
+        cfg, inputs = _instance(1200 + seed, k=2, n=2, noise_var=1.0)
+        problem = build_problem(inputs, cfg)
+        for loop in LOOPS:
+            solved.clear()
+            result = loop(problem)
+            assert result.iterations >= 2
+            assert len(set(solved[:-1])) == len(solved) - 1, loop.__name__
+            assert solved[-1] == result.theta.tobytes()
+            assert solved.count(solved[-1]) == 2
+
+
+@pytest.mark.parametrize("max_iters", [0, 3, None])
+def test_design_loop_returns_its_last_point(max_iters):
+    cfg, inputs = _instance(1210, k=2, n=2, noise_var=1.0)
+    problem = build_problem(inputs, cfg)
+    cap = {} if max_iters is None else {"max_iters": max_iters}
+    init = _unit(np.random.default_rng(1211), cfg.total_elements)
+    for loop in LOOPS:
+        result = loop(problem, init=init, **cap)
+        trace = result.objective_trace
+        assert np.array_equal(result.equalizer, mmse_equalizer(result.theta, problem))
+        assert trace[-1] == problem.window_energy - recovered_energy(result.theta, problem)
+        assert len(trace) == result.iterations + 1
+        if max_iters is not None:
+            assert result.iterations == max_iters
+            assert not result.converged
 
 
 def test_phase_aligned_baseline_shape_and_single_surface_degeneracy():

@@ -242,7 +242,7 @@ def test_convergence_traces_are_monotone_and_comparable():
 def _fake_estimate(n_surfaces, n_total):
     return EstimationResult(
         offsets=np.zeros(n_surfaces), channel=np.ones(n_total, dtype=complex),
-        final_cost=0.0, sweeps=1, cost_trace=np.zeros(1), converged=True)
+        final_cost=0.0, sweeps=1, converged=True)
 
 
 def test_exclusion_rate_above_limit_aborts(monkeypatch):

@@ -67,6 +67,9 @@ SPECS = {
 TRACES = {
     "convergence": ["--surfaces", "2", "--nx", "4", "--ny", "1", "--snr-db", "0",
                     "--seed", "4"],
+    "convergence-bench": ["--surfaces", "2", "--nx", "8", "--ny", "4",
+                          "--offset-model", "common-delta", "--delta-max", "0.3",
+                          "--snr-db", "10", "--seed", "0"],
 }
 
 
