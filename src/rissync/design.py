@@ -315,6 +315,7 @@ class SurrogateAnchor:
     scale: float
     offset: float
     recovered: float
+    solved: np.ndarray   # the Wiener solve at theta; its conjugate transpose is the equalizer
 
 
 def surrogate_anchor(theta, problem: DesignProblem) -> SurrogateAnchor:
@@ -340,6 +341,7 @@ def surrogate_anchor(theta, problem: DesignProblem) -> SurrogateAnchor:
         scale=scale,
         offset=offset,
         recovered=recovered,
+        solved=solved,
     )
 
 
@@ -376,8 +378,9 @@ def _design_loop(step, problem: DesignProblem, init, rel_tol: float, max_iters: 
                  accelerated: bool) -> DesignResult:
     """Iterate ``step`` (anchor -> anchor at the next iterate) from ``init``.
 
-    The anchor carries the phases, their slice scores and the captured energy
-    of one Wiener solve, so every iterate is solved once. Stops when the
+    The anchor carries the phases with their slice scores, captured energy
+    and Wiener solve, so every iterate is solved once and the returned
+    equalizer is the last anchor's solve. Stops when the
     captured energy changes by at most ``rel_tol`` relative, or after
     ``max_iters`` steps (reported through ``converged``).
     """
@@ -394,7 +397,7 @@ def _design_loop(step, problem: DesignProblem, init, rel_tol: float, max_iters: 
             break
     return DesignResult(
         theta=anchor.theta,
-        equalizer=mmse_equalizer(anchor.theta, problem),
+        equalizer=anchor.solved.conj().T,
         objective_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         accelerated=accelerated,

@@ -12,10 +12,16 @@ one term per surface: each offset is the solution of its own 1-D search
 against ``Z = Phi^H Y``, the observation correlated with every phase column,
 and the channel and residual are per-element closed forms. Other training is
 rejected; ``residual_cost`` keeps a dense QR as the reference.
+
+Each search scores a coarse offset grid in one batch, then refines the best
+cell by golden section one offset at a time. The grid's filtered pilots do
+not depend on the surface, so one pulse evaluation per estimate serves every
+surface's search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +75,12 @@ class TrainingPattern:
     def n_patterns(self) -> int:
         return self.phases.shape[0]
 
+    @cached_property
+    def column_energies(self) -> np.ndarray:
+        """Diagonal |Phi_i|^2 of ``phases^H phases``, formed once per pattern.
+        Raises ValueError, on every read, unless that Gram is diagonal."""
+        return _column_energies(self.phases)
+
 
 @dataclass(frozen=True)
 class EstimationResult:
@@ -99,11 +111,12 @@ def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
 
 
 def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
-    """``steer(offset_k) @ pilot`` for each surface k, one row per surface."""
+    """``steer(offset_k) @ pilot`` for each surface k, one row per surface,
+    from one pulse evaluation over all surfaces."""
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape != (cfg.n_surfaces,):
         raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
-    return np.array([steer(eps, cfg.pulse) @ tp.pilot for eps in offsets])
+    return steer(offsets, cfg.pulse) @ tp.pilot
 
 
 def _stack_columns(tp: TrainingPattern, rows: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -143,15 +156,16 @@ def _check_spread(values: np.ndarray, what: str) -> None:
         raise SingularSystemError(what, float(cond))
 
 
-def _column_energies(tp: TrainingPattern) -> np.ndarray:
+def _column_energies(phases: np.ndarray) -> np.ndarray:
     """Diagonal |Phi_i|^2 of ``phases^H phases``. Raises ValueError unless that
     Gram is diagonal: the timing search, the channel and the bound rest on it."""
-    gram = tp.phases.conj().T @ tp.phases
-    energy = gram.diagonal().real
+    gram = phases.conj().T @ phases
+    energy = gram.diagonal().real.copy()
     off_diag = np.abs(gram - np.diag(gram.diagonal()))
     if not (energy.min() > 0.0 and off_diag.max() <= ORTHO_TOL * energy.min()):
         raise ValueError("orthogonal-training estimation and bounds need phases with "
                          "orthogonal nonzero columns (phases^H phases diagonal)")
+    energy.flags.writeable = False
     return energy
 
 
@@ -159,7 +173,7 @@ def _pattern_correlation(y: np.ndarray, tp: TrainingPattern,
                          cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """``Z = Phi^H Y`` (one row per element) and the phase-column energies."""
     z = tp.phases.conj().T @ y.reshape(tp.n_patterns, cfg.pulse.n_samples)
-    return z, _column_energies(tp)
+    return z, tp.column_energies
 
 
 def _training_gram(offsets, tp: TrainingPattern,
@@ -168,7 +182,7 @@ def _training_gram(offsets, tp: TrainingPattern,
     Gram N^H N, G_i = |Phi_i|^2 |f_k|^2 for element i of surface k."""
     pilots = _pilot_rows(steering_matrix, offsets, tp, cfg)
     pilot_energy = np.repeat(np.sum(np.abs(pilots) ** 2, axis=1), cfg.n_elements)
-    return pilots, _column_energies(tp) * pilot_energy
+    return pilots, tp.column_energies * pilot_energy
 
 
 def _ls_fit(offsets, z: np.ndarray, tp: TrainingPattern,
@@ -224,6 +238,7 @@ def _golden_min(f, lo: float, hi: float, width: float) -> tuple[float, float]:
 
 
 _EDGE = 1.0 - 1e-9  # keep searches strictly inside the open interval
+_GRID = np.arange(-0.99, 0.991, GRID_STEP)
 
 
 def _captured_energy(offset: float, z: np.ndarray, energy: np.ndarray,
@@ -233,28 +248,44 @@ def _captured_energy(offset: float, z: np.ndarray, energy: np.ndarray,
 
     With f = steering(offset) pilot, element i's observation-matrix column
     captures |Z_i f^*|^2 / (|Phi_i|^2 |f|^2); the columns are orthogonal, so
-    these terms add up.
+    these terms add up. The single-offset path of the search: it scores the
+    start, the grid winner and every golden-section point.
     """
     f = steering_matrix(offset, cfg.pulse) @ tp.pilot
     return float(np.sum(np.abs(z @ f.conj()) ** 2 / energy)) / float(np.vdot(f, f).real)
 
 
-def _search_offset(z: np.ndarray, energy: np.ndarray, tp: TrainingPattern,
-                   cfg: SystemConfig, start: float) -> float:
-    """Offset that maximizes the captured energy: a coarse grid over (-1, 1),
-    then golden-section refinement around the best cell; never worse than
-    the incumbent ``start``."""
+def _grid_pilots(tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
+    """Unit-norm filtered pilots f(x) / |f(x)|, one row per grid offset x,
+    from one pulse evaluation. They do not depend on the surface."""
+    steer = steering_matrix(_GRID, cfg.pulse)
+    # real and imaginary parts apart: the stack is never cast to complex
+    f = steer @ tp.pilot.real + 1j * (steer @ tp.pilot.imag)
+    return f / np.sqrt(np.sum(np.abs(f) ** 2, axis=1))[:, None]
+
+
+def _grid_energies(z: np.ndarray, energy: np.ndarray, unit_pilots: np.ndarray) -> np.ndarray:
+    """:func:`_captured_energy` at every grid offset at once:
+    sum_i |Z_i u^*|^2 / |Phi_i|^2 for each unit filtered pilot u."""
+    return np.sum(np.abs(z @ unit_pilots.conj().T) ** 2 / energy[:, None], axis=0)
+
+
+def _search_offset(z: np.ndarray, energy: np.ndarray, unit_pilots: np.ndarray,
+                   tp: TrainingPattern, cfg: SystemConfig, start: float) -> float:
+    """Offset that maximizes the captured energy: the whole coarse grid over
+    (-1, 1) scored in one batch against the shared ``unit_pilots``, then
+    golden-section refinement around the best cell; never worse than the
+    incumbent ``start``. The start, the grid winner and the refinement are
+    scored one offset at a time by :func:`_captured_energy`.
+    """
     def lost(x):
         return -_captured_energy(x, z, energy, tp, cfg)
 
-    grid = np.arange(-0.99, 0.991, GRID_STEP)
-    costs = [lost(x) for x in grid]
-    i_best = int(np.argmin(costs))
-    best_x, best_f = float(grid[i_best]), costs[i_best]
+    best_x = float(_GRID[int(np.argmax(_grid_energies(z, energy, unit_pilots)))])
     lo = max(best_x - GRID_STEP, -_EDGE)
     hi = min(best_x + GRID_STEP, _EDGE)
     x_ref, f_ref = _golden_min(lost, lo, hi, REFINE_WIDTH)
-    candidates = [(lost(start), start), (best_f, best_x), (f_ref, x_ref)]
+    candidates = [(lost(start), start), (lost(best_x), best_x), (f_ref, x_ref)]
     return min(candidates, key=lambda c: c[0])[1]
 
 
@@ -287,9 +318,10 @@ def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
         raise ValueError("init must provide one offset in (-1, 1) per surface")
 
     z, energy = _pattern_correlation(y, tp, cfg)
+    unit_pilots = _grid_pilots(tp, cfg)
     for k in range(k_surf):
         rows = slice(k * n_el, (k + 1) * n_el)
-        eps[k] = _search_offset(z[rows], energy[rows], tp, cfg, eps[k])
+        eps[k] = _search_offset(z[rows], energy[rows], unit_pilots, tp, cfg, eps[k])
     return _result_at(eps, z, y, tp, cfg)
 
 
@@ -299,5 +331,5 @@ def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
     for all surfaces (one 1-D search over every element), then the
     least-squares channel."""
     z, energy = _pattern_correlation(y, tp, cfg)
-    value = _search_offset(z, energy, tp, cfg, 0.0)
+    value = _search_offset(z, energy, _grid_pilots(tp, cfg), tp, cfg, 0.0)
     return _result_at(np.full(cfg.n_surfaces, value), z, y, tp, cfg)

@@ -8,6 +8,8 @@ expansion, so all values are finite everywhere on the real line.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import PulseConfig
@@ -212,29 +214,59 @@ def pulse_autocorr(tau, cfg: PulseConfig):
 # steering and windowing matrices
 # ---------------------------------------------------------------------------
 
-def _sample_times(offset: float, cfg: PulseConfig) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _lag_layout(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sample times ``n*sample_step - i`` of the steering matrix and
+    the (n_samples, seq_len) index of each entry into them.
+
+    Entry (n, i) depends on n and i only through the integer lag
+    ``n - oversampling*i``, so a matrix is a gather from a few dozen pulse
+    values. The times are deduplicated as computed, not formed as
+    ``lag*sample_step``: where the step is inexact (oversampling 3) one lag
+    can round to two times, and keeping both makes the gather reproduce the
+    direct evaluation bit for bit. Cached per (frozen) config.
+    """
     rows = np.arange(cfg.n_samples) * cfg.sample_step
     cols = np.arange(-cfg.span, cfg.obs_len + cfg.span)
-    return rows[:, None] - cols[None, :] - offset
+    # A dict rather than np.unique: numpy's sort would page in its SIMD sort
+    # code, about 0.25 MB of resident memory, to order a few hundred values.
+    first = {}  # time -> its position among the distinct times, first seen first
+    index = np.array([first.setdefault(t, len(first))
+                      for t in (rows[:, None] - cols[None, :]).ravel().tolist()])
+    index = index.reshape(cfg.n_samples, cfg.seq_len)
+    times = np.array(list(first))
+    times.flags.writeable = False
+    index.flags.writeable = False
+    return times, index
 
 
-def steering_matrix(offset: float, cfg: PulseConfig) -> np.ndarray:
+def _shifted(pulse, offset, cfg: PulseConfig) -> np.ndarray:
+    """``pulse`` at every entry's sample time minus ``offset`` (per offset, if
+    an array), from one evaluation over the distinct times."""
+    offset = np.asarray(offset, dtype=float)
+    if not np.all((offset > -1.0) & (offset < 1.0)):
+        raise ValueError(f"timing offset must lie in (-1, 1), got {offset}")
+    times, index = _lag_layout(cfg)
+    return pulse(times - offset[..., None], cfg)[..., index]
+
+
+def steering_matrix(offset, cfg: PulseConfig) -> np.ndarray:
     """Matrix of shifted pulse samples for one surface's timing offset.
 
     Row ``n`` and column ``i`` (symbols indexed from ``-span``) hold the pulse
     sampled at ``n*sample_step - i - offset``; shape is
-    ``(obs_len * oversampling, seq_len)``.
+    ``(obs_len * oversampling, seq_len)``. The pulse is evaluated once per
+    distinct lag ``n - oversampling*i`` and gathered into place. An array of
+    offsets gives one matrix per offset, stacked along its leading axes, from
+    one pulse evaluation.
     """
-    if not -1.0 < offset < 1.0:
-        raise ValueError(f"timing offset must lie in (-1, 1), got {offset}")
-    return rrc_impulse(_sample_times(offset, cfg), cfg)
+    return _shifted(rrc_impulse, offset, cfg)
 
 
-def steering_matrix_deriv(offset: float, cfg: PulseConfig) -> np.ndarray:
-    """Entrywise derivative of :func:`steering_matrix` with respect to the offset."""
-    if not -1.0 < offset < 1.0:
-        raise ValueError(f"timing offset must lie in (-1, 1), got {offset}")
-    return -rrc_impulse_deriv(_sample_times(offset, cfg), cfg)
+def steering_matrix_deriv(offset, cfg: PulseConfig) -> np.ndarray:
+    """Entrywise derivative of :func:`steering_matrix` with respect to the
+    offset; the same lag gather, and the same batching over offsets."""
+    return -_shifted(rrc_impulse_deriv, offset, cfg)
 
 
 def matched_filter_taps(cfg: PulseConfig) -> np.ndarray:

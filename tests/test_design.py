@@ -355,8 +355,8 @@ LOOPS = (design_mm, design_accelerated)
 
 
 def test_design_loops_solve_each_point_once(monkeypatch):
-    """Every Wiener solve is at a new phase vector; only the final equalizer
-    solves the returned point again."""
+    """Every Wiener solve is at a new phase vector, and the returned point is
+    one of them: its equalizer reuses that solve."""
     solved = []
     original = design_module._concentrated_pieces
 
@@ -372,9 +372,8 @@ def test_design_loops_solve_each_point_once(monkeypatch):
             solved.clear()
             result = loop(problem)
             assert result.iterations >= 2
-            assert len(set(solved[:-1])) == len(solved) - 1, loop.__name__
-            assert solved[-1] == result.theta.tobytes()
-            assert solved.count(solved[-1]) == 2
+            assert len(set(solved)) == len(solved), loop.__name__
+            assert result.theta.tobytes() in solved
 
 
 @pytest.mark.parametrize("max_iters", [0, 3, None])

@@ -7,8 +7,11 @@ import pytest
 from rissync import SingularSystemError, SystemConfig
 from rissync.channel import ChannelSet, cascade, gain_matrix, gen_rayleigh
 from rissync.estimator import (
+    _GRID,
     TrainingPattern,
     _captured_energy,
+    _grid_energies,
+    _grid_pilots,
     _pattern_correlation,
     gen_training,
     ls_channel,
@@ -268,6 +271,86 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
     mle_common_offset(y, tp, CFG)
     ls_channel(res.offsets, y, tp, CFG)
     crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
+
+
+def test_batched_grid_matches_single_offset_path():
+    # The coarse grid is scored in one batch against shared unit pilots; each
+    # score must be the single-offset captured energy up to rounding, and the
+    # winning cell the same. The last group is the common-offset search.
+    for cfg in (CFG, SystemConfig(3, 2), SystemConfig(1, 5)):
+        n = cfg.n_elements
+        groups = [slice(k * n, (k + 1) * n) for k in range(cfg.n_surfaces)] + [slice(None)]
+        for seed in range(4):
+            _, tp, _, y = _instance(cfg, 400 + seed, noise_var=0.3)
+            z, energy = _pattern_correlation(y, tp, cfg)
+            unit_pilots = _grid_pilots(tp, cfg)
+            for rows in groups:
+                batched = _grid_energies(z[rows], energy[rows], unit_pilots)
+                loop = np.array([_captured_energy(x, z[rows], energy[rows], tp, cfg)
+                                 for x in _GRID])
+                np.testing.assert_allclose(batched, loop, rtol=1e-13, atol=0)
+                assert np.argmax(batched) == np.argmax(loop)
+
+
+def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
+    # One pulse evaluation for the whole grid, then one per single-offset
+    # score (each surface's start, grid winner and golden-section points),
+    # plus the final channel fit; never one per steering-matrix entry.
+    pulse_module = importlib.import_module("rissync.pulse")
+    estimator_module = importlib.import_module("rissync.estimator")
+    _, tp, _, y = _instance(CFG, 72, noise_var=0.1)
+    shapes, golden = [], []
+    rrc_impulse, golden_min = pulse_module.rrc_impulse, estimator_module._golden_min
+
+    def recording(t, cfg):
+        shapes.append(np.shape(t))
+        return rrc_impulse(t, cfg)
+
+    def counting(f, lo, hi, width):
+        def counted(x):
+            golden.append(x)
+            return f(x)
+        return golden_min(counted, lo, hi, width)
+
+    monkeypatch.setattr(pulse_module, "rrc_impulse", recording)
+    monkeypatch.setattr(estimator_module, "_golden_min", counting)
+    mle_alternating(y, tp, CFG)
+    pulse, k_surf = CFG.pulse, CFG.n_surfaces
+    lags = pulse.n_samples + pulse.oversampling * (pulse.seq_len - 1)
+    assert (pulse.n_samples, pulse.seq_len) not in shapes
+    assert all(shape[-1] == lags for shape in shapes)
+    assert shapes.count((_GRID.size, lags)) == 1
+    assert len(golden) > 0
+    assert len(shapes) <= 1 + len(golden) + 3 * k_surf + 2
+
+
+def test_orthogonality_is_checked_once_per_pattern(monkeypatch):
+    crlb_module = importlib.import_module("rissync.crlb")
+    estimator_module = importlib.import_module("rissync.estimator")
+    formed = []
+    column_energies = estimator_module._column_energies
+
+    def counting(phases):
+        formed.append(phases)
+        return column_energies(phases)
+
+    monkeypatch.setattr(estimator_module, "_column_energies", counting)
+    _, tp, _, y = _instance(CFG, 73, noise_var=0.1)
+    res = mle_alternating(y, tp, CFG)
+    ls_channel(res.offsets, y, tp, CFG)
+    crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
+    assert len(formed) == 1
+    # a failed check is not cached: every entry point raises, every time
+    rng = np.random.default_rng(2)
+    skewed = TrainingPattern(phases=np.exp(2j * np.pi * rng.random(tp.phases.shape)),
+                             pilot=tp.pilot)
+    calls = (lambda: mle_alternating(y, skewed, CFG),
+             lambda: ls_channel(res.offsets, y, skewed, CFG),
+             lambda: crlb_module.crlb(res.offsets, res.channel, skewed, 0.1, CFG))
+    for call in calls:
+        with pytest.raises(ValueError, match="orthogonal"):
+            call()
+    assert len(formed) == 1 + len(calls)
 
 
 def test_mle_noiseless_exact_recovery():

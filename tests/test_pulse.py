@@ -4,6 +4,8 @@ Reference values were computed independently with mpmath at 40 decimal digits
 (direct textbook formulas plus mp.limit at the removable singularities and
 mp.quad for the energy/correlation integrals) and are frozen here.
 """
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from rissync import (
     steering_matrix_deriv,
     window_matrix,
 )
+from rissync.pulse import SINGULARITY_TOL
 
 CFG = PulseConfig()  # rolloff 0.22, span 4, oversampling 2, obs_len 12
 BETA = CFG.rolloff
@@ -230,6 +233,63 @@ def test_steering_matrix_first_order_expansion():
     assert errs[0] < 1e-4  # comfortably first-order accurate already
     fitted = [errs[i] / (10.0 ** (-3 - i)) ** 2 for i in range(3)]
     assert max(fitted) < 3 * min(fitted)  # consistent quadratic constant
+
+
+def _literal_steering(eps, cfg):
+    # Direct evaluation at every (n, i) entry, as the docstring defines it.
+    symbols = np.arange(-cfg.span, cfg.obs_len + cfg.span)
+    times = np.arange(cfg.n_samples)[:, None] * cfg.sample_step - symbols[None, :] - eps
+    return rrc_impulse(times, cfg), -rrc_impulse_deriv(times, cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    PulseConfig(oversampling=1, span=2),
+    PulseConfig(oversampling=3, span=6),
+    PulseConfig(oversampling=4, span=2, obs_len=5),
+    PulseConfig(rolloff=0.25, oversampling=3, span=2),  # 1/(4*rolloff) on the sample grid
+], ids=["default", "os1-span2", "os3-span6", "os4-span2", "os3-sing-on-grid"])
+def test_lag_gather_is_bit_equal_to_direct_evaluation(cfg):
+    # 500 random offsets plus, for every distinct sample time, offsets that
+    # put that sample within SINGULARITY_TOL of 0 and of +-1/(4*rolloff), so
+    # both series branches and their switchover are gathered too.
+    times = np.unique(np.arange(cfg.n_samples)[:, None] * cfg.sample_step
+                      - np.arange(-cfg.span, cfg.obs_len + cfg.span)[None, :])
+    x_sing = 1.0 / (4.0 * cfg.rolloff)
+    near = np.array([0.0, 1e-4, -1e-4, 0.999, -0.999, 1.001, -1.001]) * SINGULARITY_TOL
+    special = (times[:, None, None] - np.array([0.0, x_sing, -x_sing])[None, :, None]
+               + near[None, None, :]).ravel()
+    special = special[np.abs(special) < 1.0]
+    offsets = np.concatenate([np.random.default_rng(0).uniform(-0.999, 0.999, 500), special])
+    assert special.size >= 20
+    stacked = steering_matrix(offsets, cfg)
+    stacked_deriv = steering_matrix_deriv(offsets, cfg)
+    for g, eps in enumerate(offsets):
+        want, want_deriv = _literal_steering(eps, cfg)
+        mat, deriv = steering_matrix(eps, cfg), steering_matrix_deriv(eps, cfg)
+        assert mat.shape == (cfg.n_samples, cfg.seq_len)
+        assert np.array_equal(mat, want) and np.array_equal(stacked[g], want), eps
+        assert np.array_equal(deriv, want_deriv) and np.array_equal(stacked_deriv[g], want_deriv)
+
+
+@pytest.mark.parametrize("oversampling", [1, 2, 4])
+def test_pulse_is_evaluated_once_per_distinct_lag(oversampling, monkeypatch):
+    # With an exact sample step every entry's time is a multiple of it by the
+    # integer lag n - oversampling*i: n_samples + oversampling*(seq_len - 1)
+    # values in all, against n_samples*seq_len entries.
+    cfg = PulseConfig(oversampling=oversampling)
+    pulse_module = importlib.import_module("rissync.pulse")
+    shapes = []
+
+    def recording(t, cfg):
+        shapes.append(np.shape(t))
+        return rrc_impulse(t, cfg)
+
+    monkeypatch.setattr(pulse_module, "rrc_impulse", recording)
+    lags = cfg.n_samples + oversampling * (cfg.seq_len - 1)
+    steering_matrix(0.3, cfg)
+    steering_matrix(np.array([0.1, -0.2, 0.7]), cfg)
+    assert shapes == [(lags,), (3, lags)]
 
 
 def test_matched_filter_taps_layout():
