@@ -33,7 +33,7 @@ _COMMANDS = {
     "estimate": ("estimation", "Estimator error and bound curves across the SNR grid."),
     "crlb": ("crlb", "Bound curves only (no estimator runs)."),
     "design": ("design", "Compare reflection-design schemes end to end."),
-    "convergence": (None, "Write objective traces of both design loops."),
+    "convergence": (None, "Write the design loop's objective trace."),
     "sweep": (None, "Generic driver; pick the operation with --kind."),
 }
 
@@ -117,7 +117,8 @@ def _add_spec_flags(sp: argparse.ArgumentParser):
     sp.add_argument("--delta-max", type=float, metavar="D",
                     help="per-surface deviation bound for the common-delta model")
     sp.add_argument("--algorithm", choices=ALGORITHMS,
-                    help="design loop used for the proposed scheme")
+                    help="design loop used for the proposed scheme (only "
+                         "'accelerated', the squared-extrapolation MM loop)")
     sp.add_argument("--seed", type=int, help="base seed for all trial streams")
     sp.add_argument("--out", default="-", metavar="FILE",
                     help="output path ('-' = stdout; a prefix for convergence)")
@@ -166,12 +167,13 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "convergence":
         if args.out in (None, "-"):
-            raise ValueError("convergence needs --out PREFIX to place its trace files")
-        traces = run_convergence(spec)
-        for name in sorted(traces):
-            path = f"{args.out}-{name}.csv"
-            _write_text(path, format_trace(traces[name]))
-            print(path)
+            raise ValueError("convergence needs --out PREFIX to place its trace file")
+        result = run_convergence(spec)
+        path = f"{args.out}-accelerated.csv"
+        _write_text(path, format_trace(result.objective_trace))
+        print(path)
+        state = "converged" if result.converged else "not converged"
+        print(f"accelerated: {result.iterations} iterations, {state}", file=sys.stderr)
         return 0
 
     kind = _COMMANDS[args.command][0]

@@ -17,12 +17,12 @@ window W, and M itself; no array has NK times S rows or columns.
 For a fixed reflection vector the best equalizer is a closed-form Wiener
 solution, which concentrates the objective into a single function of the
 phases. That concentrated objective is maximized with a minorize-maximize
-scheme whose inner step is a per-element phase alignment against a linear
-surrogate; an optional squared-extrapolation accelerator with step
-backtracking wraps that step and speeds up the fixed-point iteration without
-giving up monotone progress. Both loops run in one driver whose state is the
-surrogate anchor at the current iterate: one Wiener solve gives its captured
-energy and the next surrogate, so each iterate is solved once.
+scheme whose map is a per-element phase alignment against a linear
+surrogate (``phase_update``). The design loop wraps that map in a
+squared-extrapolation accelerator with step backtracking, which speeds up
+the fixed-point iteration without giving up monotone progress. The loop's
+state is the surrogate anchor at the current iterate: one Wiener solve gives
+its captured energy and the next surrogate, so each iterate is solved once.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ __all__ = [
     "surrogate_anchor",
     "surrogate_value",
     "phase_update",
-    "design_mm",
     "design_accelerated",
     "design_phase_aligned",
     "random_phases",
@@ -59,8 +58,8 @@ __all__ = [
 # Relative objective change below which the iteration is declared converged.
 DESIGN_TOL = 1e-8
 MAX_ITERS = 500
-# Step-halving attempts before the accelerated scheme falls back to the plain
-# double update (which is always monotone).
+# Step-halving attempts before the accelerated scheme falls back to the
+# double ``phase_update`` step (which is always monotone).
 MAX_BACKTRACKS = 20
 # Eigenvalues of the channel-error covariance may dip this far below zero
 # (relative to its largest eigenvalue) before it is rejected as indefinite.
@@ -157,7 +156,6 @@ class DesignResult:
     equalizer: np.ndarray
     objective_trace: np.ndarray
     iterations: int
-    accelerated: bool
     converged: bool
 
 
@@ -374,41 +372,6 @@ def _check_init(init, n_parts: int) -> np.ndarray:
     return theta
 
 
-def _design_loop(step, problem: DesignProblem, init, rel_tol: float, max_iters: int,
-                 accelerated: bool) -> DesignResult:
-    """Iterate ``step`` (anchor -> anchor at the next iterate) from ``init``.
-
-    The anchor carries the phases with their slice scores, captured energy
-    and Wiener solve, so every iterate is solved once and the returned
-    equalizer is the last anchor's solve. Stops when the
-    captured energy changes by at most ``rel_tol`` relative, or after
-    ``max_iters`` steps (reported through ``converged``).
-    """
-    anchor = surrogate_anchor(_check_init(init, problem.n_parts), problem)
-    trace = [problem.window_energy - anchor.recovered]
-    tiny = np.finfo(float).tiny
-    converged = False
-    for _ in range(max_iters):
-        previous = anchor.recovered
-        anchor = step(anchor, problem)
-        trace.append(problem.window_energy - anchor.recovered)
-        if abs(anchor.recovered - previous) <= rel_tol * max(anchor.recovered, tiny):
-            converged = True
-            break
-    return DesignResult(
-        theta=anchor.theta,
-        equalizer=anchor.solved.conj().T,
-        objective_trace=np.asarray(trace),
-        iterations=len(trace) - 1,
-        accelerated=accelerated,
-        converged=converged,
-    )
-
-
-def _mm_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateAnchor:
-    return surrogate_anchor(_aligned(anchor), problem)
-
-
 def _squarem_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateAnchor:
     theta, step_one = anchor.theta, _aligned(anchor)
     step_two = _aligned(surrogate_anchor(step_one, problem))
@@ -426,36 +389,44 @@ def _squarem_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateA
     return surrogate_anchor(step_two, problem)
 
 
-def design_mm(problem: DesignProblem, init=None, rel_tol: float = DESIGN_TOL,
-              max_iters: int = MAX_ITERS) -> DesignResult:
-    """Plain minorize-maximize design loop.
-
-    Each iteration aligns every phase with its slice score at the current
-    iterate and solves the new iterate once. The loop stops when the captured
-    energy changes by at most ``rel_tol`` relative, or at the iteration cap
-    (reported through ``converged``), which it usually reaches. The objective
-    trace stores the achieved MSE at every iterate, which is non-increasing
-    by the surrogate construction.
-    """
-    return _design_loop(_mm_step, problem, init, rel_tol, max_iters, accelerated=False)
-
-
 def design_accelerated(problem: DesignProblem, init=None,
                        rel_tol: float = DESIGN_TOL,
                        max_iters: int = MAX_ITERS) -> DesignResult:
-    """Squared-extrapolation accelerated variant of ``design_mm``.
+    """Squared-extrapolation accelerated minorize-maximize design loop.
 
-    Each outer iteration wraps two plain steps: the first comes from the
-    current iterate's anchor, the second from one solve. It extrapolates
-    along the squared fixed-point residual with a Cauchy-Barzilai-Borwein
-    steplength, and halves the step toward the plain double update until the
-    move is non-increasing in MSE; after ``MAX_BACKTRACKS`` halvings it falls
-    back to the double update, which the surrogate construction already
-    guarantees monotone. Every candidate is scored through its anchor, so the
-    accepted one starts the next iteration without another solve. Stopping
-    is that of ``design_mm``.
+    Each outer iteration wraps two steps of the ``phase_update`` map: the
+    first comes from the current iterate's anchor, the second from one solve.
+    It extrapolates along the squared fixed-point residual with a
+    Cauchy-Barzilai-Borwein steplength, and halves the step toward the
+    double update until the move is non-increasing in MSE; after
+    ``MAX_BACKTRACKS`` halvings it falls back to the double update, which the
+    surrogate construction already guarantees monotone. Every candidate is
+    scored through its anchor, which carries the phases with their slice
+    scores, captured energy and Wiener solve, so the accepted one starts the
+    next iteration without another solve and the returned equalizer is the
+    last anchor's solve. The loop stops when the captured energy changes by
+    at most ``rel_tol`` relative, or after ``max_iters`` iterations (reported
+    through ``converged``). The objective trace stores the achieved MSE at
+    every iterate.
     """
-    return _design_loop(_squarem_step, problem, init, rel_tol, max_iters, accelerated=True)
+    anchor = surrogate_anchor(_check_init(init, problem.n_parts), problem)
+    trace = [problem.window_energy - anchor.recovered]
+    tiny = np.finfo(float).tiny
+    converged = False
+    for _ in range(max_iters):
+        previous = anchor.recovered
+        anchor = _squarem_step(anchor, problem)
+        trace.append(problem.window_energy - anchor.recovered)
+        if abs(anchor.recovered - previous) <= rel_tol * max(anchor.recovered, tiny):
+            converged = True
+            break
+    return DesignResult(
+        theta=anchor.theta,
+        equalizer=anchor.solved.conj().T,
+        objective_trace=np.asarray(trace),
+        iterations=len(trace) - 1,
+        converged=converged,
+    )
 
 
 def design_phase_aligned(inputs: DesignInputs, cfg: SystemConfig) -> DesignResult:
@@ -476,7 +447,6 @@ def design_phase_aligned(inputs: DesignInputs, cfg: SystemConfig) -> DesignResul
         equalizer=equalizer,
         objective_trace=np.asarray([objective]),
         iterations=0,
-        accelerated=False,
         converged=True,
     )
 

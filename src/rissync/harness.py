@@ -28,9 +28,9 @@ from .config import SystemConfig
 from .crlb import crlb
 from .design import (
     DesignInputs,
+    DesignResult,
     build_problem,
     design_accelerated,
-    design_mm,
     design_phase_aligned,
     mmse_equalizer,
     mse_compact,
@@ -55,7 +55,7 @@ __all__ = [
 
 SCENARIOS = ("rayleigh", "mmwave")
 OFFSET_MODELS = ("uniform", "common-delta")
-ALGORITHMS = ("mm", "accelerated")
+ALGORITHMS = ("accelerated",)
 
 # Fraction of trials that may be excluded before the run is declared failed.
 EXCLUSION_LIMIT = 0.01
@@ -296,8 +296,7 @@ def _score_design(trial: _Trial, var: float) -> dict:
     true_problem = build_problem(truth, cfg)
     energy = true_problem.window_energy
 
-    optimize = design_accelerated if trial.spec.algorithm == "accelerated" else design_mm
-    tuned = optimize(belief_problem)
+    tuned = design_accelerated(belief_problem)
     aligned = design_phase_aligned(believed, cfg)
     genie = design_accelerated(true_problem)  # perfect knowledge of offsets and channel
     scrambled = random_phases(cfg.total_elements, trial.streams["design"])
@@ -345,17 +344,13 @@ def run_design_sweep(spec: ExperimentSpec) -> list:
     return _sweep(spec, _score_design, _DESIGN_METRICS)
 
 
-def run_convergence(spec: ExperimentSpec) -> dict:
-    """Objective-versus-iteration traces of both design loops on one matched
+def run_convergence(spec: ExperimentSpec) -> DesignResult:
+    """The design loop's run, objective trace included, on one matched
     instance (trial zero of the experiment, at the first SNR of the grid)."""
     trial = _draw_trial(spec, spec.system_config(), 0)
     var = _noise_var(spec.snr_grid_db[0])
     _, est = _observe(trial, var)
-    problem = build_problem(_believed(trial, var, est), trial.cfg)
-    return {
-        "mm": design_mm(problem).objective_trace,
-        "accelerated": design_accelerated(problem).objective_trace,
-    }
+    return design_accelerated(build_problem(_believed(trial, var, est), trial.cfg))
 
 
 def format_sweep_rows(rows) -> str:

@@ -140,17 +140,19 @@ def test_abbreviated_snr_flag_takes_a_negative_list(capsys):
     assert cli.main(argv + ["--s", "-10,0"]) == 1
 
 
-def test_convergence_writes_trace_files(tmp_path):
+def test_convergence_writes_trace_files(tmp_path, capsys):
     prefix = tmp_path / "trace"
     argv = ["convergence", "--surfaces", "2", "--nx", "2", "--ny", "1",
             "--snr-db", "0", "--trials", "1", "--seed", "1",
             "--out", str(prefix)]
     assert cli.main(argv) == 0
-    for name in ("mm", "accelerated"):
-        lines = (tmp_path / f"trace-{name}.csv").read_text().splitlines()
-        assert lines[0] == "iteration,objective"
-        values = np.array([float(line.split(",")[1]) for line in lines[1:]])
-        assert np.all(np.diff(values) <= 1e-12 * np.maximum(1.0, values[:-1]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace-accelerated.csv"]
+    lines = (tmp_path / "trace-accelerated.csv").read_text().splitlines()
+    assert lines[0] == "iteration,objective"
+    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert np.all(np.diff(values) <= 1e-12 * np.maximum(1.0, values[:-1]))
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"accelerated: {len(values) - 1} iterations, converged"]
 
 
 def test_convergence_requires_out_path(capsys):
@@ -176,6 +178,7 @@ def test_usage_errors_exit_one():
     assert cli.main(["estimate", "--scenario", "awgn"]) == 1
     assert cli.main(["estimate", "--trials", "three"]) == 1
     assert cli.main(["sweep", "--kind", "bogus"]) == 1
+    assert cli.main(["design", "--algorithm", "mm"]) == 1
 
 
 def test_invalid_spec_exits_one(capsys):

@@ -56,14 +56,12 @@ SPECS = {
                      "--nx", "8", "--ny", "4", "--offset-model", "common-delta",
                      "--delta-max", "0.3", "--algorithm", "accelerated", "--snr-db", "10",
                      "--trials", "1", "--seed", "0"],
-    "design-mm": ["--kind", "design", "--surfaces", "2", "--nx", "2", "--ny", "1",
-                  "--algorithm", "mm", "--snr-db", "10", "--trials", "2", "--seed", "3"],
     "design-B": _DESIGN + ["--surfaces", "2", "--snr-db", "0,10,20"],
     "design-C": _DESIGN + ["--surfaces", "4", "--snr-db", "10"],
 }
 
-# output-name prefix -> arguments of `rissync convergence`; it writes one
-# trace file per design loop.
+# output-name prefix -> arguments of `rissync convergence`; it writes the
+# design loop's trace to PREFIX-accelerated.csv.
 TRACES = {
     "convergence": ["--surfaces", "2", "--nx", "4", "--ny", "1", "--snr-db", "0",
                     "--seed", "4"],
@@ -94,9 +92,8 @@ def outputs(tree: str, work: str) -> dict:
     for name, args in TRACES.items():
         prefix = os.path.join(work, name)
         _run(tree, ["convergence", *args], prefix)
-        for loop in ("mm", "accelerated"):
-            with open(f"{prefix}-{loop}.csv", encoding="utf-8") as fh:
-                texts[f"{name}-{loop}"] = fh.read()
+        with open(f"{prefix}-accelerated.csv", encoding="utf-8") as fh:
+            texts[f"{name}-accelerated"] = fh.read()
     return texts
 
 
