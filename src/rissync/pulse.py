@@ -19,6 +19,7 @@ __all__ = [
     "rrc_impulse",
     "rrc_impulse_deriv",
     "pulse_autocorr",
+    "lag_pilot_matrix",
     "steering_matrix",
     "steering_matrix_deriv",
     "matched_filter_taps",
@@ -238,6 +239,18 @@ def _lag_layout(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
     times.flags.writeable = False
     index.flags.writeable = False
     return times, index
+
+
+def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sample times of the steering matrix and the (n_samples, times)
+    matrix ``A`` whose entry (n, j) is the pilot symbol i with (n, i) at time
+    j, so ``steering_matrix(x) @ pilot == A @ rrc_impulse(times - x)`` up to
+    the order of the sums, and ``rrc_impulse(times - x[:, None]) @ A.T`` gives
+    the filtered pilots of many offsets with no gather."""
+    times, index = _lag_layout(cfg)
+    a = np.zeros((cfg.n_samples, times.size), dtype=pilot.dtype)
+    a[np.arange(cfg.n_samples)[:, None], index] = pilot
+    return times, a
 
 
 def _shifted(pulse, offset, cfg: PulseConfig) -> np.ndarray:

@@ -4,15 +4,15 @@ import importlib
 import numpy as np
 import pytest
 
-from rissync import SingularSystemError, SystemConfig
+from rissync import SingularSystemError, SystemConfig, harness
 from rissync.channel import ChannelSet, cascade, gain_matrix, gen_rayleigh
 from rissync.estimator import (
     _GRID,
+    _LEVELS,
     TrainingPattern,
-    _captured_energy,
-    _grid_energies,
-    _grid_pilots,
+    _captured,
     _pattern_correlation,
+    _unit_pilots,
     gen_training,
     ls_channel,
     mle_alternating,
@@ -21,7 +21,7 @@ from rissync.estimator import (
     residual_cost,
     simulate_training,
 )
-from rissync.pulse import steering_matrix
+from rissync.pulse import lag_pilot_matrix, steering_matrix
 
 CFG = SystemConfig(n_surfaces=2, n_elements=4)
 
@@ -224,15 +224,18 @@ def test_rank_deficient_observation_raises():
 def test_per_surface_captured_energy_matches_residual_oracle(k_surf):
     # Orthogonal training splits the profile objective: the energy left
     # outside the observation matrix is the total minus one captured term
-    # per surface, each depending only on that surface's offset.
+    # per surface, each depending only on that surface's offset. Each term
+    # is scored by the batched search scorer, one offset per batch.
     cfg = SystemConfig(k_surf, 3)
     n = cfg.n_elements
     for seed in range(3):
         _, tp, _, y = _instance(cfg, 300 + seed, noise_var=0.2)
         z, energy = _pattern_correlation(y, tp, cfg)
+        lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
         eps = np.random.default_rng(seed).uniform(-0.95, 0.95, k_surf)
         captured = sum(
-            _captured_energy(e, z[k * n:(k + 1) * n], energy[k * n:(k + 1) * n], tp, cfg)
+            _captured(z[k * n:(k + 1) * n], energy[k * n:(k + 1) * n],
+                      _unit_pilots(np.array([e]), lags, cfg))[0]
             for k, e in enumerate(eps)
         )
         separable = float(np.vdot(y, y).real) - captured
@@ -275,53 +278,49 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
 
 def test_batched_grid_matches_single_offset_path():
     # The coarse grid is scored in one batch against shared unit pilots; each
-    # score must be the single-offset captured energy up to rounding, and the
-    # winning cell the same. The last group is the common-offset search.
+    # score must be the zoom scorer's at the same offset, one offset per
+    # batch, up to rounding, and the winning cell the same. The last group is
+    # the common-offset search.
     for cfg in (CFG, SystemConfig(3, 2), SystemConfig(1, 5)):
         n = cfg.n_elements
         groups = [slice(k * n, (k + 1) * n) for k in range(cfg.n_surfaces)] + [slice(None)]
         for seed in range(4):
             _, tp, _, y = _instance(cfg, 400 + seed, noise_var=0.3)
             z, energy = _pattern_correlation(y, tp, cfg)
-            unit_pilots = _grid_pilots(tp, cfg)
+            lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
+            grid_pilots = _unit_pilots(_GRID, lags, cfg)
             for rows in groups:
-                batched = _grid_energies(z[rows], energy[rows], unit_pilots)
-                loop = np.array([_captured_energy(x, z[rows], energy[rows], tp, cfg)
-                                 for x in _GRID])
+                batched = _captured(z[rows], energy[rows], grid_pilots)
+                loop = np.array([
+                    _captured(z[rows], energy[rows], _unit_pilots(np.array([x]), lags, cfg))[0]
+                    for x in _GRID])
                 np.testing.assert_allclose(batched, loop, rtol=1e-13, atol=0)
                 assert np.argmax(batched) == np.argmax(loop)
 
 
 def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
-    # One pulse evaluation for the whole grid, then one per single-offset
-    # score (each surface's start, grid winner and golden-section points),
-    # plus the final channel fit; never one per steering-matrix entry.
+    # One pulse evaluation for the whole grid, one per zoom level of each
+    # surface, plus the final channel fit; never one per steering-matrix
+    # entry.
     pulse_module = importlib.import_module("rissync.pulse")
     estimator_module = importlib.import_module("rissync.estimator")
     _, tp, _, y = _instance(CFG, 72, noise_var=0.1)
-    shapes, golden = [], []
-    rrc_impulse, golden_min = pulse_module.rrc_impulse, estimator_module._golden_min
+    shapes = []
+    rrc_impulse = pulse_module.rrc_impulse
 
     def recording(t, cfg):
         shapes.append(np.shape(t))
         return rrc_impulse(t, cfg)
 
-    def counting(f, lo, hi, width):
-        def counted(x):
-            golden.append(x)
-            return f(x)
-        return golden_min(counted, lo, hi, width)
-
     monkeypatch.setattr(pulse_module, "rrc_impulse", recording)
-    monkeypatch.setattr(estimator_module, "_golden_min", counting)
+    monkeypatch.setattr(estimator_module, "rrc_impulse", recording)
     mle_alternating(y, tp, CFG)
     pulse, k_surf = CFG.pulse, CFG.n_surfaces
     lags = pulse.n_samples + pulse.oversampling * (pulse.seq_len - 1)
     assert (pulse.n_samples, pulse.seq_len) not in shapes
     assert all(shape[-1] == lags for shape in shapes)
     assert shapes.count((_GRID.size, lags)) == 1
-    assert len(golden) > 0
-    assert len(shapes) <= 1 + len(golden) + 3 * k_surf + 2
+    assert len(shapes) <= 1 + k_surf * _LEVELS + 2
 
 
 def test_orthogonality_is_checked_once_per_pattern(monkeypatch):
@@ -372,6 +371,27 @@ def test_mle_single_surface_matches_exhaustive_search():
     # the refined estimate must be at least as good as the best grid point
     assert res.final_cost <= costs.min() + 1e-12 * (1 + costs.min())
     assert abs(res.offsets[0] - best) < 1e-3 + 1e-5
+
+
+def test_search_reaches_the_open_end_of_a_truncation_step():
+    # The truncated pulse is still about 0.025 at +-span, so the profile
+    # objective jumps wherever an offset carries a lag time across that edge
+    # (every multiple of 1/oversampling). In this trial (the third of the
+    # sweep `--surfaces 2 --nx 2 --ny 1 --seed 42`, at 0 dB) surface 0's best
+    # residual lies just above the step at 0, and a search that converges to
+    # a stationary point stops at about -0.012, above the best residual of a
+    # 1e-3 grid.
+    spec = harness.ExperimentSpec(n_surfaces=2, n_x=2, n_y=1, trials=3, base_seed=42)
+    cfg = spec.system_config()
+    trial = harness._draw_trial(spec, cfg, 2)
+    y, res = harness._observe(trial, 1.0)
+    grid = np.arange(-0.9995, 0.9996, 1e-3)
+    for k in range(cfg.n_surfaces):
+        moved = np.tile(res.offsets, (grid.size, 1))
+        moved[:, k] = grid
+        best = min(residual_cost(e, y, trial.pattern, cfg) for e in moved)
+        assert res.final_cost <= best * (1 + 1e-12)
+    assert 0.0 < res.offsets[0] < 1e-3
 
 
 def test_mle_offsets_are_local_optimum_of_residual_cost():

@@ -22,7 +22,7 @@ from rissync import (
     steering_matrix_deriv,
     window_matrix,
 )
-from rissync.pulse import SINGULARITY_TOL
+from rissync.pulse import SINGULARITY_TOL, lag_pilot_matrix
 
 CFG = PulseConfig()  # rolloff 0.22, span 4, oversampling 2, obs_len 12
 BETA = CFG.rolloff
@@ -290,6 +290,30 @@ def test_pulse_is_evaluated_once_per_distinct_lag(oversampling, monkeypatch):
     steering_matrix(0.3, cfg)
     steering_matrix(np.array([0.1, -0.2, 0.7]), cfg)
     assert shapes == [(lags,), (3, lags)]
+
+
+@pytest.mark.parametrize("oversampling", [2, 3])
+def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
+    # A @ g(times - x) is steering_matrix(x) @ pilot with its sums reordered,
+    # for one offset and for a stack of them. At oversampling 3 one lag
+    # rounds to two times, so there are more times than lags.
+    cfg = PulseConfig(oversampling=oversampling)
+    rng = np.random.default_rng(oversampling)
+    pilot = np.exp(1j * np.pi / 4.0 * (2 * rng.integers(0, 4, cfg.seq_len) + 1))
+    times, a = lag_pilot_matrix(pilot, cfg)
+    lags = cfg.n_samples + oversampling * (cfg.seq_len - 1)
+    assert a.shape == (cfg.n_samples, times.size)
+    assert (times.size > lags) == (oversampling == 3)
+    assert np.all(np.count_nonzero(a, axis=1) == cfg.seq_len)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for x in (0.0, 0.3, -0.77, 0.5):
+        assert close(a @ rrc_impulse(times - x, cfg), steering_matrix(x, cfg) @ pilot), x
+    offsets = rng.uniform(-0.999, 0.999, 50)
+    assert close(rrc_impulse(times - offsets[:, None], cfg) @ a.T,
+                 steering_matrix(offsets, cfg) @ pilot)
 
 
 def test_matched_filter_taps_layout():

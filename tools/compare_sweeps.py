@@ -9,8 +9,9 @@ and the ``convergence`` traces in ``TRACES`` run once per tree, with
 the script prints ``identical`` when the bytes match; otherwise, for every
 (metric, column) that moved, the largest relative drift
 ``|a - b| / max(|a|, |b|)`` over its rows. It exits 1 when an output's row
-keys, ``trials`` or ``excluded`` differ between the trees, and 0 otherwise.
-Standard library only.
+keys, ``trials`` or ``excluded`` differ between the trees, and 0 otherwise;
+when a trace's length differs it also prints both iteration counts and the
+relative drift of the final objective. Standard library only.
 """
 from __future__ import annotations
 
@@ -114,7 +115,12 @@ def compare(old: str, new: str) -> tuple[list, dict]:
     keys, exact, values = ((("snr_db", "metric"), ("trials", "excluded"), ("mean", "stderr"))
                            if sweep else (("iteration",), (), ("objective",)))
     if [[r[k] for k in keys] for r in old_rows] != [[r[k] for k in keys] for r in new_rows]:
-        return ["row keys differ"], {}
+        if sweep or not (old_rows and new_rows):
+            return ["row keys differ"], {}
+        last, now = old_rows[-1], new_rows[-1]
+        drift = _drift(float(last["objective"]), float(now["objective"]))
+        return [f"row keys differ: {last['iteration']} -> {now['iteration']} iterations, "
+                f"final objective drift {drift:.3e}"], {}
     problems = [f"{r['snr_db']} dB {r['metric']}: {col} {r[col]} -> {s[col]}"
                 for r, s in zip(old_rows, new_rows) for col in exact if r[col] != s[col]]
     drifts = {}
