@@ -100,21 +100,22 @@ def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def array_response(azimuth: float, elevation: float, n_elements: int,
+def array_response(azimuth, elevation, n_elements: int,
                    n_x: int = 4, spacing_phase: float = np.pi) -> np.ndarray:
     """Unit-norm response of an N-element rectangular surface.
 
     Element (m, n) with 0 <= m < n_x sits at flat index n*n_x + m and
     contributes phase spacing_phase*(m*sin(azimuth)*sin(elevation)
-    + n*cos(elevation)); every entry has magnitude 1/sqrt(N).
+    + n*cos(elevation)); every entry has magnitude 1/sqrt(N). Arrays of
+    angles broadcast against each other and gain a last axis of N elements.
     """
     if n_elements % n_x:
         raise ValueError(f"n_elements={n_elements} not divisible by n_x={n_x}")
-    n_y = n_elements // n_x
-    m = np.arange(n_x) * np.sin(azimuth) * np.sin(elevation)
-    n = np.arange(n_y) * np.cos(elevation)
-    phase = spacing_phase * np.add.outer(n, m).ravel()
-    return np.exp(1j * phase) / np.sqrt(n_elements)
+    az, el = np.asarray(azimuth)[..., None], np.asarray(elevation)[..., None]
+    m = np.arange(n_x) * np.sin(az) * np.sin(el)
+    n = np.arange(n_elements // n_x) * np.cos(el)
+    phase = spacing_phase * (n[..., :, None] + m[..., None, :])
+    return np.exp(1j * phase.reshape(phase.shape[:-2] + (n_elements,))) / np.sqrt(n_elements)
 
 
 def gen_mmwave(cfg: SystemConfig, params: MmWaveParams, seed) -> ChannelSet:
@@ -147,17 +148,11 @@ def gen_mmwave(cfg: SystemConfig, params: MmWaveParams, seed) -> ChannelSet:
     in_el = draw(params.in_elevation, (k_surf,), "el")
     in_g = draw(params.in_gains, (k_surf,), "gain")
 
-    outbound = np.zeros((k_surf, n_el), dtype=complex)
-    inbound = np.zeros((k_surf, n_el), dtype=complex)
-    for k in range(k_surf):
-        paths = sum(
-            np.conj(out_g[k, p]) * array_response(
-                out_az[k, p], out_el[k, p], n_el, params.n_x, params.spacing_phase)
-            for p in range(n_p)
-        )
-        outbound[k] = np.sqrt(n_el / n_p) * paths
-        inbound[k] = np.sqrt(n_el) * in_g[k] * array_response(
-            in_az[k], in_el[k], n_el, params.n_x, params.spacing_phase)
+    geometry = (n_el, params.n_x, params.spacing_phase)
+    # Summing over the middle axis of (K, n_paths, N) adds the paths in order.
+    paths = (np.conj(out_g)[..., None] * array_response(out_az, out_el, *geometry)).sum(axis=1)
+    outbound = np.sqrt(n_el / n_p) * paths
+    inbound = (np.sqrt(n_el) * in_g)[:, None] * array_response(in_az, in_el, *geometry)
     return ChannelSet(inbound=inbound, outbound=outbound)
 
 
@@ -178,10 +173,9 @@ def block_gains(cascaded: np.ndarray, n_surfaces: int) -> np.ndarray:
             f"cascaded vector of length {cascaded.shape} does not split into "
             f"{n_surfaces} equal segments"
         )
-    n_el = total // n_surfaces
     out = np.zeros((n_surfaces, total), dtype=complex)
-    for k in range(n_surfaces):
-        out[k, k * n_el:(k + 1) * n_el] = cascaded[k * n_el:(k + 1) * n_el]
+    diagonal = np.arange(n_surfaces)
+    out.reshape(n_surfaces, n_surfaces, -1)[diagonal, diagonal] = cascaded.reshape(n_surfaces, -1)
     return out
 
 

@@ -1,7 +1,19 @@
 """Scenario configuration objects shared across the package."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 1 (2.0 is not)."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if whole < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -63,10 +75,9 @@ class SystemConfig:
     n_patterns: int | None = None
 
     def __post_init__(self):
-        if self.n_surfaces < 1:
-            raise ValueError(f"n_surfaces must be >= 1, got {self.n_surfaces}")
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
+        optional = ("n_patterns",) if self.n_patterns is not None else ()
+        for name in ("n_surfaces", "n_elements", *optional):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
         if self.n_patterns is not None and self.n_patterns < self.total_elements:
             raise ValueError(
                 f"n_patterns={self.n_patterns} would leave the training system "

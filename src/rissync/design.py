@@ -32,8 +32,7 @@ import numpy as np
 
 from .channel import block_gains
 from .config import SystemConfig
-from .errors import SingularSystemError
-from .estimator import COND_LIMIT
+from .estimator import _check_spread
 from .pulse import matched_filter_taps, steering_matrix, window_matrix
 
 __all__ = [
@@ -189,7 +188,7 @@ def build_problem(inputs: DesignInputs, cfg: SystemConfig) -> DesignProblem:
             f"channel_cov is not positive semidefinite (eigenvalue {eigs.min():.3e})"
         )
     moment = np.outer(inputs.channel, inputs.channel.conj()) + cov
-    steer = np.stack([steering_matrix(eps, cfg.pulse) for eps in inputs.offsets])
+    steer = steering_matrix(inputs.offsets, cfg.pulse)        # (K, S, L)
     products = np.einsum("asl,btl->abst", steer, steer.conj())
     # Column q of element j's block column in the lifted Gram has absolute sum
     # sum_a (sum_{i in a} |M_ij|) (column q's absolute sum of A_a A_k(j)^H).
@@ -226,8 +225,8 @@ def mse_direct(theta, equalizer: np.ndarray, inputs: DesignInputs,
         raise ValueError(f"expected {cfg.total_elements} phases, got {theta.size}")
     eye_seq = np.eye(cfg.pulse.seq_len)
     per_surface = np.kron(block_gains(theta, cfg.n_surfaces), eye_seq)
-    steer_row = np.concatenate(
-        [steering_matrix(eps, cfg.pulse) for eps in inputs.offsets], axis=1)
+    steer = steering_matrix(inputs.offsets, cfg.pulse)
+    steer_row = steer.transpose(1, 0, 2).reshape(cfg.pulse.n_samples, -1)
     signal_map = steer_row @ per_surface                    # block samples x NK*L
     moment = np.outer(inputs.channel, inputs.channel.conj()) + inputs.channel_cov
     moment_big = np.kron(0.5 * (moment + moment.conj().T), eye_seq)
@@ -277,9 +276,7 @@ def _concentrated_pieces(theta, problem: DesignProblem):
     captures.
     """
     rows, normal, target = _response(theta, problem)
-    cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystemError("equalizer normal matrix", cond)
+    _check_spread(np.linalg.svd(normal, compute_uv=False), "equalizer normal matrix")
     solved = np.linalg.solve(normal, target)
     recovered = float(np.vdot(target, solved).real)
     return rows, solved, recovered

@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .channel import ChannelSet, MmWaveParams, cascade, gen_mmwave, gen_rayleigh
-from .config import SystemConfig
+from .config import SystemConfig, positive_int
 from .crlb import crlb
 from .design import (
     DesignInputs,
@@ -90,11 +90,8 @@ class ExperimentSpec:
                 f"offset_model must be one of {OFFSET_MODELS}, got {self.offset_model!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        for name in ("n_surfaces", "n_x", "n_y"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if int(self.trials) < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("n_surfaces", "n_x", "n_y", "trials"):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
         grid = tuple(float(s) for s in np.atleast_1d(self.snr_grid_db))
         if not grid:
             raise ValueError("snr_grid_db must not be empty")
@@ -103,7 +100,6 @@ class ExperimentSpec:
         if not 0.0 <= float(self.delta_max) < 2.0:
             raise ValueError("delta_max must lie in [0, 2)")
         object.__setattr__(self, "snr_grid_db", grid)
-        object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "delta_max", float(self.delta_max))
 

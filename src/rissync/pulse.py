@@ -260,7 +260,8 @@ def _shifted(pulse, offset, cfg: PulseConfig) -> np.ndarray:
     if not np.all((offset > -1.0) & (offset < 1.0)):
         raise ValueError(f"timing offset must lie in (-1, 1), got {offset}")
     times, index = _lag_layout(cfg)
-    return pulse(times - offset[..., None], cfg)[..., index]
+    # np.take keeps a stack C-contiguous: einsum's summation order follows strides
+    return np.take(pulse(times - offset[..., None], cfg), index, axis=-1)
 
 
 def steering_matrix(offset, cfg: PulseConfig) -> np.ndarray:
@@ -300,4 +301,4 @@ def window_matrix(taps: np.ndarray, cfg: PulseConfig) -> np.ndarray:
     taps = np.asarray(taps, dtype=float)
     if taps.shape != (cfg.seq_len,):
         raise ValueError(f"expected {cfg.seq_len} taps, got shape {taps.shape}")
-    return np.stack([np.roll(taps, r) for r in range(cfg.obs_len)])
+    return taps[(np.arange(cfg.seq_len) - np.arange(cfg.obs_len)[:, None]) % cfg.seq_len]

@@ -77,6 +77,77 @@ def test_array_response_rejects_bad_geometry():
         array_response(0.1, 0.2, 10, n_x=4)
 
 
+def _literal_response(az, el, n_elements, n_x, spacing_phase):
+    # One scalar angle pair, element (m, n) at flat index n*n_x + m.
+    m = np.arange(n_x) * np.sin(az) * np.sin(el)
+    n = np.arange(n_elements // n_x) * np.cos(el)
+    return np.exp(1j * spacing_phase * np.add.outer(n, m).ravel()) / np.sqrt(n_elements)
+
+
+def test_array_response_broadcasts_and_each_slice_matches_the_scalar_call():
+    rng = np.random.default_rng(3)
+    az, el = rng.uniform(0, 2 * np.pi, (3, 1)), rng.uniform(0, np.pi, 5)
+    for n_elements, n_x in ((16, 4), (16, 8), (12, 2), (7, 7)):
+        stacked = array_response(az, el, n_elements, n_x=n_x)
+        assert stacked.shape == (3, 5, n_elements)
+        for i in range(3):
+            for j in range(5):
+                single = array_response(az[i, 0], el[j], n_elements, n_x=n_x)
+                assert single.shape == (n_elements,)
+                assert np.array_equal(stacked[i, j], single)
+                assert np.array_equal(single, _literal_response(
+                    az[i, 0], el[j], n_elements, n_x, np.pi))
+
+
+def _mmwave_loop(cfg, params, out_az, out_el, out_g, in_az, in_el, in_g):
+    # Per-surface, per-path reference: one response per call, paths summed in order.
+    n_el, n_p = cfg.n_elements, params.n_paths
+    outbound = np.zeros((cfg.n_surfaces, n_el), dtype=complex)
+    inbound = np.zeros((cfg.n_surfaces, n_el), dtype=complex)
+    for k in range(cfg.n_surfaces):
+        paths = sum(np.conj(out_g[k, p]) * _literal_response(
+            out_az[k, p], out_el[k, p], n_el, params.n_x, params.spacing_phase)
+            for p in range(n_p))
+        outbound[k] = np.sqrt(n_el / n_p) * paths
+        inbound[k] = np.sqrt(n_el) * in_g[k] * _literal_response(
+            in_az[k], in_el[k], n_el, params.n_x, params.spacing_phase)
+    return inbound, outbound
+
+
+@pytest.mark.parametrize("k_surf, n_el, n_x, n_paths", [
+    (1, 4, 2, 1), (2, 16, 4, 10), (3, 16, 8, 3), (4, 64, 8, 10), (4, 8, 2, 7),
+])
+def test_mmwave_matches_per_path_loop(k_surf, n_el, n_x, n_paths):
+    # Drawn in the generator's order: outbound azimuth, elevation, gains,
+    # then the same three for the inbound link.
+    cfg, params = SystemConfig(k_surf, n_el), MmWaveParams(n_paths=n_paths, n_x=n_x)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        draws = []
+        for shape in ((k_surf, n_paths), (k_surf,)):
+            draws += [rng.uniform(0.0, 2.0 * np.pi, shape), rng.uniform(0.0, np.pi, shape),
+                      (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                      / np.sqrt(2.0)]
+        inbound, outbound = _mmwave_loop(cfg, params, *draws)
+        ch = gen_mmwave(cfg, params, seed)
+        assert np.array_equal(ch.inbound, inbound) and np.array_equal(ch.outbound, outbound)
+
+
+def test_mmwave_pinned_overrides_match_per_path_loop():
+    rng = np.random.default_rng(8)
+    cfg = SystemConfig(3, 12)
+    pinned = dict(
+        out_azimuth=rng.uniform(0, 2 * np.pi, (3, 4)), out_elevation=rng.uniform(0, np.pi, (3, 4)),
+        out_gains=rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
+        in_azimuth=rng.uniform(0, 2 * np.pi, 3), in_elevation=rng.uniform(0, np.pi, 3),
+        in_gains=rng.standard_normal(3) + 1j * rng.standard_normal(3),
+    )
+    params = MmWaveParams(n_paths=4, n_x=3, spacing_phase=2.0, **pinned)
+    inbound, outbound = _mmwave_loop(cfg, params, *pinned.values())
+    ch = gen_mmwave(cfg, params, 0)
+    assert np.array_equal(ch.inbound, inbound) and np.array_equal(ch.outbound, outbound)
+
+
 def test_mmwave_single_path_is_rank_one():
     params = MmWaveParams(n_paths=1)
     ch = gen_mmwave(SystemConfig(2, 16), params, 42)

@@ -1,4 +1,5 @@
 """Validation behaviour of the configuration dataclasses."""
+import numpy as np
 import pytest
 
 from rissync import PulseConfig, SystemConfig
@@ -34,7 +35,17 @@ def test_system_counts():
     {"n_surfaces": 0, "n_elements": 4},
     {"n_surfaces": 2, "n_elements": 0},
     {"n_surfaces": 2, "n_elements": 4, "n_patterns": 7},
+    {"n_surfaces": 2.0, "n_elements": 4},
+    {"n_surfaces": 2, "n_elements": 2.5},
+    {"n_surfaces": 2, "n_elements": 4, "n_patterns": 9.0},
+    {"n_surfaces": "2", "n_elements": 4},
+    {"n_surfaces": None, "n_elements": 4},
 ])
 def test_system_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         SystemConfig(**kwargs)
+
+
+def test_system_stores_integer_sizes_as_int():
+    sys = SystemConfig(np.int64(3), np.int32(4), n_patterns=np.int64(13))
+    assert all(type(v) is int for v in (sys.n_surfaces, sys.n_elements, sys.n_patterns))

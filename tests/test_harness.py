@@ -30,6 +30,8 @@ def test_spec_defaults_and_coercion():
     assert spec.n_elements == 4
     cfg = spec.system_config()
     assert cfg.n_surfaces == 2 and cfg.n_elements == 4
+    sized = ExperimentSpec(n_surfaces=np.int64(3), n_x=np.int32(2), trials=np.int64(4))
+    assert all(type(v) is int for v in (sized.n_surfaces, sized.n_x, sized.trials))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -44,6 +46,10 @@ def test_spec_defaults_and_coercion():
     dict(delta_max=-0.1),
     dict(delta_max=2.5),
     dict(algorithm="mm"),
+    dict(n_x=2.5),
+    dict(n_surfaces=2.0),
+    dict(n_y="2"),
+    dict(trials=2.7),
 ])
 def test_spec_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):

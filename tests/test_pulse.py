@@ -264,6 +264,8 @@ def test_lag_gather_is_bit_equal_to_direct_evaluation(cfg):
     assert special.size >= 20
     stacked = steering_matrix(offsets, cfg)
     stacked_deriv = steering_matrix_deriv(offsets, cfg)
+    # a C-contiguous stack is what einsum and matmul see from np.stack
+    assert stacked.flags.c_contiguous and stacked_deriv.flags.c_contiguous
     for g, eps in enumerate(offsets):
         want, want_deriv = _literal_steering(eps, cfg)
         mat, deriv = steering_matrix(eps, cfg), steering_matrix_deriv(eps, cfg)

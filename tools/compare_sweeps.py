@@ -47,6 +47,9 @@ SPECS = {
     "crlb-bench": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4", "--nx", "4",
                    "--ny", "4", "--offset-model", "uniform", "--snr-db", "0,10,20,30",
                    "--trials", "25", "--seed", "101"],
+    "crlb-mmwave-nonsquare": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "3",
+                              "--nx", "8", "--ny", "2", "--snr-db", "0,20", "--trials", "10",
+                              "--seed", "3"],
     "crlb-grid": ["--kind", "crlb", "--surfaces", "2", "--nx", "4", "--ny", "2",
                   "--snr-db=-10,0,5,10,15,20,25,30,40", "--trials", "200", "--seed", "1"],
     "async-uniform": _ASYNC + ["--offset-model", "uniform"],
