@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, positive_int
 
 __all__ = [
     "ChannelSet",
@@ -81,10 +81,8 @@ class MmWaveParams:
     in_gains: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.n_x < 1:
-            raise ValueError(f"n_x must be >= 1, got {self.n_x}")
+        for name in ("n_paths", "n_x"):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
 
 
 def gen_rayleigh(cfg: SystemConfig, seed) -> ChannelSet:

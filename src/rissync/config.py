@@ -38,12 +38,8 @@ class PulseConfig:
     def __post_init__(self):
         if not 0.0 < self.rolloff <= 1.0:
             raise ValueError(f"rolloff must lie in (0, 1], got {self.rolloff}")
-        if self.span < 1:
-            raise ValueError(f"span must be a positive integer, got {self.span}")
-        if self.oversampling < 1:
-            raise ValueError(f"oversampling must be >= 1, got {self.oversampling}")
-        if self.obs_len < 1:
-            raise ValueError(f"obs_len must be >= 1, got {self.obs_len}")
+        for name in ("span", "oversampling", "obs_len"):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
 
     @property
     def seq_len(self) -> int:

@@ -301,14 +301,14 @@ class SurrogateAnchor:
     """Linearization of the concentrated objective at one feasible point.
 
     On the unit-modulus set the surrogate 2*Re(theta . conj(slice_scores))
-    - scale*S*||theta||^2 + offset lies below the captured energy everywhere
-    and touches it at ``theta``; maximizing it decouples across elements.
+    - scale*S*||theta||^2 + offset (see :func:`surrogate_value`) lies below
+    the captured energy everywhere and touches it at ``theta``; maximizing it
+    decouples across elements, so the loop never needs the offset.
     """
 
     theta: np.ndarray
     slice_scores: np.ndarray
     scale: float
-    offset: float
     recovered: float
     solved: np.ndarray   # the Wiener solve at theta; its conjugate transpose is the equalizer
 
@@ -328,24 +328,28 @@ def surrogate_anchor(theta, problem: DesignProblem) -> SurrogateAnchor:
     coupled = (rows.reshape(n_surf, n_surf, -1) * gram_traces[:, :, None]).sum(axis=0)
     mean_part = problem.channel.conj().reshape(n_surf, -1) * window_traces[:, None]
     scores = scale * problem.block * theta - (coupled - mean_part).reshape(-1)
-    noise_part = float(np.vdot(solved, problem.noise_cov @ solved).real)
-    offset = -scale * problem.n_parts * problem.block + recovered - 2.0 * noise_part
     return SurrogateAnchor(
         theta=np.array(theta, dtype=complex),
         slice_scores=scores,
         scale=scale,
-        offset=offset,
         recovered=recovered,
         solved=solved,
     )
 
 
 def surrogate_value(theta, anchor: SurrogateAnchor, problem: DesignProblem) -> float:
-    """Evaluate the anchored minorant at an arbitrary phase vector."""
+    """Evaluate the anchored minorant at an arbitrary phase vector.
+
+    Its offset, constant in theta, is taken from the anchor's Wiener solve so
+    that the minorant touches the captured energy at the anchor.
+    """
     theta = _as_complex_vector(theta, "theta")
     linear = 2.0 * np.vdot(anchor.slice_scores, theta).real
     penalty = anchor.scale * problem.block * float(np.sum(np.abs(theta) ** 2))
-    return linear - penalty + anchor.offset
+    solved = anchor.solved
+    noise_part = float(np.vdot(solved, problem.noise_cov @ solved).real)
+    offset = -anchor.scale * problem.n_parts * problem.block + anchor.recovered - 2.0 * noise_part
+    return linear - penalty + offset
 
 
 def _aligned(anchor: SurrogateAnchor) -> np.ndarray:
@@ -387,7 +391,6 @@ def _squarem_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateA
 
 
 def design_accelerated(problem: DesignProblem, init=None,
-                       rel_tol: float = DESIGN_TOL,
                        max_iters: int = MAX_ITERS) -> DesignResult:
     """Squared-extrapolation accelerated minorize-maximize design loop.
 
@@ -402,7 +405,7 @@ def design_accelerated(problem: DesignProblem, init=None,
     scores, captured energy and Wiener solve, so the accepted one starts the
     next iteration without another solve and the returned equalizer is the
     last anchor's solve. The loop stops when the captured energy changes by
-    at most ``rel_tol`` relative, or after ``max_iters`` iterations (reported
+    at most ``DESIGN_TOL`` relative, or after ``max_iters`` iterations (reported
     through ``converged``). The objective trace stores the achieved MSE at
     every iterate.
     """
@@ -414,7 +417,7 @@ def design_accelerated(problem: DesignProblem, init=None,
         previous = anchor.recovered
         anchor = _squarem_step(anchor, problem)
         trace.append(problem.window_energy - anchor.recovered)
-        if abs(anchor.recovered - previous) <= rel_tol * max(anchor.recovered, tiny):
+        if abs(anchor.recovered - previous) <= DESIGN_TOL * max(anchor.recovered, tiny):
             converged = True
             break
     return DesignResult(

@@ -9,6 +9,7 @@ expansion, so all values are finite everywhere on the real line.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -86,18 +87,30 @@ def _numerator_derivs(x: float, beta: float) -> tuple[float, ...]:
     return d1, d2, d3, d4, d5
 
 
-def _sing_branch(u: np.ndarray, beta: float, want_deriv: bool) -> np.ndarray:
-    # The numerator vanishes at x_sing = 1/(4*beta), so g is a smooth ratio
-    # of Taylor polynomials in u = x - x_sing; the same quotient yields g'.
-    x_sing = 1.0 / (4.0 * beta)
-    d1, d2, d3, d4, d5 = _numerator_derivs(x_sing, beta)
-    p = -(d1 + d2 * u / 2.0 + d3 * u**2 / 6.0 + d4 * u**3 / 24.0 + d5 * u**4 / 120.0)
-    q = 4.0 * beta * np.pi * (2.0 * x_sing + 3.0 * u + 4.0 * beta * u**2)
-    if not want_deriv:
-        return p / q
-    dp = -(d2 / 2.0 + d3 * u / 3.0 + d4 * u**2 / 8.0 + d5 * u**3 / 30.0)
-    dq = 4.0 * beta * np.pi * (3.0 + 8.0 * beta * u)
-    return (dp * q - p * dq) / q**2
+def _branches(t, span: float, x_sing: float):
+    """``t`` as a 1-D float array, its magnitude, and the disjoint masks of
+    the points within ``SINGULARITY_TOL`` of 0, within it of ``x_sing``, and
+    elsewhere, where the direct formula holds.
+
+    All three masks lie inside the support ``|t| <= span``; a point outside it
+    is in none, so it keeps its zero. NaN counts as inside and propagates.
+    """
+    x = np.atleast_1d(np.asarray(t, dtype=float))
+    ax = np.abs(x)
+    inside = ~(ax > span)
+    near0 = inside & (ax < SINGULARITY_TOL)
+    nears = inside & (np.abs(ax - x_sing) < SINGULARITY_TOL)
+    return x, ax, near0, nears, inside & ~near0 & ~nears
+
+
+def _taylor_ratio(derivs, u: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator ``p`` and denominator ``q`` of a pulse n(x) / (pi x (1 - (cx)^2))
+    at ``x = 1/c + u``, where n vanishes and ``derivs`` holds n', n'', ... there.
+
+    Both sides are divided by the common root -u, so p/q is smooth through u = 0.
+    """
+    p = -sum(d * u**k / factorial(k + 1) for k, d in enumerate(derivs))
+    return p, c * np.pi * (2.0 / c + 3.0 * u + c * u**2)
 
 
 def rrc_impulse(t, cfg: PulseConfig):
@@ -107,18 +120,9 @@ def rrc_impulse(t, cfg: PulseConfig):
     support the value is exactly zero. Accepts scalars or arrays.
     """
     beta = cfg.rolloff
-    x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    ax = np.abs(x)
     x_sing = 1.0 / (4.0 * beta)
-
+    _, ax, near0, nears, plain = _branches(t, cfg.span, x_sing)
     out = np.zeros_like(ax)
-    inside = ax <= cfg.span
-    near0 = inside & (ax < SINGULARITY_TOL)
-    nears = inside & (np.abs(ax - x_sing) < SINGULARITY_TOL)
-    plain = inside & ~near0 & ~nears
-
     # evaluate on |x| so evenness holds bit-exactly
     out[plain] = _impulse_kernel(ax[plain], beta)
     if near0.any():
@@ -126,25 +130,17 @@ def rrc_impulse(t, cfg: PulseConfig):
         x2 = ax[near0] ** 2
         out[near0] = c0 + c2 * x2 + c4 * x2 * x2
     if nears.any():
-        out[nears] = _sing_branch(ax[nears] - x_sing, beta, want_deriv=False)
-    return out[0] if scalar else out
+        p, q = _taylor_ratio(_numerator_derivs(x_sing, beta), ax[nears] - x_sing, 4.0 * beta)
+        out[nears] = p / q
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def rrc_impulse_deriv(t, cfg: PulseConfig):
     """Analytic time derivative of :func:`rrc_impulse` (zero outside the support)."""
     beta = cfg.rolloff
-    x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    ax = np.abs(x)
     x_sing = 1.0 / (4.0 * beta)
-
+    x, ax, near0, nears, plain = _branches(t, cfg.span, x_sing)
     out = np.zeros_like(ax)
-    inside = ax <= cfg.span
-    near0 = inside & (ax < SINGULARITY_TOL)
-    nears = inside & (np.abs(ax - x_sing) < SINGULARITY_TOL)
-    plain = inside & ~near0 & ~nears
-
     # g is even, so g' is odd: evaluate on |x| and flip sign, which also
     # makes the antisymmetry hold bit-exactly.
     out[plain] = np.sign(x[plain]) * _deriv_kernel(ax[plain], beta)
@@ -153,9 +149,15 @@ def rrc_impulse_deriv(t, cfg: PulseConfig):
         xs = x[near0]
         out[near0] = 2.0 * c2 * xs + 4.0 * c4 * xs**3
     if nears.any():
-        branch = _sing_branch(ax[nears] - x_sing, beta, want_deriv=True)
-        out[nears] = np.sign(x[nears]) * branch
-    return out[0] if scalar else out
+        # the quotient rule on the Taylor ratio p/q
+        derivs = _numerator_derivs(x_sing, beta)
+        u = ax[nears] - x_sing
+        p, q = _taylor_ratio(derivs, u, 4.0 * beta)
+        _, d2, d3, d4, d5 = derivs
+        dp = -(d2 / 2.0 + d3 * u / 3.0 + d4 * u**2 / 8.0 + d5 * u**3 / 30.0)
+        dq = 4.0 * beta * np.pi * (3.0 + 8.0 * beta * u)
+        out[nears] = np.sign(x[nears]) * ((dp * q - p * dq) / q**2)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +171,10 @@ def pulse_autocorr(tau, cfg: PulseConfig):
     other integer lag.
     """
     beta = cfg.rolloff
-    x = np.abs(np.asarray(tau, dtype=float))  # even function
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     t_sing = 1.0 / (2.0 * beta)
-
-    near0 = x < SINGULARITY_TOL
-    nears = np.abs(x - t_sing) < SINGULARITY_TOL
-    plain = ~near0 & ~nears
-
-    out = np.empty_like(x)
+    # untruncated, and even: every branch is evaluated on |tau|
+    _, x, near0, nears, plain = _branches(tau, np.inf, t_sing)
+    out = np.zeros_like(x)
     xp = x[plain]
     # denominator root factored out so there is no cancellation near it
     den = np.pi * xp * (-4.0 * beta**2) * (xp - t_sing) * (xp + t_sing)
@@ -193,7 +189,7 @@ def pulse_autocorr(tau, cfg: PulseConfig):
         x2 = x[near0] ** 2
         out[near0] = 1.0 + c2 * x2 + c4 * x2 * x2
     if nears.any():
-        # Removable singularity at 1/(2*beta): ratio of local Taylor series.
+        # derivatives of the numerator sin(pi x) cos(pi beta x) at 1/(2*beta)
         sp, cp = np.sin(np.pi * t_sing), np.cos(np.pi * t_sing)
         sb, cb = np.sin(np.pi * beta * t_sing), np.cos(np.pi * beta * t_sing)
         d1 = np.pi * cp * cb - np.pi * beta * sp * sb
@@ -203,12 +199,9 @@ def pulse_autocorr(tau, cfg: PulseConfig):
             np.pi**4 * (1.0 + 6.0 * beta**2 + beta**4) * sp * cb
             + 4.0 * np.pi**4 * (beta + beta**3) * cp * sb
         )
-        u = x[nears] - t_sing
-        p = -(d1 + d2 * u / 2.0 + d3 * u**2 / 6.0 + d4 * u**3 / 24.0)
-        q = 2.0 * beta * np.pi * (2.0 * t_sing + 3.0 * u + 2.0 * beta * u**2)
+        p, q = _taylor_ratio((d1, d2, d3, d4), x[nears] - t_sing, 2.0 * beta)
         out[nears] = p / q
-
-    return out[0] if scalar else out
+    return out[0] if np.ndim(tau) == 0 else out
 
 
 # ---------------------------------------------------------------------------

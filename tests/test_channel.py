@@ -187,6 +187,14 @@ def test_mmwave_pinned_angles_and_gains():
     np.testing.assert_allclose(ch.inbound[0], np.full(16, 1j), atol=1e-12)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_paths": 0}, {"n_paths": 2.5}, {"n_paths": 2.0}, {"n_x": 0}, {"n_x": 2.0}, {"n_x": None},
+])
+def test_mmwave_rejects_bad_sizes(kwargs):
+    with pytest.raises(ValueError):
+        MmWaveParams(**kwargs)
+
+
 def test_mmwave_rejects_misshaped_overrides():
     params = MmWaveParams(n_paths=3, out_azimuth=np.zeros((2, 2)))
     with pytest.raises(ValueError):

@@ -18,6 +18,10 @@ def test_pulse_defaults():
     {"span": 0},
     {"oversampling": 0},
     {"obs_len": 0},
+    {"span": 2.5},
+    {"oversampling": 2.0},
+    {"obs_len": 12.5},
+    {"span": "4"},
 ])
 def test_pulse_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):

@@ -70,9 +70,23 @@ def test_truncated_pulse_energy():
 
 
 def test_support_is_truncated():
-    ts = np.array([-7.3, -4.0001, 4.0001, 5.0, 100.0])
+    # The support is the closed interval [-span, span]: the pulse keeps its
+    # value at +-span and is exactly zero one ulp beyond.
+    span = float(CFG.span)
+    past = np.nextafter(span, np.inf)
+    ts = np.array([-7.3, -4.0001, -past, past, 4.0001, 5.0, 100.0, np.inf, -np.inf])
     assert np.all(rrc_impulse(ts, CFG) == 0.0)
     assert np.all(rrc_impulse_deriv(ts, CFG) == 0.0)
+    edge = rrc_impulse(np.array([-span, span]), CFG)
+    assert edge[0] == edge[1] == pytest.approx(rrc_reference(span), rel=1e-12)
+    assert edge[0] != 0.0
+    assert np.all(rrc_impulse_deriv(np.array([-span, span]), CFG) != 0.0)
+
+
+def test_nan_propagates():
+    for fn in (rrc_impulse, rrc_impulse_deriv, pulse_autocorr):
+        assert np.isnan(fn(np.nan, CFG))
+        assert np.isnan(fn(np.array([0.3, np.nan]), CFG)[1])
 
 
 def test_values_at_singular_points():
@@ -172,6 +186,7 @@ def test_pulse_symmetry_and_boundedness(x):
     assert rrc_impulse(-x, CFG) == g
     assert abs(g) <= PEAK + 1e-12
     assert rrc_impulse_deriv(-x, CFG) == -rrc_impulse_deriv(x, CFG)
+    assert pulse_autocorr(-x, CFG) == pulse_autocorr(x, CFG)
 
 
 # ---------------------------------------------------------------------------

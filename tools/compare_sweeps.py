@@ -5,22 +5,28 @@
 
 Each tree is a checkout that holds ``src/rissync``. Every spec in ``SPECS``
 and the ``convergence`` traces in ``TRACES`` run once per tree, with
-``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``. For each output file
-the script prints ``identical`` when the bytes match; otherwise, for every
-(metric, column) that moved, the largest relative drift
-``|a - b| / max(|a|, |b|)`` over its rows. It exits 1 when an output's row
-keys, ``trials`` or ``excluded`` differ between the trees, and 0 otherwise;
-when a trace's length differs it also prints both iteration counts and the
-relative drift of the final objective. Standard library only.
+``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``. So does the ``pulse``
+output: the raw float64 bytes of the functions in ``PULSE_FUNCTIONS`` at
+fixed points (``write_pulse_values``). For each output the script prints
+``identical`` when the bytes match; otherwise, for every (metric, column)
+that moved, or every pulse function, the largest relative drift
+``|a - b| / max(|a|, |b|)`` over its rows or values. It exits 1 when an
+output's row keys, ``trials`` or ``excluded`` differ between the trees, or a
+pulse value's count or finiteness, and 0 otherwise; when a trace's length
+differs it also prints both iteration counts and the relative drift of the
+final objective. Standard library only; the ``pulse`` child imports the
+tree's ``rissync`` and numpy.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from array import array
 
 _ESTIMATION = ["--kind", "estimation", "--scenario", "rayleigh", "--surfaces", "2",
                "--nx", "4", "--ny", "4", "--offset-model", "uniform",
@@ -74,11 +80,55 @@ TRACES = {
                           "--snr-db", "10", "--seed", "0"],
 }
 
+# The `pulse` output holds each of these functions of `rissync.pulse`, in
+# turn, at every rolloff and span below, on the points of `_pulse_points`.
+PULSE_FUNCTIONS = ("rrc_impulse", "rrc_impulse_deriv", "pulse_autocorr")
+PULSE_ROLLOFFS = (0.1, 0.22, 0.25, 0.35, 0.5, 1.0)
+PULSE_SPANS = (2, 4, 6)
 
-def _run(tree: str, args: list, out: str):
+
+def _pulse_points(rolloff: float, span: int):
+    """A 1e-3 grid one symbol past the support; around 0, both removable
+    singularities and the support's end, a 5e-6 grid over twice the
+    series switch radius and the nearest three floats on each side; then all
+    of it mirrored, which makes -0.0 one of the points."""
+    import numpy as np
+
+    centres = np.array([0.0, 1.0 / (4.0 * rolloff), 1.0 / (2.0 * rolloff), float(span)])
+    neighbours = [centres]
+    for direction in (np.inf, -np.inf):
+        step = centres
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            neighbours.append(step)
+    near = (centres[:, None] + np.linspace(-2e-3, 2e-3, 801)).ravel()
+    grid = np.arange(-(span + 1) * 1000, (span + 1) * 1000 + 1) / 1000.0
+    points = np.concatenate([grid, near, *neighbours])
+    return np.concatenate([points, -points])
+
+
+def write_pulse_values(path: str):
+    """Write the ``pulse`` output of the ``rissync`` on the import path."""
+    from rissync import PulseConfig, pulse
+
+    with open(path, "wb") as fh:
+        for name in PULSE_FUNCTIONS:
+            for rolloff in PULSE_ROLLOFFS:
+                for span in PULSE_SPANS:
+                    values = getattr(pulse, name)(_pulse_points(rolloff, span),
+                                                  PulseConfig(rolloff=rolloff, span=span))
+                    fh.write(values.tobytes())
+
+
+# run in a child with the tree's rissync: argv is this directory, the out path
+_PULSE_CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import compare_sweeps; "
+                "compare_sweeps.write_pulse_values(sys.argv[2])")
+
+
+def _run(tree: str, *args: str):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "rissync.cli", *args, "--out", out]
+    cmd = [sys.executable, *args]
     done = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True)
     if done.returncode != 0:
@@ -86,18 +136,22 @@ def _run(tree: str, args: list, out: str):
 
 
 def outputs(tree: str, work: str) -> dict:
-    """Run every spec on one tree; output name -> CSV text."""
+    """Run every spec on one tree; output name -> CSV text, or bytes for ``pulse``."""
     texts = {}
     for name, args in SPECS.items():
         path = os.path.join(work, f"{name}.csv")
-        _run(tree, ["sweep", *args], path)
+        _run(tree, "-m", "rissync.cli", "sweep", *args, "--out", path)
         with open(path, encoding="utf-8") as fh:
             texts[name] = fh.read()
     for name, args in TRACES.items():
         prefix = os.path.join(work, name)
-        _run(tree, ["convergence", *args], prefix)
+        _run(tree, "-m", "rissync.cli", "convergence", *args, "--out", prefix)
         with open(f"{prefix}-accelerated.csv", encoding="utf-8") as fh:
             texts[f"{name}-accelerated"] = fh.read()
+    path = os.path.join(work, "pulse.bin")
+    _run(tree, "-c", _PULSE_CHILD, os.path.dirname(os.path.abspath(__file__)), path)
+    with open(path, "rb") as fh:
+        texts["pulse"] = fh.read()
     return texts
 
 
@@ -136,6 +190,28 @@ def compare(old: str, new: str) -> tuple[list, dict]:
     return problems, drifts
 
 
+def compare_values(old: bytes, new: bytes) -> tuple[list, dict]:
+    """The ``pulse`` output's structural differences and
+    {(function, "value"): largest relative drift}.
+
+    Values must agree in count, and each pair in finiteness; two NaNs agree.
+    """
+    old_values, new_values = array("d", old), array("d", new)
+    if len(old_values) != len(new_values):
+        return [f"{len(old_values)} -> {len(new_values)} values"], {}
+    per_function = len(old_values) // len(PULSE_FUNCTIONS)
+    turned, drifts = {}, {}
+    for i, (a, b) in enumerate(zip(old_values, new_values)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        name = PULSE_FUNCTIONS[i // per_function]
+        if math.isfinite(a) and math.isfinite(b):
+            drifts[(name, "value")] = max(drifts.get((name, "value"), 0.0), _drift(a, b))
+        else:
+            turned[name] = turned.get(name, 0) + 1
+    return [f"{name}: {count} values change finiteness" for name, count in turned.items()], drifts
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
@@ -150,7 +226,7 @@ def main(argv) -> int:
         if old == new:
             print(f"{name}: identical")
             continue
-        problems, drifts = compare(old, new)
+        problems, drifts = (compare_values if name == "pulse" else compare)(old, new)
         failed = failed or bool(problems)
         if not (problems or drifts):
             print(f"{name}: bytes differ, values equal")
