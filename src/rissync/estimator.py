@@ -13,6 +13,11 @@ against ``Z = Phi^H Y``, the observation correlated with every phase column,
 and the channel and residual are per-element closed forms. Other training is
 rejected; ``residual_cost`` keeps a dense QR as the reference.
 
+``gen_training``'s scaled-DFT phases depend only on the sizes, so they are
+built and checked for orthogonality once per size (``_dft_phases``) and
+shared, read-only; a hand-built ``TrainingPattern`` is checked once per
+pattern, on first use.
+
 Each search scores a coarse offset grid in one batch, then zooms in on the
 best cell (``_search_offset``). A batch is one pulse call on the few dozen
 distinct lag times of a steering matrix, times the lag-pilot matrix formed
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,7 +85,8 @@ class TrainingPattern:
 
     @cached_property
     def column_energies(self) -> np.ndarray:
-        """Diagonal |Phi_i|^2 of ``phases^H phases``, formed once per pattern.
+        """Diagonal |Phi_i|^2 of ``phases^H phases``, formed once per pattern
+        (``gen_training`` fills it in with the energies shared by its size).
         Raises ValueError, on every read, unless that Gram is diagonal."""
         return _column_energies(self.phases)
 
@@ -101,16 +107,28 @@ def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
 
     With M patterns, entry (m, i) of the phase matrix is exp(-2j*pi*m*i/M),
     so at the default M = N*K the patterns satisfy phases @ phases^H =
-    NK * identity. The pilot has unit-modulus symbols, deterministic per seed.
+    NK * identity. The phases and their checked column energies are built
+    once per (M, N*K) and shared, read-only, by every pattern of that size;
+    only the pilot is drawn here: unit-modulus symbols, deterministic per seed.
     """
+    phases, energies = _dft_phases(cfg.patterns, cfg.total_elements)
     rng = np.random.default_rng(seed)
-    m_pat, nk = cfg.patterns, cfg.total_elements
+    quadrants = rng.integers(0, 4, cfg.pulse.seq_len)
+    pilot = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrants))
+    tp = TrainingPattern(phases=phases, pilot=pilot)
+    vars(tp)["column_energies"] = energies  # fill the cached_property: already checked
+    return tp
+
+
+@lru_cache(maxsize=4)
+def _dft_phases(m_pat: int, nk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m_pat, nk) scaled-DFT phase matrix and its column energies, both
+    read-only; ValueError unless its columns are orthogonal."""
     rows = np.arange(m_pat)[:, None]
     cols = np.arange(nk)[None, :]
     phases = np.exp(-2j * np.pi * rows * cols / m_pat)
-    quadrants = rng.integers(0, 4, cfg.pulse.seq_len)
-    pilot = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrants))
-    return TrainingPattern(phases=phases, pilot=pilot)
+    phases.flags.writeable = False
+    return phases, _column_energies(phases)
 
 
 def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:

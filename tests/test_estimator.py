@@ -3,6 +3,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rissync import SingularSystemError, SystemConfig, harness
 from rissync.channel import ChannelSet, cascade, gain_matrix, gen_rayleigh
@@ -82,6 +84,32 @@ def test_more_patterns_than_elements_is_allowed():
     # columns stay orthogonal: phases^H phases = M * I
     gram = tp.phases.conj().T @ tp.phases
     assert np.max(np.abs(gram - 7 * np.eye(4))) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(k_surf=st.integers(1, 3), n_el=st.integers(1, 4), extra=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 2))
+def test_training_phases_are_shared_read_only_per_size(k_surf, n_el, extra, seed):
+    cfg = SystemConfig(k_surf, n_el, n_patterns=k_surf * n_el + extra)
+    m_pat, nk = cfg.patterns, cfg.total_elements
+    tp, other_seed = gen_training(cfg, seed), gen_training(cfg, seed + 1)
+    rows = np.arange(m_pat)[:, None]
+    cols = np.arange(nk)[None, :]
+    assert tp.phases.tobytes() == np.exp(-2j * np.pi * rows * cols / m_pat).tobytes()
+    np.testing.assert_allclose(tp.column_energies, m_pat, rtol=1e-12, atol=0)
+    # one array per (patterns, elements), whichever config or seed asks
+    swapped = gen_training(SystemConfig(n_el, k_surf, n_patterns=m_pat), seed)
+    for shared in (other_seed, swapped):
+        assert shared.phases is tp.phases
+        assert shared.column_energies is tp.column_energies
+    bigger = gen_training(SystemConfig(k_surf, n_el, n_patterns=m_pat + 1), seed)
+    assert bigger.phases is not tp.phases
+    assert bigger.column_energies is not tp.column_energies
+    with pytest.raises(ValueError):
+        tp.phases[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        tp.column_energies[0] = 0.0
+    assert not np.array_equal(tp.pilot, other_seed.pilot)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +362,13 @@ def test_orthogonality_is_checked_once_per_pattern(monkeypatch):
         return column_energies(phases)
 
     monkeypatch.setattr(estimator_module, "_column_energies", counting)
-    _, tp, _, y = _instance(CFG, 73, noise_var=0.1)
-    res = mle_alternating(y, tp, CFG)
-    ls_channel(res.offsets, y, tp, CFG)
-    crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
+    # gen_training's phases are checked once per size, whatever the seed
+    estimator_module._dft_phases.cache_clear()
+    for seed in (73, 74, 75):
+        _, tp, _, y = _instance(CFG, seed, noise_var=0.1)
+        res = mle_alternating(y, tp, CFG)
+        ls_channel(res.offsets, y, tp, CFG)
+        crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
     assert len(formed) == 1
     # a failed check is not cached: every entry point raises, every time
     rng = np.random.default_rng(2)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import rissync.estimator as estimator
 import rissync.harness as harness
 from rissync.errors import FailureRateError, SingularSystemError
 from rissync.estimator import EstimationResult
@@ -147,6 +148,17 @@ def test_crlb_sweep_scales_linearly_with_noise_power():
     for metric in ("channel_crlb", "timing_crlb"):
         assert rows[(10.0, metric)] == pytest.approx(
             rows[(0.0, metric)] / 10, rel=1e-12)
+
+
+def test_crlb_sweep_is_the_same_on_a_cold_and_a_warm_training_cache():
+    # the shared training phases carry no state from one trial or sweep to the next
+    spec = ExperimentSpec(scenario="mmwave", n_surfaces=4, n_x=4, n_y=4,
+                          offset_model="uniform", snr_grid_db=(0.0, 10.0, 20.0, 30.0),
+                          trials=25, base_seed=101)
+    estimator._dft_phases.cache_clear()
+    cold = format_sweep_rows(run_crlb_sweep(spec))
+    assert estimator._dft_phases.cache_info().misses == 1
+    assert format_sweep_rows(run_crlb_sweep(spec)) == cold
 
 
 def test_crlb_sweep_matches_estimation_sweep_bounds():
