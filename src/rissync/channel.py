@@ -5,7 +5,7 @@ outbound vector (surface to destination). What the receiver can identify is
 only their elementwise product after reflection, the cascaded channel; this
 module generates the raw vectors (Rayleigh or clustered mmWave), forms the
 cascaded vector, and packs the per-surface segments into the block-diagonal
-gain matrix used throughout estimation and design.
+gain matrix used throughout estimation and design (``block_gains``).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ __all__ = [
     "array_response",
     "gen_mmwave",
     "cascade",
-    "gain_matrix",
+    "block_gains",
 ]
 
 
@@ -47,14 +47,6 @@ class ChannelSet:
         if not (np.all(np.isfinite(inb)) and np.all(np.isfinite(outb))):
             raise ValueError("channel entries must be finite")
 
-    @property
-    def n_surfaces(self) -> int:
-        return self.inbound.shape[0]
-
-    @property
-    def n_elements(self) -> int:
-        return self.inbound.shape[1]
-
 
 @dataclass(frozen=True)
 class MmWaveParams:
@@ -63,22 +55,11 @@ class MmWaveParams:
     The outbound side combines ``n_paths`` reflected paths per surface; the
     inbound side is a single line-of-sight path. ``n_x`` is the horizontal
     element count of the rectangular surface (the vertical count follows from
-    N), and ``spacing_phase`` is the wavenumber-times-spacing product, pi for
-    half-wavelength spacing. Angles and gains may be pinned explicitly (shape
-    (K, n_paths) per outbound field, (K,) per inbound field); anything left
-    as None is drawn from the seed: azimuth uniform on [0, 2pi), elevation
-    uniform on [0, pi), gains standard complex Gaussian.
+    N).
     """
 
     n_paths: int = 10
     n_x: int = 4
-    spacing_phase: float = np.pi
-    out_azimuth: np.ndarray | None = None
-    out_elevation: np.ndarray | None = None
-    out_gains: np.ndarray | None = None
-    in_azimuth: np.ndarray | None = None
-    in_elevation: np.ndarray | None = None
-    in_gains: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("n_paths", "n_x"):
@@ -98,21 +79,21 @@ def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def array_response(azimuth, elevation, n_elements: int,
-                   n_x: int = 4, spacing_phase: float = np.pi) -> np.ndarray:
-    """Unit-norm response of an N-element rectangular surface.
+def array_response(azimuth, elevation, n_elements: int, n_x: int = 4) -> np.ndarray:
+    """Unit-norm response of an N-element rectangular surface with
+    half-wavelength spacing.
 
     Element (m, n) with 0 <= m < n_x sits at flat index n*n_x + m and
-    contributes phase spacing_phase*(m*sin(azimuth)*sin(elevation)
-    + n*cos(elevation)); every entry has magnitude 1/sqrt(N). Arrays of
-    angles broadcast against each other and gain a last axis of N elements.
+    contributes phase pi*(m*sin(azimuth)*sin(elevation) + n*cos(elevation));
+    every entry has magnitude 1/sqrt(N). Arrays of angles broadcast against
+    each other and gain a last axis of N elements.
     """
     if n_elements % n_x:
         raise ValueError(f"n_elements={n_elements} not divisible by n_x={n_x}")
     az, el = np.asarray(azimuth)[..., None], np.asarray(elevation)[..., None]
     m = np.arange(n_x) * np.sin(az) * np.sin(el)
     n = np.arange(n_elements // n_x) * np.cos(el)
-    phase = spacing_phase * (n[..., :, None] + m[..., None, :])
+    phase = np.pi * (n[..., :, None] + m[..., None, :])
     return np.exp(1j * phase.reshape(phase.shape[:-2] + (n_elements,))) / np.sqrt(n_elements)
 
 
@@ -121,36 +102,23 @@ def gen_mmwave(cfg: SystemConfig, params: MmWaveParams, seed) -> ChannelSet:
 
     Outbound vector k is sqrt(N/n_paths) times the gain-conjugate-weighted sum
     of path responses; inbound vector k is sqrt(N) times a single gain times
-    its response.
+    its response. Azimuths are uniform on [0, 2pi), elevations uniform on
+    [0, pi) and gains standard complex Gaussian, drawn in this order:
+    outbound azimuth, elevation and gain, then the inbound three.
     """
     rng = np.random.default_rng(seed)
-    k_surf, n_el = cfg.n_surfaces, cfg.n_elements
-    n_p = params.n_paths
+    k_surf, n_el, n_p = cfg.n_surfaces, cfg.n_elements, params.n_paths
+    out_az = rng.uniform(0.0, 2.0 * np.pi, (k_surf, n_p))
+    out_el = rng.uniform(0.0, np.pi, (k_surf, n_p))
+    out_g = _std_complex(rng, (k_surf, n_p))
+    in_az = rng.uniform(0.0, 2.0 * np.pi, k_surf)
+    in_el = rng.uniform(0.0, np.pi, k_surf)
+    in_g = _std_complex(rng, k_surf)
 
-    def draw(given, shape, kind):
-        if given is not None:
-            arr = np.asarray(given)
-            if arr.shape != shape:
-                raise ValueError(f"expected shape {shape}, got {arr.shape}")
-            return arr
-        if kind == "az":
-            return rng.uniform(0.0, 2.0 * np.pi, shape)
-        if kind == "el":
-            return rng.uniform(0.0, np.pi, shape)
-        return _std_complex(rng, shape)
-
-    out_az = draw(params.out_azimuth, (k_surf, n_p), "az")
-    out_el = draw(params.out_elevation, (k_surf, n_p), "el")
-    out_g = draw(params.out_gains, (k_surf, n_p), "gain")
-    in_az = draw(params.in_azimuth, (k_surf,), "az")
-    in_el = draw(params.in_elevation, (k_surf,), "el")
-    in_g = draw(params.in_gains, (k_surf,), "gain")
-
-    geometry = (n_el, params.n_x, params.spacing_phase)
     # Summing over the middle axis of (K, n_paths, N) adds the paths in order.
-    paths = (np.conj(out_g)[..., None] * array_response(out_az, out_el, *geometry)).sum(axis=1)
-    outbound = np.sqrt(n_el / n_p) * paths
-    inbound = (np.sqrt(n_el) * in_g)[:, None] * array_response(in_az, in_el, *geometry)
+    responses = array_response(out_az, out_el, n_el, params.n_x)
+    outbound = np.sqrt(n_el / n_p) * (np.conj(out_g)[..., None] * responses).sum(axis=1)
+    inbound = (np.sqrt(n_el) * in_g)[:, None] * array_response(in_az, in_el, n_el, params.n_x)
     return ChannelSet(inbound=inbound, outbound=outbound)
 
 
@@ -175,8 +143,3 @@ def block_gains(cascaded: np.ndarray, n_surfaces: int) -> np.ndarray:
     diagonal = np.arange(n_surfaces)
     out.reshape(n_surfaces, n_surfaces, -1)[diagonal, diagonal] = cascaded.reshape(n_surfaces, -1)
     return out
-
-
-def gain_matrix(ch: ChannelSet) -> np.ndarray:
-    """Block-diagonal (K, N*K) gain structure of a channel realization."""
-    return block_gains(cascade(ch), ch.n_surfaces)

@@ -113,7 +113,8 @@ def _add_spec_flags(sp: argparse.ArgumentParser):
     sp.add_argument("--trials", type=int, help="Monte Carlo trials per SNR point")
     sp.add_argument("--offset-model", choices=OFFSET_MODELS,
                     help="how true timing offsets are drawn ('sweep --kind async' "
-                         "always draws clustered common-delta offsets)")
+                         "always draws clustered common-delta offsets and rejects "
+                         "any other value)")
     sp.add_argument("--delta-max", type=float, metavar="D",
                     help="per-surface deviation bound for the common-delta model")
     sp.add_argument("--algorithm", choices=ALGORITHMS,
@@ -182,6 +183,10 @@ def _run(args: argparse.Namespace) -> int:
     runners = _runners()
     if kind not in runners:
         raise ValueError(f"kind must be one of {sorted(runners)}, got {kind!r}")
+    offset_model = args.offset_model or settings.get("offset_model")
+    if kind == "async" and offset_model not in (None, "common-delta"):
+        raise ValueError(f"--offset-model {offset_model} does not apply to kind 'async', "
+                         "which always draws common-delta offsets")
     rows = runners[kind](spec)
     _write_text(args.out, format_sweep_rows(rows))
     return 0

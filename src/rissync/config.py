@@ -5,15 +5,21 @@ import operator
 from dataclasses import dataclass, field
 
 
-def positive_int(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= 1 (2.0 is not)."""
+def int_at_least(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``least``
+    (2.0 and "2" are not integers)."""
     try:
         whole = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if whole < 1:
-        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if whole < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return whole
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 1."""
+    return int_at_least(value, name, 1)
 
 
 @dataclass(frozen=True)

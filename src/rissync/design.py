@@ -114,10 +114,6 @@ class DesignInputs:
         object.__setattr__(self, "channel_cov", cov)
         object.__setattr__(self, "noise_cov", noise)
 
-    @property
-    def n_surfaces(self) -> int:
-        return self.offsets.size
-
 
 @dataclass(frozen=True)
 class DesignProblem:
@@ -438,7 +434,7 @@ def design_phase_aligned(inputs: DesignInputs, cfg: SystemConfig) -> DesignResul
     do. No iteration is involved.
     """
     theta = np.exp(-1j * np.angle(inputs.channel))
-    common = np.full(inputs.n_surfaces, float(np.mean(inputs.offsets)))
+    common = np.full(inputs.offsets.size, float(np.mean(inputs.offsets)))
     belief = build_problem(replace(inputs, offsets=common), cfg)
     equalizer = mmse_equalizer(theta, belief)
     objective = mse_compact(theta, equalizer, belief)

@@ -36,7 +36,7 @@ import numpy as np
 from .channel import ChannelSet, cascade
 from .config import SystemConfig
 from .errors import SingularSystemError
-from .pulse import lag_pilot_matrix, rrc_impulse, steering_matrix
+from .pulse import _OFFSET_EDGE, lag_pilot_matrix, rrc_impulse, steering_matrix
 
 __all__ = [
     "TrainingPattern",
@@ -240,7 +240,6 @@ def residual_cost(offsets, y: np.ndarray, tp: TrainingPattern,
     return max(total - captured, 0.0)
 
 
-_EDGE = 1.0 - 1e-9  # keep searches strictly inside the open interval
 _GRID = np.arange(-0.99, 0.991, GRID_STEP)
 # 21 points across +-one spacing of the level before: tenfold finer per level
 # (float arange and math.log10: an int/float division or np.log10 here paged
@@ -267,24 +266,25 @@ def _captured(z: np.ndarray, energy: np.ndarray, unit_pilots: np.ndarray) -> np.
 
 
 def _search_offset(z: np.ndarray, energy: np.ndarray, lag_pilots: tuple,
-                   grid_pilots: np.ndarray, cfg: SystemConfig, start: float) -> float:
+                   grid_pilots: np.ndarray, cfg: SystemConfig) -> float:
     """Offset that maximizes the captured energy: the coarse grid over (-1, 1)
     scored in one batch against the shared ``grid_pilots``, then a zoom that
     scores 21 offsets across the winner's +-GRID_STEP cell, re-centres on the
     best point seen and shrinks the cell to one spacing, down to a spacing of
-    FINAL_SPACING. The first batch also holds the incumbent ``start``, so the
-    result is never worse than it, the grid winner or any scored point.
+    FINAL_SPACING. The first batch also holds offset 0, a truncation-jump
+    point that the zoom need not reach, so the result is never worse than
+    it, the grid winner or any scored point.
     """
     centre = _GRID[int(np.argmax(_captured(z, energy, grid_pilots)))]
-    points = np.append(start, np.clip(centre + GRID_STEP * _ZOOM, -_EDGE, _EDGE))
-    best_x, best, half = start, -np.inf, GRID_STEP
+    points = np.append(0.0, np.clip(centre + GRID_STEP * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE))
+    best_x, best, half = 0.0, -np.inf, GRID_STEP
     for _ in range(_LEVELS):
         scores = _captured(z, energy, _unit_pilots(points, lag_pilots, cfg))
         i = int(np.argmax(scores))
         if scores[i] > best:
             best_x, best = float(points[i]), scores[i]
         half /= 10.0
-        points = np.clip(best_x + half * _ZOOM, -_EDGE, _EDGE)
+        points = np.clip(best_x + half * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
     return best_x
 
 
@@ -302,26 +302,21 @@ def _result_at(eps: np.ndarray, z: np.ndarray, y: np.ndarray, tp: TrainingPatter
     )
 
 
-def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
-                    init=None) -> EstimationResult:
+def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> EstimationResult:
     """Joint timing/channel maximum-likelihood estimate.
 
     With orthogonal training the profile objective is a sum of per-surface
     terms, so each offset comes from its own 1-D search (grid plus zoom to
-    ``FINAL_SPACING``, never worse than its ``init`` entry). The channel
-    estimate is the least-squares solve at the returned offsets.
+    ``FINAL_SPACING``). The channel estimate is the least-squares solve at
+    the returned offsets.
     """
-    k_surf, n_el = cfg.n_surfaces, cfg.n_elements
-    eps = np.zeros(k_surf) if init is None else np.asarray(init, dtype=float).copy()
-    if eps.shape != (k_surf,) or np.any(np.abs(eps) >= 1.0):
-        raise ValueError("init must provide one offset in (-1, 1) per surface")
-
+    n_el, eps = cfg.n_elements, np.zeros(cfg.n_surfaces)
     z, energy = _pattern_correlation(y, tp, cfg)
     lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
     grid_pilots = _unit_pilots(_GRID, lags, cfg)
-    for k in range(k_surf):
+    for k in range(cfg.n_surfaces):
         rows = slice(k * n_el, (k + 1) * n_el)
-        eps[k] = _search_offset(z[rows], energy[rows], lags, grid_pilots, cfg, eps[k])
+        eps[k] = _search_offset(z[rows], energy[rows], lags, grid_pilots, cfg)
     return _result_at(eps, z, y, tp, cfg)
 
 
@@ -332,5 +327,5 @@ def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
     least-squares channel."""
     z, energy = _pattern_correlation(y, tp, cfg)
     lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
-    value = _search_offset(z, energy, lags, _unit_pilots(_GRID, lags, cfg), cfg, 0.0)
+    value = _search_offset(z, energy, lags, _unit_pilots(_GRID, lags, cfg), cfg)
     return _result_at(np.full(cfg.n_surfaces, value), z, y, tp, cfg)

@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .channel import ChannelSet, MmWaveParams, cascade, gen_mmwave, gen_rayleigh
-from .config import SystemConfig, positive_int
+from .config import SystemConfig, int_at_least, positive_int
 from .crlb import crlb
 from .design import (
     DesignInputs,
@@ -40,6 +40,7 @@ from .design import (
 from .errors import FailureRateError, SingularSystemError
 from .estimator import (TrainingPattern, gen_training, mle_alternating,
                         mle_common_offset, simulate_training)
+from .pulse import _OFFSET_EDGE
 
 __all__ = [
     "ExperimentSpec",
@@ -62,9 +63,6 @@ EXCLUSION_LIMIT = 0.01
 
 # Spawn order of the per-trial child streams; changing it changes every draw.
 _STREAM_NAMES = ("channel", "offsets", "pilot", "noise", "design")
-
-# Keep drawn offsets strictly inside the open unit interval.
-_OFFSET_EDGE = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ class ExperimentSpec:
         if not 0.0 <= float(self.delta_max) < 2.0:
             raise ValueError("delta_max must lie in [0, 2)")
         object.__setattr__(self, "snr_grid_db", grid)
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "base_seed", int_at_least(self.base_seed, "base_seed", 0))
         object.__setattr__(self, "delta_max", float(self.delta_max))
 
     @property

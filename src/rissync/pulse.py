@@ -246,6 +246,11 @@ def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, n
     return times, a
 
 
+# Largest offset magnitude that a timing search or an offset draw may reach:
+# steering matrices take offsets strictly inside the open interval (-1, 1).
+_OFFSET_EDGE = 1.0 - 1e-9
+
+
 def _shifted(pulse, offset, cfg: PulseConfig) -> np.ndarray:
     """``pulse`` at every entry's sample time minus ``offset`` (per offset, if
     an array), from one evaluation over the distinct times."""

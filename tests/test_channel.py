@@ -7,8 +7,8 @@ from rissync.channel import (
     ChannelSet,
     MmWaveParams,
     array_response,
+    block_gains,
     cascade,
-    gain_matrix,
     gen_mmwave,
     gen_rayleigh,
 )
@@ -106,11 +106,11 @@ def _mmwave_loop(cfg, params, out_az, out_el, out_g, in_az, in_el, in_g):
     inbound = np.zeros((cfg.n_surfaces, n_el), dtype=complex)
     for k in range(cfg.n_surfaces):
         paths = sum(np.conj(out_g[k, p]) * _literal_response(
-            out_az[k, p], out_el[k, p], n_el, params.n_x, params.spacing_phase)
+            out_az[k, p], out_el[k, p], n_el, params.n_x, np.pi)
             for p in range(n_p))
         outbound[k] = np.sqrt(n_el / n_p) * paths
         inbound[k] = np.sqrt(n_el) * in_g[k] * _literal_response(
-            in_az[k], in_el[k], n_el, params.n_x, params.spacing_phase)
+            in_az[k], in_el[k], n_el, params.n_x, np.pi)
     return inbound, outbound
 
 
@@ -131,21 +131,6 @@ def test_mmwave_matches_per_path_loop(k_surf, n_el, n_x, n_paths):
         inbound, outbound = _mmwave_loop(cfg, params, *draws)
         ch = gen_mmwave(cfg, params, seed)
         assert np.array_equal(ch.inbound, inbound) and np.array_equal(ch.outbound, outbound)
-
-
-def test_mmwave_pinned_overrides_match_per_path_loop():
-    rng = np.random.default_rng(8)
-    cfg = SystemConfig(3, 12)
-    pinned = dict(
-        out_azimuth=rng.uniform(0, 2 * np.pi, (3, 4)), out_elevation=rng.uniform(0, np.pi, (3, 4)),
-        out_gains=rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
-        in_azimuth=rng.uniform(0, 2 * np.pi, 3), in_elevation=rng.uniform(0, np.pi, 3),
-        in_gains=rng.standard_normal(3) + 1j * rng.standard_normal(3),
-    )
-    params = MmWaveParams(n_paths=4, n_x=3, spacing_phase=2.0, **pinned)
-    inbound, outbound = _mmwave_loop(cfg, params, *pinned.values())
-    ch = gen_mmwave(cfg, params, 0)
-    assert np.array_equal(ch.inbound, inbound) and np.array_equal(ch.outbound, outbound)
 
 
 def test_mmwave_single_path_is_rank_one():
@@ -173,32 +158,12 @@ def test_mmwave_average_energy_scales_with_elements():
     assert np.mean(in_sq) == pytest.approx(16.0, rel=0.03)
 
 
-def test_mmwave_pinned_angles_and_gains():
-    params = MmWaveParams(
-        n_paths=1,
-        out_azimuth=np.array([[0.0]]), out_elevation=np.array([[np.pi / 2]]),
-        out_gains=np.array([[2.0 + 0j]]),
-        in_azimuth=np.array([0.0]), in_elevation=np.array([np.pi / 2]),
-        in_gains=np.array([1j]),
-    )
-    ch = gen_mmwave(SystemConfig(1, 16), params, 0)
-    # broadside response is (1/4)*ones, so outbound = 4*conj(2)*(1/4) = 2
-    np.testing.assert_allclose(ch.outbound[0], np.full(16, 2.0 + 0j), atol=1e-12)
-    np.testing.assert_allclose(ch.inbound[0], np.full(16, 1j), atol=1e-12)
-
-
 @pytest.mark.parametrize("kwargs", [
     {"n_paths": 0}, {"n_paths": 2.5}, {"n_paths": 2.0}, {"n_x": 0}, {"n_x": 2.0}, {"n_x": None},
 ])
 def test_mmwave_rejects_bad_sizes(kwargs):
     with pytest.raises(ValueError):
         MmWaveParams(**kwargs)
-
-
-def test_mmwave_rejects_misshaped_overrides():
-    params = MmWaveParams(n_paths=3, out_azimuth=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        gen_mmwave(SystemConfig(2, 16), params, 0)
 
 
 def test_cascade_hand_values():
@@ -224,20 +189,20 @@ def test_cascade_depends_on_conjugation():
 
 def test_gain_matrix_blocks():
     ch = gen_rayleigh(CFG, 5)
-    mat = gain_matrix(ch)
+    mat = block_gains(cascade(ch), CFG.n_surfaces)
     assert mat.shape == (2, 8)
     np.testing.assert_allclose(mat[0, :4], cascade(ch)[:4])
     np.testing.assert_allclose(mat[1, 4:], cascade(ch)[4:])
     assert np.all(mat[0, 4:] == 0) and np.all(mat[1, :4] == 0)
     single = gen_rayleigh(SystemConfig(1, 6), 3)
-    np.testing.assert_allclose(gain_matrix(single)[0], cascade(single))
+    np.testing.assert_allclose(block_gains(cascade(single), 1)[0], cascade(single))
 
 
 def test_gain_matrix_times_phases_gives_per_surface_gains():
     ch = gen_rayleigh(CFG, 21)
     rng = np.random.default_rng(22)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, CFG.total_elements))
-    gains = gain_matrix(ch) @ theta
+    gains = block_gains(cascade(ch), CFG.n_surfaces) @ theta
     for k in range(CFG.n_surfaces):
         th_k = theta[k * CFG.n_elements:(k + 1) * CFG.n_elements]
         direct = np.conj(ch.outbound[k]) @ (th_k * ch.inbound[k])
@@ -254,7 +219,7 @@ def test_reflected_signal_model_equivalence():
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, CFG.total_elements))
     sym = rng.standard_normal(pulse.seq_len) + 1j * rng.standard_normal(pulse.seq_len)
 
-    gains = gain_matrix(ch) @ theta
+    gains = block_gains(cascade(ch), CFG.n_surfaces) @ theta
     lhs = sum(gains[k] * steering_matrix(offsets[k], pulse) @ sym
               for k in range(CFG.n_surfaces))
     stacked = np.column_stack([steering_matrix(e, pulse) @ sym for e in offsets])

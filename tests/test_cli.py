@@ -184,6 +184,26 @@ def test_usage_errors_exit_one():
 def test_invalid_spec_exits_one(capsys):
     assert cli.main(["estimate", "--trials", "0"]) == 1
     assert "trials" in capsys.readouterr().err
+    assert cli.main(["crlb"] + FAST + ["--seed", "-1"]) == 1
+    assert "base_seed" in capsys.readouterr().err
+
+
+def test_async_rejects_an_offset_model_it_would_ignore(tmp_path, capsys):
+    argv = ["sweep", "--kind", "async"] + FAST
+    assert cli.main(argv + ["--offset-model", "uniform"]) == 1
+    assert "--offset-model" in capsys.readouterr().err
+    uniform = tmp_path / "uniform.cfg"
+    uniform.write_text("offset_model = uniform\n")
+    assert cli.main(argv + ["--config", str(uniform)]) == 1
+    assert "--offset-model" in capsys.readouterr().err
+    # the spec's default model is not an explicit choice, and a flag wins over the file
+    outputs = []
+    for extra in ([], ["--offset-model", "common-delta"],
+                  ["--config", str(uniform), "--offset-model", "common-delta"]):
+        assert cli.main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].startswith("snr_db,metric,mean,stderr,trials,excluded\n")
 
 
 def test_missing_config_exits_one(capsys):
@@ -203,6 +223,23 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_estimation_sweep", doomed)
     assert cli.main(["estimate"] + FAST) == 2
     assert "excluded" in capsys.readouterr().err
+
+
+def test_every_public_name_resolves():
+    """Each name in the package's and every submodule's ``__all__`` exists,
+    so ``from rissync.<module> import *`` cannot fail on a stale entry."""
+    import importlib
+    import pkgutil
+
+    import rissync
+
+    modules = [rissync] + [importlib.import_module(f"rissync.{info.name}")
+                           for info in pkgutil.iter_modules(rissync.__path__)]
+    listed = [m for m in modules if hasattr(m, "__all__")]
+    assert len(listed) >= 7
+    for module in listed:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ lists {missing}"
 
 
 def test_import_needs_no_scipy_and_loads_the_random_streams():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rissync import SingularSystemError, SystemConfig, harness
-from rissync.channel import ChannelSet, cascade, gain_matrix, gen_rayleigh
+from rissync.channel import ChannelSet, block_gains, cascade, gen_rayleigh
 from rissync.estimator import (
     _GRID,
     _LEVELS,
@@ -151,7 +151,7 @@ def test_observation_matrix_matches_per_pattern_stacking():
     stacked = np.column_stack(
         [steering_matrix(e, CFG.pulse) @ tp.pilot for e in offsets]
     )  # (n_samples, K)
-    he = gain_matrix(ch)
+    he = block_gains(cascade(ch), CFG.n_surfaces)
     rhs = (stacked @ (he @ tp.phases.T)).T.reshape(-1)  # pattern-major stack
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
@@ -351,6 +351,29 @@ def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
     assert len(shapes) <= 1 + k_surf * _LEVELS + 2
 
 
+def test_each_search_scores_offset_zero_in_its_first_zoom_batch(monkeypatch):
+    # Offset 0 is a truncation-jump point that the zoom need not land on, so
+    # every search scores it first, next to the 21 points of the first cell.
+    estimator_module = importlib.import_module("rissync.estimator")
+    _, tp, _, y = _instance(CFG, 73, noise_var=0.1)
+    batches = []
+    unit_pilots = estimator_module._unit_pilots
+
+    def recording(offsets, lag_pilots, cfg):
+        batches.append(np.array(offsets))
+        return unit_pilots(offsets, lag_pilots, cfg)
+
+    monkeypatch.setattr(estimator_module, "_unit_pilots", recording)
+    for estimate, searches in ((mle_alternating, CFG.n_surfaces), (mle_common_offset, 1)):
+        batches.clear()
+        estimate(y, tp, CFG)
+        zooms = batches[1:]
+        assert np.array_equal(batches[0], _GRID) and len(zooms) == searches * _LEVELS
+        for first in zooms[::_LEVELS]:
+            assert first.size == 22 and first[0] == 0.0
+        assert all(batch.size == 21 for i, batch in enumerate(zooms) if i % _LEVELS)
+
+
 def test_orthogonality_is_checked_once_per_pattern(monkeypatch):
     crlb_module = importlib.import_module("rissync.crlb")
     estimator_module = importlib.import_module("rissync.estimator")
@@ -471,12 +494,6 @@ def test_mle_nmse_improves_with_snr():
             errs.append(np.linalg.norm(res.channel - true) ** 2 / np.linalg.norm(true) ** 2)
         nmse.append(np.mean(errs))
     assert nmse[0] > nmse[1] > nmse[2] > nmse[3]
-
-
-def test_mle_rejects_bad_init():
-    ch, tp, offsets, y = _instance(CFG, 60)
-    with pytest.raises(ValueError):
-        mle_alternating(y, tp, CFG, init=np.array([0.0, 1.0]))
 
 
 def test_common_offset_variant_ties_all_surfaces():

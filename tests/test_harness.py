@@ -33,6 +33,7 @@ def test_spec_defaults_and_coercion():
     assert cfg.n_surfaces == 2 and cfg.n_elements == 4
     sized = ExperimentSpec(n_surfaces=np.int64(3), n_x=np.int32(2), trials=np.int64(4))
     assert all(type(v) is int for v in (sized.n_surfaces, sized.n_x, sized.trials))
+    assert type(ExperimentSpec(base_seed=np.int64(0)).base_seed) is int
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -51,6 +52,9 @@ def test_spec_defaults_and_coercion():
     dict(n_surfaces=2.0),
     dict(n_y="2"),
     dict(trials=2.7),
+    dict(base_seed=2.7),
+    dict(base_seed=-1),
+    dict(base_seed="3"),
 ])
 def test_spec_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):

@@ -33,8 +33,6 @@ _ESTIMATION = ["--kind", "estimation", "--scenario", "rayleigh", "--surfaces", "
                "--snr-db", "0,10,20,30", "--trials", "1"]
 _DESIGN = ["--kind", "design", "--nx", "4", "--ny", "2", "--offset-model", "common-delta",
            "--trials", "20", "--seed", "77"]
-_ASYNC = ["--kind", "async", "--surfaces", "2", "--nx", "2", "--ny", "1",
-          "--delta-max", "0.3", "--snr-db", "0,10,20", "--trials", "5", "--seed", "7"]
 
 # output name -> arguments of `rissync sweep`
 SPECS = {
@@ -58,8 +56,12 @@ SPECS = {
                               "--seed", "3"],
     "crlb-grid": ["--kind", "crlb", "--surfaces", "2", "--nx", "4", "--ny", "2",
                   "--snr-db=-10,0,5,10,15,20,25,30,40", "--trials", "200", "--seed", "1"],
-    "async-uniform": _ASYNC + ["--offset-model", "uniform"],
-    "async-common-delta": _ASYNC + ["--offset-model", "common-delta"],
+    "async-mmwave": ["--kind", "async", "--scenario", "mmwave", "--surfaces", "3", "--nx", "2",
+                     "--ny", "2", "--delta-max", "0.3", "--snr-db", "0,20", "--trials", "5",
+                     "--seed", "11"],
+    "async-common-delta": ["--kind", "async", "--surfaces", "2", "--nx", "2", "--ny", "1",
+                           "--offset-model", "common-delta", "--delta-max", "0.3",
+                           "--snr-db", "0,10,20", "--trials", "5", "--seed", "7"],
     "async-k3": ["--kind", "async", "--surfaces", "3", "--nx", "2", "--ny", "2",
                  "--snr-db", "0,10,20,30", "--trials", "20", "--seed", "13"],
     "design-bench": ["--kind", "design", "--scenario", "rayleigh", "--surfaces", "2",
