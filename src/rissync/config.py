@@ -1,6 +1,7 @@
 """Scenario configuration objects shared across the package."""
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -15,6 +16,13 @@ def int_at_least(value, name: str, least: int) -> int:
     if whole < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return whole
+
+
+def finite_real(value, name: str) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number ("1" is not)."""
+    if not (isinstance(value, numbers.Real) and abs(value) < float("inf")):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def positive_int(value, name: str) -> int:

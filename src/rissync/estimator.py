@@ -18,12 +18,12 @@ built and checked for orthogonality once per size (``_dft_phases``) and
 shared, read-only; a hand-built ``TrainingPattern`` is checked once per
 pattern, on first use.
 
-Each search scores a coarse offset grid in one batch, then zooms in on the
-best cell (``_search_offset``). A batch is one pulse call on the few dozen
-distinct lag times of a steering matrix, times the lag-pilot matrix formed
-once per estimate. The truncated pulse is still about 0.025 at ``+-span``, so
-the objective jumps at every offset that is a multiple of ``1/oversampling``;
-its best value can lie at the open end of such a step.
+The surfaces' searches run together (``_search_offsets``): a coarse grid, its
+pulse table cached per pulse config, then zoom levels shared by all surfaces,
+each one pulse call at the reachable lag times, multiplied by the lag-pilot
+matrix formed once per estimate. The truncated pulse is still about 0.025 at
+``+-span``, so the objective jumps at every offset that is a multiple of
+``1/oversampling``; its best value can lie at the open end of such a step.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channel import ChannelSet, cascade
-from .config import SystemConfig
+from .config import PulseConfig, SystemConfig
 from .errors import SingularSystemError
 from .pulse import _OFFSET_EDGE, lag_pilot_matrix, rrc_impulse, steering_matrix
 
@@ -248,58 +248,70 @@ _ZOOM = np.arange(-10.0, 11.0) * 0.1
 _LEVELS = math.ceil(math.log10(GRID_STEP / FINAL_SPACING))
 
 
+@lru_cache(maxsize=4)
+def _grid_table(cfg: PulseConfig) -> np.ndarray:
+    """``rrc_impulse(times - _GRID[:, None])`` at the lag-pilot matrix's times,
+    one row per coarse-grid offset. No pilot enters it, so it is built once
+    per pulse config, on first use, and shared read-only."""
+    table = rrc_impulse(lag_pilot_matrix(np.zeros(cfg.seq_len), cfg)[0] - _GRID[:, None], cfg)
+    table.flags.writeable = False
+    return table
+
+
+def _unit_rows(f: np.ndarray) -> np.ndarray:
+    return f / np.sqrt(np.sum(np.abs(f) ** 2, axis=-1))[..., None]
+
+
 def _unit_pilots(offsets: np.ndarray, lag_pilots: tuple, cfg: SystemConfig) -> np.ndarray:
-    """Unit-norm filtered pilots f(x) / |f(x)|, one row per offset x, from one
-    pulse call; ``lag_pilots`` is :func:`~rissync.pulse.lag_pilot_matrix`'s
-    (times, A). They do not depend on the surface."""
+    """Unit-norm filtered pilots f(x) / |f(x)|, one row per offset x (one stack
+    per row of a 2-D ``offsets``: one per surface), from one pulse call;
+    ``lag_pilots`` is :func:`~rissync.pulse.lag_pilot_matrix`'s (times, A)."""
     times, a = lag_pilots
     # a complex product: a real one would page in a second BLAS kernel
-    f = rrc_impulse(times - offsets[:, None], cfg.pulse) @ a.T
-    return f / np.sqrt(np.sum(np.abs(f) ** 2, axis=1))[:, None]
+    return _unit_rows(rrc_impulse(times - offsets[..., None], cfg.pulse) @ a.T)
 
 
 def _captured(z: np.ndarray, energy: np.ndarray, unit_pilots: np.ndarray) -> np.ndarray:
     """Energy captured by the orthogonal columns of the elements whose rows of
-    ``Z`` and phase-column energies are given, sum_i |Z_i u^*|^2 / |Phi_i|^2,
-    for each unit filtered pilot u (row of ``unit_pilots``)."""
-    return np.sum(np.abs(z @ unit_pilots.conj().T) ** 2 / energy[:, None], axis=0)
+    ``Z`` and phase-column energies are given, sum_i |Z_i u^*|^2 / |Phi_i|^2, for
+    each unit filtered pilot u (row of ``unit_pilots``); leading axes broadcast."""
+    scores = np.abs(z @ np.swapaxes(unit_pilots.conj(), -1, -2)) ** 2
+    return np.sum(scores / energy[..., None], axis=-2)
 
 
-def _search_offset(z: np.ndarray, energy: np.ndarray, lag_pilots: tuple,
-                   grid_pilots: np.ndarray, cfg: SystemConfig) -> float:
-    """Offset that maximizes the captured energy: the coarse grid over (-1, 1)
-    scored in one batch against the shared ``grid_pilots``, then a zoom that
-    scores 21 offsets across the winner's +-GRID_STEP cell, re-centres on the
-    best point seen and shrinks the cell to one spacing, down to a spacing of
-    FINAL_SPACING. The first batch also holds offset 0, a truncation-jump
-    point that the zoom need not reach, so the result is never worse than
-    it, the grid winner or any scored point.
+def _search_offsets(z: np.ndarray, energy: np.ndarray, tp: TrainingPattern,
+                    cfg: SystemConfig) -> np.ndarray:
+    """Offset that maximizes the captured energy of each group of elements
+    (stacked as in :func:`_captured`): the cached coarse grid over (-1, 1),
+    then a zoom that scores 21 offsets across the group's winning +-GRID_STEP
+    cell, re-centres on its best point seen and shrinks the cell to one
+    spacing, down to FINAL_SPACING. All groups share each level's pulse call.
+    The first level also holds offset 0, a truncation-jump point the zoom need
+    not reach, so a result is never worse than it or any point scored for it.
     """
-    centre = _GRID[int(np.argmax(_captured(z, energy, grid_pilots)))]
-    points = np.append(0.0, np.clip(centre + GRID_STEP * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE))
-    best_x, best, half = 0.0, -np.inf, GRID_STEP
+    lag_pilots, groups = lag_pilot_matrix(tp.pilot, cfg.pulse), np.arange(z.shape[0])
+    grid_pilots = _unit_rows(_grid_table(cfg.pulse) @ lag_pilots[1].T)
+    centre = _GRID[np.argmax(_captured(z, energy, grid_pilots), axis=-1)]
+    points = np.clip(centre[:, None] + GRID_STEP * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
+    points = np.concatenate([np.zeros((groups.size, 1)), points], axis=1)
+    best_x, best, half = np.zeros(groups.size), np.full(groups.size, -np.inf), GRID_STEP
     for _ in range(_LEVELS):
         scores = _captured(z, energy, _unit_pilots(points, lag_pilots, cfg))
-        i = int(np.argmax(scores))
-        if scores[i] > best:
-            best_x, best = float(points[i]), scores[i]
+        i = np.argmax(scores, axis=-1)
+        better = scores[groups, i] > best
+        best_x = np.where(better, points[groups, i], best_x)
+        best = np.where(better, scores[groups, i], best)
         half /= 10.0
-        points = np.clip(best_x + half * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
+        points = np.clip(best_x[:, None] + half * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
     return best_x
 
 
 def _result_at(eps: np.ndarray, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
                cfg: SystemConfig) -> EstimationResult:
     """Least-squares channel and residual at the searched offsets."""
-    channel, captured = _ls_fit(eps, z, tp, cfg)
+    h, captured = _ls_fit(eps, z, tp, cfg)
     cost = max(float(np.vdot(y, y).real) - captured, 0.0)
-    return EstimationResult(
-        offsets=eps,
-        channel=channel,
-        final_cost=cost,
-        sweeps=1,
-        converged=True,
-    )
+    return EstimationResult(offsets=eps, channel=h, final_cost=cost, sweeps=1, converged=True)
 
 
 def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> EstimationResult:
@@ -307,16 +319,12 @@ def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> Es
 
     With orthogonal training the profile objective is a sum of per-surface
     terms, so each offset comes from its own 1-D search (grid plus zoom to
-    ``FINAL_SPACING``). The channel estimate is the least-squares solve at
-    the returned offsets.
+    ``FINAL_SPACING``; the surfaces share each level's pulse call). The
+    channel estimate is the least-squares solve at the returned offsets.
     """
-    n_el, eps = cfg.n_elements, np.zeros(cfg.n_surfaces)
     z, energy = _pattern_correlation(y, tp, cfg)
-    lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
-    grid_pilots = _unit_pilots(_GRID, lags, cfg)
-    for k in range(cfg.n_surfaces):
-        rows = slice(k * n_el, (k + 1) * n_el)
-        eps[k] = _search_offset(z[rows], energy[rows], lags, grid_pilots, cfg)
+    shape = (cfg.n_surfaces, cfg.n_elements)
+    eps = _search_offsets(z.reshape(*shape, -1), energy.reshape(shape), tp, cfg)
     return _result_at(eps, z, y, tp, cfg)
 
 
@@ -326,6 +334,5 @@ def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
     for all surfaces (one 1-D search over every element), then the
     least-squares channel."""
     z, energy = _pattern_correlation(y, tp, cfg)
-    lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
-    value = _search_offset(z, energy, lags, _unit_pilots(_GRID, lags, cfg), cfg)
+    value = _search_offsets(z[None], energy[None], tp, cfg)[0]
     return _result_at(np.full(cfg.n_surfaces, value), z, y, tp, cfg)

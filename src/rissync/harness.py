@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .channel import ChannelSet, MmWaveParams, cascade, gen_mmwave, gen_rayleigh
-from .config import SystemConfig, int_at_least, positive_int
+from .config import SystemConfig, finite_real, int_at_least, positive_int
 from .crlb import crlb
 from .design import (
     DesignInputs,
@@ -90,16 +90,14 @@ class ExperimentSpec:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         for name in ("n_surfaces", "n_x", "n_y", "trials"):
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
-        grid = tuple(float(s) for s in np.atleast_1d(self.snr_grid_db))
+        grid = tuple(finite_real(s, "snr_grid_db entry") for s in np.atleast_1d(self.snr_grid_db))
         if not grid:
             raise ValueError("snr_grid_db must not be empty")
-        if not all(np.isfinite(grid)):
-            raise ValueError("snr_grid_db entries must be finite")
-        if not 0.0 <= float(self.delta_max) < 2.0:
+        object.__setattr__(self, "delta_max", finite_real(self.delta_max, "delta_max"))
+        if not 0.0 <= self.delta_max < 2.0:
             raise ValueError("delta_max must lie in [0, 2)")
         object.__setattr__(self, "snr_grid_db", grid)
         object.__setattr__(self, "base_seed", int_at_least(self.base_seed, "base_seed", 0))
-        object.__setattr__(self, "delta_max", float(self.delta_max))
 
     @property
     def n_elements(self) -> int:

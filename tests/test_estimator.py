@@ -11,6 +11,8 @@ from rissync.channel import ChannelSet, block_gains, cascade, gen_rayleigh
 from rissync.estimator import (
     _GRID,
     _LEVELS,
+    _ZOOM,
+    GRID_STEP,
     TrainingPattern,
     _captured,
     _pattern_correlation,
@@ -23,7 +25,13 @@ from rissync.estimator import (
     residual_cost,
     simulate_training,
 )
-from rissync.pulse import lag_pilot_matrix, steering_matrix
+from rissync.pulse import (
+    _OFFSET_EDGE,
+    _lag_layout,
+    lag_pilot_matrix,
+    rrc_impulse,
+    steering_matrix,
+)
 
 CFG = SystemConfig(n_surfaces=2, n_elements=4)
 
@@ -327,33 +335,42 @@ def test_batched_grid_matches_single_offset_path():
 
 
 def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
-    # One pulse evaluation for the whole grid, one per zoom level of each
-    # surface, plus the final channel fit; never one per steering-matrix
-    # entry.
+    # One pulse evaluation per zoom level for all surfaces together, one for
+    # the final channel fit, and one for the coarse grid's table when it is
+    # not cached yet: at most _LEVELS + 2 per estimate, whatever K is, and
+    # never one per steering-matrix entry.
     pulse_module = importlib.import_module("rissync.pulse")
     estimator_module = importlib.import_module("rissync.estimator")
-    _, tp, _, y = _instance(CFG, 72, noise_var=0.1)
     shapes = []
-    rrc_impulse = pulse_module.rrc_impulse
 
-    def recording(t, cfg):
+    def recording(t, pulse_cfg):
         shapes.append(np.shape(t))
-        return rrc_impulse(t, cfg)
+        return rrc_impulse(t, pulse_cfg)
 
     monkeypatch.setattr(pulse_module, "rrc_impulse", recording)
     monkeypatch.setattr(estimator_module, "rrc_impulse", recording)
-    mle_alternating(y, tp, CFG)
-    pulse, k_surf = CFG.pulse, CFG.n_surfaces
-    lags = pulse.n_samples + pulse.oversampling * (pulse.seq_len - 1)
-    assert (pulse.n_samples, pulse.seq_len) not in shapes
-    assert all(shape[-1] == lags for shape in shapes)
-    assert shapes.count((_GRID.size, lags)) == 1
-    assert len(shapes) <= 1 + k_surf * _LEVELS + 2
+    for k_surf in (1, 2, 4):
+        cfg = SystemConfig(k_surf, 4)
+        _, tp, _, y = _instance(cfg, 72, noise_var=0.1)
+        pulse = cfg.pulse
+        lags = pulse.n_samples + pulse.oversampling * (pulse.seq_len - 1)
+        reachable = lag_pilot_matrix(tp.pilot, pulse)[0].size
+        estimator_module._grid_table.cache_clear()
+        for cold in (True, False):
+            shapes.clear()
+            mle_alternating(y, tp, cfg)
+            assert (pulse.n_samples, pulse.seq_len) not in shapes
+            assert len(shapes) == _LEVELS + 1 + cold
+            assert shapes.count((_GRID.size, reachable)) == cold
+            assert shapes.count((k_surf, 22, reachable)) == 1
+            assert shapes.count((k_surf, 21, reachable)) == _LEVELS - 1
+            assert shapes[-1] == (k_surf, lags)
 
 
 def test_each_search_scores_offset_zero_in_its_first_zoom_batch(monkeypatch):
     # Offset 0 is a truncation-jump point that the zoom need not land on, so
     # every search scores it first, next to the 21 points of the first cell.
+    # All searches of an estimate share each level's call, one row each.
     estimator_module = importlib.import_module("rissync.estimator")
     _, tp, _, y = _instance(CFG, 73, noise_var=0.1)
     batches = []
@@ -367,11 +384,53 @@ def test_each_search_scores_offset_zero_in_its_first_zoom_batch(monkeypatch):
     for estimate, searches in ((mle_alternating, CFG.n_surfaces), (mle_common_offset, 1)):
         batches.clear()
         estimate(y, tp, CFG)
-        zooms = batches[1:]
-        assert np.array_equal(batches[0], _GRID) and len(zooms) == searches * _LEVELS
-        for first in zooms[::_LEVELS]:
-            assert first.size == 22 and first[0] == 0.0
-        assert all(batch.size == 21 for i, batch in enumerate(zooms) if i % _LEVELS)
+        assert len(batches) == _LEVELS
+        first, *later = batches
+        assert first.shape == (searches, 22) and np.all(first[:, 0] == 0.0)
+        assert all(batch.shape == (searches, 21) for batch in later)
+
+
+def _reference_search(z, energy, tp, cfg):
+    # One surface's search as it ran before the surfaces were batched: its own
+    # grid and zoom calls, on every distinct time of the steering matrix.
+    pulse = cfg.pulse
+    times, index = _lag_layout(pulse)
+    a = np.zeros((pulse.n_samples, times.size), dtype=complex)
+    a[np.arange(pulse.n_samples)[:, None], index] = tp.pilot
+
+    def captured(offsets):
+        f = rrc_impulse(times - offsets[:, None], pulse) @ a.T
+        unit = f / np.sqrt(np.sum(np.abs(f) ** 2, axis=1))[:, None]
+        return np.sum(np.abs(z @ unit.conj().T) ** 2 / energy[:, None], axis=0)
+
+    centre = _GRID[int(np.argmax(captured(_GRID)))]
+    points = np.append(0.0, np.clip(centre + GRID_STEP * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE))
+    best_x, best, half = 0.0, -np.inf, GRID_STEP
+    for _ in range(_LEVELS):
+        scores = captured(points)
+        i = int(np.argmax(scores))
+        if scores[i] > best:
+            best_x, best = float(points[i]), scores[i]
+        half /= 10.0
+        points = np.clip(best_x + half * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
+    return best_x
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_surf=st.integers(1, 4), n_el=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       noise_var=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]))
+def test_batched_search_is_bit_equal_to_the_per_surface_reference(k_surf, n_el, seed,
+                                                                   noise_var):
+    cfg = SystemConfig(k_surf, n_el)
+    offsets = np.random.default_rng(seed).uniform(-_OFFSET_EDGE, _OFFSET_EDGE, k_surf)
+    _, tp, _, y = _instance(cfg, seed, offsets=offsets, noise_var=noise_var)
+    z, energy = _pattern_correlation(y, tp, cfg)
+    want = np.array([_reference_search(z[k * n_el:(k + 1) * n_el],
+                                       energy[k * n_el:(k + 1) * n_el], tp, cfg)
+                     for k in range(k_surf)])
+    assert mle_alternating(y, tp, cfg).offsets.tobytes() == want.tobytes()
+    common = np.full(k_surf, _reference_search(z, energy, tp, cfg))
+    assert mle_common_offset(y, tp, cfg).offsets.tobytes() == common.tobytes()
 
 
 def test_orthogonality_is_checked_once_per_pattern(monkeypatch):

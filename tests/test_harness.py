@@ -34,6 +34,10 @@ def test_spec_defaults_and_coercion():
     sized = ExperimentSpec(n_surfaces=np.int64(3), n_x=np.int32(2), trials=np.int64(4))
     assert all(type(v) is int for v in (sized.n_surfaces, sized.n_x, sized.trials))
     assert type(ExperimentSpec(base_seed=np.int64(0)).base_seed) is int
+    reals = ExperimentSpec(snr_grid_db=np.array([0, 10], dtype=np.int32),
+                           delta_max=np.float32(0.25))
+    assert reals.snr_grid_db == (0.0, 10.0) and reals.delta_max == 0.25
+    assert all(type(v) is float for v in (*reals.snr_grid_db, reals.delta_max))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -55,9 +59,20 @@ def test_spec_defaults_and_coercion():
     dict(base_seed=2.7),
     dict(base_seed=-1),
     dict(base_seed="3"),
+    dict(delta_max="0.3"),
+    dict(delta_max=None),
+    dict(delta_max=0.3 + 0j),
+    dict(delta_max=np.nan),
+    dict(snr_grid_db=["10", "20"]),
+    dict(snr_grid_db=[0.0, "10"]),
+    dict(snr_grid_db=(10.0, 1j)),
+    dict(snr_grid_db=(0.0, np.nan)),
+    dict(snr_grid_db=None),
 ])
 def test_spec_rejects_bad_fields(kwargs):
-    with pytest.raises(ValueError):
+    # every message names the field it rejects
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         ExperimentSpec(**kwargs)
 
 

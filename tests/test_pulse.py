@@ -22,7 +22,7 @@ from rissync import (
     steering_matrix_deriv,
     window_matrix,
 )
-from rissync.pulse import SINGULARITY_TOL, lag_pilot_matrix
+from rissync.pulse import _OFFSET_EDGE, SINGULARITY_TOL, _lag_layout, lag_pilot_matrix
 
 CFG = PulseConfig()  # rolloff 0.22, span 4, oversampling 2, obs_len 12
 BETA = CFG.rolloff
@@ -311,24 +311,32 @@ def test_pulse_is_evaluated_once_per_distinct_lag(oversampling, monkeypatch):
 
 @pytest.mark.parametrize("oversampling", [2, 3])
 def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
-    # A @ g(times - x) is steering_matrix(x) @ pilot with its sums reordered,
-    # for one offset and for a stack of them. At oversampling 3 one lag
-    # rounds to two times, so there are more times than lags.
+    # A @ g(times - x) is steering_matrix(x) @ pilot with its sums reordered
+    # and its zero terms dropped, for one offset and for a stack of them,
+    # anywhere in (-1, 1): only the times with |t| <= span + 1 are kept, and
+    # no dropped time's pulse is nonzero at such an offset. At oversampling 3
+    # one lag rounds to two times, so there are more times than lags.
     cfg = PulseConfig(oversampling=oversampling)
     rng = np.random.default_rng(oversampling)
     pilot = np.exp(1j * np.pi / 4.0 * (2 * rng.integers(0, 4, cfg.seq_len) + 1))
     times, a = lag_pilot_matrix(pilot, cfg)
+    every, index = _lag_layout(cfg)
+    full = np.zeros((cfg.n_samples, every.size), dtype=complex)
+    full[np.arange(cfg.n_samples)[:, None], index] = pilot
+    keep = np.abs(every) <= cfg.span + 1
+    assert np.array_equal(times, every[keep]) and np.array_equal(a, full[:, keep])
     lags = cfg.n_samples + oversampling * (cfg.seq_len - 1)
-    assert a.shape == (cfg.n_samples, times.size)
-    assert (times.size > lags) == (oversampling == 3)
-    assert np.all(np.count_nonzero(a, axis=1) == cfg.seq_len)
+    assert (every.size > lags) == (oversampling == 3) and times.size < every.size
+    edges = np.array([-_OFFSET_EDGE, _OFFSET_EDGE])
+    inside = np.concatenate([np.linspace(-_OFFSET_EDGE, _OFFSET_EDGE, 2001), edges])
+    assert not np.any(rrc_impulse(every[~keep] - inside[:, None], cfg))
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    for x in (0.0, 0.3, -0.77, 0.5):
+    for x in (0.0, 0.3, -0.77, 0.5, -_OFFSET_EDGE, _OFFSET_EDGE):
         assert close(a @ rrc_impulse(times - x, cfg), steering_matrix(x, cfg) @ pilot), x
-    offsets = rng.uniform(-0.999, 0.999, 50)
+    offsets = np.concatenate([rng.uniform(-_OFFSET_EDGE, _OFFSET_EDGE, 50), edges])
     assert close(rrc_impulse(times - offsets[:, None], cfg) @ a.T,
                  steering_matrix(offsets, cfg) @ pilot)
 
