@@ -17,13 +17,15 @@ from .config import SystemConfig, positive_int
 
 __all__ = [
     "ChannelSet",
-    "MmWaveParams",
     "gen_rayleigh",
     "array_response",
     "gen_mmwave",
     "cascade",
     "block_gains",
 ]
+
+# Reflected paths summed into each surface's outbound vector.
+MMWAVE_PATHS = 10
 
 
 @dataclass(frozen=True)
@@ -48,24 +50,6 @@ class ChannelSet:
             raise ValueError("channel entries must be finite")
 
 
-@dataclass(frozen=True)
-class MmWaveParams:
-    """Clustered-propagation parameters for the mmWave generator.
-
-    The outbound side combines ``n_paths`` reflected paths per surface; the
-    inbound side is a single line-of-sight path. ``n_x`` is the horizontal
-    element count of the rectangular surface (the vertical count follows from
-    N).
-    """
-
-    n_paths: int = 10
-    n_x: int = 4
-
-    def __post_init__(self):
-        for name in ("n_paths", "n_x"):
-            object.__setattr__(self, name, positive_int(getattr(self, name), name))
-
-
 def gen_rayleigh(cfg: SystemConfig, seed) -> ChannelSet:
     """Draw iid unit-variance complex Gaussian links for every surface element."""
     rng = np.random.default_rng(seed)
@@ -79,7 +63,7 @@ def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def array_response(azimuth, elevation, n_elements: int, n_x: int = 4) -> np.ndarray:
+def array_response(azimuth, elevation, n_elements: int, n_x: int) -> np.ndarray:
     """Unit-norm response of an N-element rectangular surface with
     half-wavelength spacing.
 
@@ -97,17 +81,20 @@ def array_response(azimuth, elevation, n_elements: int, n_x: int = 4) -> np.ndar
     return np.exp(1j * phase.reshape(phase.shape[:-2] + (n_elements,))) / np.sqrt(n_elements)
 
 
-def gen_mmwave(cfg: SystemConfig, params: MmWaveParams, seed) -> ChannelSet:
+def gen_mmwave(cfg: SystemConfig, n_x: int, seed) -> ChannelSet:
     """Draw clustered mmWave links: multi-path outbound, line-of-sight inbound.
 
-    Outbound vector k is sqrt(N/n_paths) times the gain-conjugate-weighted sum
-    of path responses; inbound vector k is sqrt(N) times a single gain times
-    its response. Azimuths are uniform on [0, 2pi), elevations uniform on
-    [0, pi) and gains standard complex Gaussian, drawn in this order:
-    outbound azimuth, elevation and gain, then the inbound three.
+    Each surface is a rectangular array ``n_x`` elements wide (its height
+    follows from N). Outbound vector k is sqrt(N/MMWAVE_PATHS) times the
+    gain-conjugate-weighted sum of MMWAVE_PATHS path responses; inbound
+    vector k is sqrt(N) times a single gain times its response. Azimuths are
+    uniform on [0, 2pi), elevations uniform on [0, pi) and gains standard
+    complex Gaussian, drawn in this order: outbound azimuth, elevation and
+    gain, then the inbound three.
     """
+    n_x = positive_int(n_x, "n_x")
     rng = np.random.default_rng(seed)
-    k_surf, n_el, n_p = cfg.n_surfaces, cfg.n_elements, params.n_paths
+    k_surf, n_el, n_p = cfg.n_surfaces, cfg.n_elements, MMWAVE_PATHS
     out_az = rng.uniform(0.0, 2.0 * np.pi, (k_surf, n_p))
     out_el = rng.uniform(0.0, np.pi, (k_surf, n_p))
     out_g = _std_complex(rng, (k_surf, n_p))
@@ -115,10 +102,10 @@ def gen_mmwave(cfg: SystemConfig, params: MmWaveParams, seed) -> ChannelSet:
     in_el = rng.uniform(0.0, np.pi, k_surf)
     in_g = _std_complex(rng, k_surf)
 
-    # Summing over the middle axis of (K, n_paths, N) adds the paths in order.
-    responses = array_response(out_az, out_el, n_el, params.n_x)
+    # Summing over the middle axis of (K, paths, N) adds the paths in order.
+    responses = array_response(out_az, out_el, n_el, n_x)
     outbound = np.sqrt(n_el / n_p) * (np.conj(out_g)[..., None] * responses).sum(axis=1)
-    inbound = (np.sqrt(n_el) * in_g)[:, None] * array_response(in_az, in_el, n_el, params.n_x)
+    inbound = (np.sqrt(n_el) * in_g)[:, None] * array_response(in_az, in_el, n_el, n_x)
     return ChannelSet(inbound=inbound, outbound=outbound)
 
 

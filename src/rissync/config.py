@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 
 def int_at_least(value, name: str, least: int) -> int:
@@ -74,30 +75,18 @@ class PulseConfig:
 class SystemConfig:
     """Link-level scenario constants: surface count, element count, pulse grid.
 
-    ``n_patterns`` is the number of training sub-phases; it defaults to the
-    total element count, which is the smallest value that makes the training
-    system identifiable.
+    Every scenario shares the default ``PulseConfig``; training uses one
+    pattern per element, N*K in all, the fewest that make it identifiable.
     """
 
     n_surfaces: int
     n_elements: int
-    pulse: PulseConfig = field(default_factory=PulseConfig)
-    n_patterns: int | None = None
+    pulse: ClassVar[PulseConfig] = PulseConfig()
 
     def __post_init__(self):
-        optional = ("n_patterns",) if self.n_patterns is not None else ()
-        for name in ("n_surfaces", "n_elements", *optional):
+        for name in ("n_surfaces", "n_elements"):
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
-        if self.n_patterns is not None and self.n_patterns < self.total_elements:
-            raise ValueError(
-                f"n_patterns={self.n_patterns} would leave the training system "
-                f"rank deficient; need at least {self.total_elements}"
-            )
 
     @property
     def total_elements(self) -> int:
         return self.n_surfaces * self.n_elements
-
-    @property
-    def patterns(self) -> int:
-        return self.n_patterns if self.n_patterns is not None else self.total_elements

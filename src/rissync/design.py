@@ -358,17 +358,6 @@ def phase_update(theta, problem: DesignProblem) -> np.ndarray:
     return _aligned(surrogate_anchor(theta, problem))
 
 
-def _check_init(init, n_parts: int) -> np.ndarray:
-    if init is None:
-        return np.ones(n_parts, dtype=complex)
-    theta = _as_complex_vector(init, "init")
-    if theta.size != n_parts:
-        raise ValueError(f"init must have {n_parts} entries, got {theta.size}")
-    if np.abs(np.abs(theta) - 1.0).max() > 1e-8:
-        raise ValueError("init phases must be unit modulus")
-    return theta
-
-
 def _squarem_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateAnchor:
     theta, step_one = anchor.theta, _aligned(anchor)
     step_two = _aligned(surrogate_anchor(step_one, problem))
@@ -386,30 +375,30 @@ def _squarem_step(anchor: SurrogateAnchor, problem: DesignProblem) -> SurrogateA
     return surrogate_anchor(step_two, problem)
 
 
-def design_accelerated(problem: DesignProblem, init=None,
-                       max_iters: int = MAX_ITERS) -> DesignResult:
+def design_accelerated(problem: DesignProblem) -> DesignResult:
     """Squared-extrapolation accelerated minorize-maximize design loop.
 
-    Each outer iteration wraps two steps of the ``phase_update`` map: the
-    first comes from the current iterate's anchor, the second from one solve.
-    It extrapolates along the squared fixed-point residual with a
-    Cauchy-Barzilai-Borwein steplength, and halves the step toward the
-    double update until the move is non-increasing in MSE; after
-    ``MAX_BACKTRACKS`` halvings it falls back to the double update, which the
-    surrogate construction already guarantees monotone. Every candidate is
+    The loop starts from all-ones phases. Each outer iteration wraps two
+    steps of the ``phase_update`` map: the first comes from the current
+    iterate's anchor, the second from one solve. It extrapolates along the
+    squared fixed-point residual with a Cauchy-Barzilai-Borwein steplength,
+    and halves the step toward the double update until the move is
+    non-increasing in MSE; after ``MAX_BACKTRACKS`` halvings it falls back to
+    the double update, which the surrogate construction already guarantees
+    monotone. Every candidate is
     scored through its anchor, which carries the phases with their slice
     scores, captured energy and Wiener solve, so the accepted one starts the
     next iteration without another solve and the returned equalizer is the
     last anchor's solve. The loop stops when the captured energy changes by
-    at most ``DESIGN_TOL`` relative, or after ``max_iters`` iterations (reported
+    at most ``DESIGN_TOL`` relative, or after ``MAX_ITERS`` iterations (reported
     through ``converged``). The objective trace stores the achieved MSE at
     every iterate.
     """
-    anchor = surrogate_anchor(_check_init(init, problem.n_parts), problem)
+    anchor = surrogate_anchor(np.ones(problem.n_parts, dtype=complex), problem)
     trace = [problem.window_energy - anchor.recovered]
     tiny = np.finfo(float).tiny
     converged = False
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         previous = anchor.recovered
         anchor = _squarem_step(anchor, problem)
         trace.append(problem.window_energy - anchor.recovered)

@@ -13,8 +13,8 @@ against ``Z = Phi^H Y``, the observation correlated with every phase column,
 and the channel and residual are per-element closed forms. Other training is
 rejected; ``residual_cost`` keeps a dense QR as the reference.
 
-``gen_training``'s scaled-DFT phases depend only on the sizes, so they are
-built and checked for orthogonality once per size (``_dft_phases``) and
+``gen_training``'s scaled-DFT phases depend only on N*K, so they are built
+and checked for orthogonality once per N*K (``_dft_phases``) and
 shared, read-only; a hand-built ``TrainingPattern`` is checked once per
 pattern, on first use.
 
@@ -105,13 +105,13 @@ class EstimationResult:
 def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
     """Scaled-DFT reflection patterns plus a random QPSK pilot.
 
-    With M patterns, entry (m, i) of the phase matrix is exp(-2j*pi*m*i/M),
-    so at the default M = N*K the patterns satisfy phases @ phases^H =
+    With M = N*K patterns, entry (m, i) of the phase matrix is
+    exp(-2j*pi*m*i/M), so the patterns satisfy phases @ phases^H =
     NK * identity. The phases and their checked column energies are built
-    once per (M, N*K) and shared, read-only, by every pattern of that size;
-    only the pilot is drawn here: unit-modulus symbols, deterministic per seed.
+    once per N*K and shared, read-only, by every pattern of that size; only
+    the pilot is drawn here: unit-modulus symbols, deterministic per seed.
     """
-    phases, energies = _dft_phases(cfg.patterns, cfg.total_elements)
+    phases, energies = _dft_phases(cfg.total_elements)
     rng = np.random.default_rng(seed)
     quadrants = rng.integers(0, 4, cfg.pulse.seq_len)
     pilot = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrants))
@@ -121,12 +121,11 @@ def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
 
 
 @lru_cache(maxsize=4)
-def _dft_phases(m_pat: int, nk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (m_pat, nk) scaled-DFT phase matrix and its column energies, both
+def _dft_phases(nk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (nk, nk) scaled-DFT phase matrix and its column energies, both
     read-only; ValueError unless its columns are orthogonal."""
-    rows = np.arange(m_pat)[:, None]
-    cols = np.arange(nk)[None, :]
-    phases = np.exp(-2j * np.pi * rows * cols / m_pat)
+    index = np.arange(nk)
+    phases = np.exp(-2j * np.pi * index[:, None] * index[None, :] / nk)
     phases.flags.writeable = False
     return phases, _column_energies(phases)
 

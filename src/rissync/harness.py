@@ -23,7 +23,7 @@ import numpy as np
 # load it with the package rather than inside the first trial.
 import numpy.random  # noqa: F401
 
-from .channel import ChannelSet, MmWaveParams, cascade, gen_mmwave, gen_rayleigh
+from .channel import ChannelSet, cascade, gen_mmwave, gen_rayleigh
 from .config import SystemConfig, finite_real, int_at_least, positive_int
 from .crlb import crlb
 from .design import (
@@ -93,6 +93,14 @@ class ExperimentSpec:
         grid = tuple(finite_real(s, "snr_grid_db entry") for s in np.atleast_1d(self.snr_grid_db))
         if not grid:
             raise ValueError("snr_grid_db must not be empty")
+        for snr_db in grid:
+            try:
+                representable = _noise_var(snr_db) > 0.0  # not underflowed to 0
+            except OverflowError:
+                representable = False
+            if not representable:
+                raise ValueError(f"snr_grid_db entry {snr_db} gives a noise variance "
+                                 "that is not a positive finite float")
         object.__setattr__(self, "delta_max", finite_real(self.delta_max, "delta_max"))
         if not 0.0 <= self.delta_max < 2.0:
             raise ValueError("delta_max must lie in [0, 2)")
@@ -144,7 +152,7 @@ def _draw_offsets(spec: ExperimentSpec, seed) -> np.ndarray:
 def _draw_channels(spec: ExperimentSpec, cfg: SystemConfig, seed):
     if spec.scenario == "rayleigh":
         return gen_rayleigh(cfg, seed)
-    return gen_mmwave(cfg, MmWaveParams(n_x=spec.n_x), seed)
+    return gen_mmwave(cfg, spec.n_x, seed)
 
 
 def _aggregate(snr_db: float, metric: str, vals: np.ndarray, excluded: int) -> SweepRow:
@@ -164,7 +172,6 @@ _DESIGN_METRICS = ("nmse_proposed", "nmse_phase_aligned", "nmse_perfect", "nmse_
 class _Trial:
     """One trial's draws, shared by every SNR point of a sweep."""
 
-    spec: ExperimentSpec
     cfg: SystemConfig
     streams: dict
     channels: ChannelSet
@@ -190,7 +197,7 @@ def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
     streams = _trial_streams(spec.base_seed, trial)
     channels = _draw_channels(spec, cfg, streams["channel"])
     offsets, gains = _draw_offsets(spec, streams["offsets"]), cascade(channels)
-    return _Trial(spec=spec, cfg=cfg, streams=streams, channels=channels, offsets=offsets,
+    return _Trial(cfg=cfg, streams=streams, channels=channels, offsets=offsets,
                   pattern=gen_training(cfg, streams["pilot"]), gains=gains,
                   channel_norm=float(np.sum(np.abs(gains) ** 2)),
                   timing_norm=float(np.sum(offsets ** 2)))

@@ -236,7 +236,7 @@ def _lag_layout(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sample times t of the steering matrix that reach the pulse's
-    support at some offset in (-1, 1), ``|t| <= span + 1``, and the (n_samples,
+    support at some offset in (-1, 1), ``|t| < span + 1``, and the (n_samples,
     times) matrix ``A`` whose entry (n, j) is the pilot symbol i with (n, i) at
     time j, so ``steering_matrix(x) @ pilot == A @ rrc_impulse(times - x)`` up
     to the order of the sums, and ``rrc_impulse(times - x[:, None]) @ A.T``
@@ -244,7 +244,7 @@ def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, n
     times, index = _lag_layout(cfg)
     a = np.zeros((cfg.n_samples, times.size), dtype=pilot.dtype)
     a[np.arange(cfg.n_samples)[:, None], index] = pilot
-    keep = np.abs(times) <= cfg.span + 1
+    keep = np.abs(times) < cfg.span + 1
     return times[keep], a[:, keep]
 
 

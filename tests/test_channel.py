@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from rissync import PulseConfig, SystemConfig
+from rissync import channel as channel_module
 from rissync.channel import (
+    MMWAVE_PATHS,
     ChannelSet,
-    MmWaveParams,
     array_response,
     block_gains,
     cascade,
@@ -99,28 +100,31 @@ def test_array_response_broadcasts_and_each_slice_matches_the_scalar_call():
                     az[i, 0], el[j], n_elements, n_x, np.pi))
 
 
-def _mmwave_loop(cfg, params, out_az, out_el, out_g, in_az, in_el, in_g):
+def _mmwave_loop(cfg, n_x, out_az, out_el, out_g, in_az, in_el, in_g):
     # Per-surface, per-path reference: one response per call, paths summed in order.
-    n_el, n_p = cfg.n_elements, params.n_paths
+    n_el, n_p = cfg.n_elements, out_az.shape[1]
     outbound = np.zeros((cfg.n_surfaces, n_el), dtype=complex)
     inbound = np.zeros((cfg.n_surfaces, n_el), dtype=complex)
     for k in range(cfg.n_surfaces):
         paths = sum(np.conj(out_g[k, p]) * _literal_response(
-            out_az[k, p], out_el[k, p], n_el, params.n_x, np.pi)
+            out_az[k, p], out_el[k, p], n_el, n_x, np.pi)
             for p in range(n_p))
         outbound[k] = np.sqrt(n_el / n_p) * paths
         inbound[k] = np.sqrt(n_el) * in_g[k] * _literal_response(
-            in_az[k], in_el[k], n_el, params.n_x, np.pi)
+            in_az[k], in_el[k], n_el, n_x, np.pi)
     return inbound, outbound
 
 
 @pytest.mark.parametrize("k_surf, n_el, n_x, n_paths", [
-    (1, 4, 2, 1), (2, 16, 4, 10), (3, 16, 8, 3), (4, 64, 8, 10), (4, 8, 2, 7),
+    (1, 4, 2, 1), (2, 16, 4, MMWAVE_PATHS), (3, 16, 8, 3), (4, 64, 8, MMWAVE_PATHS),
+    (4, 8, 2, 7),
 ])
-def test_mmwave_matches_per_path_loop(k_surf, n_el, n_x, n_paths):
+def test_mmwave_matches_per_path_loop(k_surf, n_el, n_x, n_paths, monkeypatch):
     # Drawn in the generator's order: outbound azimuth, elevation, gains,
-    # then the same three for the inbound link.
-    cfg, params = SystemConfig(k_surf, n_el), MmWaveParams(n_paths=n_paths, n_x=n_x)
+    # then the same three for the inbound link. Path counts other than
+    # MMWAVE_PATHS are patched in, to check the sum over paths at any count.
+    monkeypatch.setattr(channel_module, "MMWAVE_PATHS", n_paths)
+    cfg = SystemConfig(k_surf, n_el)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         draws = []
@@ -128,14 +132,14 @@ def test_mmwave_matches_per_path_loop(k_surf, n_el, n_x, n_paths):
             draws += [rng.uniform(0.0, 2.0 * np.pi, shape), rng.uniform(0.0, np.pi, shape),
                       (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                       / np.sqrt(2.0)]
-        inbound, outbound = _mmwave_loop(cfg, params, *draws)
-        ch = gen_mmwave(cfg, params, seed)
+        inbound, outbound = _mmwave_loop(cfg, n_x, *draws)
+        ch = gen_mmwave(cfg, n_x, seed)
         assert np.array_equal(ch.inbound, inbound) and np.array_equal(ch.outbound, outbound)
 
 
-def test_mmwave_single_path_is_rank_one():
-    params = MmWaveParams(n_paths=1)
-    ch = gen_mmwave(SystemConfig(2, 16), params, 42)
+def test_mmwave_single_path_is_rank_one(monkeypatch):
+    monkeypatch.setattr(channel_module, "MMWAVE_PATHS", 1)
+    ch = gen_mmwave(SystemConfig(2, 16), 4, 42)
     for k in range(2):
         for vec in (ch.outbound[k], ch.inbound[k]):
             ratios = vec / vec[0]
@@ -145,13 +149,12 @@ def test_mmwave_single_path_is_rank_one():
 
 
 def test_mmwave_average_energy_scales_with_elements():
-    # E||outbound_k||^2 = N because each of the n_paths responses has unit
-    # norm and gains are unit-variance; same for the line-of-sight inbound.
+    # E||outbound_k||^2 = N because each of the MMWAVE_PATHS responses has
+    # unit norm and gains are unit-variance; same for the line-of-sight inbound.
     cfg = SystemConfig(1, 16)
-    params = MmWaveParams(n_paths=10)
     out_sq, in_sq = [], []
     for seed in range(4000):
-        ch = gen_mmwave(cfg, params, seed)
+        ch = gen_mmwave(cfg, 4, seed)
         out_sq.append(np.sum(np.abs(ch.outbound) ** 2))
         in_sq.append(np.sum(np.abs(ch.inbound) ** 2))
     assert np.mean(out_sq) == pytest.approx(16.0, rel=0.03)
@@ -159,11 +162,12 @@ def test_mmwave_average_energy_scales_with_elements():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"n_paths": 0}, {"n_paths": 2.5}, {"n_paths": 2.0}, {"n_x": 0}, {"n_x": 2.0}, {"n_x": None},
+    {"n_x": 0}, {"n_x": 2.5}, {"n_x": 2.0}, {"n_x": None}, {"n_x": "4"}, {"n_x": 3},
 ])
 def test_mmwave_rejects_bad_sizes(kwargs):
-    with pytest.raises(ValueError):
-        MmWaveParams(**kwargs)
+    # n_x=3 is a positive integer that does not divide N=8
+    with pytest.raises(ValueError, match="n_x"):
+        gen_mmwave(CFG, seed=0, **kwargs)
 
 
 def test_cascade_hand_values():

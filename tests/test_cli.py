@@ -188,6 +188,14 @@ def test_invalid_spec_exits_one(capsys):
     assert "base_seed" in capsys.readouterr().err
 
 
+def test_unrepresentable_snr_exits_one(capsys):
+    # 10**400 overflows a float: a usage error, not a traceback
+    assert cli.main(["sweep", "--kind", "crlb", "--snr-db=-4000", "--trials", "2",
+                     "--surfaces", "1", "--nx", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "snr_grid_db" in err and "Traceback" not in err
+
+
 def test_async_rejects_an_offset_model_it_would_ignore(tmp_path, capsys):
     argv = ["sweep", "--kind", "async"] + FAST
     assert cli.main(argv + ["--offset-model", "uniform"]) == 1

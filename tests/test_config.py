@@ -31,17 +31,19 @@ def test_pulse_rejects_bad_parameters(kwargs):
 def test_system_counts():
     sys = SystemConfig(n_surfaces=3, n_elements=8)
     assert sys.total_elements == 24
-    assert sys.patterns == 24  # defaults to one pattern per unknown
-    assert SystemConfig(2, 4, n_patterns=11).patterns == 11
+    # every scenario shares the default pulse grid, and it is not a field
+    assert sys.pulse == PulseConfig() and sys.pulse is SystemConfig(1, 1).pulse
+    with pytest.raises(TypeError):
+        SystemConfig(2, 4, PulseConfig())
 
 
 @pytest.mark.parametrize("kwargs", [
     {"n_surfaces": 0, "n_elements": 4},
     {"n_surfaces": 2, "n_elements": 0},
-    {"n_surfaces": 2, "n_elements": 4, "n_patterns": 7},
+    {"n_surfaces": 2, "n_elements": "4"},
     {"n_surfaces": 2.0, "n_elements": 4},
     {"n_surfaces": 2, "n_elements": 2.5},
-    {"n_surfaces": 2, "n_elements": 4, "n_patterns": 9.0},
+    {"n_surfaces": 2, "n_elements": None},
     {"n_surfaces": "2", "n_elements": 4},
     {"n_surfaces": None, "n_elements": 4},
 ])
@@ -51,5 +53,5 @@ def test_system_rejects_bad_parameters(kwargs):
 
 
 def test_system_stores_integer_sizes_as_int():
-    sys = SystemConfig(np.int64(3), np.int32(4), n_patterns=np.int64(13))
-    assert all(type(v) is int for v in (sys.n_surfaces, sys.n_elements, sys.n_patterns))
+    sys = SystemConfig(np.int64(3), np.int32(4))
+    assert all(type(v) is int for v in (sys.n_surfaces, sys.n_elements))

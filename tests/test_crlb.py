@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from rissync import SingularSystemError, SystemConfig
-from rissync.channel import MmWaveParams, cascade, gen_mmwave, gen_rayleigh
+from rissync.channel import cascade, gen_mmwave, gen_rayleigh
 from rissync.crlb import crlb, crlb_from_fim, fim, observation_matrix_deriv
 from rissync.estimator import TrainingPattern, gen_training, observation_matrix
 
@@ -107,7 +107,7 @@ def test_closed_form_matches_information_inverse_at_bench_geometry():
     cfg = SystemConfig(n_surfaces=4, n_elements=16)
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        vec = cascade(gen_mmwave(cfg, MmWaveParams(n_x=4), rng.integers(2**32)))
+        vec = cascade(gen_mmwave(cfg, 4, rng.integers(2**32)))
         tp = gen_training(cfg, rng.integers(2**32))
         offsets = rng.uniform(-0.9, 0.9, cfg.n_surfaces)
         a = crlb(offsets, vec, tp, 0.1, cfg)

@@ -85,32 +85,22 @@ def test_pilot_sample_autocorrelation_is_white():
     assert np.all(np.abs(acc) < 3.0 / np.sqrt(length * n_seeds))
 
 
-def test_more_patterns_than_elements_is_allowed():
-    cfg = SystemConfig(2, 2, n_patterns=7)
-    tp = gen_training(cfg, 0)
-    assert tp.phases.shape == (7, 4)
-    # columns stay orthogonal: phases^H phases = M * I
-    gram = tp.phases.conj().T @ tp.phases
-    assert np.max(np.abs(gram - 7 * np.eye(4))) <= 1e-10
-
-
 @settings(max_examples=30, deadline=None)
-@given(k_surf=st.integers(1, 3), n_el=st.integers(1, 4), extra=st.integers(0, 5),
-       seed=st.integers(0, 2**32 - 2))
-def test_training_phases_are_shared_read_only_per_size(k_surf, n_el, extra, seed):
-    cfg = SystemConfig(k_surf, n_el, n_patterns=k_surf * n_el + extra)
-    m_pat, nk = cfg.patterns, cfg.total_elements
+@given(k_surf=st.integers(1, 3), n_el=st.integers(1, 4), seed=st.integers(0, 2**32 - 2))
+def test_training_phases_are_shared_read_only_per_size(k_surf, n_el, seed):
+    cfg = SystemConfig(k_surf, n_el)
+    nk = cfg.total_elements
     tp, other_seed = gen_training(cfg, seed), gen_training(cfg, seed + 1)
-    rows = np.arange(m_pat)[:, None]
+    rows = np.arange(nk)[:, None]
     cols = np.arange(nk)[None, :]
-    assert tp.phases.tobytes() == np.exp(-2j * np.pi * rows * cols / m_pat).tobytes()
-    np.testing.assert_allclose(tp.column_energies, m_pat, rtol=1e-12, atol=0)
-    # one array per (patterns, elements), whichever config or seed asks
-    swapped = gen_training(SystemConfig(n_el, k_surf, n_patterns=m_pat), seed)
+    assert tp.phases.tobytes() == np.exp(-2j * np.pi * rows * cols / nk).tobytes()
+    np.testing.assert_allclose(tp.column_energies, nk, rtol=1e-12, atol=0)
+    # one array per element count N*K, whichever config or seed asks
+    swapped = gen_training(SystemConfig(n_el, k_surf), seed)
     for shared in (other_seed, swapped):
         assert shared.phases is tp.phases
         assert shared.column_energies is tp.column_energies
-    bigger = gen_training(SystemConfig(k_surf, n_el, n_patterns=m_pat + 1), seed)
+    bigger = gen_training(SystemConfig(k_surf, n_el + 1), seed)
     assert bigger.phases is not tp.phases
     assert bigger.column_energies is not tp.column_energies
     with pytest.raises(ValueError):
@@ -127,7 +117,7 @@ def test_training_phases_are_shared_read_only_per_size(k_surf, n_el, extra, seed
 def test_observation_matrix_shape_and_blocks():
     ch, tp, offsets, _ = _instance(CFG, 3)
     nmat = observation_matrix(offsets, tp, CFG)
-    m, rows = CFG.patterns, CFG.pulse.n_samples
+    m, rows = CFG.total_elements, CFG.pulse.n_samples
     assert nmat.shape == (m * rows, CFG.total_elements)
     # block (pattern m, surface k, element l) = phases[m, kN+l] * filtered pilot
     filt = [steering_matrix(e, CFG.pulse) @ tp.pilot for e in offsets]
@@ -246,7 +236,7 @@ def test_rank_deficient_observation_raises():
     pilot = gen_training(cfg, 0).pilot
     # identical phase columns + identical offsets → duplicated columns
     tp = TrainingPattern(phases=np.ones((2, 2), dtype=complex), pilot=pilot)
-    y = np.zeros(cfg.patterns * cfg.pulse.n_samples, dtype=complex)
+    y = np.zeros(tp.n_patterns * cfg.pulse.n_samples, dtype=complex)
     with pytest.raises(SingularSystemError) as err:
         residual_cost(np.array([0.1, 0.1]), y, tp, cfg)
     assert err.value.cond > 1e12 or not np.isfinite(err.value.cond)

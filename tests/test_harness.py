@@ -68,6 +68,8 @@ def test_spec_defaults_and_coercion():
     dict(snr_grid_db=(10.0, 1j)),
     dict(snr_grid_db=(0.0, np.nan)),
     dict(snr_grid_db=None),
+    dict(snr_grid_db=(-4000.0,)),       # noise variance 10**400 overflows
+    dict(snr_grid_db=(0.0, 4000.0)),    # noise variance underflows to 0.0
 ])
 def test_spec_rejects_bad_fields(kwargs):
     # every message names the field it rejects

@@ -313,7 +313,7 @@ def test_pulse_is_evaluated_once_per_distinct_lag(oversampling, monkeypatch):
 def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
     # A @ g(times - x) is steering_matrix(x) @ pilot with its sums reordered
     # and its zero terms dropped, for one offset and for a stack of them,
-    # anywhere in (-1, 1): only the times with |t| <= span + 1 are kept, and
+    # anywhere in (-1, 1): only the times with |t| < span + 1 are kept, and
     # no dropped time's pulse is nonzero at such an offset. At oversampling 3
     # one lag rounds to two times, so there are more times than lags.
     cfg = PulseConfig(oversampling=oversampling)
@@ -323,7 +323,7 @@ def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
     every, index = _lag_layout(cfg)
     full = np.zeros((cfg.n_samples, every.size), dtype=complex)
     full[np.arange(cfg.n_samples)[:, None], index] = pilot
-    keep = np.abs(every) <= cfg.span + 1
+    keep = np.abs(every) < cfg.span + 1
     assert np.array_equal(times, every[keep]) and np.array_equal(a, full[:, keep])
     lags = cfg.n_samples + oversampling * (cfg.seq_len - 1)
     assert (every.size > lags) == (oversampling == 3) and times.size < every.size

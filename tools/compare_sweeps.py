@@ -14,12 +14,15 @@ that moved, or every pulse function, the largest relative drift
 output's row keys, ``trials`` or ``excluded`` differ between the trees, or a
 pulse value's count or finiteness, and 0 otherwise; when a trace's length
 differs it also prints both iteration counts and the relative drift of the
-final objective. Standard library only; the ``pulse`` child imports the
-tree's ``rissync`` and numpy.
+final objective. Last it prints ``src/rissync lines: PARENT -> CHANGE``,
+the newlines in each tree's ``src/rissync/*.py`` as ``wc -l`` counts them;
+they do not affect the exit status. Standard library only; the ``pulse``
+child imports the tree's ``rissync`` and numpy.
 """
 from __future__ import annotations
 
 import csv
+import glob
 import io
 import math
 import os
@@ -160,6 +163,15 @@ def outputs(tree: str, work: str) -> dict:
     return texts
 
 
+def source_lines(tree: str) -> int:
+    """Newlines in ``tree``'s ``src/rissync/*.py``, summed as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "rissync", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def _drift(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
@@ -239,6 +251,7 @@ def main(argv) -> int:
             print(f"{name}: DIFFERS {problem}")
         for (metric, col), moved in sorted(drifts.items()):
             print(f"{name}: {metric} {col} {moved:.3e}")
+    print("src/rissync lines: {} -> {}".format(*map(source_lines, argv)))
     return 1 if failed else 0
 
 
