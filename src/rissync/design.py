@@ -26,13 +26,13 @@ its captured energy and the next surrogate, so each iterate is solved once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import block_gains
 from .config import SystemConfig
-from .estimator import _check_spread
+from .estimator import COND_LIMIT, _check_spread
 from .pulse import matched_filter_taps, steering_matrix, window_matrix
 
 __all__ = [
@@ -62,7 +62,13 @@ MAX_ITERS = 500
 MAX_BACKTRACKS = 20
 # Eigenvalues of the channel-error covariance may dip this far below zero
 # (relative to its largest eigenvalue) before it is rejected as indefinite.
+# Only covariances that the Gershgorin certificate in ``build_problem`` cannot
+# place in the PSD cone reach this test.
 PSD_TOL = 1e-10
+# The Wiener solve skips its SVD when trace(normal) / lambda_min(noise_cov),
+# a bound on the normal matrix's cond, is at most COND_LIMIT / SAFETY. The
+# margin covers the rounding of the phase part, which is PSD only up to it.
+SAFETY = 1e3
 
 
 def _as_complex_vector(arr, name: str) -> np.ndarray:
@@ -141,6 +147,14 @@ class DesignProblem:
     noise_cov: np.ndarray       # (S, S)
     block: int                  # samples per observation block, S
     n_parts: int                # number of reflecting elements, NK
+    # Smallest eigenvalue of noise_cov's Hermitian part, taken from noise_cov
+    # when the problem is made: a lower bound on every normal matrix's
+    # smallest eigenvalue, since the phase part added to it is PSD.
+    noise_floor: float = field(init=False)
+
+    def __post_init__(self):
+        floor = np.linalg.eigvalsh(0.5 * (self.noise_cov + self.noise_cov.conj().T))[0]
+        object.__setattr__(self, "noise_floor", float(floor))
 
 
 @dataclass(frozen=True)
@@ -166,7 +180,10 @@ def build_problem(inputs: DesignInputs, cfg: SystemConfig) -> DesignProblem:
 
     The channel-error covariance must be PSD up to a small relative
     eigenvalue tolerance; anything more indefinite is rejected rather than
-    silently clipped.
+    silently clipped. A Gershgorin certificate comes first: when every row's
+    diagonal is at least the sum of its other absolute entries, no eigenvalue
+    is negative and no factorization runs. Only a covariance that fails it
+    gets the exact ``eigvalsh`` test against ``PSD_TOL``.
     """
     n_surf, n_parts = cfg.n_surfaces, cfg.total_elements
     if inputs.offsets.size != n_surf:
@@ -177,12 +194,13 @@ def build_problem(inputs: DesignInputs, cfg: SystemConfig) -> DesignProblem:
     if inputs.noise_cov.shape != (cfg.pulse.n_samples,) * 2:
         raise ValueError(f"noise_cov must be {(cfg.pulse.n_samples,) * 2}")
     cov = 0.5 * (inputs.channel_cov + inputs.channel_cov.conj().T)
-    eigs = np.linalg.eigvalsh(cov)
-    floor = PSD_TOL * max(eigs.max(initial=0.0), 1.0)
-    if eigs.min(initial=0.0) < -floor:
-        raise ValueError(
-            f"channel_cov is not positive semidefinite (eigenvalue {eigs.min():.3e})"
-        )
+    if not np.all(2.0 * cov.diagonal().real >= np.abs(cov).sum(axis=1)):
+        eigs = np.linalg.eigvalsh(cov)
+        floor = PSD_TOL * max(eigs.max(initial=0.0), 1.0)
+        if eigs.min(initial=0.0) < -floor:
+            raise ValueError(
+                f"channel_cov is not positive semidefinite (eigenvalue {eigs.min():.3e})"
+            )
     moment = np.outer(inputs.channel, inputs.channel.conj()) + cov
     steer = steering_matrix(inputs.offsets, cfg.pulse)        # (K, S, L)
     products = np.einsum("asl,btl->abst", steer, steer.conj())
@@ -269,10 +287,15 @@ def _concentrated_pieces(theta, problem: DesignProblem):
 
     Returns (rows, solved, recovered) where ``solved`` is the normal-matrix
     solve against the target and ``recovered`` the energy the best equalizer
-    captures.
+    captures. The normal matrix is a PSD phase part plus ``noise_cov``, so its
+    cond is at most trace(normal) / noise_floor; only when that bound fails to
+    clear COND_LIMIT / SAFETY does an SVD decide whether it is too
+    ill-conditioned (SingularSystemError with the exact cond).
     """
     rows, normal, target = _response(theta, problem)
-    _check_spread(np.linalg.svd(normal, compute_uv=False), "equalizer normal matrix")
+    floor = problem.noise_floor
+    if not (floor > 0.0 and np.trace(normal).real <= COND_LIMIT / SAFETY * floor):
+        _check_spread(np.linalg.svd(normal, compute_uv=False), "equalizer normal matrix")
     solved = np.linalg.solve(normal, target)
     recovered = float(np.vdot(target, solved).real)
     return rows, solved, recovered

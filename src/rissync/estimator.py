@@ -169,7 +169,9 @@ def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var: f
 
 def _check_spread(values: np.ndarray, what: str) -> None:
     """Raise SingularSystemError unless ``values``, a matrix's singular values or
-    positive diagonal, are positive with max/min (its cond) <= COND_LIMIT."""
+    positive diagonal, are positive with max/min (its cond) <= COND_LIMIT.
+    In ``design`` it is reached only when the cheap cond bound on the
+    equalizer normal matrix fails, so the SVD it needs runs only then."""
     low = values.min()
     cond = values.max() / low if low > 0 else np.inf
     if not cond <= COND_LIMIT:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from rissync import design as design_module
+from rissync import harness
 from rissync.config import SystemConfig
 from rissync.design import (
     DesignInputs,
@@ -19,6 +20,7 @@ from rissync.design import (
     surrogate_value,
     white_noise_cov,
 )
+from rissync.errors import SingularSystemError
 from rissync.pulse import matched_filter_taps, steering_matrix, window_matrix
 
 
@@ -63,6 +65,85 @@ def test_build_problem_rejects_bad_covariance():
     # a tiny negative eigenvalue within the tolerance is accepted
     problem = problem_with(-1e-12 * np.eye(4))
     assert np.all(np.isfinite(problem.moment))
+
+
+def _counting(monkeypatch, name):
+    """Patch ``np.linalg.<name>`` to record the shape of every matrix it gets."""
+    shapes = []
+    original = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+def test_psd_covariance_past_gershgorin_is_accepted_by_eigvalsh(monkeypatch):
+    """An all-ones covariance is PSD (rank one) but every row's off-diagonal
+    sum exceeds its diagonal: the exact eigvalsh fallback accepts it."""
+    cfg = SystemConfig(n_surfaces=2, n_elements=2)
+    channel = _cgauss(np.random.default_rng(6), 4)
+    cov = np.ones((4, 4), dtype=complex)
+    shapes = _counting(monkeypatch, "eigvalsh")
+    problem = build_problem(DesignInputs(offsets=np.zeros(2), channel=channel, channel_cov=cov,
+                                         noise_cov=white_noise_cov(0.1, cfg)), cfg)
+    assert (4, 4) in shapes
+    np.testing.assert_array_equal(problem.moment, np.outer(channel, channel.conj()) + cov)
+
+
+def test_indefinite_covariance_past_gershgorin_raises_the_same_message():
+    cfg = SystemConfig(n_surfaces=2, n_elements=2)
+    cov = np.zeros((4, 4), dtype=complex)
+    cov[0, 1] = cov[1, 0] = 1.0   # eigenvalues -1, 0, 0, 1
+    inputs = DesignInputs(offsets=np.zeros(2), channel=np.ones(4), channel_cov=cov,
+                          noise_cov=white_noise_cov(0.1, cfg))
+    lowest = np.linalg.eigvalsh(cov).min()
+    message = f"channel_cov is not positive semidefinite (eigenvalue {lowest:.3e})"
+    with pytest.raises(ValueError) as err:
+        build_problem(inputs, cfg)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 1e-20])
+def test_singular_normal_matrix_raises_through_the_svd(noise_var, monkeypatch):
+    """One surface's phase part has rank at most L < S. With no noise the
+    certificate has nothing to bound by; with 1e-20 its bound is far past
+    COND_LIMIT / SAFETY. Either way the SVD rejects the normal matrix and the
+    error carries its exact cond."""
+    cfg = SystemConfig(n_surfaces=1, n_elements=3)
+    inputs = DesignInputs(offsets=np.array([0.3]), channel=_cgauss(np.random.default_rng(7), 3),
+                          channel_cov=np.zeros((3, 3)),
+                          noise_cov=noise_var * np.eye(cfg.pulse.n_samples))
+    problem = build_problem(inputs, cfg)
+    assert problem.noise_floor == noise_var
+    theta = np.ones(3, dtype=complex)
+    values = np.linalg.svd(design_module._response(theta, problem)[1], compute_uv=False)
+    cond = values.max() / values.min() if values.min() > 0 else np.inf
+    assert not cond <= design_module.COND_LIMIT
+    shapes = _counting(monkeypatch, "svd")
+    with pytest.raises(SingularSystemError) as err:
+        recovered_energy(theta, problem)
+    assert shapes == [(cfg.pulse.n_samples,) * 2]
+    assert err.value.cond == cond
+    assert str(err.value).startswith("equalizer normal matrix: ")
+
+
+def test_bench_design_trial_needs_no_exact_gate(monkeypatch):
+    """At the benchmark's design geometry every gate passes by certificate:
+    no SVD of a normal matrix and no eigvalsh of an NK x NK covariance; the
+    only eigvalsh calls are the three problems' S x S noise floors."""
+    spec = harness.ExperimentSpec(n_surfaces=2, n_x=8, n_y=4, offset_model="common-delta",
+                                  delta_max=0.3, snr_grid_db=(10.0,), trials=1, base_seed=0)
+    cfg = spec.system_config()
+    trial = harness._draw_trial(spec, cfg, 0)
+    svd_shapes = _counting(monkeypatch, "svd")
+    eig_shapes = _counting(monkeypatch, "eigvalsh")
+    scores = harness._score_design(trial, harness._noise_var(10.0))
+    assert all(np.isfinite(v) for v in scores.values())
+    assert svd_shapes == []
+    assert eig_shapes == [(cfg.pulse.n_samples,) * 2] * 3
 
 
 def _relative_gap(actual, expected):
