@@ -57,8 +57,8 @@ def fim(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
     with respect to each real coordinate; explicitly symmetrized so roundoff
     cannot break J = J^T.
     """
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be > 0, got {noise_var}")
+    if not 0.0 < noise_var < np.inf:
+        raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     nmat = observation_matrix(offsets, tp, cfg)
     nd = observation_matrix_deriv(offsets, tp, cfg)
     he = block_gains(np.asarray(channel), cfg.n_surfaces)
@@ -80,8 +80,8 @@ def crlb(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
     ValueError on non-orthogonal training, and SingularSystemError when G or
     J is not positive or its max/min ratio exceeds COND_LIMIT.
     """
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be > 0, got {noise_var}")
+    if not 0.0 < noise_var < np.inf:
+        raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     pilots, gram = _training_gram(offsets, tp, cfg)
     _check_spread(gram, "training Gram matrix")
     slopes = _pilot_rows(steering_matrix_deriv, offsets, tp, cfg)

@@ -170,8 +170,8 @@ class DesignResult:
 
 def white_noise_cov(noise_var: float, cfg: SystemConfig) -> np.ndarray:
     """Covariance of white receiver noise over one oversampled block."""
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
+    if not 0.0 < noise_var < np.inf:
+        raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     return noise_var * np.eye(cfg.pulse.n_samples, dtype=complex)
 
 

@@ -24,6 +24,12 @@ each one pulse call at the reachable lag times, multiplied by the lag-pilot
 matrix formed once per estimate. The truncated pulse is still about 0.025 at
 ``+-span``, so the objective jumps at every offset that is a multiple of
 ``1/oversampling``; its best value can lie at the open end of such a step.
+
+Observations stack on leading axes. Given a 1-D array of noise variances,
+``simulate_training`` returns one row per variance from one noise draw; the
+correlation ``Z`` and the search then serve every row in one pass, and the
+least-squares fit (``_result_at``) takes one row at a time. A one-shot
+estimator is the one-row case.
 """
 from __future__ import annotations
 
@@ -153,18 +159,26 @@ def observation_matrix(offsets: np.ndarray, tp: TrainingPattern,
     return _stack_columns(tp, _pilot_rows(steering_matrix, offsets, tp, cfg), cfg)
 
 
-def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var: float,
+def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var,
                       cfg: SystemConfig, noise_seed) -> np.ndarray:
     """One noisy training observation: signal through the true offsets plus
-    white complex Gaussian noise of total variance ``noise_var`` per sample."""
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
+    white complex Gaussian noise of total variance ``noise_var`` per sample.
+
+    ``noise_var`` may also be a 1-D array of variances. Row p of the result is
+    then the observation at ``noise_var[p]``: every row holds the same clean
+    signal and the same noise draw, scaled by ``sqrt(noise_var[p] / 2)``, so
+    each row is bit for bit the observation a scalar call at that variance
+    returns. A zero variance gives the clean signal itself.
+    """
+    var = np.asarray(noise_var, dtype=float)
+    if var.ndim > 1 or not np.all((0.0 <= var) & (var < np.inf)):
+        raise ValueError(f"noise_var must be finite and >= 0 (a scalar or 1-D array), "
+                         f"got {noise_var}")
     clean = observation_matrix(offsets, tp, cfg) @ cascade(ch)
-    if noise_var == 0:
-        return clean
     rng = np.random.default_rng(noise_seed)
     noise = (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
-    return clean + np.sqrt(noise_var / 2.0) * noise
+    scale = np.sqrt(var / 2.0)[..., None]
+    return np.where(scale > 0.0, clean + scale * noise, clean)
 
 
 def _check_spread(values: np.ndarray, what: str) -> None:
@@ -193,9 +207,11 @@ def _column_energies(phases: np.ndarray) -> np.ndarray:
 
 def _pattern_correlation(y: np.ndarray, tp: TrainingPattern,
                          cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``Z = Phi^H Y`` (one row per element) and the phase-column energies."""
-    z = tp.phases.conj().T @ y.reshape(tp.n_patterns, cfg.pulse.n_samples)
-    return z, tp.column_energies
+    """``Z = Phi^H Y`` (one row per element) and the phase-column energies; a
+    stack of observations (leading axes of ``y``) gives one ``Z`` each, from
+    one broadcast product."""
+    y = y.reshape(*y.shape[:-1], tp.n_patterns, cfg.pulse.n_samples)
+    return tp.phases.conj().T @ y, tp.column_energies
 
 
 def _training_gram(offsets, tp: TrainingPattern,
@@ -280,16 +296,22 @@ def _captured(z: np.ndarray, energy: np.ndarray, unit_pilots: np.ndarray) -> np.
     return np.sum(scores / energy[..., None], axis=-2)
 
 
-def _search_offsets(z: np.ndarray, energy: np.ndarray, tp: TrainingPattern,
-                    cfg: SystemConfig) -> np.ndarray:
-    """Offset that maximizes the captured energy of each group of elements
-    (stacked as in :func:`_captured`): the cached coarse grid over (-1, 1),
-    then a zoom that scores 21 offsets across the group's winning +-GRID_STEP
-    cell, re-centres on its best point seen and shrinks the cell to one
-    spacing, down to FINAL_SPACING. All groups share each level's pulse call.
-    The first level also holds offset 0, a truncation-jump point the zoom need
-    not reach, so a result is never worse than it or any point scored for it.
+def _search_offsets(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
+                    group: int) -> np.ndarray:
+    """Searched offsets of every surface, shape (..., K), for each ``Z`` of a
+    stack (leading axes of ``z``). Each run of ``group`` consecutive elements
+    (N: one search per surface; N*K: one shared by all) gets the offset that
+    maximizes its captured energy (:func:`_captured`): the cached coarse grid
+    over (-1, 1), then a zoom that scores 21 offsets across the group's
+    winning +-GRID_STEP cell, re-centres on its best point seen and shrinks
+    the cell to one spacing, down to FINAL_SPACING. All groups of the stack
+    share each level's pulse call. The first level also holds offset 0, a
+    truncation-jump point the zoom need not reach, so a result is never
+    worse than it or any point scored for it.
     """
+    stack, energy = z.shape[:-2], tp.column_energies.reshape(-1, group)
+    z = z.reshape(-1, group, z.shape[-1])
+    energy = np.tile(energy, (z.shape[0] // energy.shape[0], 1))
     lag_pilots, groups = lag_pilot_matrix(tp.pilot, cfg.pulse), np.arange(z.shape[0])
     grid_pilots = _unit_rows(_grid_table(cfg.pulse) @ lag_pilots[1].T)
     centre = _GRID[np.argmax(_captured(z, energy, grid_pilots), axis=-1)]
@@ -304,12 +326,13 @@ def _search_offsets(z: np.ndarray, energy: np.ndarray, tp: TrainingPattern,
         best = np.where(better, scores[groups, i], best)
         half /= 10.0
         points = np.clip(best_x[:, None] + half * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
-    return best_x
+    return np.repeat(best_x, group // cfg.n_elements).reshape(*stack, cfg.n_surfaces)
 
 
 def _result_at(eps: np.ndarray, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
                cfg: SystemConfig) -> EstimationResult:
-    """Least-squares channel and residual at the searched offsets."""
+    """Least-squares channel and residual of one observation ``y`` (with its
+    ``Z``) at the searched offsets ``eps``."""
     h, captured = _ls_fit(eps, z, tp, cfg)
     cost = max(float(np.vdot(y, y).real) - captured, 0.0)
     return EstimationResult(offsets=eps, channel=h, final_cost=cost, sweeps=1, converged=True)
@@ -323,10 +346,8 @@ def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> Es
     ``FINAL_SPACING``; the surfaces share each level's pulse call). The
     channel estimate is the least-squares solve at the returned offsets.
     """
-    z, energy = _pattern_correlation(y, tp, cfg)
-    shape = (cfg.n_surfaces, cfg.n_elements)
-    eps = _search_offsets(z.reshape(*shape, -1), energy.reshape(shape), tp, cfg)
-    return _result_at(eps, z, y, tp, cfg)
+    z = _pattern_correlation(y, tp, cfg)[0]
+    return _result_at(_search_offsets(z, tp, cfg, cfg.n_elements), z, y, tp, cfg)
 
 
 def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
@@ -334,6 +355,5 @@ def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
     """Offset-synchronization-naive variant: fits a single shared timing value
     for all surfaces (one 1-D search over every element), then the
     least-squares channel."""
-    z, energy = _pattern_correlation(y, tp, cfg)
-    value = _search_offsets(z[None], energy[None], tp, cfg)[0]
-    return _result_at(np.full(cfg.n_surfaces, value), z, y, tp, cfg)
+    z = _pattern_correlation(y, tp, cfg)[0]
+    return _result_at(_search_offsets(z, tp, cfg, cfg.total_elements), z, y, tp, cfg)

@@ -4,8 +4,11 @@ Every trial owns its own random streams, derived from (base seed, trial
 index), so results do not depend on execution order and identical
 experiment settings reproduce identical output byte for byte. Each trial is
 drawn once and scored at every SNR point, so the points share common random
-numbers. A trial that dies in an ill-conditioned linear solve is excluded at
-that point and counted; an exclusion rate above one percent aborts the run.
+numbers: one noise draw, scaled per point. A trial's training blocks are
+therefore simulated together, and the timing search runs once per trial over
+every point and surface; only the least-squares fit runs per point. A trial
+that dies in an ill-conditioned linear solve is excluded at that point and
+counted; an exclusion rate above one percent aborts the run.
 
 Reported metrics are normalized mean-squared errors. For estimates the
 normalizer is that trial's own squared true-parameter norm; for the matching
@@ -38,8 +41,8 @@ from .design import (
     white_noise_cov,
 )
 from .errors import FailureRateError, SingularSystemError
-from .estimator import (TrainingPattern, gen_training, mle_alternating,
-                        mle_common_offset, simulate_training)
+from .estimator import (EstimationResult, TrainingPattern, _pattern_correlation, _result_at,
+                        _search_offsets, gen_training, simulate_training)
 from .pulse import _OFFSET_EDGE
 
 __all__ = [
@@ -180,6 +183,7 @@ class _Trial:
     gains: np.ndarray
     channel_norm: float  # squared norms of the true parameters
     timing_norm: float
+    noise_vars: tuple    # the sweep's noise variances, one per SNR point
 
     @cached_property
     def unit_bound_traces(self) -> tuple:
@@ -192,6 +196,26 @@ class _Trial:
         bounds = crlb(self.offsets, self.gains, self.pattern, 1.0, self.cfg)
         return np.trace(bounds.channel_cov).real, np.trace(bounds.timing_cov)
 
+    @cached_property
+    def training(self) -> tuple:
+        """The training blocks at the sweep's noise variances, one row per
+        point (one noise draw, scaled per point), their correlations ``Z`` and
+        each point's searched surface offsets: one simulation and one timing
+        search over every point and surface. The fit runs per point
+        (:func:`_fit`), so its conditioning check excludes one point only.
+        """
+        obs = simulate_training(self.channels, self.offsets, self.pattern,
+                                np.array(self.noise_vars), self.cfg, self.streams["noise"])
+        z = _pattern_correlation(obs, self.pattern, self.cfg)[0]
+        return obs, z, _search_offsets(z, self.pattern, self.cfg, self.cfg.n_elements)
+
+    @cached_property
+    def common_offsets(self) -> np.ndarray:
+        """Each point's one offset searched over all surfaces' elements, repeated
+        per surface: the offsets of the offset-synchronization-naive fit."""
+        return _search_offsets(self.training[1], self.pattern, self.cfg,
+                               self.cfg.total_elements)
+
 
 def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
     streams = _trial_streams(spec.base_seed, trial)
@@ -200,7 +224,8 @@ def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
     return _Trial(cfg=cfg, streams=streams, channels=channels, offsets=offsets,
                   pattern=gen_training(cfg, streams["pilot"]), gains=gains,
                   channel_norm=float(np.sum(np.abs(gains) ** 2)),
-                  timing_norm=float(np.sum(offsets ** 2)))
+                  timing_norm=float(np.sum(offsets ** 2)),
+                  noise_vars=tuple(_noise_var(snr_db) for snr_db in spec.snr_grid_db))
 
 
 def _sweep(spec: ExperimentSpec, score, metrics) -> list:
@@ -212,11 +237,10 @@ def _sweep(spec: ExperimentSpec, score, metrics) -> list:
     point only; the run aborts once one point's exclusions pass the limit.
     """
     cfg = spec.system_config()
-    noise_vars = [_noise_var(snr_db) for snr_db in spec.snr_grid_db]
-    scored = [[] for _ in noise_vars]
+    scored = [[] for _ in spec.snr_grid_db]
     for index in range(spec.trials):
         trial = _draw_trial(spec, cfg, index)
-        for results, var in zip(scored, noise_vars):
+        for results, var in zip(scored, trial.noise_vars):
             try:
                 results.append(score(trial, var))
             except SingularSystemError:
@@ -234,12 +258,19 @@ def _sweep(spec: ExperimentSpec, score, metrics) -> list:
     return rows
 
 
+def _fit(trial: _Trial, var: float, offsets: np.ndarray) -> EstimationResult:
+    """Least-squares estimate at the trial's point of noise variance ``var``, at
+    that point's row of the stacked searched ``offsets``."""
+    p = trial.noise_vars.index(var)
+    obs, z, _ = trial.training
+    return _result_at(offsets[p], z[p], obs[p], trial.pattern, trial.cfg)
+
+
 def _observe(trial: _Trial, var: float):
-    """Simulate the trial's training block at noise variance ``var`` and run
-    the joint estimator on it; returns (observation, estimate)."""
-    obs = simulate_training(trial.channels, trial.offsets, trial.pattern, var,
-                            trial.cfg, trial.streams["noise"])
-    return obs, mle_alternating(obs, trial.pattern, trial.cfg)
+    """The trial's training block at ``var``, one of its sweep's noise
+    variances, and the joint estimate on it; returns (observation, estimate)."""
+    obs, _, joint = trial.training
+    return obs[trial.noise_vars.index(var)], _fit(trial, var, joint)
 
 
 def _believed(trial: _Trial, var: float, est) -> DesignInputs:
@@ -270,8 +301,8 @@ def _score_estimation(trial: _Trial, var: float) -> dict:
 
 
 def _score_async(trial: _Trial, var: float) -> dict:
-    obs, joint = _observe(trial, var)
-    naive = mle_common_offset(obs, trial.pattern, trial.cfg)
+    _, joint = _observe(trial, var)
+    naive = _fit(trial, var, trial.common_offsets)
     return {"channel_nmse": _channel_nmse(joint.channel, trial),
             "channel_nmse_sync_naive": _channel_nmse(naive.channel, trial)}
 

@@ -171,3 +171,17 @@ def test_fim_rejects_nonpositive_noise():
     vec, tp, offsets = _instance(CFG, 6)
     with pytest.raises(ValueError):
         fim(offsets, vec, tp, 0.0, CFG)
+
+
+@pytest.mark.parametrize("noise_var", [np.nan, np.inf])
+def test_fim_rejects_non_finite_noise(noise_var):
+    vec, tp, offsets = _instance(CFG, 6)
+    with pytest.raises(ValueError, match="noise_var"):
+        fim(offsets, vec, tp, noise_var, CFG)
+
+
+@pytest.mark.parametrize("noise_var", [0.0, -0.1, np.nan, np.inf])
+def test_crlb_rejects_nonpositive_or_non_finite_noise(noise_var):
+    vec, tp, offsets = _instance(CFG, 6)
+    with pytest.raises(ValueError, match="noise_var"):
+        crlb(offsets, vec, tp, noise_var, CFG)

@@ -492,6 +492,12 @@ def test_random_phases_unit_and_deterministic():
     assert np.abs(a - c).max() > 1e-3
 
 
+@pytest.mark.parametrize("noise_var", [0.0, -0.1, np.nan, np.inf])
+def test_white_noise_cov_rejects_nonpositive_or_non_finite_variance(noise_var):
+    with pytest.raises(ValueError, match="noise_var"):
+        white_noise_cov(noise_var, SystemConfig(n_surfaces=2, n_elements=2))
+
+
 def test_design_inputs_validation():
     cfg = SystemConfig(n_surfaces=2, n_elements=2)
     rng = np.random.default_rng(23)

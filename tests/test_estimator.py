@@ -16,6 +16,8 @@ from rissync.estimator import (
     TrainingPattern,
     _captured,
     _pattern_correlation,
+    _result_at,
+    _search_offsets,
     _unit_pilots,
     gen_training,
     ls_channel,
@@ -176,6 +178,56 @@ def test_simulate_training_rejects_negative_variance():
     ch, tp, offsets, _ = _instance(CFG, 6)
     with pytest.raises(ValueError):
         simulate_training(ch, offsets, tp, -0.1, CFG, 0)
+
+
+@pytest.mark.parametrize("noise_var", [np.nan, np.inf, [0.1, np.nan], [0.1, np.inf],
+                                       [0.1, -0.1], [[0.1, 0.2]]])
+def test_simulate_training_rejects_non_finite_or_misshapen_variances(noise_var):
+    ch, tp, offsets, _ = _instance(CFG, 6)
+    with pytest.raises(ValueError, match="noise_var"):
+        simulate_training(ch, offsets, tp, noise_var, CFG, 0)
+
+
+STACKED_VARS = (0.0, 1e-4, 1e-2, 0.1, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("k_surf", [1, 2, 4])
+def test_stacked_training_rows_are_the_scalar_calls(k_surf):
+    # One noise draw serves every row, scaled per row: each row must be the
+    # scalar call at its variance, and a zero-variance row the clean signal.
+    cfg = SystemConfig(k_surf, 4)
+    ch, tp, offsets, clean = _instance(cfg, 80 + k_surf)
+    rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, 123)
+    assert rows.shape == (len(STACKED_VARS), clean.size)
+    for row, var in zip(rows, STACKED_VARS):
+        assert row.tobytes() == simulate_training(ch, offsets, tp, var, cfg, 123).tobytes()
+    assert rows[0].tobytes() == clean.tobytes()
+    assert clean.tobytes() == (observation_matrix(offsets, tp, cfg) @ cascade(ch)).tobytes()
+
+
+@pytest.mark.parametrize("k_surf", [1, 2, 4])
+def test_stacked_search_and_fit_match_the_one_shot_estimators(k_surf):
+    # One search over every row's groups, then the fit per row, gives the
+    # one-shot estimators' results on that row, bit for bit. Weighted phase
+    # columns give each element its own energy, so a misaligned stack shows.
+    cfg = SystemConfig(k_surf, 4)
+    for seed in range(3):
+        ch, tp, offsets, _ = _instance(cfg, 90 + seed)
+        if seed:
+            weights = np.linspace(0.5, 2.0, cfg.total_elements)
+            tp = TrainingPattern(phases=tp.phases * weights, pilot=tp.pilot)
+        rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, seed)
+        z = _pattern_correlation(rows, tp, cfg)[0]
+        for estimate, group in ((mle_alternating, cfg.n_elements),
+                                (mle_common_offset, cfg.total_elements)):
+            searched = _search_offsets(z, tp, cfg, group)
+            assert searched.shape == (len(STACKED_VARS), k_surf)
+            for p, y in enumerate(rows):
+                stacked = _result_at(searched[p], z[p], y, tp, cfg)
+                alone = estimate(y, tp, cfg)
+                assert stacked.offsets.tobytes() == alone.offsets.tobytes()
+                assert stacked.channel.tobytes() == alone.channel.tobytes()
+                assert stacked.final_cost == alone.final_cost
 
 
 # ---------------------------------------------------------------------------

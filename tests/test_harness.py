@@ -269,10 +269,10 @@ def _fake_estimate(n_surfaces, n_total):
 
 
 def test_exclusion_rate_above_limit_aborts(monkeypatch):
-    def always_fails(y, tp, cfg, **kwargs):
+    def always_fails(trial, var, offsets):
         raise SingularSystemError("forced failure", 1e99)
 
-    monkeypatch.setattr(harness, "mle_alternating", always_fails)
+    monkeypatch.setattr(harness, "_fit", always_fails)
     spec = ExperimentSpec(snr_grid_db=(10.0,), **TINY)
     with pytest.raises(FailureRateError):
         run_estimation_sweep(spec)
@@ -281,11 +281,11 @@ def test_exclusion_rate_above_limit_aborts(monkeypatch):
 def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
     calls = {"n": 0}
 
-    def always_fails(y, tp, cfg, **kwargs):
+    def always_fails(trial, var, offsets):
         calls["n"] += 1
         raise SingularSystemError("forced failure", 1e99)
 
-    monkeypatch.setattr(harness, "mle_alternating", always_fails)
+    monkeypatch.setattr(harness, "_fit", always_fails)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0),
                           trials=100, base_seed=0)
     with pytest.raises(FailureRateError) as info:
@@ -297,13 +297,13 @@ def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
 def test_exclusion_at_limit_is_tolerated(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(y, tp, cfg, **kwargs):
+    def flaky(trial, var, offsets):
         calls["n"] += 1
         if calls["n"] == 1:
             raise SingularSystemError("forced failure", 1e99)
         return _fake_estimate(2, 2)
 
-    monkeypatch.setattr(harness, "mle_alternating", flaky)
+    monkeypatch.setattr(harness, "_fit", flaky)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(10.0,),
                           trials=100, base_seed=0)
     rows = run_estimation_sweep(spec)
@@ -336,6 +336,18 @@ def test_bound_is_evaluated_once_per_trial(monkeypatch, runner):
     assert calls["n"] == TINY["trials"]
 
 
+@pytest.mark.parametrize("runner, searches", [(run_estimation_sweep, 1),
+                                              (run_async_impact, 2)])
+def test_timing_search_runs_once_per_trial_over_every_point(monkeypatch, runner, searches):
+    # one simulation per trial, and one search per estimator (joint, and for
+    # async the common-offset one) over all points, however many there are
+    simulated = _counting(monkeypatch, "simulate_training")
+    searched = _counting(monkeypatch, "_search_offsets")
+    runner(ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY))
+    assert simulated["n"] == TINY["trials"]
+    assert searched["n"] == searches * TINY["trials"]
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_each_trial_is_drawn_once(monkeypatch, runner):
     calls = _counting(monkeypatch, "gen_training")
@@ -345,20 +357,14 @@ def test_each_trial_is_drawn_once(monkeypatch, runner):
 
 def test_failure_at_one_point_excludes_the_trial_there_only(monkeypatch):
     seen = {}
-    simulate = harness.simulate_training
 
-    def recording(ch, offsets, tp, noise_var, cfg, noise_seed):
-        seen["var"] = noise_var
-        return simulate(ch, offsets, tp, noise_var, cfg, noise_seed)
-
-    def fails_once_at_10db(y, tp, cfg, **kwargs):
-        if seen["var"] == 0.1 and not seen.get("failed"):
+    def fails_once_at_10db(trial, var, offsets):
+        if var == 0.1 and not seen.get("failed"):
             seen["failed"] = True
             raise SingularSystemError("forced failure", 1e99)
         return _fake_estimate(2, 2)
 
-    monkeypatch.setattr(harness, "simulate_training", recording)
-    monkeypatch.setattr(harness, "mle_alternating", fails_once_at_10db)
+    monkeypatch.setattr(harness, "_fit", fails_once_at_10db)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0, 20.0),
                           trials=100, base_seed=0)
     for row in run_estimation_sweep(spec):

@@ -54,6 +54,10 @@ SPECS = {
                                    "--ny", "1", "--offset-model", "common-delta",
                                    "--delta-max", "0.3", "--snr-db", "0,20", "--trials", "3",
                                    "--seed", "9"],
+    "estimation-grid9": ["--kind", "estimation", "--surfaces", "2", "--nx", "2", "--ny", "1",
+                         "--snr-db=-10,0,5,10,15,20,25,30,40", "--trials", "5"],
+    "estimation-k1": ["--kind", "estimation", "--surfaces", "1", "--nx", "4", "--ny", "2",
+                      "--snr-db", "10", "--trials", "3"],
     "crlb-bench": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4", "--nx", "4",
                    "--ny", "4", "--offset-model", "uniform", "--snr-db", "0,10,20,30",
                    "--trials", "25", "--seed", "101"],
