@@ -53,8 +53,14 @@ def _parse_snr_grid(text: str) -> tuple:
     return values
 
 
+def _parse_kind(text: str) -> str:
+    if text not in _runners():
+        raise ValueError(f"must be one of {sorted(_runners())}, got {text!r}")
+    return text
+
+
 # config-file key -> (converter, ExperimentSpec field); "kind" is the odd one
-# out, consumed only by the sweep subcommand.
+# out, checked under every subcommand but consumed only by the sweep one.
 _CONFIG_KEYS = {
     "scenario": (str, "scenario"),
     "surfaces": (int, "n_surfaces"),
@@ -66,7 +72,7 @@ _CONFIG_KEYS = {
     "delta_max": (float, "delta_max"),
     "algorithm": (str, "algorithm"),
     "seed": (int, "base_seed"),
-    "kind": (str, None),
+    "kind": (_parse_kind, None),
 }
 
 
@@ -180,14 +186,11 @@ def _run(args: argparse.Namespace) -> int:
     kind = _COMMANDS[args.command][0]
     if args.command == "sweep":
         kind = args.kind or settings.get("kind") or "estimation"
-    runners = _runners()
-    if kind not in runners:
-        raise ValueError(f"kind must be one of {sorted(runners)}, got {kind!r}")
     offset_model = args.offset_model or settings.get("offset_model")
     if kind == "async" and offset_model not in (None, "common-delta"):
         raise ValueError(f"--offset-model {offset_model} does not apply to kind 'async', "
                          "which always draws common-delta offsets")
-    rows = runners[kind](spec)
+    rows = _runners()[kind](spec)
     _write_text(args.out, format_sweep_rows(rows))
     return 0
 

@@ -99,13 +99,13 @@ class TrainingPattern:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Output of the timing/channel estimators."""
+    """Output of the timing/channel estimators: the searched offsets and the
+    least-squares fit at them. Every search runs its fixed zoom levels, so
+    there is no iteration count or convergence flag to report."""
 
     offsets: np.ndarray          # one timing estimate per surface, in (-1, 1)
     channel: np.ndarray          # cascaded-channel estimate, length N*K
     final_cost: float            # residual energy at the returned offsets
-    sweeps: int                  # passes over the surfaces (always 1)
-    converged: bool              # always True: every search runs its fixed zoom levels
 
 
 def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
@@ -205,13 +205,11 @@ def _column_energies(phases: np.ndarray) -> np.ndarray:
     return energy
 
 
-def _pattern_correlation(y: np.ndarray, tp: TrainingPattern,
-                         cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``Z = Phi^H Y`` (one row per element) and the phase-column energies; a
-    stack of observations (leading axes of ``y``) gives one ``Z`` each, from
-    one broadcast product."""
+def _pattern_correlation(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
+    """``Z = Phi^H Y``, one row per element; a stack of observations (leading
+    axes of ``y``) gives one ``Z`` each, from one broadcast product."""
     y = y.reshape(*y.shape[:-1], tp.n_patterns, cfg.pulse.n_samples)
-    return tp.phases.conj().T @ y, tp.column_energies
+    return tp.phases.conj().T @ y
 
 
 def _training_gram(offsets, tp: TrainingPattern,
@@ -223,23 +221,11 @@ def _training_gram(offsets, tp: TrainingPattern,
     return pilots, tp.column_energies * pilot_energy
 
 
-def _ls_fit(offsets, z: np.ndarray, tp: TrainingPattern,
-            cfg: SystemConfig) -> tuple[np.ndarray, float]:
-    """Least-squares channel Z_i f_k^* / G_i and the energy it captures,
-    sum |Z_i f_k^*|^2 / G_i. Raises SingularSystemError where the observation
-    matrix, whose singular values are sqrt(G), is ill-conditioned."""
-    pilots, gram = _training_gram(offsets, tp, cfg)
-    _check_spread(np.sqrt(gram), "training observation matrix")
-    z = z.reshape(cfg.n_surfaces, cfg.n_elements, -1)
-    corr = np.einsum("kns,ks->kn", z, pilots.conj()).reshape(-1)
-    return corr / gram, float(np.sum(np.abs(corr) ** 2 / gram))
-
-
 def ls_channel(offsets, y: np.ndarray, tp: TrainingPattern,
                cfg: SystemConfig) -> np.ndarray:
     """Least-squares cascaded-channel estimate at the given offsets, one
     element at a time (orthogonal training only; ValueError otherwise)."""
-    return _ls_fit(offsets, _pattern_correlation(y, tp, cfg)[0], tp, cfg)[0]
+    return _result_at(offsets, _pattern_correlation(y, tp, cfg), y, tp, cfg).channel
 
 
 def residual_cost(offsets, y: np.ndarray, tp: TrainingPattern,
@@ -329,13 +315,20 @@ def _search_offsets(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
     return np.repeat(best_x, group // cfg.n_elements).reshape(*stack, cfg.n_surfaces)
 
 
-def _result_at(eps: np.ndarray, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
+def _result_at(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
                cfg: SystemConfig) -> EstimationResult:
-    """Least-squares channel and residual of one observation ``y`` (with its
-    ``Z``) at the searched offsets ``eps``."""
-    h, captured = _ls_fit(eps, z, tp, cfg)
-    cost = max(float(np.vdot(y, y).real) - captured, 0.0)
-    return EstimationResult(offsets=eps, channel=h, final_cost=cost, sweeps=1, converged=True)
+    """Least-squares fit of one observation ``y``, with its ``Z``, at the
+    offsets ``eps``: the channel Z_i f_k^* / G_i of each element i (on surface
+    k) and the residual, the energy of ``y`` less the sum |Z_i f_k^*|^2 / G_i
+    that channel captures. Raises SingularSystemError where the observation
+    matrix, whose singular values are sqrt(G), is ill-conditioned."""
+    pilots, gram = _training_gram(eps, tp, cfg)
+    _check_spread(np.sqrt(gram), "training observation matrix")
+    z = z.reshape(cfg.n_surfaces, cfg.n_elements, -1)
+    corr = np.einsum("kns,ks->kn", z, pilots.conj()).reshape(-1)
+    captured = float(np.sum(np.abs(corr) ** 2 / gram))
+    return EstimationResult(offsets=eps, channel=corr / gram,
+                            final_cost=max(float(np.vdot(y, y).real) - captured, 0.0))
 
 
 def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> EstimationResult:
@@ -346,7 +339,7 @@ def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> Es
     ``FINAL_SPACING``; the surfaces share each level's pulse call). The
     channel estimate is the least-squares solve at the returned offsets.
     """
-    z = _pattern_correlation(y, tp, cfg)[0]
+    z = _pattern_correlation(y, tp, cfg)
     return _result_at(_search_offsets(z, tp, cfg, cfg.n_elements), z, y, tp, cfg)
 
 
@@ -355,5 +348,5 @@ def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
     """Offset-synchronization-naive variant: fits a single shared timing value
     for all surfaces (one 1-D search over every element), then the
     least-squares channel."""
-    z = _pattern_correlation(y, tp, cfg)[0]
+    z = _pattern_correlation(y, tp, cfg)
     return _result_at(_search_offsets(z, tp, cfg, cfg.total_elements), z, y, tp, cfg)

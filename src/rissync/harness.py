@@ -6,8 +6,9 @@ experiment settings reproduce identical output byte for byte. Each trial is
 drawn once and scored at every SNR point, so the points share common random
 numbers: one noise draw, scaled per point. A trial's training blocks are
 therefore simulated together, and the timing search runs once per trial over
-every point and surface; only the least-squares fit runs per point. A trial
-that dies in an ill-conditioned linear solve is excluded at that point and
+every point and surface. Scorers take a point by its index ``p`` in the grid
+and run only the least-squares fit on row ``p`` (:func:`_fit`). A trial that
+dies in an ill-conditioned linear solve is excluded at that point and
 counted; an exclusion rate above one percent aborts the run.
 
 Reported metrics are normalized mean-squared errors. For estimates the
@@ -206,7 +207,7 @@ class _Trial:
         """
         obs = simulate_training(self.channels, self.offsets, self.pattern,
                                 np.array(self.noise_vars), self.cfg, self.streams["noise"])
-        z = _pattern_correlation(obs, self.pattern, self.cfg)[0]
+        z = _pattern_correlation(obs, self.pattern, self.cfg)
         return obs, z, _search_offsets(z, self.pattern, self.cfg, self.cfg.n_elements)
 
     @cached_property
@@ -231,18 +232,19 @@ def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
 def _sweep(spec: ExperimentSpec, score, metrics) -> list:
     """Score every trial at every SNR point; one row per (SNR, metric).
 
-    Each trial is drawn once, scored by ``score(trial, noise_var) -> {metric:
-    value}`` at every point, and dropped before the next is drawn. A trial
-    whose scoring raises :class:`SingularSystemError` is excluded at that
-    point only; the run aborts once one point's exclusions pass the limit.
+    Each trial is drawn once, scored by ``score(trial, p) -> {metric: value}``
+    at every point index ``p`` of the grid, and dropped before the next is
+    drawn. A trial whose scoring raises :class:`SingularSystemError` is
+    excluded at that point only; the run aborts once one point's exclusions
+    pass the limit.
     """
     cfg = spec.system_config()
     scored = [[] for _ in spec.snr_grid_db]
     for index in range(spec.trials):
         trial = _draw_trial(spec, cfg, index)
-        for results, var in zip(scored, trial.noise_vars):
+        for p, results in enumerate(scored):
             try:
-                results.append(score(trial, var))
+                results.append(score(trial, p))
             except SingularSystemError:
                 excluded = index + 1 - len(results)
                 if excluded > EXCLUSION_LIMIT * spec.trials:
@@ -258,24 +260,17 @@ def _sweep(spec: ExperimentSpec, score, metrics) -> list:
     return rows
 
 
-def _fit(trial: _Trial, var: float, offsets: np.ndarray) -> EstimationResult:
-    """Least-squares estimate at the trial's point of noise variance ``var``, at
+def _fit(trial: _Trial, p: int, offsets: np.ndarray) -> EstimationResult:
+    """Least-squares estimate on the trial's training block at point ``p``, at
     that point's row of the stacked searched ``offsets``."""
-    p = trial.noise_vars.index(var)
     obs, z, _ = trial.training
     return _result_at(offsets[p], z[p], obs[p], trial.pattern, trial.cfg)
 
 
-def _observe(trial: _Trial, var: float):
-    """The trial's training block at ``var``, one of its sweep's noise
-    variances, and the joint estimate on it; returns (observation, estimate)."""
-    obs, _, joint = trial.training
-    return obs[trial.noise_vars.index(var)], _fit(trial, var, joint)
-
-
-def _believed(trial: _Trial, var: float, est) -> DesignInputs:
-    """Design inputs as the receiver sees them after training: the estimates,
-    the bound at the estimates as their uncertainty, and the noise."""
+def _believed(trial: _Trial, p: int, est) -> DesignInputs:
+    """Design inputs as the receiver sees them after training at point ``p``:
+    the estimates, the bound at them as their uncertainty, and the noise."""
+    var = trial.noise_vars[p]
     bounds = crlb(est.offsets, est.channel, trial.pattern, var, trial.cfg)
     return DesignInputs(offsets=est.offsets, channel=est.channel,
                         channel_cov=bounds.channel_cov,
@@ -286,28 +281,27 @@ def _channel_nmse(estimate: np.ndarray, trial: _Trial) -> float:
     return np.sum(np.abs(estimate - trial.gains) ** 2) / trial.channel_norm
 
 
-def _score_bounds(trial: _Trial, var: float) -> dict:
+def _score_bounds(trial: _Trial, p: int) -> dict:
     channel_trace, timing_trace = trial.unit_bound_traces
+    var = trial.noise_vars[p]
     return {"channel_crlb": var * channel_trace, "timing_crlb": var * timing_trace,
             "channel_norm": trial.channel_norm, "timing_norm": trial.timing_norm}
 
 
-def _score_estimation(trial: _Trial, var: float) -> dict:
-    bounds = _score_bounds(trial, var)
-    _, est = _observe(trial, var)
+def _score_estimation(trial: _Trial, p: int) -> dict:
+    est = _fit(trial, p, trial.training[2])
     return {"channel_nmse": _channel_nmse(est.channel, trial),
             "timing_nmse": np.sum((est.offsets - trial.offsets) ** 2) / trial.timing_norm,
-            **bounds}
+            **_score_bounds(trial, p)}
 
 
-def _score_async(trial: _Trial, var: float) -> dict:
-    _, joint = _observe(trial, var)
-    naive = _fit(trial, var, trial.common_offsets)
+def _score_async(trial: _Trial, p: int) -> dict:
+    joint, naive = _fit(trial, p, trial.training[2]), _fit(trial, p, trial.common_offsets)
     return {"channel_nmse": _channel_nmse(joint.channel, trial),
             "channel_nmse_sync_naive": _channel_nmse(naive.channel, trial)}
 
 
-def _score_design(trial: _Trial, var: float) -> dict:
+def _score_design(trial: _Trial, p: int) -> dict:
     """Full pipeline for one trial: estimate, bound, design, score.
 
     Every scheme is scored under the true channel and offsets (zero
@@ -315,8 +309,7 @@ def _score_design(trial: _Trial, var: float) -> dict:
     what each design would actually achieve.
     """
     cfg = trial.cfg
-    _, est = _observe(trial, var)
-    believed = _believed(trial, var, est)
+    believed = _believed(trial, p, _fit(trial, p, trial.training[2]))
     belief_problem = build_problem(believed, cfg)
 
     truth = DesignInputs(
@@ -343,7 +336,7 @@ def _score_design(trial: _Trial, var: float) -> dict:
 
 def _design_trial(spec: ExperimentSpec, cfg: SystemConfig, snr_db: float,
                   trial: int) -> dict:
-    return _score_design(_draw_trial(spec, cfg, trial), _noise_var(snr_db))
+    return _score_design(_draw_trial(spec, cfg, trial), spec.snr_grid_db.index(snr_db))
 
 
 def run_estimation_sweep(spec: ExperimentSpec) -> list:
@@ -378,9 +371,8 @@ def run_convergence(spec: ExperimentSpec) -> DesignResult:
     """The design loop's run, objective trace included, on one matched
     instance (trial zero of the experiment, at the first SNR of the grid)."""
     trial = _draw_trial(spec, spec.system_config(), 0)
-    var = _noise_var(spec.snr_grid_db[0])
-    _, est = _observe(trial, var)
-    return design_accelerated(build_problem(_believed(trial, var, est), trial.cfg))
+    believed = _believed(trial, 0, _fit(trial, 0, trial.training[2]))
+    return design_accelerated(build_problem(believed, trial.cfg))
 
 
 def format_sweep_rows(rows) -> str:

@@ -118,6 +118,21 @@ def test_sweep_kind_from_config(tmp_path, capsys):
     assert metrics == {"channel_crlb", "timing_crlb"}
 
 
+@pytest.mark.parametrize("command", ["estimate", "crlb", "design", "convergence", "sweep"])
+def test_config_kind_is_checked_under_every_subcommand(tmp_path, capsys, command):
+    # a bad kind fails where the file is read, as a bad scenario does, even
+    # under subcommands that take their kind from their name
+    path = tmp_path / "k.cfg"
+    path.write_text("trials = 2\nkind = bogus\n")
+    with pytest.raises(ValueError, match=r"k\.cfg:2: bad value for 'kind'"):
+        cli.read_config(str(path))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")] + FAST
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'kind'" in err and "bogus" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_snr_list_may_start_with_a_negative_value(capsys):
     argv = ["crlb", "--surfaces", "2", "--nx", "2", "--ny", "1",
             "--trials", "2", "--seed", "3"]

@@ -140,7 +140,7 @@ def test_bench_design_trial_needs_no_exact_gate(monkeypatch):
     trial = harness._draw_trial(spec, cfg, 0)
     svd_shapes = _counting(monkeypatch, "svd")
     eig_shapes = _counting(monkeypatch, "eigvalsh")
-    scores = harness._score_design(trial, harness._noise_var(10.0))
+    scores = harness._score_design(trial, 0)
     assert all(np.isfinite(v) for v in scores.values())
     assert svd_shapes == []
     assert eig_shapes == [(cfg.pulse.n_samples,) * 2] * 3

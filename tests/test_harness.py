@@ -259,17 +259,27 @@ def test_convergence_traces_are_monotone_and_comparable():
     np.testing.assert_array_equal(run_convergence(spec).objective_trace, trace)
 
 
+def test_convergence_on_a_grid_uses_the_first_point_listed():
+    def run(grid):
+        result = run_convergence(ExperimentSpec(n_surfaces=2, n_x=2, n_y=1, snr_grid_db=grid,
+                                                trials=1, base_seed=1))
+        return np.asarray(result.objective_trace).tobytes(), result.iterations
+
+    assert run((20.0, 0.0)) == run((20.0,))
+    assert run((0.0, 20.0)) == run((0.0,)) != run((20.0,))
+
+
 # ----------------------------------------------------------- exclusion
 
 
 def _fake_estimate(n_surfaces, n_total):
     return EstimationResult(
         offsets=np.zeros(n_surfaces), channel=np.ones(n_total, dtype=complex),
-        final_cost=0.0, sweeps=1, converged=True)
+        final_cost=0.0)
 
 
 def test_exclusion_rate_above_limit_aborts(monkeypatch):
-    def always_fails(trial, var, offsets):
+    def always_fails(trial, p, offsets):
         raise SingularSystemError("forced failure", 1e99)
 
     monkeypatch.setattr(harness, "_fit", always_fails)
@@ -281,7 +291,7 @@ def test_exclusion_rate_above_limit_aborts(monkeypatch):
 def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
     calls = {"n": 0}
 
-    def always_fails(trial, var, offsets):
+    def always_fails(trial, p, offsets):
         calls["n"] += 1
         raise SingularSystemError("forced failure", 1e99)
 
@@ -297,7 +307,7 @@ def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
 def test_exclusion_at_limit_is_tolerated(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(trial, var, offsets):
+    def flaky(trial, p, offsets):
         calls["n"] += 1
         if calls["n"] == 1:
             raise SingularSystemError("forced failure", 1e99)
@@ -358,8 +368,8 @@ def test_each_trial_is_drawn_once(monkeypatch, runner):
 def test_failure_at_one_point_excludes_the_trial_there_only(monkeypatch):
     seen = {}
 
-    def fails_once_at_10db(trial, var, offsets):
-        if var == 0.1 and not seen.get("failed"):
+    def fails_once_at_10db(trial, p, offsets):
+        if p == 1 and not seen.get("failed"):
             seen["failed"] = True
             raise SingularSystemError("forced failure", 1e99)
         return _fake_estimate(2, 2)

@@ -90,6 +90,8 @@ TRACES = {
     "convergence-bench": ["--surfaces", "2", "--nx", "8", "--ny", "4",
                           "--offset-model", "common-delta", "--delta-max", "0.3",
                           "--snr-db", "10", "--seed", "0"],
+    "convergence-grid": ["--surfaces", "2", "--nx", "4", "--ny", "1", "--snr-db", "20,0,10",
+                         "--seed", "4"],
 }
 
 # The `pulse` output holds each of these functions of `rissync.pulse`, in
