@@ -1,10 +1,10 @@
 """Command-line front end for the simulation harness.
 
-Subcommands map one-to-one onto the harness operations; ``sweep`` is the
-generic driver that selects an operation with ``--kind``. Settings come
-from built-in defaults, then an optional config file, then explicit flags —
-later sources win. Exit codes: 0 success, 1 bad arguments or I/O trouble,
-2 numerical failure (too many excluded trials or an unsolvable system).
+``sweep`` runs the SNR sweep that ``--kind`` selects; ``convergence`` writes
+the design loop's objective trace. Settings, one row each in ``_SETTINGS``,
+come from built-in defaults, then an optional config file, then explicit
+flags — later sources win. Exit codes: 0 success, 1 bad arguments or I/O
+trouble, 2 numerical failure (too many excluded trials or an unsolvable system).
 """
 from __future__ import annotations
 
@@ -27,65 +27,60 @@ from .harness import (
     run_estimation_sweep,
 )
 
-# subcommand -> (sweep kind it runs, help text); "sweep" takes its kind from
-# --kind or the config file, and "convergence" writes traces, not a sweep.
-_COMMANDS = {
-    "estimate": ("estimation", "Estimator error and bound curves across the SNR grid."),
-    "crlb": ("crlb", "Bound curves only (no estimator runs)."),
-    "design": ("design", "Compare reflection-design schemes end to end."),
-    "convergence": (None, "Write the design loop's objective trace."),
-    "sweep": (None, "Generic driver; pick the operation with --kind."),
-}
-
-
-def _runners() -> dict:
-    """Sweep kind -> harness runner, read from this module's namespace when
-    called, so a runner rebound or patched here is the one that runs."""
-    return {"estimation": run_estimation_sweep, "crlb": run_crlb_sweep,
+# sweep kind -> harness runner, looked up when a sweep runs, so a runner
+# replaced in this dict is the one that runs.
+_RUNNERS = {"estimation": run_estimation_sweep, "crlb": run_crlb_sweep,
             "async": run_async_impact, "design": run_design_sweep}
 
 
 def _parse_snr_grid(text: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
-    values = tuple(float(p) for p in parts if p)
-    if not values:
+    if not any(parts):
         raise ValueError(f"empty SNR grid: {text!r}")
-    return values
+    if not all(parts):
+        raise ValueError(f"empty entry in SNR grid: {text!r}")
+    return tuple(float(p) for p in parts)
 
 
-def _parse_kind(text: str) -> str:
-    if text not in _runners():
-        raise ValueError(f"must be one of {sorted(_runners())}, got {text!r}")
-    return text
-
-
-# config-file key -> (converter, ExperimentSpec field); "kind" is the odd one
-# out, checked under every subcommand but consumed only by the sweep one.
-_CONFIG_KEYS = {
-    "scenario": (str, "scenario"),
-    "surfaces": (int, "n_surfaces"),
-    "nx": (int, "n_x"),
-    "ny": (int, "n_y"),
-    "snr_db": (_parse_snr_grid, "snr_grid_db"),
-    "trials": (int, "trials"),
-    "offset_model": (str, "offset_model"),
-    "delta_max": (float, "delta_max"),
-    "algorithm": (str, "algorithm"),
-    "seed": (int, "base_seed"),
-    "kind": (_parse_kind, None),
+# config key -> (ExperimentSpec field, argparse options of its flag). The flag
+# is the key with '-' for '_'; a config value is converted with the same type
+# and checked against the same choices. "kind" has no field: it is a flag of
+# sweep only, but a config file's kind is checked under every subcommand.
+_SETTINGS = {
+    "scenario": ("scenario", dict(type=str, choices=SCENARIOS, help="channel model")),
+    "surfaces": ("n_surfaces", dict(type=int, metavar="K",
+                                    help="number of reflecting surfaces")),
+    "nx": ("n_x", dict(type=int, metavar="NX", help="horizontal elements per surface")),
+    "ny": ("n_y", dict(type=int, metavar="NY",
+                       help="vertical elements per surface (elements = NX*NY)")),
+    "snr_db": ("snr_grid_db", dict(type=_parse_snr_grid, metavar="LIST",
+                                   help="comma-separated SNR grid in dB, e.g. '0,10,20,30'")),
+    "trials": ("trials", dict(type=int, help="Monte Carlo trials per SNR point")),
+    "offset_model": ("offset_model", dict(type=str, choices=OFFSET_MODELS, help=(
+        "how true timing offsets are drawn ('sweep --kind async' always draws "
+        "clustered common-delta offsets and rejects any other value)"))),
+    "delta_max": ("delta_max", dict(type=float, metavar="D", help="per-surface deviation "
+                                    "bound for the common-delta model")),
+    "algorithm": ("algorithm", dict(type=str, choices=ALGORITHMS,
+                                    help="design loop used for the proposed scheme (only "
+                                         "'accelerated', the squared-extrapolation MM loop)")),
+    "seed": ("base_seed", dict(type=int, help="base seed for all trial streams")),
+    "kind": (None, dict(type=str, choices=sorted(_RUNNERS),
+                        help="which sweep to run (default: estimation)")),
 }
 
 
 def read_config(path: str) -> dict:
     """Parse a ``key = value`` config file into typed settings.
 
-    Blank lines and ``#`` comments are ignored. Unknown keys are an error so
-    that typos fail loudly instead of silently running the defaults.
+    Blank lines and ``#`` comments are ignored. Unknown and repeated keys
+    are an error so that typos fail loudly instead of silently running
+    other settings.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
 
-    settings = {}
+    settings, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,69 +89,48 @@ def read_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        convert, _ = _CONFIG_KEYS[key]
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
+        options = _SETTINGS[key][1]
         try:
-            settings[key] = convert(value)
+            settings[key] = options["type"](value)
+            if "choices" in options and settings[key] not in options["choices"]:
+                raise ValueError(f"must be one of {list(options['choices'])}, got {value!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return settings
-
-
-def _add_spec_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--config", metavar="FILE",
-                    help="config file with 'key = value' lines; flags override it")
-    sp.add_argument("--scenario", choices=SCENARIOS, help="channel model")
-    sp.add_argument("--surfaces", type=int, metavar="K",
-                    help="number of reflecting surfaces")
-    sp.add_argument("--nx", type=int, metavar="NX",
-                    help="horizontal elements per surface")
-    sp.add_argument("--ny", type=int, metavar="NY",
-                    help="vertical elements per surface (elements = NX*NY)")
-    sp.add_argument("--snr-db", type=_parse_snr_grid, metavar="LIST",
-                    help="comma-separated SNR grid in dB, e.g. '0,10,20,30'")
-    sp.add_argument("--trials", type=int, help="Monte Carlo trials per SNR point")
-    sp.add_argument("--offset-model", choices=OFFSET_MODELS,
-                    help="how true timing offsets are drawn ('sweep --kind async' "
-                         "always draws clustered common-delta offsets and rejects "
-                         "any other value)")
-    sp.add_argument("--delta-max", type=float, metavar="D",
-                    help="per-surface deviation bound for the common-delta model")
-    sp.add_argument("--algorithm", choices=ALGORITHMS,
-                    help="design loop used for the proposed scheme (only "
-                         "'accelerated', the squared-extrapolation MM loop)")
-    sp.add_argument("--seed", type=int, help="base seed for all trial streams")
-    sp.add_argument("--out", default="-", metavar="FILE",
-                    help="output path ('-' = stdout; a prefix for convergence)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rissync",
         description="Timing/channel estimation and reflection-design experiments.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    for name, (_, desc) in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, desc in (("sweep", "Run one SNR sweep; pick which with --kind."),
+                       ("convergence", "Write the design loop's objective trace.")):
         sp = sub.add_parser(name, help=desc, description=desc)
-        _add_spec_flags(sp)
-        if name == "sweep":
-            sp.add_argument("--kind", choices=sorted(_runners()),
-                            help="which operation to run (default: estimation)")
+        sp.add_argument("--config", metavar="FILE",
+                        help="config file with 'key = value' lines; flags override it")
+        for key, (field, options) in _SETTINGS.items():
+            if field is not None or name == "sweep":
+                sp.add_argument("--" + key.replace("_", "-"), **options)
+        sp.add_argument("--out", default="-", metavar="FILE",
+                        help="output path ('-' = stdout; a prefix for convergence)")
     return parser
 
 
 def build_spec(args: argparse.Namespace, settings: dict) -> ExperimentSpec:
     """Merge config-file settings and CLI flags into an experiment spec."""
     kwargs = {}
-    for key, (_, field) in _CONFIG_KEYS.items():
-        if field is None:
-            continue
-        if key in settings:
-            kwargs[field] = settings[key]
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            kwargs[field] = flag_value
+    for key, (field, _) in _SETTINGS.items():
+        value = getattr(args, key, None)
+        value = settings.get(key) if value is None else value
+        if field is not None and value is not None:
+            kwargs[field] = value
     return ExperimentSpec(**kwargs)
 
 
@@ -183,14 +157,12 @@ def _run(args: argparse.Namespace) -> int:
         print(f"accelerated: {result.iterations} iterations, {state}", file=sys.stderr)
         return 0
 
-    kind = _COMMANDS[args.command][0]
-    if args.command == "sweep":
-        kind = args.kind or settings.get("kind") or "estimation"
+    kind = args.kind or settings.get("kind") or "estimation"
     offset_model = args.offset_model or settings.get("offset_model")
     if kind == "async" and offset_model not in (None, "common-delta"):
         raise ValueError(f"--offset-model {offset_model} does not apply to kind 'async', "
                          "which always draws common-delta offsets")
-    rows = _runners()[kind](spec)
+    rows = _RUNNERS[kind](spec)
     _write_text(args.out, format_sweep_rows(rows))
     return 0
 
@@ -216,10 +188,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_snr_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse handles --help and usage errors itself
         return 0 if exc.code in (0, None) else 1
-
-    if args.command is None:
-        parser.print_help(sys.stderr)
-        return 1
 
     try:
         return _run(args)

@@ -1,4 +1,6 @@
 """Tests for the command-line interface."""
+import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,12 +42,37 @@ def test_read_config_parses_types_and_comments(tmp_path):
     "= 5",
     "trials = many",
     "snr_db = ,",
+    "snr_db = 0,,10",
+    "snr_db = 10,",
+    "scenario = awgn",
 ])
 def test_read_config_rejects_malformed_lines(tmp_path, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ValueError):
         cli.read_config(str(path))
+
+
+def test_read_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("trials = 5\n# a comment\n\nseed = 1\ntrials = 50\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:5: duplicate key 'trials' "
+                                         r"\(first set on line 1\)"):
+        cli.read_config(str(path))
+
+
+@pytest.mark.parametrize("grid", ["0,,10", "10,", ",10"])
+def test_snr_grid_rejects_empty_entries(tmp_path, capsys, grid):
+    assert cli.main(["sweep", "--kind", "crlb", "--snr-db", grid] + FAST[:6]) == 1
+    assert "--snr-db" in capsys.readouterr().err
+    path = tmp_path / "grid.cfg"
+    path.write_text(f"snr_db = {grid}\n")
+    with pytest.raises(ValueError, match=r"grid\.cfg:1: bad value for 'snr_db': "
+                                         r"empty entry in SNR grid"):
+        cli.read_config(str(path))
+    # a grid with no entry at all keeps its own message
+    with pytest.raises(ValueError, match="empty SNR grid"):
+        cli._parse_snr_grid(" , ")
 
 
 def test_example_config_parses():
@@ -61,7 +88,7 @@ def test_flags_override_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("trials = 9\nsurfaces = 4\nseed = 1\n")
     args = cli.build_parser().parse_args(
-        ["estimate", "--config", str(path), "--trials", "2"])
+        ["sweep", "--config", str(path), "--trials", "2"])
     spec = cli.build_spec(args, cli.read_config(args.config))
     assert spec.trials == 2        # flag wins
     assert spec.n_surfaces == 4    # config fills the rest
@@ -69,8 +96,34 @@ def test_flags_override_config(tmp_path):
 
 
 def test_build_spec_defaults_match_experiment_spec():
-    args = cli.build_parser().parse_args(["estimate"])
-    assert cli.build_spec(args, {}) == ExperimentSpec()
+    for command in ("sweep", "convergence"):
+        args = cli.build_parser().parse_args([command])
+        assert cli.build_spec(args, {}) == ExperimentSpec()
+
+
+# one value per setting, not its default: only 'algorithm' has no other value
+_SETTING_VALUES = {"scenario": "mmwave", "surfaces": "3", "nx": "2", "ny": "3",
+                   "snr_db": "5, 15", "trials": "7", "offset_model": "common-delta",
+                   "delta_max": "0.25", "algorithm": "accelerated", "seed": "11"}
+
+
+def test_settings_table_matches_the_spec(tmp_path):
+    """The table's fields are the spec's, and each setting gives the same
+    spec as a flag as it does as a config line."""
+    fields = [field for field, _ in cli._SETTINGS.values() if field is not None]
+    assert fields == [f.name for f in dataclasses.fields(ExperimentSpec)]
+    parser = cli.build_parser()
+    path = tmp_path / "one.cfg"
+    for key, (field, _) in cli._SETTINGS.items():
+        if field is None:
+            continue
+        value = _SETTING_VALUES[key]
+        path.write_text(f"{key} = {value}\n")
+        from_file = cli.build_spec(parser.parse_args(["sweep"]), cli.read_config(str(path)))
+        flag = "--" + key.replace("_", "-")
+        from_flag = cli.build_spec(parser.parse_args(["sweep", flag, value]), {})
+        assert from_flag == from_file, key
+        assert from_flag != ExperimentSpec() or key == "algorithm", key
 
 
 # ------------------------------------------------------------ commands
@@ -87,7 +140,7 @@ def test_sweep_output_is_byte_identical(tmp_path):
 
 
 def test_estimate_writes_csv_to_stdout(capsys):
-    assert cli.main(["estimate"] + FAST) == 0
+    assert cli.main(["sweep", "--kind", "estimation"] + FAST) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "snr_db,metric,mean,stderr,trials,excluded"
     assert len(lines) == 5  # four metrics at one SNR point
@@ -95,14 +148,14 @@ def test_estimate_writes_csv_to_stdout(capsys):
 
 
 def test_crlb_subcommand_is_bounds_only(capsys):
-    assert cli.main(["crlb"] + FAST) == 0
+    assert cli.main(["sweep", "--kind", "crlb"] + FAST) == 0
     lines = capsys.readouterr().out.splitlines()
     metrics = {line.split(",")[1] for line in lines[1:]}
     assert metrics == {"channel_crlb", "timing_crlb"}
 
 
 def test_design_subcommand_reports_four_schemes(capsys):
-    assert cli.main(["design"] + FAST) == 0
+    assert cli.main(["sweep", "--kind", "design"] + FAST) == 0
     lines = capsys.readouterr().out.splitlines()
     metrics = {line.split(",")[1] for line in lines[1:]}
     assert metrics == {"nmse_proposed", "nmse_phase_aligned",
@@ -118,15 +171,18 @@ def test_sweep_kind_from_config(tmp_path, capsys):
     assert metrics == {"channel_crlb", "timing_crlb"}
 
 
-@pytest.mark.parametrize("command", ["estimate", "crlb", "design", "convergence", "sweep"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--kind", "estimation"], ["sweep", "--kind", "crlb"],
+    ["sweep", "--kind", "design"], ["convergence"], ["sweep"],
+], ids=["estimate", "crlb", "design", "convergence", "sweep"])
 def test_config_kind_is_checked_under_every_subcommand(tmp_path, capsys, command):
     # a bad kind fails where the file is read, as a bad scenario does, even
-    # under subcommands that take their kind from their name
+    # where a --kind flag or the convergence command leaves it unused
     path = tmp_path / "k.cfg"
     path.write_text("trials = 2\nkind = bogus\n")
     with pytest.raises(ValueError, match=r"k\.cfg:2: bad value for 'kind'"):
         cli.read_config(str(path))
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")] + FAST
+    argv = command + ["--config", str(path), "--out", str(tmp_path / "out")] + FAST
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'kind'" in err and "bogus" in err
@@ -134,7 +190,7 @@ def test_config_kind_is_checked_under_every_subcommand(tmp_path, capsys, command
 
 
 def test_snr_list_may_start_with_a_negative_value(capsys):
-    argv = ["crlb", "--surfaces", "2", "--nx", "2", "--ny", "1",
+    argv = ["sweep", "--kind", "crlb", "--surfaces", "2", "--nx", "2", "--ny", "1",
             "--trials", "2", "--seed", "3"]
     assert cli.main(argv + ["--snr-db", "-10,0"]) == 0
     spaced = capsys.readouterr().out
@@ -144,7 +200,7 @@ def test_snr_list_may_start_with_a_negative_value(capsys):
 
 
 def test_abbreviated_snr_flag_takes_a_negative_list(capsys):
-    argv = ["crlb", "--surfaces", "2", "--nx", "2", "--ny", "1",
+    argv = ["sweep", "--kind", "crlb", "--surfaces", "2", "--nx", "2", "--ny", "1",
             "--trials", "2", "--seed", "3"]
     assert cli.main(argv + ["--snr-db", "-10,0"]) == 0
     full = capsys.readouterr().out
@@ -180,7 +236,18 @@ def test_convergence_requires_out_path(capsys):
 
 def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
-    assert cli.main(["estimate", "--help"]) == 0
+    assert cli.main(["sweep", "--help"]) == 0
+    assert cli.main(["convergence", "--help"]) == 0
+
+
+def test_only_sweep_and_convergence_are_commands(capsys):
+    assert cli.main(["--help"]) == 0
+    listed = re.findall(r"^    (\w+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == ["sweep", "convergence"]
+    for alias in ("estimate", "crlb", "design"):
+        assert cli.main([alias] + FAST) == 1
+        assert f"invalid choice: '{alias}'" in capsys.readouterr().err
+    assert cli.main(["convergence", "--kind", "crlb"] + FAST) == 1
 
 
 def test_no_subcommand_exits_one(capsys):
@@ -190,16 +257,16 @@ def test_no_subcommand_exits_one(capsys):
 
 def test_usage_errors_exit_one():
     assert cli.main(["frobnicate"]) == 1
-    assert cli.main(["estimate", "--scenario", "awgn"]) == 1
-    assert cli.main(["estimate", "--trials", "three"]) == 1
+    assert cli.main(["sweep", "--scenario", "awgn"]) == 1
+    assert cli.main(["sweep", "--trials", "three"]) == 1
     assert cli.main(["sweep", "--kind", "bogus"]) == 1
-    assert cli.main(["design", "--algorithm", "mm"]) == 1
+    assert cli.main(["sweep", "--kind", "design", "--algorithm", "mm"]) == 1
 
 
 def test_invalid_spec_exits_one(capsys):
-    assert cli.main(["estimate", "--trials", "0"]) == 1
+    assert cli.main(["sweep", "--trials", "0"]) == 1
     assert "trials" in capsys.readouterr().err
-    assert cli.main(["crlb"] + FAST + ["--seed", "-1"]) == 1
+    assert cli.main(["sweep", "--kind", "crlb"] + FAST + ["--seed", "-1"]) == 1
     assert "base_seed" in capsys.readouterr().err
 
 
@@ -230,12 +297,12 @@ def test_async_rejects_an_offset_model_it_would_ignore(tmp_path, capsys):
 
 
 def test_missing_config_exits_one(capsys):
-    assert cli.main(["estimate", "--config", "/nonexistent/x.cfg"]) == 1
+    assert cli.main(["sweep", "--config", "/nonexistent/x.cfg"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_one(tmp_path):
-    assert cli.main(["crlb"] + FAST +
+    assert cli.main(["sweep", "--kind", "crlb"] + FAST +
                     ["--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1
 
 
@@ -243,8 +310,8 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     def doomed(spec):
         raise FailureRateError(5, 10, 0.01)
 
-    monkeypatch.setattr(cli, "run_estimation_sweep", doomed)
-    assert cli.main(["estimate"] + FAST) == 2
+    monkeypatch.setitem(cli._RUNNERS, "estimation", doomed)
+    assert cli.main(["sweep", "--kind", "estimation"] + FAST) == 2
     assert "excluded" in capsys.readouterr().err
 
 

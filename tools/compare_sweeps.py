@@ -7,7 +7,9 @@ Each tree is a checkout that holds ``src/rissync``. Every spec in ``SPECS``
 and the ``convergence`` traces in ``TRACES`` run once per tree, with
 ``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``. So does the ``pulse``
 output: the raw float64 bytes of the functions in ``PULSE_FUNCTIONS`` at
-fixed points (``write_pulse_values``). For each output the script prints
+fixed points (``write_pulse_values``). Every command runs in the tree's
+directory, so the ``config-example`` spec reads each tree's own
+``configs/example.cfg``. For each output the script prints
 ``identical`` when the bytes match; otherwise, for every (metric, column)
 that moved, or every pulse function, the largest relative drift
 ``|a - b| / max(|a|, |b|)`` over its rows or values. It exits 1 when an
@@ -80,6 +82,7 @@ SPECS = {
                      "--trials", "1", "--seed", "0"],
     "design-B": _DESIGN + ["--surfaces", "2", "--snr-db", "0,10,20"],
     "design-C": _DESIGN + ["--surfaces", "4", "--snr-db", "10"],
+    "config-example": ["--config", "configs/example.cfg", "--trials", "3"],
 }
 
 # output-name prefix -> arguments of `rissync convergence`; it writes the
@@ -143,8 +146,8 @@ def _run(tree: str, *args: str):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, *args]
-    done = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          text=True)
+    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
         sys.exit(f"{' '.join(cmd)} failed in {tree} (exit {done.returncode}):\n{done.stderr}")
 
