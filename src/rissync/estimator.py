@@ -7,29 +7,22 @@ pulse steering matrix, and the cascaded channel enters linearly.
 
 The offsets are recovered by maximum likelihood on the profiled residual (the
 channel projected out). The training phases have orthogonal columns, so the
-observation matrix has orthogonal columns too and the residual splits into
-one term per surface: each offset is the solution of its own 1-D search
-against ``Z = Phi^H Y``, the observation correlated with every phase column,
-and the channel and residual are per-element closed forms. Other training is
-rejected; ``residual_cost`` keeps a dense QR as the reference.
+residual splits into one term per surface: each offset comes from its own
+1-D search against ``Z = Phi^H Y``, and the channel and residual are
+per-element closed forms. Other training is rejected; ``residual_cost`` keeps
+a QR of the dense ``observation_matrix`` as the reference.
 
-``gen_training``'s scaled-DFT phases depend only on N*K, so they are built
-and checked for orthogonality once per N*K (``_dft_phases``) and
-shared, read-only; a hand-built ``TrainingPattern`` is checked once per
-pattern, on first use.
+A filtered pilot is f(x) = A g(x), A the lag-pilot matrix and g(x) the real
+pulse at its T reachable lag times, so a search group's captured energy is a
+Rayleigh quotient in g (``_forms``): a zoom level costs one pulse call and
+T x T forms. The truncated pulse is still about 0.025 at ``+-span``, so the
+objective jumps at every multiple of ``1/oversampling``; the search also
+scores both sides of each jump.
 
-The surfaces' searches run together (``_search_offsets``): a coarse grid, its
-pulse table cached per pulse config, then zoom levels shared by all surfaces,
-each one pulse call at the reachable lag times, multiplied by the lag-pilot
-matrix formed once per estimate. The truncated pulse is still about 0.025 at
-``+-span``, so the objective jumps at every offset that is a multiple of
-``1/oversampling``; its best value can lie at the open end of such a step.
-
-Observations stack on leading axes. Given a 1-D array of noise variances,
-``simulate_training`` returns one row per variance from one noise draw; the
-correlation ``Z`` and the search then serve every row in one pass, and the
-least-squares fit (``_result_at``) takes one row at a time. A one-shot
-estimator is the one-row case.
+Observations stack on leading axes: given a 1-D array of noise variances,
+``simulate_training`` returns one row per variance from one noise draw, and
+``Z``, the search and the least-squares fit (``_fits``) serve every row in
+one pass; a row's conditioning is checked when it is taken (``_point``).
 """
 from __future__ import annotations
 
@@ -99,9 +92,8 @@ class TrainingPattern:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Output of the timing/channel estimators: the searched offsets and the
-    least-squares fit at them. Every search runs its fixed zoom levels, so
-    there is no iteration count or convergence flag to report."""
+    """The searched offsets and the least-squares fit at them. Every search
+    runs its fixed zoom levels: there is no iteration count to report."""
 
     offsets: np.ndarray          # one timing estimate per surface, in (-1, 1)
     channel: np.ndarray          # cascaded-channel estimate, length N*K
@@ -137,10 +129,10 @@ def _dft_phases(nk: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
-    """``steer(offset_k) @ pilot`` for each surface k, one row per surface,
-    from one pulse evaluation over all surfaces."""
+    """``steer(offset_k) @ pilot`` for each surface k, one row per surface
+    (one stack per row of a 2-D ``offsets``), from one pulse evaluation."""
     offsets = np.asarray(offsets, dtype=float)
-    if offsets.shape != (cfg.n_surfaces,):
+    if offsets.shape[-1:] != (cfg.n_surfaces,):
         raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
     return steer(offsets, cfg.pulse) @ tp.pilot
 
@@ -168,13 +160,15 @@ def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var,
     then the observation at ``noise_var[p]``: every row holds the same clean
     signal and the same noise draw, scaled by ``sqrt(noise_var[p] / 2)``, so
     each row is bit for bit the observation a scalar call at that variance
-    returns. A zero variance gives the clean signal itself.
+    returns. A zero variance gives the clean signal itself. That is Phi (h * F),
+    F the filtered pilots repeated per element: no observation matrix is formed.
     """
     var = np.asarray(noise_var, dtype=float)
     if var.ndim > 1 or not np.all((0.0 <= var) & (var < np.inf)):
         raise ValueError(f"noise_var must be finite and >= 0 (a scalar or 1-D array), "
                          f"got {noise_var}")
-    clean = observation_matrix(offsets, tp, cfg) @ cascade(ch)
+    pilots = np.repeat(_pilot_rows(steering_matrix, offsets, tp, cfg), cfg.n_elements, axis=0)
+    clean = (tp.phases @ (cascade(ch)[:, None] * pilots)).reshape(-1)
     rng = np.random.default_rng(noise_seed)
     noise = (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
     scale = np.sqrt(var / 2.0)[..., None]
@@ -215,9 +209,10 @@ def _pattern_correlation(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) 
 def _training_gram(offsets, tp: TrainingPattern,
                    cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Filtered pilots f_k (one row per surface) and the diagonal observation
-    Gram N^H N, G_i = |Phi_i|^2 |f_k|^2 for element i of surface k."""
+    Gram N^H N, G_i = |Phi_i|^2 |f_k|^2 for element i of surface k; a stack
+    of offset rows gives a stack of each."""
     pilots = _pilot_rows(steering_matrix, offsets, tp, cfg)
-    pilot_energy = np.repeat(np.sum(np.abs(pilots) ** 2, axis=1), cfg.n_elements)
+    pilot_energy = np.repeat(np.sum(np.abs(pilots) ** 2, axis=-1), cfg.n_elements, axis=-1)
     return pilots, tp.column_energies * pilot_energy
 
 
@@ -230,12 +225,9 @@ def ls_channel(offsets, y: np.ndarray, tp: TrainingPattern,
 
 def residual_cost(offsets, y: np.ndarray, tp: TrainingPattern,
                   cfg: SystemConfig) -> float:
-    """Energy of y outside the observation matrix's column space.
-
-    This is the profile objective for timing estimation: the channel has been
-    eliminated by projecting onto the orthogonal complement. A QR of the dense
-    observation matrix, for any training: the reference for the closed forms.
-    """
+    """Energy of y outside the observation matrix's column space: the profile
+    objective of timing estimation, the channel projected out. A QR of the
+    dense observation matrix, for any training: the closed forms' reference."""
     q, r = np.linalg.qr(observation_matrix(offsets, tp, cfg))
     _check_spread(np.linalg.svd(r, compute_uv=False), "training observation matrix")
     total = float(np.vdot(y, y).real)
@@ -252,34 +244,33 @@ _LEVELS = math.ceil(math.log10(GRID_STEP / FINAL_SPACING))
 
 
 @lru_cache(maxsize=4)
-def _grid_table(cfg: PulseConfig) -> np.ndarray:
-    """``rrc_impulse(times - _GRID[:, None])`` at the lag-pilot matrix's times,
-    one row per coarse-grid offset. No pilot enters it, so it is built once
-    per pulse config, on first use, and shared read-only."""
-    table = rrc_impulse(lag_pilot_matrix(np.zeros(cfg.seq_len), cfg)[0] - _GRID[:, None], cfg)
-    table.flags.writeable = False
-    return table
+def _grid_table(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets x and ``rrc_impulse(times - x)`` at the lag-pilot matrix's times,
+    one row per x: the coarse grid, then each truncation jump j/oversampling
+    in (-1, 1) and 1e-9 either side of it. No pilot enters it, so it is built
+    once per pulse config, on first use, and shared read-only."""
+    jumps = np.arange(1.0 - cfg.oversampling, cfg.oversampling) / cfg.oversampling
+    offsets = np.concatenate([_GRID, (jumps[:, None] + [-1e-9, 0.0, 1e-9]).reshape(-1)])
+    table = rrc_impulse(lag_pilot_matrix(np.zeros(cfg.seq_len), cfg)[0] - offsets[:, None], cfg)
+    offsets.flags.writeable = table.flags.writeable = False
+    return offsets, table
 
 
-def _unit_rows(f: np.ndarray) -> np.ndarray:
-    return f / np.sqrt(np.sum(np.abs(f) ** 2, axis=-1))[..., None]
+def _forms(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig, group: int) -> tuple:
+    """Lag-pilot times and quadratic forms for each run of ``group`` rows of each
+    ``Z`` of a stack: P = Re(B^T conj(B)) per run, B = Z conj(A) / |Phi_i|, and
+    Q = Re(A^H A). The run's captured energy sum_i |Z_i f(x)^*|^2 / (|Phi_i|^2
+    |f(x)|^2) is g^T P g / g^T Q g, g = ``rrc_impulse(times - x)``."""
+    times, a = lag_pilot_matrix(tp.pilot, cfg.pulse)
+    b = (z @ a.conj()) / np.sqrt(tp.column_energies)[:, None]
+    b = b.reshape(-1, group, times.size)
+    return times, (np.swapaxes(b, -1, -2) @ b.conj()).real, (a.conj().T @ a).real
 
 
-def _unit_pilots(offsets: np.ndarray, lag_pilots: tuple, cfg: SystemConfig) -> np.ndarray:
-    """Unit-norm filtered pilots f(x) / |f(x)|, one row per offset x (one stack
-    per row of a 2-D ``offsets``: one per surface), from one pulse call;
-    ``lag_pilots`` is :func:`~rissync.pulse.lag_pilot_matrix`'s (times, A)."""
-    times, a = lag_pilots
-    # a complex product: a real one would page in a second BLAS kernel
-    return _unit_rows(rrc_impulse(times - offsets[..., None], cfg.pulse) @ a.T)
-
-
-def _captured(z: np.ndarray, energy: np.ndarray, unit_pilots: np.ndarray) -> np.ndarray:
-    """Energy captured by the orthogonal columns of the elements whose rows of
-    ``Z`` and phase-column energies are given, sum_i |Z_i u^*|^2 / |Phi_i|^2, for
-    each unit filtered pilot u (row of ``unit_pilots``); leading axes broadcast."""
-    scores = np.abs(z @ np.swapaxes(unit_pilots.conj(), -1, -2)) ** 2
-    return np.sum(scores / energy[..., None], axis=-2)
+def _quotient(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rayleigh quotients r^T P r / r^T Q r of the pulse rows r (last axis):
+    rows shared by every P of a stack, or one stack of rows per P."""
+    return np.sum((rows @ p) * rows, axis=-1) / np.sum((rows @ q) * rows, axis=-1)
 
 
 def _search_offsets(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
@@ -287,57 +278,62 @@ def _search_offsets(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
     """Searched offsets of every surface, shape (..., K), for each ``Z`` of a
     stack (leading axes of ``z``). Each run of ``group`` consecutive elements
     (N: one search per surface; N*K: one shared by all) gets the offset that
-    maximizes its captured energy (:func:`_captured`): the cached coarse grid
-    over (-1, 1), then a zoom that scores 21 offsets across the group's
-    winning +-GRID_STEP cell, re-centres on its best point seen and shrinks
-    the cell to one spacing, down to FINAL_SPACING. All groups of the stack
-    share each level's pulse call. The first level also holds offset 0, a
-    truncation-jump point the zoom need not reach, so a result is never
-    worse than it or any point scored for it.
-    """
-    stack, energy = z.shape[:-2], tp.column_energies.reshape(-1, group)
-    z = z.reshape(-1, group, z.shape[-1])
-    energy = np.tile(energy, (z.shape[0] // energy.shape[0], 1))
-    lag_pilots, groups = lag_pilot_matrix(tp.pilot, cfg.pulse), np.arange(z.shape[0])
-    grid_pilots = _unit_rows(_grid_table(cfg.pulse) @ lag_pilots[1].T)
-    centre = _GRID[np.argmax(_captured(z, energy, grid_pilots), axis=-1)]
+    maximizes its captured energy (:func:`_forms`): the cached table's coarse
+    grid, then a zoom that scores 21 offsets across the group's winning cell,
+    re-centres on its best point seen and shrinks the cell tenfold, down to
+    FINAL_SPACING, one pulse call per level for all groups. The table's jump
+    points, which the zoom need not reach, seed the best point seen."""
+    times, p, q = _forms(z, tp, cfg, group)
+    offsets, table = _grid_table(cfg.pulse)
+    scores, groups = _quotient(table, p, q), np.arange(p.shape[0])
+    centre = _GRID[np.argmax(scores[:, :_GRID.size], axis=-1)]
+    jump = _GRID.size + np.argmax(scores[:, _GRID.size:], axis=-1)
+    best_x, best, half = offsets[jump], scores[groups, jump], GRID_STEP
     points = np.clip(centre[:, None] + GRID_STEP * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
-    points = np.concatenate([np.zeros((groups.size, 1)), points], axis=1)
-    best_x, best, half = np.zeros(groups.size), np.full(groups.size, -np.inf), GRID_STEP
     for _ in range(_LEVELS):
-        scores = _captured(z, energy, _unit_pilots(points, lag_pilots, cfg))
+        scores = _quotient(rrc_impulse(times - points[..., None], cfg.pulse), p, q)
         i = np.argmax(scores, axis=-1)
         better = scores[groups, i] > best
         best_x = np.where(better, points[groups, i], best_x)
         best = np.where(better, scores[groups, i], best)
         half /= 10.0
         points = np.clip(best_x[:, None] + half * _ZOOM, -_OFFSET_EDGE, _OFFSET_EDGE)
-    return np.repeat(best_x, group // cfg.n_elements).reshape(*stack, cfg.n_surfaces)
+    return np.repeat(best_x, group // cfg.n_elements).reshape(*z.shape[:-2], cfg.n_surfaces)
+
+
+def _fits(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> tuple:
+    """Least-squares fits of a stack of observations ``y`` with their ``Z``, each
+    at its row of offsets ``eps``, from one pulse call: the offsets, the Gram
+    G, the channel Z_i f_k^* / G_i of each element i (on surface k) and the
+    residual, the energy of ``y`` less the sum |Z_i f_k^*|^2 / G_i."""
+    pilots, gram = _training_gram(eps, tp, cfg)
+    z = z.reshape(*gram.shape[:-1], cfg.n_surfaces, cfg.n_elements, -1)
+    corr = (z @ pilots.conj()[..., None]).reshape(gram.shape)
+    captured = np.sum(np.abs(corr) ** 2 / gram, axis=-1)
+    total = np.sum(y.real ** 2 + y.imag ** 2, axis=-1)
+    return np.asarray(eps, dtype=float), gram, corr / gram, np.maximum(total - captured, 0.0)
+
+
+def _point(fits: tuple, p) -> EstimationResult:
+    """Fit ``p`` of :func:`_fits` (``()`` for a lone one); SingularSystemError
+    where its observation matrix (singular values sqrt(G)) is ill-conditioned."""
+    eps, gram, channel, cost = (part[p] for part in fits)
+    _check_spread(np.sqrt(gram), "training observation matrix")
+    return EstimationResult(offsets=eps, channel=channel, final_cost=float(cost))
 
 
 def _result_at(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
                cfg: SystemConfig) -> EstimationResult:
-    """Least-squares fit of one observation ``y``, with its ``Z``, at the
-    offsets ``eps``: the channel Z_i f_k^* / G_i of each element i (on surface
-    k) and the residual, the energy of ``y`` less the sum |Z_i f_k^*|^2 / G_i
-    that channel captures. Raises SingularSystemError where the observation
-    matrix, whose singular values are sqrt(G), is ill-conditioned."""
-    pilots, gram = _training_gram(eps, tp, cfg)
-    _check_spread(np.sqrt(gram), "training observation matrix")
-    z = z.reshape(cfg.n_surfaces, cfg.n_elements, -1)
-    corr = np.einsum("kns,ks->kn", z, pilots.conj()).reshape(-1)
-    captured = float(np.sum(np.abs(corr) ** 2 / gram))
-    return EstimationResult(offsets=eps, channel=corr / gram,
-                            final_cost=max(float(np.vdot(y, y).real) - captured, 0.0))
+    """The least-squares fit of one observation: :func:`_fits`' one-row case."""
+    return _point(_fits(eps, z, y, tp, cfg), ())
 
 
 def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> EstimationResult:
     """Joint timing/channel maximum-likelihood estimate.
 
     With orthogonal training the profile objective is a sum of per-surface
-    terms, so each offset comes from its own 1-D search (grid plus zoom to
-    ``FINAL_SPACING``; the surfaces share each level's pulse call). The
-    channel estimate is the least-squares solve at the returned offsets.
+    terms, so each offset comes from its own 1-D search; the channel estimate
+    is the least-squares solve at the returned offsets.
     """
     z = _pattern_correlation(y, tp, cfg)
     return _result_at(_search_offsets(z, tp, cfg, cfg.n_elements), z, y, tp, cfg)
@@ -345,8 +341,7 @@ def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> Es
 
 def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
                       cfg: SystemConfig) -> EstimationResult:
-    """Offset-synchronization-naive variant: fits a single shared timing value
-    for all surfaces (one 1-D search over every element), then the
-    least-squares channel."""
+    """Offset-synchronization-naive variant: one timing value shared by all
+    surfaces (one search over every element), then the least-squares channel."""
     z = _pattern_correlation(y, tp, cfg)
     return _result_at(_search_offsets(z, tp, cfg, cfg.total_elements), z, y, tp, cfg)

@@ -5,11 +5,12 @@ index), so results do not depend on execution order and identical
 experiment settings reproduce identical output byte for byte. Each trial is
 drawn once and scored at every SNR point, so the points share common random
 numbers: one noise draw, scaled per point. A trial's training blocks are
-therefore simulated together, and the timing search runs once per trial over
-every point and surface. Scorers take a point by its index ``p`` in the grid
-and run only the least-squares fit on row ``p`` (:func:`_fit`). A trial that
-dies in an ill-conditioned linear solve is excluded at that point and
-counted; an exclusion rate above one percent aborts the run.
+therefore simulated together, and the timing search and each least-squares
+fit run once per trial over every point and surface. Scorers take a point by
+its index ``p`` in the grid and row ``p`` of a fit (:func:`_fit`), checked
+there alone. A trial that dies in an ill-conditioned linear solve is
+excluded at that point and counted; an exclusion rate above one percent
+aborts the run.
 
 Reported metrics are normalized mean-squared errors. For estimates the
 normalizer is that trial's own squared true-parameter norm; for the matching
@@ -19,7 +20,7 @@ so each trial's are evaluated once at unit variance and scaled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +43,7 @@ from .design import (
     white_noise_cov,
 )
 from .errors import FailureRateError, SingularSystemError
-from .estimator import (EstimationResult, TrainingPattern, _pattern_correlation, _result_at,
+from .estimator import (EstimationResult, TrainingPattern, _fits, _pattern_correlation, _point,
                         _search_offsets, gen_training, simulate_training)
 from .pulse import _OFFSET_EDGE
 
@@ -185,6 +186,7 @@ class _Trial:
     channel_norm: float  # squared norms of the true parameters
     timing_norm: float
     noise_vars: tuple    # the sweep's noise variances, one per SNR point
+    fits: dict = field(default_factory=dict)  # stacked fits by offsets' bytes (_fit)
 
     @cached_property
     def unit_bound_traces(self) -> tuple:
@@ -202,8 +204,7 @@ class _Trial:
         """The training blocks at the sweep's noise variances, one row per
         point (one noise draw, scaled per point), their correlations ``Z`` and
         each point's searched surface offsets: one simulation and one timing
-        search over every point and surface. The fit runs per point
-        (:func:`_fit`), so its conditioning check excludes one point only.
+        search over every point and surface.
         """
         obs = simulate_training(self.channels, self.offsets, self.pattern,
                                 np.array(self.noise_vars), self.cfg, self.streams["noise"])
@@ -261,10 +262,14 @@ def _sweep(spec: ExperimentSpec, score, metrics) -> list:
 
 
 def _fit(trial: _Trial, p: int, offsets: np.ndarray) -> EstimationResult:
-    """Least-squares estimate on the trial's training block at point ``p``, at
-    that point's row of the stacked searched ``offsets``."""
-    obs, z, _ = trial.training
-    return _result_at(offsets[p], z[p], obs[p], trial.pattern, trial.cfg)
+    """Least-squares estimate at point ``p`` and its row of the stacked searched
+    ``offsets``: row ``p`` of one fit of every point, formed on the first call
+    for these offsets, with only row ``p``'s conditioning checked."""
+    key = offsets.tobytes()
+    if key not in trial.fits:
+        obs, z, _ = trial.training
+        trial.fits[key] = _fits(offsets, z, obs, trial.pattern, trial.cfg)
+    return _point(trial.fits[key], p)
 
 
 def _believed(trial: _Trial, p: int, est) -> DesignInputs:

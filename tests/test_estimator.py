@@ -14,11 +14,14 @@ from rissync.estimator import (
     _ZOOM,
     GRID_STEP,
     TrainingPattern,
-    _captured,
+    _fits,
+    _forms,
+    _grid_table,
     _pattern_correlation,
+    _point,
+    _quotient,
     _result_at,
     _search_offsets,
-    _unit_pilots,
     gen_training,
     ls_channel,
     mle_alternating,
@@ -202,7 +205,43 @@ def test_stacked_training_rows_are_the_scalar_calls(k_surf):
     for row, var in zip(rows, STACKED_VARS):
         assert row.tobytes() == simulate_training(ch, offsets, tp, var, cfg, 123).tobytes()
     assert rows[0].tobytes() == clean.tobytes()
-    assert clean.tobytes() == (observation_matrix(offsets, tp, cfg) @ cascade(ch)).tobytes()
+    dense = observation_matrix(offsets, tp, cfg) @ cascade(ch)
+    assert np.linalg.norm(clean - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def _orthogonal_pattern(cfg, tp, seed):
+    # more patterns than elements, unequal column energies, no DFT structure
+    rng = np.random.default_rng(seed)
+    shape = (cfg.total_elements + 3, cfg.total_elements)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return TrainingPattern(phases=q * np.linspace(0.5, 2.0, shape[1]), pilot=tp.pilot)
+
+
+@pytest.mark.parametrize("k_surf", [1, 2, 4])
+def test_clean_signal_is_the_observation_matrix_times_the_channel(k_surf):
+    # The simulation forms Phi (h * F) with no observation matrix; it must be
+    # the dense product, for DFT training and for a hand-built orthogonal one.
+    cfg = SystemConfig(k_surf, 3)
+    for seed in range(3):
+        ch, tp, offsets, _ = _instance(cfg, 500 + seed)
+        for pattern in (tp, _orthogonal_pattern(cfg, tp, seed)):
+            clean = simulate_training(ch, offsets, pattern, 0.0, cfg, 0)
+            dense = observation_matrix(offsets, pattern, cfg) @ cascade(ch)
+            assert clean.shape == dense.shape
+            assert np.linalg.norm(clean - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_simulate_training_builds_no_observation_matrix(monkeypatch):
+    estimator_module = importlib.import_module("rissync.estimator")
+    ch, tp, offsets, y = _instance(CFG, 7)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("observation matrix built")
+
+    monkeypatch.setattr(estimator_module, "observation_matrix", forbidden)
+    monkeypatch.setattr(estimator_module, "_stack_columns", forbidden)
+    rows = simulate_training(ch, offsets, tp, np.array([0.0, 0.5]), CFG, 3)
+    assert rows[0].tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("k_surf", [1, 2, 4])
@@ -225,6 +264,25 @@ def test_stacked_search_and_fit_match_the_one_shot_estimators(k_surf):
             for p, y in enumerate(rows):
                 stacked = _result_at(searched[p], z[p], y, tp, cfg)
                 alone = estimate(y, tp, cfg)
+                assert stacked.offsets.tobytes() == alone.offsets.tobytes()
+                assert stacked.channel.tobytes() == alone.channel.tobytes()
+                assert stacked.final_cost == alone.final_cost
+
+
+@pytest.mark.parametrize("k_surf", [1, 2, 4])
+def test_stacked_fit_rows_are_the_one_point_fits(k_surf):
+    # All points are fitted from one pulse call; row p must be the one-point
+    # fit of observation p, byte for byte, whatever the stack holds.
+    cfg = SystemConfig(k_surf, 4)
+    for seed in range(3):
+        ch, tp, offsets, _ = _instance(cfg, 110 + seed)
+        rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, seed)
+        z = _pattern_correlation(rows, tp, cfg)
+        for group in (cfg.n_elements, cfg.total_elements):
+            searched = _search_offsets(z, tp, cfg, group)
+            fits = _fits(searched, z, rows, tp, cfg)
+            for p, y in enumerate(rows):
+                stacked, alone = _point(fits, p), _result_at(searched[p], z[p], y, tp, cfg)
                 assert stacked.offsets.tobytes() == alone.offsets.tobytes()
                 assert stacked.channel.tobytes() == alone.channel.tobytes()
                 assert stacked.final_cost == alone.final_cost
@@ -303,19 +361,15 @@ def test_per_surface_captured_energy_matches_residual_oracle(k_surf):
     # Orthogonal training splits the profile objective: the energy left
     # outside the observation matrix is the total minus one captured term
     # per surface, each depending only on that surface's offset. Each term
-    # is scored by the batched search scorer, one offset per batch.
+    # is the search's Rayleigh quotient of that surface's forms, one offset
+    # per call.
     cfg = SystemConfig(k_surf, 3)
-    n = cfg.n_elements
     for seed in range(3):
         _, tp, _, y = _instance(cfg, 300 + seed, noise_var=0.2)
-        z, energy = _pattern_correlation(y, tp, cfg), tp.column_energies
-        lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
+        times, p, q = _forms(_pattern_correlation(y, tp, cfg), tp, cfg, cfg.n_elements)
         eps = np.random.default_rng(seed).uniform(-0.95, 0.95, k_surf)
-        captured = sum(
-            _captured(z[k * n:(k + 1) * n], energy[k * n:(k + 1) * n],
-                      _unit_pilots(np.array([e]), lags, cfg))[0]
-            for k, e in enumerate(eps)
-        )
+        captured = sum(_quotient(rrc_impulse(times - e, cfg.pulse)[None], p[k], q)[0]
+                       for k, e in enumerate(eps))
         separable = float(np.vdot(y, y).real) - captured
         assert separable == pytest.approx(residual_cost(eps, y, tp, cfg), rel=1e-9)
 
@@ -355,25 +409,24 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
 
 
 def test_batched_grid_matches_single_offset_path():
-    # The coarse grid is scored in one batch against shared unit pilots; each
-    # score must be the zoom scorer's at the same offset, one offset per
-    # batch, up to rounding, and the winning cell the same. The last group is
-    # the common-offset search.
+    # The cached table (coarse grid, then both sides of every jump) is scored
+    # in one call against every group's forms; each score must be the one of
+    # the same offset scored alone, up to rounding, and the winning cell the
+    # same. The last group is the common-offset search.
     for cfg in (CFG, SystemConfig(3, 2), SystemConfig(1, 5)):
-        n = cfg.n_elements
-        groups = [slice(k * n, (k + 1) * n) for k in range(cfg.n_surfaces)] + [slice(None)]
+        offsets, table = _grid_table(cfg.pulse)
         for seed in range(4):
             _, tp, _, y = _instance(cfg, 400 + seed, noise_var=0.3)
-            z, energy = _pattern_correlation(y, tp, cfg), tp.column_energies
-            lags = lag_pilot_matrix(tp.pilot, cfg.pulse)
-            grid_pilots = _unit_pilots(_GRID, lags, cfg)
-            for rows in groups:
-                batched = _captured(z[rows], energy[rows], grid_pilots)
-                loop = np.array([
-                    _captured(z[rows], energy[rows], _unit_pilots(np.array([x]), lags, cfg))[0]
-                    for x in _GRID])
+            z = _pattern_correlation(y, tp, cfg)
+            for group in (cfg.n_elements, cfg.total_elements):
+                times, p, q = _forms(z, tp, cfg, group)
+                batched = _quotient(table, p, q)
+                loop = np.array([_quotient(rrc_impulse(times - x, cfg.pulse)[None], p, q)[:, 0]
+                                 for x in offsets]).T
                 np.testing.assert_allclose(batched, loop, rtol=1e-13, atol=0)
-                assert np.argmax(batched) == np.argmax(loop)
+                grid = slice(0, _GRID.size)
+                assert np.array_equal(np.argmax(batched[:, grid], axis=-1),
+                                      np.argmax(loop[:, grid], axis=-1))
 
 
 def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
@@ -397,39 +450,54 @@ def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
         pulse = cfg.pulse
         lags = pulse.n_samples + pulse.oversampling * (pulse.seq_len - 1)
         reachable = lag_pilot_matrix(tp.pilot, pulse)[0].size
+        table_rows = _GRID.size + 3 * (2 * pulse.oversampling - 1)
         estimator_module._grid_table.cache_clear()
         for cold in (True, False):
             shapes.clear()
             mle_alternating(y, tp, cfg)
             assert (pulse.n_samples, pulse.seq_len) not in shapes
             assert len(shapes) == _LEVELS + 1 + cold
-            assert shapes.count((_GRID.size, reachable)) == cold
-            assert shapes.count((k_surf, 22, reachable)) == 1
-            assert shapes.count((k_surf, 21, reachable)) == _LEVELS - 1
+            assert shapes.count((table_rows, reachable)) == cold
+            assert shapes.count((k_surf, 21, reachable)) == _LEVELS
             assert shapes[-1] == (k_surf, lags)
 
 
-def test_each_search_scores_offset_zero_in_its_first_zoom_batch(monkeypatch):
-    # Offset 0 is a truncation-jump point that the zoom need not land on, so
-    # every search scores it first, next to the 21 points of the first cell.
-    # All searches of an estimate share each level's call, one row each.
+def test_each_search_scores_zero_and_both_sides_of_every_jump(monkeypatch):
+    # Every multiple of 1/oversampling is a truncation-jump point that the
+    # zoom need not land on, so every search scores it and 1e-9 either side
+    # of it, in the table's call, before its zoom levels; all searches of an
+    # estimate share each call. No estimate then ends worse than any of them.
     estimator_module = importlib.import_module("rissync.estimator")
-    _, tp, _, y = _instance(CFG, 73, noise_var=0.1)
-    batches = []
-    unit_pilots = estimator_module._unit_pilots
+    pulse = CFG.pulse
+    times = lag_pilot_matrix(np.zeros(pulse.seq_len), pulse)[0]
+    jumps = [j / pulse.oversampling + side for j in range(1 - pulse.oversampling,
+                                                          pulse.oversampling)
+             for side in (-1e-9, 0.0, 1e-9)]
+    assert 0.0 in jumps and len(jumps) == 9
+    calls = []
+    quotient = estimator_module._quotient
 
-    def recording(offsets, lag_pilots, cfg):
-        batches.append(np.array(offsets))
-        return unit_pilots(offsets, lag_pilots, cfg)
+    def recording(rows, p, q):
+        calls.append((rows, p.shape[0]))
+        return quotient(rows, p, q)
 
-    monkeypatch.setattr(estimator_module, "_unit_pilots", recording)
-    for estimate, searches in ((mle_alternating, CFG.n_surfaces), (mle_common_offset, 1)):
-        batches.clear()
-        estimate(y, tp, CFG)
-        assert len(batches) == _LEVELS
-        first, *later = batches
-        assert first.shape == (searches, 22) and np.all(first[:, 0] == 0.0)
-        assert all(batch.shape == (searches, 21) for batch in later)
+    monkeypatch.setattr(estimator_module, "_quotient", recording)
+    for seed in range(3):
+        _, tp, _, y = _instance(CFG, 73 + seed, noise_var=0.1)
+        for estimate, searches in ((mle_alternating, CFG.n_surfaces), (mle_common_offset, 1)):
+            calls.clear()
+            res = estimate(y, tp, CFG)
+            assert len(calls) == 1 + _LEVELS
+            (table, groups), *levels = calls
+            assert groups == searches
+            scored = {row.tobytes() for row in table}
+            assert all(rrc_impulse(times - x, pulse).tobytes() in scored for x in jumps)
+            assert all(rows.shape == (searches, 21, times.size) for rows, _ in levels)
+            for x in jumps:
+                for k in range(CFG.n_surfaces):
+                    moved = np.full(CFG.n_surfaces, x) if searches == 1 else res.offsets.copy()
+                    moved[k] = x
+                    assert res.final_cost <= residual_cost(moved, y, tp, CFG) * (1 + 1e-12)
 
 
 def _reference_search(z, energy, tp, cfg):
@@ -461,8 +529,12 @@ def _reference_search(z, energy, tp, cfg):
 @settings(max_examples=40, deadline=None)
 @given(k_surf=st.integers(1, 4), n_el=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        noise_var=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]))
-def test_batched_search_is_bit_equal_to_the_per_surface_reference(k_surf, n_el, seed,
-                                                                   noise_var):
+def test_search_is_never_worse_than_the_normalize_and_correlate_reference(k_surf, n_el, seed,
+                                                                          noise_var):
+    # The reference scores each offset by normalizing its filtered pilot and
+    # correlating it with every row of Z, one surface at a time; the search
+    # scores the same energy as a Rayleigh quotient and also scores both
+    # sides of every truncation jump, so it never ends with a larger residual.
     cfg = SystemConfig(k_surf, n_el)
     offsets = np.random.default_rng(seed).uniform(-_OFFSET_EDGE, _OFFSET_EDGE, k_surf)
     _, tp, _, y = _instance(cfg, seed, offsets=offsets, noise_var=noise_var)
@@ -470,9 +542,14 @@ def test_batched_search_is_bit_equal_to_the_per_surface_reference(k_surf, n_el, 
     want = np.array([_reference_search(z[k * n_el:(k + 1) * n_el],
                                        energy[k * n_el:(k + 1) * n_el], tp, cfg)
                      for k in range(k_surf)])
-    assert mle_alternating(y, tp, cfg).offsets.tobytes() == want.tobytes()
     common = np.full(k_surf, _reference_search(z, energy, tp, cfg))
-    assert mle_common_offset(y, tp, cfg).offsets.tobytes() == common.tobytes()
+    # A residual is the energy of y less the captured energy, so it carries a
+    # rounding error of a few ulps of that energy: two searches that end one
+    # final spacing apart can differ by that much and no more.
+    rounding = 1e-14 * float(np.vdot(y, y).real)
+    for estimate, reference in ((mle_alternating, want), (mle_common_offset, common)):
+        oracle = _result_at(reference, z, y, tp, cfg).final_cost
+        assert estimate(y, tp, cfg).final_cost <= oracle * (1 + 1e-12) + rounding
 
 
 def test_orthogonality_is_checked_once_per_pattern(monkeypatch):
@@ -546,6 +623,22 @@ def test_search_reaches_the_open_end_of_a_truncation_step():
         best = min(residual_cost(e, y, trial.pattern, cfg) for e in moved)
         assert res.final_cost <= best * (1 + 1e-12)
     assert 0.0 < res.offsets[0] < 1e-3
+
+
+@pytest.mark.parametrize("seed, jump", [(575, 0.0), (2760, -0.5)])
+def test_common_offset_search_reaches_the_open_end_of_a_truncation_step(seed, jump):
+    # K=2, N=16 at noise 1e-3: the shared offset's best residual lies just
+    # beside the step at `jump`, on the side the step leaves open, where only
+    # the point 1e-9 from the jump reaches it; the jump itself is worse.
+    cfg = SystemConfig(2, 16)
+    _, tp, _, y = _instance(cfg, seed, noise_var=1e-3)
+    res, z = mle_common_offset(y, tp, cfg), _pattern_correlation(y, tp, cfg)
+    assert res.final_cost == pytest.approx(residual_cost(res.offsets, y, tp, cfg), rel=1e-12)
+    grid = np.arange(-0.9995, 0.9996, 1e-3)
+    best = min(_result_at(np.full(2, x), z, y, tp, cfg).final_cost for x in grid)
+    assert res.final_cost <= best * (1 + 1e-12)
+    assert 0.0 < abs(res.offsets[0] - jump) < 1e-3
+    assert residual_cost(np.full(2, jump), y, tp, cfg) > res.final_cost
 
 
 def test_mle_offsets_are_local_optimum_of_residual_cost():

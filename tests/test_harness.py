@@ -358,6 +358,47 @@ def test_timing_search_runs_once_per_trial_over_every_point(monkeypatch, runner,
     assert searched["n"] == searches * TINY["trials"]
 
 
+@pytest.mark.parametrize("runner, sets", [(run_estimation_sweep, 1), (run_async_impact, 2)])
+def test_fits_make_one_steering_evaluation_per_offset_set_per_trial(monkeypatch, runner, sets):
+    # Every point's fit at one set of searched offsets (joint, and for async
+    # the common one) comes from one steering evaluation of the stacked
+    # offsets; the others are the simulation's and the bound's, one each, at
+    # the true offsets.
+    stacked, single = [], []
+    steering = estimator.steering_matrix
+
+    def counting(offsets, pulse_cfg):
+        (stacked if np.ndim(offsets) == 2 else single).append(np.shape(offsets))
+        return steering(offsets, pulse_cfg)
+
+    monkeypatch.setattr(estimator, "steering_matrix", counting)
+    grid = (0.0, 10.0, 20.0)
+    runner(ExperimentSpec(snr_grid_db=grid, **TINY))
+    assert stacked == [(len(grid), TINY["n_surfaces"])] * (sets * TINY["trials"])
+    assert len(single) == (2 if runner is run_estimation_sweep else 1) * TINY["trials"]
+
+
+def test_conditioning_failure_at_one_point_excludes_that_point_only(monkeypatch):
+    # The real check, with its limit lowered between the worst and the next
+    # worst spread of the sweep's joint fits, fails at one (trial, point)
+    # only: every point is fitted in one stack, but checked on its own.
+    spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), offset_model="common-delta", **TINY)
+    cfg = spec.system_config()
+    spreads = []
+    for index in range(spec.trials):
+        trial = harness._draw_trial(spec, cfg, index)
+        obs, z, offsets = trial.training
+        root = np.sqrt(estimator._fits(offsets, z, obs, trial.pattern, cfg)[1])
+        spreads += [(s, p) for p, s in enumerate(root.max(axis=-1) / root.min(axis=-1))]
+    (worst, point), (next_worst, _) = sorted(spreads, reverse=True)[:2]
+    assert worst > next_worst > 1.0
+    monkeypatch.setattr(estimator, "COND_LIMIT", (worst + next_worst) / 2.0)
+    monkeypatch.setattr(harness, "EXCLUSION_LIMIT", 1.0)
+    for row in run_async_impact(spec):
+        dropped = 1 if row.snr_db == spec.snr_grid_db[point] else 0
+        assert (row.excluded, row.trials) == (dropped, spec.trials - dropped)
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_each_trial_is_drawn_once(monkeypatch, runner):
     calls = _counting(monkeypatch, "gen_training")

@@ -52,6 +52,8 @@ SPECS = {
     "estimation-k4-4x4": ["--kind", "estimation", "--scenario", "rayleigh", "--surfaces", "4",
                           "--nx", "4", "--ny", "4", "--offset-model", "uniform",
                           "--snr-db", "0,20", "--trials", "3", "--seed", "21"],
+    "estimation-k4-8x8": ["--kind", "estimation", "--surfaces", "4", "--nx", "8", "--ny", "8",
+                          "--snr-db", "0,20", "--trials", "2"],
     "estimation-common-delta-k3": ["--kind", "estimation", "--surfaces", "3", "--nx", "2",
                                    "--ny", "1", "--offset-model", "common-delta",
                                    "--delta-max", "0.3", "--snr-db", "0,20", "--trials", "3",
