@@ -186,7 +186,7 @@ class _Trial:
     channel_norm: float  # squared norms of the true parameters
     timing_norm: float
     noise_vars: tuple    # the sweep's noise variances, one per SNR point
-    fits: dict = field(default_factory=dict)  # stacked fits by offsets' bytes (_fit)
+    fits: dict = field(default_factory=dict, init=False)  # stacked fits by offsets' bytes
 
     @cached_property
     def unit_bound_traces(self) -> tuple:
