@@ -1,11 +1,12 @@
 """Fisher information and closed-form error bounds for the training estimator.
 
 The training observation is linear in the cascaded channel and smooth in the
-timing offsets. With orthogonal training the observation Gram is diagonal, so
-:func:`crlb` profiles the channel out one surface at a time in closed form; it
-rejects other training with ValueError. The dense route inverts the full
-information matrix over (offsets, Re channel, Im channel), for any training,
-and is the reference the closed forms must agree with.
+timing offsets. The scaled-DFT training's columns are orthogonal with energy
+NK, so the observation Gram is diagonal and :func:`crlb` profiles the channel
+out one surface at a time in closed form. The dense route (:func:`fim`,
+:func:`crlb_from_fim`) builds the training's phase matrix and inverts the
+full information matrix over (offsets, Re channel, Im channel); it is the
+reference the closed forms must agree with.
 """
 from __future__ import annotations
 
@@ -69,16 +70,16 @@ def fim(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
 
 def crlb(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
          cfg: SystemConfig) -> CrlbResult:
-    """Closed-form bounds for orthogonal training, with the channel profiled out.
+    """Closed-form bounds for the DFT training, with the channel profiled out.
 
     With f_k surface k's filtered pilot, f'_k its offset derivative and
     c_k = f_k^H f'_k / |f_k|^2, surface k's profiled timing information is
-    J_k = sum_{i in k} |Phi_i|^2 |h_i|^2 (|f'_k|^2 - |c_k|^2 |f_k|^2), so
+    J_k = sum_{i in k} NK |h_i|^2 (|f'_k|^2 - |c_k|^2 |f_k|^2), so
     timing_cov = (noise_var/2) diag(1/J). channel_cov = noise_var diag(1/G),
-    with G_i = |Phi_i|^2 |f_k|^2 the diagonal training Gram, plus the rank-one
+    with G_i = NK |f_k|^2 the diagonal training Gram, plus the rank-one
     block (noise_var/2) c_k h_k (c_k h_k)^H / J_k for each surface. Raises
-    ValueError on non-orthogonal training, and SingularSystemError when G or
-    J is not positive or its max/min ratio exceeds COND_LIMIT.
+    ValueError when the pattern does not fit ``cfg``, and SingularSystemError
+    when G or J is not positive or its max/min ratio exceeds COND_LIMIT.
     """
     if not 0.0 < noise_var < np.inf:
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")

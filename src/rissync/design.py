@@ -460,6 +460,8 @@ def design_phase_aligned(inputs: DesignInputs, cfg: SystemConfig) -> DesignResul
 
 
 def random_phases(n: int, seed) -> np.ndarray:
-    """Uniform random unit-modulus phases; the do-nothing reference scheme."""
+    """Uniform random unit-modulus phases, chosen with no channel knowledge.
+    The design sweep pairs them with the belief problem's equalizer, which
+    knows the estimated per-surface offsets: only the phases are uninformed."""
     rng = np.random.default_rng(seed)
     return np.exp(2j * np.pi * rng.random(n))

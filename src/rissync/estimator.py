@@ -1,16 +1,20 @@
 """Training-phase simulation and joint timing/channel maximum-likelihood estimation.
 
-The training observation stacks M reflection patterns; under pattern m every
-surface applies one column block of a scaled-DFT phase matrix while a known
-pilot sequence is transmitted. Timing offsets enter through each surface's
-pulse steering matrix, and the cascaded channel enters linearly.
+The training observation stacks NK reflection patterns, one per element:
+under pattern m element i applies exp(-2j pi m i / NK), row m of the scaled
+DFT Phi, while a known pilot sequence is transmitted. Timing offsets enter
+through each surface's pulse steering matrix, and the cascaded channel enters
+linearly. Training is this DFT by definition, so its products are FFTs: the
+simulation's Phi X is ``fft(X)`` and ``Z = Phi^H Y`` is the unscaled inverse
+transform, so training forms no NK x NK matrix; ``TrainingPattern.phases``
+builds the dense Phi only for the oracles.
 
 The offsets are recovered by maximum likelihood on the profiled residual (the
-channel projected out). The training phases have orthogonal columns, so the
-residual splits into one term per surface: each offset comes from its own
-1-D search against ``Z = Phi^H Y``, and the channel and residual are
-per-element closed forms. Other training is rejected; ``residual_cost`` keeps
-a QR of the dense ``observation_matrix`` as the reference.
+channel projected out). Every column of Phi is orthogonal to the others and
+has energy NK, so the residual splits into one term per surface: each offset
+comes from its own 1-D search against Z, and the channel and residual are
+per-element closed forms. ``residual_cost`` keeps a QR of the dense
+``observation_matrix`` as the reference.
 
 A filtered pilot is f(x) = A g(x), A the lag-pilot matrix and g(x) the real
 pulse at its T reachable lag times, so a search group's captured energy is a
@@ -28,9 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
+# numpy loads its fft module on first use; every simulation and estimate
+# transforms, so load it with the package rather than inside the first trial.
+import numpy.fft  # noqa: F401
 
 from .channel import ChannelSet, cascade
 from .config import PulseConfig, SystemConfig
@@ -43,10 +50,8 @@ __all__ = [
     "gen_training",
     "observation_matrix",
     "simulate_training",
-    "ls_channel",
     "residual_cost",
     "mle_alternating",
-    "mle_common_offset",
 ]
 
 COND_LIMIT = 1e12
@@ -54,40 +59,32 @@ GRID_STEP = 0.02
 # Offset spacing of the timing search's last zoom level; at 30 dB an offset
 # error of 2e-8 raised the residual by under 5e-11, relative (1e-6: 8e-8).
 FINAL_SPACING = 2e-8
-# Largest off-diagonal entry of phases^H phases, relative to its smallest
-# diagonal entry, that still counts as orthogonal training.
-ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TrainingPattern:
-    """Known training side information: per-pattern phases and the pilot.
+    """Known training side information: the pilot and the size NK of the
+    scaled-DFT reflection patterns.
 
-    ``phases`` is (M, N*K) with unit-modulus entries; row m holds the
-    reflection coefficients all surfaces apply during pattern m. ``pilot`` is
-    the transmitted symbol sequence covering one observation block plus both
-    pulse tails.
+    ``pilot`` is the transmitted symbol sequence covering one observation
+    block plus both pulse tails; ``size`` is the number of elements, which is
+    also the number of patterns.
     """
 
-    phases: np.ndarray
     pilot: np.ndarray
+    size: int
 
     def __post_init__(self):
-        if self.phases.ndim != 2:
-            raise ValueError("phases must be a 2-D (patterns x elements) array")
         if self.pilot.ndim != 1:
             raise ValueError("pilot must be a 1-D sequence")
 
     @property
-    def n_patterns(self) -> int:
-        return self.phases.shape[0]
-
-    @cached_property
-    def column_energies(self) -> np.ndarray:
-        """Diagonal |Phi_i|^2 of ``phases^H phases``, formed once per pattern
-        (``gen_training`` fills it in with the energies shared by its size).
-        Raises ValueError, on every read, unless that Gram is diagonal."""
-        return _column_energies(self.phases)
+    def phases(self) -> np.ndarray:
+        """The (size, size) phase matrix, entry (m, i) exp(-2j*pi*m*i/size):
+        row m holds the reflection coefficients all surfaces apply during
+        pattern m. Built on each read, for the dense oracles only."""
+        index = np.arange(self.size)
+        return np.exp(-2j * np.pi * index[:, None] * index[None, :] / self.size)
 
 
 @dataclass(frozen=True)
@@ -101,31 +98,26 @@ class EstimationResult:
 
 
 def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
-    """Scaled-DFT reflection patterns plus a random QPSK pilot.
+    """Scaled-DFT reflection patterns of size N*K plus a random QPSK pilot.
 
-    With M = N*K patterns, entry (m, i) of the phase matrix is
-    exp(-2j*pi*m*i/M), so the patterns satisfy phases @ phases^H =
-    NK * identity. The phases and their checked column energies are built
-    once per N*K and shared, read-only, by every pattern of that size; only
-    the pilot is drawn here: unit-modulus symbols, deterministic per seed.
+    The patterns satisfy phases @ phases^H = NK * identity; only the pilot is
+    drawn here: unit-modulus symbols, deterministic per seed.
     """
-    phases, energies = _dft_phases(cfg.total_elements)
     rng = np.random.default_rng(seed)
     quadrants = rng.integers(0, 4, cfg.pulse.seq_len)
     pilot = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrants))
-    tp = TrainingPattern(phases=phases, pilot=pilot)
-    vars(tp)["column_energies"] = energies  # fill the cached_property: already checked
-    return tp
+    return TrainingPattern(pilot=pilot, size=cfg.total_elements)
 
 
-@lru_cache(maxsize=4)
-def _dft_phases(nk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (nk, nk) scaled-DFT phase matrix and its column energies, both
-    read-only; ValueError unless its columns are orthogonal."""
-    index = np.arange(nk)
-    phases = np.exp(-2j * np.pi * index[:, None] * index[None, :] / nk)
-    phases.flags.writeable = False
-    return phases, _column_energies(phases)
+def _pilot(tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
+    """The pilot, once the pattern is checked against ``cfg``: every route that
+    simulates, searches, fits or bounds reads it here. ValueError unless the
+    pattern's size is N*K and its pilot is ``seq_len`` symbols long."""
+    if (tp.size, tp.pilot.size) != (cfg.total_elements, cfg.pulse.seq_len):
+        raise ValueError(f"training pattern has {tp.size} elements and a {tp.pilot.size}-symbol "
+                         f"pilot; the configuration needs {cfg.total_elements} elements and "
+                         f"{cfg.pulse.seq_len} symbols")
+    return tp.pilot
 
 
 def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
@@ -134,7 +126,7 @@ def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.nd
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape[-1:] != (cfg.n_surfaces,):
         raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
-    return steer(offsets, cfg.pulse) @ tp.pilot
+    return steer(offsets, cfg.pulse) @ _pilot(tp, cfg)
 
 
 def _stack_columns(tp: TrainingPattern, rows: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -161,14 +153,15 @@ def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var,
     signal and the same noise draw, scaled by ``sqrt(noise_var[p] / 2)``, so
     each row is bit for bit the observation a scalar call at that variance
     returns. A zero variance gives the clean signal itself. That is Phi (h * F),
-    F the filtered pilots repeated per element: no observation matrix is formed.
+    F the filtered pilots repeated per element, formed as one FFT over the
+    elements: neither Phi nor the observation matrix is formed.
     """
     var = np.asarray(noise_var, dtype=float)
     if var.ndim > 1 or not np.all((0.0 <= var) & (var < np.inf)):
         raise ValueError(f"noise_var must be finite and >= 0 (a scalar or 1-D array), "
                          f"got {noise_var}")
     pilots = np.repeat(_pilot_rows(steering_matrix, offsets, tp, cfg), cfg.n_elements, axis=0)
-    clean = (tp.phases @ (cascade(ch)[:, None] * pilots)).reshape(-1)
+    clean = np.fft.fft(cascade(ch)[:, None] * pilots, axis=0).reshape(-1)
     rng = np.random.default_rng(noise_seed)
     noise = (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
     scale = np.sqrt(var / 2.0)[..., None]
@@ -186,48 +179,29 @@ def _check_spread(values: np.ndarray, what: str) -> None:
         raise SingularSystemError(what, float(cond))
 
 
-def _column_energies(phases: np.ndarray) -> np.ndarray:
-    """Diagonal |Phi_i|^2 of ``phases^H phases``. Raises ValueError unless that
-    Gram is diagonal: the timing search, the channel and the bound rest on it."""
-    gram = phases.conj().T @ phases
-    energy = gram.diagonal().real.copy()
-    off_diag = np.abs(gram - np.diag(gram.diagonal()))
-    if not (energy.min() > 0.0 and off_diag.max() <= ORTHO_TOL * energy.min()):
-        raise ValueError("orthogonal-training estimation and bounds need phases with "
-                         "orthogonal nonzero columns (phases^H phases diagonal)")
-    energy.flags.writeable = False
-    return energy
-
-
-def _pattern_correlation(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
-    """``Z = Phi^H Y``, one row per element; a stack of observations (leading
-    axes of ``y``) gives one ``Z`` each, from one broadcast product."""
-    y = y.reshape(*y.shape[:-1], tp.n_patterns, cfg.pulse.n_samples)
-    return tp.phases.conj().T @ y
+def _pattern_correlation(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """``Z = Phi^H Y``, one row per element: the inverse DFT over the patterns,
+    unscaled; a stack of observations (leading axes of ``y``) gives one ``Z``
+    each, from one transform."""
+    y = y.reshape(*y.shape[:-1], cfg.total_elements, cfg.pulse.n_samples)
+    return np.fft.ifft(y, axis=-2, norm="forward")
 
 
 def _training_gram(offsets, tp: TrainingPattern,
                    cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Filtered pilots f_k (one row per surface) and the diagonal observation
-    Gram N^H N, G_i = |Phi_i|^2 |f_k|^2 for element i of surface k; a stack
-    of offset rows gives a stack of each."""
+    Gram N^H N, G_i = NK |f_k|^2 for element i of surface k (every DFT column
+    has energy NK); a stack of offset rows gives a stack of each."""
     pilots = _pilot_rows(steering_matrix, offsets, tp, cfg)
     pilot_energy = np.repeat(np.sum(np.abs(pilots) ** 2, axis=-1), cfg.n_elements, axis=-1)
-    return pilots, tp.column_energies * pilot_energy
-
-
-def ls_channel(offsets, y: np.ndarray, tp: TrainingPattern,
-               cfg: SystemConfig) -> np.ndarray:
-    """Least-squares cascaded-channel estimate at the given offsets, one
-    element at a time (orthogonal training only; ValueError otherwise)."""
-    return _result_at(offsets, _pattern_correlation(y, tp, cfg), y, tp, cfg).channel
+    return pilots, cfg.total_elements * pilot_energy
 
 
 def residual_cost(offsets, y: np.ndarray, tp: TrainingPattern,
                   cfg: SystemConfig) -> float:
     """Energy of y outside the observation matrix's column space: the profile
     objective of timing estimation, the channel projected out. A QR of the
-    dense observation matrix, for any training: the closed forms' reference."""
+    dense observation matrix: the closed forms' reference."""
     q, r = np.linalg.qr(observation_matrix(offsets, tp, cfg))
     _check_spread(np.linalg.svd(r, compute_uv=False), "training observation matrix")
     total = float(np.vdot(y, y).real)
@@ -258,13 +232,13 @@ def _grid_table(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _forms(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig, group: int) -> tuple:
     """Lag-pilot times and quadratic forms for each run of ``group`` rows of each
-    ``Z`` of a stack: P = Re(B^T conj(B)) per run, B = Z conj(A) / |Phi_i|, and
-    Q = Re(A^H A). The run's captured energy sum_i |Z_i f(x)^*|^2 / (|Phi_i|^2
+    ``Z`` of a stack: P = Re(B^T conj(B)) / NK per run, B = Z conj(A), and
+    Q = Re(A^H A). The run's captured energy sum_i |Z_i f(x)^*|^2 / (NK
     |f(x)|^2) is g^T P g / g^T Q g, g = ``rrc_impulse(times - x)``."""
-    times, a = lag_pilot_matrix(tp.pilot, cfg.pulse)
-    b = (z @ a.conj()) / np.sqrt(tp.column_energies)[:, None]
-    b = b.reshape(-1, group, times.size)
-    return times, (np.swapaxes(b, -1, -2) @ b.conj()).real, (a.conj().T @ a).real
+    times, a = lag_pilot_matrix(_pilot(tp, cfg), cfg.pulse)
+    b = (z @ a.conj()).reshape(-1, group, times.size)
+    p = (np.swapaxes(b, -1, -2) @ b.conj()).real / cfg.total_elements
+    return times, p, (a.conj().T @ a).real
 
 
 def _quotient(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -331,17 +305,9 @@ def _result_at(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
 def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> EstimationResult:
     """Joint timing/channel maximum-likelihood estimate.
 
-    With orthogonal training the profile objective is a sum of per-surface
-    terms, so each offset comes from its own 1-D search; the channel estimate
-    is the least-squares solve at the returned offsets.
+    The DFT training's columns are orthogonal, so the profile objective is a
+    sum of per-surface terms and each offset comes from its own 1-D search;
+    the channel estimate is the least-squares solve at the returned offsets.
     """
-    z = _pattern_correlation(y, tp, cfg)
+    z = _pattern_correlation(y, cfg)
     return _result_at(_search_offsets(z, tp, cfg, cfg.n_elements), z, y, tp, cfg)
-
-
-def mle_common_offset(y: np.ndarray, tp: TrainingPattern,
-                      cfg: SystemConfig) -> EstimationResult:
-    """Offset-synchronization-naive variant: one timing value shared by all
-    surfaces (one search over every element), then the least-squares channel."""
-    z = _pattern_correlation(y, tp, cfg)
-    return _result_at(_search_offsets(z, tp, cfg, cfg.total_elements), z, y, tp, cfg)

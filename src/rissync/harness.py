@@ -208,7 +208,7 @@ class _Trial:
         """
         obs = simulate_training(self.channels, self.offsets, self.pattern,
                                 np.array(self.noise_vars), self.cfg, self.streams["noise"])
-        z = _pattern_correlation(obs, self.pattern, self.cfg)
+        z = _pattern_correlation(obs, self.cfg)
         return obs, z, _search_offsets(z, self.pattern, self.cfg, self.cfg.n_elements)
 
     @cached_property
@@ -308,6 +308,20 @@ def _score_async(trial: _Trial, p: int) -> dict:
 
 def _score_design(trial: _Trial, p: int) -> dict:
     """Full pipeline for one trial: estimate, bound, design, score.
+
+    What each scheme knows, for its phases and for its equalizer:
+
+    - proposed: the design loop on the belief problem, i.e. the estimated
+      per-surface offsets, the estimated channel and its bound as channel
+      covariance; its equalizer is the loop's, on that belief.
+    - phase_aligned: phases conjugate to the estimated channel; its equalizer
+      assumes every offset at the mean of the estimates, with the estimated
+      channel and the bound covariance.
+    - perfect: the design loop on the true offsets and channel with zero
+      covariance; its equalizer is the loop's, on that truth.
+    - random: uniform phases from the trial's ``design`` stream; its
+      equalizer is the belief problem's, so it knows the estimated
+      per-surface offsets, channel and covariance.
 
     Every scheme is scored under the true channel and offsets (zero
     uncertainty), normalized by the window energy, so the comparison measures

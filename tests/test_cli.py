@@ -334,10 +334,11 @@ def test_every_public_name_resolves():
 
 def test_import_needs_no_scipy_and_loads_the_random_streams():
     """scipy is a test-only dependency; numpy.random, which every sweep draws
-    from, is loaded with the package instead of inside the first trial."""
+    from, and numpy.fft, through which every trial's training passes, are
+    loaded with the package instead of inside the first trial."""
     probe = ("import sys, rissync.cli; "
              "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
-             "'numpy.random' in sys.modules)")
+             "'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "True", "True"]

@@ -23,9 +23,7 @@ from rissync.estimator import (
     _result_at,
     _search_offsets,
     gen_training,
-    ls_channel,
     mle_alternating,
-    mle_common_offset,
     observation_matrix,
     residual_cost,
     simulate_training,
@@ -49,6 +47,18 @@ def _instance(cfg, seed, offsets=None, noise_var=0.0):
         offsets = rng.uniform(-0.5, 0.5, cfg.n_surfaces)
     y = simulate_training(ch, offsets, tp, noise_var, cfg, rng.integers(2**32))
     return ch, tp, np.asarray(offsets, float), y
+
+
+def _ls_channel(offsets, y, tp, cfg):
+    # least-squares channel at given offsets, through the sweeps' fit route
+    return _result_at(offsets, _pattern_correlation(y, cfg), y, tp, cfg).channel
+
+
+def _common_offset(y, tp, cfg):
+    # the offset-synchronization-naive estimate as the sweeps form it: one
+    # search over every element, then the least-squares fit
+    z = _pattern_correlation(y, cfg)
+    return _result_at(_search_offsets(z, tp, cfg, cfg.total_elements), z, y, tp, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -92,26 +102,20 @@ def test_pilot_sample_autocorrelation_is_white():
 
 @settings(max_examples=30, deadline=None)
 @given(k_surf=st.integers(1, 3), n_el=st.integers(1, 4), seed=st.integers(0, 2**32 - 2))
-def test_training_phases_are_shared_read_only_per_size(k_surf, n_el, seed):
+def test_training_phases_are_the_scaled_dft_of_its_size(k_surf, n_el, seed):
     cfg = SystemConfig(k_surf, n_el)
     nk = cfg.total_elements
     tp, other_seed = gen_training(cfg, seed), gen_training(cfg, seed + 1)
+    assert tp.size == nk
     rows = np.arange(nk)[:, None]
     cols = np.arange(nk)[None, :]
     assert tp.phases.tobytes() == np.exp(-2j * np.pi * rows * cols / nk).tobytes()
-    np.testing.assert_allclose(tp.column_energies, nk, rtol=1e-12, atol=0)
-    # one array per element count N*K, whichever config or seed asks
+    # the phases depend on N*K alone, whichever config or seed asks
     swapped = gen_training(SystemConfig(n_el, k_surf), seed)
-    for shared in (other_seed, swapped):
-        assert shared.phases is tp.phases
-        assert shared.column_energies is tp.column_energies
-    bigger = gen_training(SystemConfig(k_surf, n_el + 1), seed)
-    assert bigger.phases is not tp.phases
-    assert bigger.column_energies is not tp.column_energies
-    with pytest.raises(ValueError):
-        tp.phases[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        tp.column_energies[0] = 0.0
+    for same in (other_seed, swapped):
+        assert same.phases.tobytes() == tp.phases.tobytes()
+    with pytest.raises(AttributeError):
+        tp.phases = np.ones((nk, nk), dtype=complex)
     assert not np.array_equal(tp.pilot, other_seed.pilot)
 
 
@@ -209,26 +213,38 @@ def test_stacked_training_rows_are_the_scalar_calls(k_surf):
     assert np.linalg.norm(clean - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
-def _orthogonal_pattern(cfg, tp, seed):
-    # more patterns than elements, unequal column energies, no DFT structure
-    rng = np.random.default_rng(seed)
-    shape = (cfg.total_elements + 3, cfg.total_elements)
-    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return TrainingPattern(phases=q * np.linspace(0.5, 2.0, shape[1]), pilot=tp.pilot)
+# N per K: the element counts N*K are 1 and 13 (K=1), 6 and 32 (K=2), 64 and
+# 256 (K=4); primes and other non-powers of two take other FFT paths.
+FFT_SIZES = {1: (1, 13), 2: (3, 16), 4: (16, 64)}
 
 
-@pytest.mark.parametrize("k_surf", [1, 2, 4])
+@pytest.mark.parametrize("k_surf", sorted(FFT_SIZES))
 def test_clean_signal_is_the_observation_matrix_times_the_channel(k_surf):
-    # The simulation forms Phi (h * F) with no observation matrix; it must be
-    # the dense product, for DFT training and for a hand-built orthogonal one.
-    cfg = SystemConfig(k_surf, 3)
-    for seed in range(3):
-        ch, tp, offsets, _ = _instance(cfg, 500 + seed)
-        for pattern in (tp, _orthogonal_pattern(cfg, tp, seed)):
-            clean = simulate_training(ch, offsets, pattern, 0.0, cfg, 0)
-            dense = observation_matrix(offsets, pattern, cfg) @ cascade(ch)
+    # The simulation's clean signal is an FFT over the elements and Z an
+    # unscaled inverse FFT over the patterns; each must be the dense product
+    # with the DFT phase matrix.
+    for n_el in FFT_SIZES[k_surf]:
+        cfg = SystemConfig(k_surf, n_el)
+        for seed in range(2):
+            ch, tp, offsets, clean = _instance(cfg, 500 + seed)
+            dense = observation_matrix(offsets, tp, cfg) @ cascade(ch)
             assert clean.shape == dense.shape
             assert np.linalg.norm(clean - dense) <= 1e-13 * np.linalg.norm(dense)
+            y = simulate_training(ch, offsets, tp, 0.3, cfg, seed)
+            z = _pattern_correlation(y, cfg)
+            product = tp.phases.conj().T @ y.reshape(cfg.total_elements, -1)
+            assert np.linalg.norm(z - product) <= 1e-13 * np.linalg.norm(product)
+
+
+def test_trial_path_never_reads_the_phase_matrix(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("dense phase matrix built")
+
+    monkeypatch.setattr(TrainingPattern, "phases", property(forbidden))
+    for run in (harness.run_estimation_sweep, harness.run_design_sweep):
+        rows = run(harness.ExperimentSpec(n_surfaces=2, n_x=3, n_y=1, snr_grid_db=(10.0,),
+                                          trials=1, base_seed=3))
+        assert all(row.excluded == 0 for row in rows)
 
 
 def test_simulate_training_builds_no_observation_matrix(monkeypatch):
@@ -247,18 +263,14 @@ def test_simulate_training_builds_no_observation_matrix(monkeypatch):
 @pytest.mark.parametrize("k_surf", [1, 2, 4])
 def test_stacked_search_and_fit_match_the_one_shot_estimators(k_surf):
     # One search over every row's groups, then the fit per row, gives the
-    # one-shot estimators' results on that row, bit for bit. Weighted phase
-    # columns give each element its own energy, so a misaligned stack shows.
+    # one-shot estimators' results on that row, bit for bit.
     cfg = SystemConfig(k_surf, 4)
     for seed in range(3):
         ch, tp, offsets, _ = _instance(cfg, 90 + seed)
-        if seed:
-            weights = np.linspace(0.5, 2.0, cfg.total_elements)
-            tp = TrainingPattern(phases=tp.phases * weights, pilot=tp.pilot)
         rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, seed)
-        z = _pattern_correlation(rows, tp, cfg)
+        z = _pattern_correlation(rows, cfg)
         for estimate, group in ((mle_alternating, cfg.n_elements),
-                                (mle_common_offset, cfg.total_elements)):
+                                (_common_offset, cfg.total_elements)):
             searched = _search_offsets(z, tp, cfg, group)
             assert searched.shape == (len(STACKED_VARS), k_surf)
             for p, y in enumerate(rows):
@@ -277,7 +289,7 @@ def test_stacked_fit_rows_are_the_one_point_fits(k_surf):
     for seed in range(3):
         ch, tp, offsets, _ = _instance(cfg, 110 + seed)
         rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, seed)
-        z = _pattern_correlation(rows, tp, cfg)
+        z = _pattern_correlation(rows, cfg)
         for group in (cfg.n_elements, cfg.total_elements):
             searched = _search_offsets(z, tp, cfg, group)
             fits = _fits(searched, z, rows, tp, cfg)
@@ -294,7 +306,7 @@ def test_stacked_fit_rows_are_the_one_point_fits(k_surf):
 
 def test_ls_channel_recovers_noiseless_truth():
     ch, tp, offsets, y = _instance(CFG, 10)
-    est = ls_channel(offsets, y, tp, CFG)
+    est = _ls_channel(offsets, y, tp, CFG)
     true = cascade(ch)
     assert np.linalg.norm(est - true) / np.linalg.norm(true) < 1e-10
 
@@ -303,7 +315,7 @@ def test_ls_channel_matches_normal_equations():
     ch, tp, offsets, y = _instance(CFG, 11, noise_var=0.3)
     nmat = observation_matrix(offsets, tp, CFG)
     oracle = np.linalg.solve(nmat.conj().T @ nmat, nmat.conj().T @ y)
-    np.testing.assert_allclose(ls_channel(offsets, y, tp, CFG), oracle, rtol=1e-8)
+    np.testing.assert_allclose(_ls_channel(offsets, y, tp, CFG), oracle, rtol=1e-8)
 
 
 def test_ls_channel_annihilates_orthogonal_component():
@@ -313,7 +325,7 @@ def test_ls_channel_annihilates_orthogonal_component():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(nmat.shape[0]) + 1j * rng.standard_normal(nmat.shape[0])
     perp = z - q @ (q.conj().T @ z)
-    est = ls_channel(offsets, perp, tp, CFG)
+    est = _ls_channel(offsets, perp, tp, CFG)
     assert np.linalg.norm(est) < 1e-10 * np.linalg.norm(z)
     assert residual_cost(offsets, perp, tp, CFG) == pytest.approx(
         float(np.vdot(perp, perp).real), rel=1e-10
@@ -324,7 +336,7 @@ def test_residual_cost_identity_and_nonnegativity():
     for seed in range(5):
         ch, tp, offsets, y = _instance(CFG, 20 + seed, noise_var=1.0)
         cost = residual_cost(offsets, y, tp, CFG)
-        est = ls_channel(offsets, y, tp, CFG)
+        est = _ls_channel(offsets, y, tp, CFG)
         direct = float(np.linalg.norm(y - observation_matrix(offsets, tp, CFG) @ est) ** 2)
         assert cost == pytest.approx(direct, rel=1e-9)
         assert cost >= 0.0
@@ -332,24 +344,44 @@ def test_residual_cost_identity_and_nonnegativity():
     assert residual_cost(offsets, y, tp, CFG) <= 1e-16 * float(np.vdot(y, y).real)
 
 
-def test_ls_channel_rejects_non_orthogonal_training():
-    _, tp, offsets, y = _instance(CFG, 13)
-    rng = np.random.default_rng(1)
-    skewed = TrainingPattern(phases=np.exp(2j * np.pi * rng.random(tp.phases.shape)),
-                             pilot=tp.pilot)
-    with pytest.raises(ValueError, match="orthogonal"):
-        ls_channel(offsets, y, skewed, CFG)
-
-
 def test_rank_deficient_observation_raises():
     cfg = SystemConfig(2, 1)
-    pilot = gen_training(cfg, 0).pilot
-    # identical phase columns + identical offsets → duplicated columns
-    tp = TrainingPattern(phases=np.ones((2, 2), dtype=complex), pilot=pilot)
-    y = np.zeros(tp.n_patterns * cfg.pulse.n_samples, dtype=complex)
+    # a silent pilot leaves every column of the observation matrix zero
+    tp = TrainingPattern(pilot=np.zeros(cfg.pulse.seq_len, dtype=complex), size=2)
+    y = np.zeros(cfg.total_elements * cfg.pulse.n_samples, dtype=complex)
     with pytest.raises(SingularSystemError) as err:
         residual_cost(np.array([0.1, 0.1]), y, tp, cfg)
     assert err.value.cond > 1e12 or not np.isfinite(err.value.cond)
+
+
+def _route(name, bad):
+    # one entry point called with a training pattern ``bad``, all else valid
+    crlb_module = importlib.import_module("rissync.crlb")
+    ch, _, offsets, y = _instance(CFG, 14, noise_var=0.1)
+    z = _pattern_correlation(y, CFG)
+    calls = {
+        "simulate_training": lambda: simulate_training(ch, offsets, bad, 0.1, CFG, 0),
+        "mle_alternating": lambda: mle_alternating(y, bad, CFG),
+        "search": lambda: _search_offsets(z, bad, CFG, CFG.total_elements),
+        "fit": lambda: _fits(offsets, z, y, bad, CFG),
+        "crlb": lambda: crlb_module.crlb(offsets, cascade(ch), bad, 0.1, CFG),
+        "fim": lambda: crlb_module.fim(offsets, cascade(ch), bad, 0.1, CFG),
+    }
+    return calls[name]()
+
+
+@pytest.mark.parametrize("name", ["simulate_training", "mle_alternating", "search", "fit",
+                                  "crlb", "fim"])
+def test_every_route_rejects_a_pattern_for_another_configuration(name):
+    other = SystemConfig(CFG.n_surfaces, CFG.n_elements + 1)
+    pilot = gen_training(CFG, 0).pilot
+    wanted = f"needs {CFG.total_elements} elements and {CFG.pulse.seq_len} symbols"
+    for bad, named in ((gen_training(other, 0), f"{other.total_elements} elements"),
+                       (TrainingPattern(pilot=pilot[:-1], size=CFG.total_elements),
+                        f"{pilot.size - 1}-symbol pilot")):
+        with pytest.raises(ValueError, match=named) as err:
+            _route(name, bad)
+        assert wanted in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +398,12 @@ def test_per_surface_captured_energy_matches_residual_oracle(k_surf):
     cfg = SystemConfig(k_surf, 3)
     for seed in range(3):
         _, tp, _, y = _instance(cfg, 300 + seed, noise_var=0.2)
-        times, p, q = _forms(_pattern_correlation(y, tp, cfg), tp, cfg, cfg.n_elements)
+        times, p, q = _forms(_pattern_correlation(y, cfg), tp, cfg, cfg.n_elements)
         eps = np.random.default_rng(seed).uniform(-0.95, 0.95, k_surf)
         captured = sum(_quotient(rrc_impulse(times - e, cfg.pulse)[None], p[k], q)[0]
                        for k, e in enumerate(eps))
         separable = float(np.vdot(y, y).real) - captured
         assert separable == pytest.approx(residual_cost(eps, y, tp, cfg), rel=1e-9)
-
-
-def test_estimators_reject_non_orthogonal_training():
-    _, tp, _, y = _instance(CFG, 70)
-    rng = np.random.default_rng(0)
-    # full rank, so the observation matrix is fine, but the columns overlap
-    skewed = TrainingPattern(phases=np.exp(2j * np.pi * rng.random(tp.phases.shape)),
-                             pilot=tp.pilot)
-    for estimate in (mle_alternating, mle_common_offset):
-        with pytest.raises(ValueError, match="orthogonal"):
-            estimate(y, skewed, CFG)
 
 
 def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
@@ -403,8 +424,8 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
     for name in ("qr", "solve", "inv", "cond", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     res = mle_alternating(y, tp, CFG)
-    mle_common_offset(y, tp, CFG)
-    ls_channel(res.offsets, y, tp, CFG)
+    _common_offset(y, tp, CFG)
+    _ls_channel(res.offsets, y, tp, CFG)
     crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
 
 
@@ -417,7 +438,7 @@ def test_batched_grid_matches_single_offset_path():
         offsets, table = _grid_table(cfg.pulse)
         for seed in range(4):
             _, tp, _, y = _instance(cfg, 400 + seed, noise_var=0.3)
-            z = _pattern_correlation(y, tp, cfg)
+            z = _pattern_correlation(y, cfg)
             for group in (cfg.n_elements, cfg.total_elements):
                 times, p, q = _forms(z, tp, cfg, group)
                 batched = _quotient(table, p, q)
@@ -484,7 +505,7 @@ def test_each_search_scores_zero_and_both_sides_of_every_jump(monkeypatch):
     monkeypatch.setattr(estimator_module, "_quotient", recording)
     for seed in range(3):
         _, tp, _, y = _instance(CFG, 73 + seed, noise_var=0.1)
-        for estimate, searches in ((mle_alternating, CFG.n_surfaces), (mle_common_offset, 1)):
+        for estimate, searches in ((mle_alternating, CFG.n_surfaces), (_common_offset, 1)):
             calls.clear()
             res = estimate(y, tp, CFG)
             assert len(calls) == 1 + _LEVELS
@@ -538,7 +559,7 @@ def test_search_is_never_worse_than_the_normalize_and_correlate_reference(k_surf
     cfg = SystemConfig(k_surf, n_el)
     offsets = np.random.default_rng(seed).uniform(-_OFFSET_EDGE, _OFFSET_EDGE, k_surf)
     _, tp, _, y = _instance(cfg, seed, offsets=offsets, noise_var=noise_var)
-    z, energy = _pattern_correlation(y, tp, cfg), tp.column_energies
+    z, energy = _pattern_correlation(y, cfg), np.full(cfg.total_elements, cfg.total_elements)
     want = np.array([_reference_search(z[k * n_el:(k + 1) * n_el],
                                        energy[k * n_el:(k + 1) * n_el], tp, cfg)
                      for k in range(k_surf)])
@@ -547,41 +568,9 @@ def test_search_is_never_worse_than_the_normalize_and_correlate_reference(k_surf
     # rounding error of a few ulps of that energy: two searches that end one
     # final spacing apart can differ by that much and no more.
     rounding = 1e-14 * float(np.vdot(y, y).real)
-    for estimate, reference in ((mle_alternating, want), (mle_common_offset, common)):
+    for estimate, reference in ((mle_alternating, want), (_common_offset, common)):
         oracle = _result_at(reference, z, y, tp, cfg).final_cost
         assert estimate(y, tp, cfg).final_cost <= oracle * (1 + 1e-12) + rounding
-
-
-def test_orthogonality_is_checked_once_per_pattern(monkeypatch):
-    crlb_module = importlib.import_module("rissync.crlb")
-    estimator_module = importlib.import_module("rissync.estimator")
-    formed = []
-    column_energies = estimator_module._column_energies
-
-    def counting(phases):
-        formed.append(phases)
-        return column_energies(phases)
-
-    monkeypatch.setattr(estimator_module, "_column_energies", counting)
-    # gen_training's phases are checked once per size, whatever the seed
-    estimator_module._dft_phases.cache_clear()
-    for seed in (73, 74, 75):
-        _, tp, _, y = _instance(CFG, seed, noise_var=0.1)
-        res = mle_alternating(y, tp, CFG)
-        ls_channel(res.offsets, y, tp, CFG)
-        crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
-    assert len(formed) == 1
-    # a failed check is not cached: every entry point raises, every time
-    rng = np.random.default_rng(2)
-    skewed = TrainingPattern(phases=np.exp(2j * np.pi * rng.random(tp.phases.shape)),
-                             pilot=tp.pilot)
-    calls = (lambda: mle_alternating(y, skewed, CFG),
-             lambda: ls_channel(res.offsets, y, skewed, CFG),
-             lambda: crlb_module.crlb(res.offsets, res.channel, skewed, 0.1, CFG))
-    for call in calls:
-        with pytest.raises(ValueError, match="orthogonal"):
-            call()
-    assert len(formed) == 1 + len(calls)
 
 
 def test_mle_noiseless_exact_recovery():
@@ -632,7 +621,7 @@ def test_common_offset_search_reaches_the_open_end_of_a_truncation_step(seed, ju
     # the point 1e-9 from the jump reaches it; the jump itself is worse.
     cfg = SystemConfig(2, 16)
     _, tp, _, y = _instance(cfg, seed, noise_var=1e-3)
-    res, z = mle_common_offset(y, tp, cfg), _pattern_correlation(y, tp, cfg)
+    res, z = _common_offset(y, tp, cfg), _pattern_correlation(y, cfg)
     assert res.final_cost == pytest.approx(residual_cost(res.offsets, y, tp, cfg), rel=1e-12)
     grid = np.arange(-0.9995, 0.9996, 1e-3)
     best = min(_result_at(np.full(2, x), z, y, tp, cfg).final_cost for x in grid)
@@ -656,16 +645,14 @@ def test_mle_offsets_are_local_optimum_of_residual_cost():
 
 
 def test_mle_permutation_equivariance():
-    # Relabeling surfaces (swapping phase blocks) swaps the recovered offsets
-    # and channel segments.
+    # Relabeling surfaces (swapping their channels and offsets) swaps the
+    # recovered offsets and channel segments.
     n = CFG.n_elements
     ch, tp, offsets, y = _instance(CFG, 50, offsets=np.array([0.2, -0.35]))
-    swapped_phases = np.concatenate([tp.phases[:, n:], tp.phases[:, :n]], axis=1)
-    tp_swap = TrainingPattern(phases=swapped_phases, pilot=tp.pilot)
     ch_swap = ChannelSet(inbound=ch.inbound[::-1].copy(), outbound=ch.outbound[::-1].copy())
-    y_swap = simulate_training(ch_swap, offsets[::-1], tp_swap, 0.0, CFG, 0)
+    y_swap = simulate_training(ch_swap, offsets[::-1], tp, 0.0, CFG, 0)
     res = mle_alternating(y, tp, CFG)
-    res_swap = mle_alternating(y_swap, tp_swap, CFG)
+    res_swap = mle_alternating(y_swap, tp, CFG)
     np.testing.assert_allclose(res_swap.offsets, res.offsets[::-1], atol=1e-6)
     np.testing.assert_allclose(
         res_swap.channel.reshape(2, n)[::-1].reshape(-1), res.channel, atol=1e-7
@@ -691,11 +678,11 @@ def test_mle_nmse_improves_with_snr():
 
 def test_common_offset_variant_ties_all_surfaces():
     ch, tp, offsets, y = _instance(CFG, 61, offsets=np.array([0.15, 0.15]))
-    res = mle_common_offset(y, tp, CFG)
+    res = _common_offset(y, tp, CFG)
     assert res.offsets[0] == res.offsets[1]
     assert abs(res.offsets[0] - 0.15) < 1e-4
     # with genuinely different offsets the shared fit cannot match the joint one
     ch2, tp2, offs2, y2 = _instance(CFG, 62, offsets=np.array([0.4, -0.4]))
     joint = mle_alternating(y2, tp2, CFG)
-    shared = mle_common_offset(y2, tp2, CFG)
+    shared = _common_offset(y2, tp2, CFG)
     assert shared.final_cost >= joint.final_cost - 1e-12

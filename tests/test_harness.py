@@ -171,17 +171,6 @@ def test_crlb_sweep_scales_linearly_with_noise_power():
             rows[(0.0, metric)] / 10, rel=1e-12)
 
 
-def test_crlb_sweep_is_the_same_on_a_cold_and_a_warm_training_cache():
-    # the shared training phases carry no state from one trial or sweep to the next
-    spec = ExperimentSpec(scenario="mmwave", n_surfaces=4, n_x=4, n_y=4,
-                          offset_model="uniform", snr_grid_db=(0.0, 10.0, 20.0, 30.0),
-                          trials=25, base_seed=101)
-    estimator._dft_phases.cache_clear()
-    cold = format_sweep_rows(run_crlb_sweep(spec))
-    assert estimator._dft_phases.cache_info().misses == 1
-    assert format_sweep_rows(run_crlb_sweep(spec)) == cold
-
-
 def test_crlb_sweep_matches_estimation_sweep_bounds():
     kwargs = dict(snr_grid_db=(15.0,), **TINY)
     bound_only = {r.metric: r for r in run_crlb_sweep(ExperimentSpec(**kwargs))}

@@ -62,6 +62,9 @@ SPECS = {
                          "--snr-db=-10,0,5,10,15,20,25,30,40", "--trials", "5"],
     "estimation-k1": ["--kind", "estimation", "--surfaces", "1", "--nx", "4", "--ny", "2",
                       "--snr-db", "10", "--trials", "3"],
+    # N*K = 13, a prime: the training's FFTs take numpy's Bluestein path
+    "estimation-prime-13": ["--kind", "estimation", "--surfaces", "1", "--nx", "13", "--ny", "1",
+                            "--snr-db", "0,20", "--trials", "3"],
     "crlb-bench": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4", "--nx", "4",
                    "--ny", "4", "--offset-model", "uniform", "--snr-db", "0,10,20,30",
                    "--trials", "25", "--seed", "101"],
