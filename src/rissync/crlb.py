@@ -16,9 +16,8 @@ import numpy as np
 
 from .channel import block_gains
 from .config import SystemConfig
-from .estimator import (TrainingPattern, _check_spread, _pilot_rows, _stack_columns,
-                        _training_gram, observation_matrix)
-from .pulse import steering_matrix_deriv
+from .estimator import TrainingPattern, _check_spread, _pilot_rows, _stack_columns, _training_gram
+from .pulse import steering_matrix, steering_matrix_deriv
 
 __all__ = [
     "CrlbResult",
@@ -47,7 +46,7 @@ def observation_matrix_deriv(offsets, tp: TrainingPattern,
     """Entrywise derivative of the observation matrix: column block k is
     differentiated with respect to offset k (other blocks' derivatives are
     zero there, so the result stacks each block's own derivative)."""
-    return _stack_columns(tp, _pilot_rows(steering_matrix_deriv, offsets, tp, cfg), cfg)
+    return _stack_columns(_pilot_rows(steering_matrix_deriv, offsets, tp, cfg), tp.phases, cfg)
 
 
 def fim(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
@@ -56,12 +55,15 @@ def fim(offsets, channel: np.ndarray, tp: TrainingPattern, noise_var: float,
 
     Built as (2/noise_var) * Re{G^H G} where G stacks the mean's derivative
     with respect to each real coordinate; explicitly symmetrized so roundoff
-    cannot break J = J^T.
+    cannot break J = J^T. The observation matrix and its derivative share
+    one read of the pattern's phase matrix.
     """
     if not 0.0 < noise_var < np.inf:
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
-    nmat = observation_matrix(offsets, tp, cfg)
-    nd = observation_matrix_deriv(offsets, tp, cfg)
+    rows = _pilot_rows(steering_matrix, offsets, tp, cfg)
+    slopes = _pilot_rows(steering_matrix_deriv, offsets, tp, cfg)
+    phases = tp.phases
+    nmat, nd = _stack_columns(rows, phases, cfg), _stack_columns(slopes, phases, cfg)
     he = block_gains(np.asarray(channel), cfg.n_surfaces)
     jc = np.concatenate([nd @ he.T, nmat, 1j * nmat], axis=1)
     j = (2.0 / noise_var) * (jc.conj().T @ jc).real

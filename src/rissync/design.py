@@ -33,7 +33,7 @@ import numpy as np
 from .channel import block_gains
 from .config import SystemConfig
 from .estimator import COND_LIMIT, _check_spread
-from .pulse import matched_filter_taps, steering_matrix, window_matrix
+from .pulse import matched_filter_window, steering_matrix
 
 __all__ = [
     "DesignInputs",
@@ -209,7 +209,7 @@ def build_problem(inputs: DesignInputs, cfg: SystemConfig) -> DesignProblem:
     moment_sums = np.abs(moment).reshape(n_surf, -1, n_parts).sum(axis=1)
     column_sums = np.einsum("abj,abq->bjq", moment_sums.reshape(n_surf, n_surf, -1),
                             np.abs(products).sum(axis=2))
-    window = window_matrix(matched_filter_taps(cfg.pulse), cfg.pulse)
+    window = matched_filter_window(cfg.pulse)
     return DesignProblem(
         steer_products=products,
         steer_window=steer @ window.conj().T,
@@ -245,7 +245,7 @@ def mse_direct(theta, equalizer: np.ndarray, inputs: DesignInputs,
     moment = np.outer(inputs.channel, inputs.channel.conj()) + inputs.channel_cov
     moment_big = np.kron(0.5 * (moment + moment.conj().T), eye_seq)
     mean_big = np.kron(inputs.channel[:, None], eye_seq)
-    window = window_matrix(matched_filter_taps(cfg.pulse), cfg.pulse)
+    window = matched_filter_window(cfg.pulse)
     front = equalizer @ signal_map
     quad = np.trace(front @ moment_big @ front.conj().T).real
     noise = np.trace(equalizer @ inputs.noise_cov @ equalizer.conj().T).real

@@ -27,6 +27,9 @@ Observations stack on leading axes: given a 1-D array of noise variances,
 ``simulate_training`` returns one row per variance from one noise draw, and
 ``Z``, the search and the least-squares fit (``_fits``) serve every row in
 one pass; a row's conditioning is checked when it is taken (``_point``).
+``_estimate`` is the one route from ``Z`` to fits, a search and then a fit
+at its offsets: ``mle_alternating`` takes it with one search per surface,
+and the sweeps take it for every point of a trial at once.
 """
 from __future__ import annotations
 
@@ -129,18 +132,18 @@ def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.nd
     return steer(offsets, cfg.pulse) @ _pilot(tp, cfg)
 
 
-def _stack_columns(tp: TrainingPattern, rows: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def _stack_columns(rows: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Column i (element i, on surface k) is phase column i kron ``rows[k]``;
     rows are pattern-major (pattern index varies slowest)."""
     columns = np.repeat(rows.T, cfg.n_elements, axis=1)
-    return (tp.phases[:, None, :] * columns[None]).reshape(-1, cfg.total_elements)
+    return (phases[:, None, :] * columns[None]).reshape(-1, cfg.total_elements)
 
 
 def observation_matrix(offsets: np.ndarray, tp: TrainingPattern,
                        cfg: SystemConfig) -> np.ndarray:
     """Linear map from the cascaded channel to the stacked training output:
     each element's phase column times its surface's filtered pilot."""
-    return _stack_columns(tp, _pilot_rows(steering_matrix, offsets, tp, cfg), cfg)
+    return _stack_columns(_pilot_rows(steering_matrix, offsets, tp, cfg), tp.phases, cfg)
 
 
 def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var,
@@ -182,9 +185,14 @@ def _check_spread(values: np.ndarray, what: str) -> None:
 def _pattern_correlation(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """``Z = Phi^H Y``, one row per element: the inverse DFT over the patterns,
     unscaled; a stack of observations (leading axes of ``y``) gives one ``Z``
-    each, from one transform."""
-    y = y.reshape(*y.shape[:-1], cfg.total_elements, cfg.pulse.n_samples)
-    return np.fft.ifft(y, axis=-2, norm="forward")
+    each, from one transform. ValueError unless the last axis holds NK
+    patterns of ``n_samples`` samples each."""
+    shape = (cfg.total_elements, cfg.pulse.n_samples)
+    if y.shape[-1:] != (shape[0] * shape[1],):
+        raise ValueError(f"training observation has shape {y.shape}; the configuration needs "
+                         f"{shape[0]} patterns x {shape[1]} samples = {shape[0] * shape[1]} "
+                         "on its last axis")
+    return np.fft.ifft(y.reshape(*y.shape[:-1], *shape), axis=-2, norm="forward")
 
 
 def _training_gram(offsets, tp: TrainingPattern,
@@ -288,18 +296,21 @@ def _fits(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern, cfg: SystemCon
     return np.asarray(eps, dtype=float), gram, corr / gram, np.maximum(total - captured, 0.0)
 
 
+def _estimate(z: np.ndarray, y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
+              group: int) -> tuple:
+    """Search, then fit: the stacked fits (:func:`_fits`) of observations ``y``
+    with their ``Z`` at the offsets searched over runs of ``group`` elements
+    (:func:`_search_offsets`; N gives the joint estimate, N*K the one offset
+    shared by every surface). The only route from correlations to fits."""
+    return _fits(_search_offsets(z, tp, cfg, group), z, y, tp, cfg)
+
+
 def _point(fits: tuple, p) -> EstimationResult:
     """Fit ``p`` of :func:`_fits` (``()`` for a lone one); SingularSystemError
     where its observation matrix (singular values sqrt(G)) is ill-conditioned."""
     eps, gram, channel, cost = (part[p] for part in fits)
     _check_spread(np.sqrt(gram), "training observation matrix")
     return EstimationResult(offsets=eps, channel=channel, final_cost=float(cost))
-
-
-def _result_at(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern,
-               cfg: SystemConfig) -> EstimationResult:
-    """The least-squares fit of one observation: :func:`_fits`' one-row case."""
-    return _point(_fits(eps, z, y, tp, cfg), ())
 
 
 def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> EstimationResult:
@@ -309,5 +320,4 @@ def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> Es
     sum of per-surface terms and each offset comes from its own 1-D search;
     the channel estimate is the least-squares solve at the returned offsets.
     """
-    z = _pattern_correlation(y, cfg)
-    return _result_at(_search_offsets(z, tp, cfg, cfg.n_elements), z, y, tp, cfg)
+    return _point(_estimate(_pattern_correlation(y, cfg), y, tp, cfg, cfg.n_elements), ())

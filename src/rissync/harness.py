@@ -5,12 +5,14 @@ index), so results do not depend on execution order and identical
 experiment settings reproduce identical output byte for byte. Each trial is
 drawn once and scored at every SNR point, so the points share common random
 numbers: one noise draw, scaled per point. A trial's training blocks are
-therefore simulated together, and the timing search and each least-squares
-fit run once per trial over every point and surface. Scorers take a point by
-its index ``p`` in the grid and row ``p`` of a fit (:func:`_fit`), checked
-there alone. A trial that dies in an ill-conditioned linear solve is
-excluded at that point and counted; an exclusion rate above one percent
-aborts the run.
+therefore simulated and correlated together, and each estimate a scorer
+needs (the joint one, and for the asynchrony study the one shared offset)
+is one timing search and one stacked least-squares fit over every point and
+surface, through the estimator's one route (``estimator._estimate``).
+Scorers take a point by its index ``p`` in the grid and row ``p`` of those
+fits (``estimator._point``), checked there alone. A trial that dies in an
+ill-conditioned linear solve is excluded at that point and counted; an
+exclusion rate above one percent aborts the run.
 
 Reported metrics are normalized mean-squared errors. For estimates the
 normalizer is that trial's own squared true-parameter norm; for the matching
@@ -20,7 +22,7 @@ so each trial's are evaluated once at unit variance and scaled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,8 +45,8 @@ from .design import (
     white_noise_cov,
 )
 from .errors import FailureRateError, SingularSystemError
-from .estimator import (EstimationResult, TrainingPattern, _fits, _pattern_correlation, _point,
-                        _search_offsets, gen_training, simulate_training)
+from .estimator import (TrainingPattern, _estimate, _pattern_correlation, _point, gen_training,
+                        simulate_training)
 from .pulse import _OFFSET_EDGE
 
 __all__ = [
@@ -186,7 +188,6 @@ class _Trial:
     channel_norm: float  # squared norms of the true parameters
     timing_norm: float
     noise_vars: tuple    # the sweep's noise variances, one per SNR point
-    fits: dict = field(default_factory=dict, init=False)  # stacked fits by offsets' bytes
 
     @cached_property
     def unit_bound_traces(self) -> tuple:
@@ -202,21 +203,25 @@ class _Trial:
     @cached_property
     def training(self) -> tuple:
         """The training blocks at the sweep's noise variances, one row per
-        point (one noise draw, scaled per point), their correlations ``Z`` and
-        each point's searched surface offsets: one simulation and one timing
-        search over every point and surface.
-        """
+        point (one noise draw, scaled per point), and their correlations
+        ``Z``: one simulation and one transform over every point."""
         obs = simulate_training(self.channels, self.offsets, self.pattern,
                                 np.array(self.noise_vars), self.cfg, self.streams["noise"])
-        z = _pattern_correlation(obs, self.cfg)
-        return obs, z, _search_offsets(z, self.pattern, self.cfg, self.cfg.n_elements)
+        return obs, _pattern_correlation(obs, self.cfg)
 
     @cached_property
-    def common_offsets(self) -> np.ndarray:
-        """Each point's one offset searched over all surfaces' elements, repeated
-        per surface: the offsets of the offset-synchronization-naive fit."""
-        return _search_offsets(self.training[1], self.pattern, self.cfg,
-                               self.cfg.total_elements)
+    def joint(self) -> tuple:
+        """Every point's joint estimate, one offset searched per surface, as
+        stacked fits (row ``p`` is point ``p``'s)."""
+        return _estimate(self.training[1], self.training[0], self.pattern, self.cfg,
+                         self.cfg.n_elements)
+
+    @cached_property
+    def naive(self) -> tuple:
+        """Every point's offset-synchronization-naive estimate, one offset
+        searched over all surfaces' elements and shared, as stacked fits."""
+        return _estimate(self.training[1], self.training[0], self.pattern, self.cfg,
+                         self.cfg.total_elements)
 
 
 def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
@@ -261,21 +266,11 @@ def _sweep(spec: ExperimentSpec, score, metrics) -> list:
     return rows
 
 
-def _fit(trial: _Trial, p: int, offsets: np.ndarray) -> EstimationResult:
-    """Least-squares estimate at point ``p`` and its row of the stacked searched
-    ``offsets``: row ``p`` of one fit of every point, formed on the first call
-    for these offsets, with only row ``p``'s conditioning checked."""
-    key = offsets.tobytes()
-    if key not in trial.fits:
-        obs, z, _ = trial.training
-        trial.fits[key] = _fits(offsets, z, obs, trial.pattern, trial.cfg)
-    return _point(trial.fits[key], p)
-
-
-def _believed(trial: _Trial, p: int, est) -> DesignInputs:
+def _believed(trial: _Trial, p: int) -> DesignInputs:
     """Design inputs as the receiver sees them after training at point ``p``:
-    the estimates, the bound at them as their uncertainty, and the noise."""
-    var = trial.noise_vars[p]
+    the joint estimates, the bound at them as their uncertainty, and the
+    noise."""
+    est, var = _point(trial.joint, p), trial.noise_vars[p]
     bounds = crlb(est.offsets, est.channel, trial.pattern, var, trial.cfg)
     return DesignInputs(offsets=est.offsets, channel=est.channel,
                         channel_cov=bounds.channel_cov,
@@ -294,14 +289,14 @@ def _score_bounds(trial: _Trial, p: int) -> dict:
 
 
 def _score_estimation(trial: _Trial, p: int) -> dict:
-    est = _fit(trial, p, trial.training[2])
+    est = _point(trial.joint, p)
     return {"channel_nmse": _channel_nmse(est.channel, trial),
             "timing_nmse": np.sum((est.offsets - trial.offsets) ** 2) / trial.timing_norm,
             **_score_bounds(trial, p)}
 
 
 def _score_async(trial: _Trial, p: int) -> dict:
-    joint, naive = _fit(trial, p, trial.training[2]), _fit(trial, p, trial.common_offsets)
+    joint, naive = _point(trial.joint, p), _point(trial.naive, p)
     return {"channel_nmse": _channel_nmse(joint.channel, trial),
             "channel_nmse_sync_naive": _channel_nmse(naive.channel, trial)}
 
@@ -328,7 +323,7 @@ def _score_design(trial: _Trial, p: int) -> dict:
     what each design would actually achieve.
     """
     cfg = trial.cfg
-    believed = _believed(trial, p, _fit(trial, p, trial.training[2]))
+    believed = _believed(trial, p)
     belief_problem = build_problem(believed, cfg)
 
     truth = DesignInputs(
@@ -390,8 +385,7 @@ def run_convergence(spec: ExperimentSpec) -> DesignResult:
     """The design loop's run, objective trace included, on one matched
     instance (trial zero of the experiment, at the first SNR of the grid)."""
     trial = _draw_trial(spec, spec.system_config(), 0)
-    believed = _believed(trial, 0, _fit(trial, 0, trial.training[2]))
-    return design_accelerated(build_problem(believed, trial.cfg))
+    return design_accelerated(build_problem(_believed(trial, 0), trial.cfg))
 
 
 def format_sweep_rows(rows) -> str:

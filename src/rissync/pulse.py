@@ -23,8 +23,7 @@ __all__ = [
     "lag_pilot_matrix",
     "steering_matrix",
     "steering_matrix_deriv",
-    "matched_filter_taps",
-    "window_matrix",
+    "matched_filter_window",
 ]
 
 # Distance from a removable singularity below which series limits take over.
@@ -283,22 +282,14 @@ def steering_matrix_deriv(offset, cfg: PulseConfig) -> np.ndarray:
     return -_shifted(rrc_impulse_deriv, offset, cfg)
 
 
-def matched_filter_taps(cfg: PulseConfig) -> np.ndarray:
-    """Ideal symbol-spaced matched-filter output: autocorrelation taps, zero padded.
+def matched_filter_window(cfg: PulseConfig) -> np.ndarray:
+    """The (obs_len, seq_len) matched-filter window that selects the
+    ``obs_len`` detected symbols out of a ``seq_len`` block.
 
-    The result has length ``seq_len``: pulse autocorrelation values at integer
-    lags ``-span .. span`` followed by ``obs_len - 1`` zeros.
+    Its taps are the ideal symbol-spaced matched-filter output: pulse
+    autocorrelation values at integer lags ``-span .. span`` followed by
+    ``obs_len - 1`` zeros; row ``r`` holds them rotated right by ``r``.
     """
     lags = np.arange(-cfg.span, cfg.span + 1, dtype=float)
-    return np.concatenate([pulse_autocorr(lags, cfg), np.zeros(cfg.obs_len - 1)])
-
-
-def window_matrix(taps: np.ndarray, cfg: PulseConfig) -> np.ndarray:
-    """Circulant windowing matrix whose row ``r`` is ``taps`` rotated right by ``r``.
-
-    Selects the ``obs_len`` detected symbols out of a ``seq_len`` block.
-    """
-    taps = np.asarray(taps, dtype=float)
-    if taps.shape != (cfg.seq_len,):
-        raise ValueError(f"expected {cfg.seq_len} taps, got shape {taps.shape}")
+    taps = np.concatenate([pulse_autocorr(lags, cfg), np.zeros(cfg.obs_len - 1)])
     return taps[(np.arange(cfg.seq_len) - np.arange(cfg.obs_len)[:, None]) % cfg.seq_len]

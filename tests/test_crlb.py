@@ -5,7 +5,7 @@ import pytest
 from rissync import SingularSystemError, SystemConfig
 from rissync.channel import cascade, gen_mmwave, gen_rayleigh
 from rissync.crlb import crlb, crlb_from_fim, fim, observation_matrix_deriv
-from rissync.estimator import gen_training, observation_matrix
+from rissync.estimator import TrainingPattern, gen_training, observation_matrix
 
 CFG = SystemConfig(n_surfaces=2, n_elements=4)
 
@@ -56,6 +56,23 @@ def test_fim_is_symmetric_and_scales_inversely_with_noise():
     assert np.max(np.abs(j1 - j1.T)) <= 1e-12
     j2 = fim(offsets, vec, tp, 0.05, CFG)
     np.testing.assert_allclose(j2, 10.0 * j1, rtol=1e-12)
+
+
+def test_fim_builds_the_phase_matrix_once_per_call(monkeypatch):
+    # the dense phase matrix is built on each read of the property, so fim
+    # reads it once for both the observation matrix and its derivative
+    vec, tp, offsets = _instance(CFG, 2)
+    want = fim(offsets, vec, tp, 0.5, CFG)
+    reads, phases = [], TrainingPattern.phases
+
+    def counted(pattern):
+        reads.append(pattern)
+        return phases.fget(pattern)
+
+    monkeypatch.setattr(TrainingPattern, "phases", property(counted))
+    for calls in (1, 2):
+        assert fim(offsets, vec, tp, 0.5, CFG).tobytes() == want.tobytes()
+        assert len(reads) == calls
 
 
 def test_fim_matches_finite_difference_jacobian():

@@ -21,7 +21,7 @@ from rissync.design import (
     white_noise_cov,
 )
 from rissync.errors import SingularSystemError
-from rissync.pulse import matched_filter_taps, steering_matrix, window_matrix
+from rissync.pulse import matched_filter_window, steering_matrix
 
 
 def _cgauss(rng, shape):
@@ -206,7 +206,7 @@ def test_mse_direct_equals_compact(geometry):
 def test_mse_zero_equalizer_is_window_energy():
     cfg, inputs = _instance(6)
     problem = build_problem(inputs, cfg)
-    window = window_matrix(matched_filter_taps(cfg.pulse), cfg.pulse)
+    window = matched_filter_window(cfg.pulse)
     energy = np.trace(window @ window.T)
     zero = np.zeros((cfg.pulse.obs_len, cfg.pulse.n_samples), dtype=complex)
     theta = np.ones(cfg.total_elements, dtype=complex)

@@ -14,13 +14,13 @@ from rissync.estimator import (
     _ZOOM,
     GRID_STEP,
     TrainingPattern,
+    _estimate,
     _fits,
     _forms,
     _grid_table,
     _pattern_correlation,
     _point,
     _quotient,
-    _result_at,
     _search_offsets,
     gen_training,
     mle_alternating,
@@ -51,14 +51,13 @@ def _instance(cfg, seed, offsets=None, noise_var=0.0):
 
 def _ls_channel(offsets, y, tp, cfg):
     # least-squares channel at given offsets, through the sweeps' fit route
-    return _result_at(offsets, _pattern_correlation(y, cfg), y, tp, cfg).channel
+    return _point(_fits(offsets, _pattern_correlation(y, cfg), y, tp, cfg), ()).channel
 
 
 def _common_offset(y, tp, cfg):
     # the offset-synchronization-naive estimate as the sweeps form it: one
     # search over every element, then the least-squares fit
-    z = _pattern_correlation(y, cfg)
-    return _result_at(_search_offsets(z, tp, cfg, cfg.total_elements), z, y, tp, cfg)
+    return _point(_estimate(_pattern_correlation(y, cfg), y, tp, cfg, cfg.total_elements), ())
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def test_stacked_search_and_fit_match_the_one_shot_estimators(k_surf):
             searched = _search_offsets(z, tp, cfg, group)
             assert searched.shape == (len(STACKED_VARS), k_surf)
             for p, y in enumerate(rows):
-                stacked = _result_at(searched[p], z[p], y, tp, cfg)
+                stacked = _point(_fits(searched[p], z[p], y, tp, cfg), ())
                 alone = estimate(y, tp, cfg)
                 assert stacked.offsets.tobytes() == alone.offsets.tobytes()
                 assert stacked.channel.tobytes() == alone.channel.tobytes()
@@ -294,7 +293,8 @@ def test_stacked_fit_rows_are_the_one_point_fits(k_surf):
             searched = _search_offsets(z, tp, cfg, group)
             fits = _fits(searched, z, rows, tp, cfg)
             for p, y in enumerate(rows):
-                stacked, alone = _point(fits, p), _result_at(searched[p], z[p], y, tp, cfg)
+                stacked = _point(fits, p)
+                alone = _point(_fits(searched[p], z[p], y, tp, cfg), ())
                 assert stacked.offsets.tobytes() == alone.offsets.tobytes()
                 assert stacked.channel.tobytes() == alone.channel.tobytes()
                 assert stacked.final_cost == alone.final_cost
@@ -384,6 +384,19 @@ def test_every_route_rejects_a_pattern_for_another_configuration(name):
         assert wanted in str(err.value)
 
 
+@pytest.mark.parametrize("length", [168, 200])
+def test_wrong_length_observation_fails_naming_both_lengths(length):
+    # K=2, N=4 needs 8 patterns of 24 samples: 192 values per observation,
+    # alone (the one-shot estimator) or on the last axis of a stack (a trial)
+    tp = gen_training(CFG, 0)
+    wanted = f"{CFG.total_elements} patterns x {CFG.pulse.n_samples} samples = 192"
+    for route, y in ((lambda y: mle_alternating(y, tp, CFG), np.zeros(length, complex)),
+                     (lambda y: _pattern_correlation(y, CFG), np.zeros((3, length), complex))):
+        with pytest.raises(ValueError, match=str(length)) as err:
+            route(y)
+        assert wanted in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # per-surface estimator
 # ---------------------------------------------------------------------------
@@ -418,8 +431,10 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense route used")
 
+    # every dense observation matrix and derivative is built by _stack_columns
     for module in (estimator_module, crlb_module):
-        monkeypatch.setattr(module, "observation_matrix", forbidden)
+        monkeypatch.setattr(module, "_stack_columns", forbidden)
+    monkeypatch.setattr(estimator_module, "observation_matrix", forbidden)
     monkeypatch.setattr(crlb_module, "observation_matrix_deriv", forbidden)
     for name in ("qr", "solve", "inv", "cond", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
@@ -569,7 +584,7 @@ def test_search_is_never_worse_than_the_normalize_and_correlate_reference(k_surf
     # final spacing apart can differ by that much and no more.
     rounding = 1e-14 * float(np.vdot(y, y).real)
     for estimate, reference in ((mle_alternating, want), (_common_offset, common)):
-        oracle = _result_at(reference, z, y, tp, cfg).final_cost
+        oracle = _point(_fits(reference, z, y, tp, cfg), ()).final_cost
         assert estimate(y, tp, cfg).final_cost <= oracle * (1 + 1e-12) + rounding
 
 
@@ -604,7 +619,7 @@ def test_search_reaches_the_open_end_of_a_truncation_step():
     spec = harness.ExperimentSpec(n_surfaces=2, n_x=2, n_y=1, trials=3, base_seed=42)
     cfg = spec.system_config()
     trial = harness._draw_trial(spec, cfg, 2)
-    y, res = trial.training[0][0], harness._fit(trial, 0, trial.training[2])  # 0 dB
+    y, res = trial.training[0][0], _point(trial.joint, 0)  # 0 dB
     grid = np.arange(-0.9995, 0.9996, 1e-3)
     for k in range(cfg.n_surfaces):
         moved = np.tile(res.offsets, (grid.size, 1))
@@ -624,7 +639,7 @@ def test_common_offset_search_reaches_the_open_end_of_a_truncation_step(seed, ju
     res, z = _common_offset(y, tp, cfg), _pattern_correlation(y, cfg)
     assert res.final_cost == pytest.approx(residual_cost(res.offsets, y, tp, cfg), rel=1e-12)
     grid = np.arange(-0.9995, 0.9996, 1e-3)
-    best = min(_result_at(np.full(2, x), z, y, tp, cfg).final_cost for x in grid)
+    best = min(_point(_fits(np.full(2, x), z, y, tp, cfg), ()).final_cost for x in grid)
     assert res.final_cost <= best * (1 + 1e-12)
     assert 0.0 < abs(res.offsets[0] - jump) < 1e-3
     assert residual_cost(np.full(2, jump), y, tp, cfg) > res.final_cost

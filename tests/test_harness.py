@@ -234,6 +234,20 @@ def test_design_sweep_deterministic():
     assert run_design_sweep(spec) == run_design_sweep(spec)
 
 
+def test_proposed_design_beats_both_baselines_at_nk_256():
+    # At K=4, 8x8 random phases mostly beat phase-aligned ones, the reverse
+    # of small arrays; the proposed design must still beat each baseline,
+    # paired per trial: the mean log NMSE ratio exceeds 3 standard errors.
+    spec = ExperimentSpec(n_surfaces=4, n_x=8, n_y=8, snr_grid_db=(10.0,), trials=8,
+                          offset_model="common-delta", delta_max=0.3, base_seed=77)
+    cfg = spec.system_config()
+    scores = [harness._design_trial(spec, cfg, 10.0, t) for t in range(spec.trials)]
+    proposed = np.log([s["nmse_proposed"] for s in scores])
+    for baseline in ("nmse_phase_aligned", "nmse_random"):
+        gain = np.log([s[baseline] for s in scores]) - proposed
+        assert gain.mean() > 3.0 * gain.std(ddof=1) / np.sqrt(gain.size), baseline
+
+
 # ---------------------------------------------------------- convergence
 
 
@@ -268,10 +282,10 @@ def _fake_estimate(n_surfaces, n_total):
 
 
 def test_exclusion_rate_above_limit_aborts(monkeypatch):
-    def always_fails(trial, p, offsets):
+    def always_fails(fits, p):
         raise SingularSystemError("forced failure", 1e99)
 
-    monkeypatch.setattr(harness, "_fit", always_fails)
+    monkeypatch.setattr(harness, "_point", always_fails)
     spec = ExperimentSpec(snr_grid_db=(10.0,), **TINY)
     with pytest.raises(FailureRateError):
         run_estimation_sweep(spec)
@@ -280,11 +294,11 @@ def test_exclusion_rate_above_limit_aborts(monkeypatch):
 def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
     calls = {"n": 0}
 
-    def always_fails(trial, p, offsets):
+    def always_fails(fits, p):
         calls["n"] += 1
         raise SingularSystemError("forced failure", 1e99)
 
-    monkeypatch.setattr(harness, "_fit", always_fails)
+    monkeypatch.setattr(harness, "_point", always_fails)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0),
                           trials=100, base_seed=0)
     with pytest.raises(FailureRateError) as info:
@@ -296,13 +310,13 @@ def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
 def test_exclusion_at_limit_is_tolerated(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(trial, p, offsets):
+    def flaky(fits, p):
         calls["n"] += 1
         if calls["n"] == 1:
             raise SingularSystemError("forced failure", 1e99)
         return _fake_estimate(2, 2)
 
-    monkeypatch.setattr(harness, "_fit", flaky)
+    monkeypatch.setattr(harness, "_point", flaky)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(10.0,),
                           trials=100, base_seed=0)
     rows = run_estimation_sweep(spec)
@@ -316,15 +330,15 @@ def test_exclusion_at_limit_is_tolerated(monkeypatch):
 RUNNERS = [run_estimation_sweep, run_crlb_sweep, run_async_impact, run_design_sweep]
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=harness):
     calls = {"n": 0}
-    original = getattr(harness, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -341,7 +355,7 @@ def test_timing_search_runs_once_per_trial_over_every_point(monkeypatch, runner,
     # one simulation per trial, and one search per estimator (joint, and for
     # async the common-offset one) over all points, however many there are
     simulated = _counting(monkeypatch, "simulate_training")
-    searched = _counting(monkeypatch, "_search_offsets")
+    searched = _counting(monkeypatch, "_search_offsets", estimator)
     runner(ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY))
     assert simulated["n"] == TINY["trials"]
     assert searched["n"] == searches * TINY["trials"]
@@ -376,8 +390,7 @@ def test_conditioning_failure_at_one_point_excludes_that_point_only(monkeypatch)
     spreads = []
     for index in range(spec.trials):
         trial = harness._draw_trial(spec, cfg, index)
-        obs, z, offsets = trial.training
-        root = np.sqrt(estimator._fits(offsets, z, obs, trial.pattern, cfg)[1])
+        root = np.sqrt(trial.joint[1])
         spreads += [(s, p) for p, s in enumerate(root.max(axis=-1) / root.min(axis=-1))]
     (worst, point), (next_worst, _) = sorted(spreads, reverse=True)[:2]
     assert worst > next_worst > 1.0
@@ -398,13 +411,13 @@ def test_each_trial_is_drawn_once(monkeypatch, runner):
 def test_failure_at_one_point_excludes_the_trial_there_only(monkeypatch):
     seen = {}
 
-    def fails_once_at_10db(trial, p, offsets):
+    def fails_once_at_10db(fits, p):
         if p == 1 and not seen.get("failed"):
             seen["failed"] = True
             raise SingularSystemError("forced failure", 1e99)
         return _fake_estimate(2, 2)
 
-    monkeypatch.setattr(harness, "_fit", fails_once_at_10db)
+    monkeypatch.setattr(harness, "_point", fails_once_at_10db)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0, 20.0),
                           trials=100, base_seed=0)
     for row in run_estimation_sweep(spec):

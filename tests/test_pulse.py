@@ -14,13 +14,12 @@ from scipy.integrate import quad
 
 from rissync import (
     PulseConfig,
-    matched_filter_taps,
+    matched_filter_window,
     pulse_autocorr,
     rrc_impulse,
     rrc_impulse_deriv,
     steering_matrix,
     steering_matrix_deriv,
-    window_matrix,
 )
 from rissync.pulse import _OFFSET_EDGE, SINGULARITY_TOL, _lag_layout, lag_pilot_matrix
 
@@ -342,9 +341,12 @@ def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
 
 
 def test_matched_filter_taps_layout():
-    taps = matched_filter_taps(CFG)
+    # the window's first row holds the taps unrotated
+    taps = matched_filter_window(CFG)[0]
     assert taps.shape == (CFG.seq_len,)
     assert taps[CFG.span] == pytest.approx(1.0, abs=1e-14)
+    lags = np.arange(-CFG.span, CFG.span + 1, dtype=float)
+    assert taps[:lags.size].tobytes() == pulse_autocorr(lags, CFG).tobytes()
     # off-center integer lags are (numerically) zero, as is the padding
     mask = np.ones(CFG.seq_len, dtype=bool)
     mask[CFG.span] = False
@@ -353,14 +355,9 @@ def test_matched_filter_taps_layout():
 
 
 def test_window_matrix_is_circulant_selector():
-    taps = matched_filter_taps(CFG)
-    win = window_matrix(taps, CFG)
+    win = matched_filter_window(CFG)
+    taps = win[0]
     assert win.shape == (CFG.obs_len, CFG.seq_len)
     for r in range(CFG.obs_len):
         np.testing.assert_array_equal(win[r], np.roll(taps, r))
         assert win[r, (CFG.span + r) % CFG.seq_len] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_window_matrix_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        window_matrix(np.zeros(CFG.seq_len - 1), CFG)

@@ -87,6 +87,10 @@ SPECS = {
                      "--trials", "1", "--seed", "0"],
     "design-B": _DESIGN + ["--surfaces", "2", "--snr-db", "0,10,20"],
     "design-C": _DESIGN + ["--surfaces", "4", "--snr-db", "10"],
+    # N*K = 256, where random phases beat phase-aligned ones
+    "design-k4-8x8": ["--kind", "design", "--surfaces", "4", "--nx", "8", "--ny", "8",
+                      "--offset-model", "common-delta", "--delta-max", "0.3", "--snr-db", "10",
+                      "--trials", "8", "--seed", "77"],
     "config-example": ["--config", "configs/example.cfg", "--trials", "3"],
 }
 
