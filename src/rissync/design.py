@@ -437,26 +437,18 @@ def design_accelerated(problem: DesignProblem) -> DesignResult:
     )
 
 
-def design_phase_aligned(inputs: DesignInputs, cfg: SystemConfig) -> DesignResult:
+def design_phase_aligned(inputs: DesignInputs,
+                         cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Synchronization-naive baseline: cancel the estimated channel phases.
 
-    Each element conjugates its estimated cascaded gain; the equalizer is the
-    Wiener solution computed as if all surfaces shared one timing offset (the
-    mean of the estimates), which is all a receiver ignoring asynchrony can
-    do. No iteration is involved.
+    Returns ``(theta, equalizer)``. Each element conjugates its estimated
+    cascaded gain; the equalizer is the Wiener solution computed as if all
+    surfaces shared one timing offset (the mean of the estimates), which is
+    all a receiver ignoring asynchrony can do.
     """
     theta = np.exp(-1j * np.angle(inputs.channel))
     common = np.full(inputs.offsets.size, float(np.mean(inputs.offsets)))
-    belief = build_problem(replace(inputs, offsets=common), cfg)
-    equalizer = mmse_equalizer(theta, belief)
-    objective = mse_compact(theta, equalizer, belief)
-    return DesignResult(
-        theta=theta,
-        equalizer=equalizer,
-        objective_trace=np.asarray([objective]),
-        iterations=0,
-        converged=True,
-    )
+    return theta, mmse_equalizer(theta, build_problem(replace(inputs, offsets=common), cfg))
 
 
 def random_phases(n: int, seed) -> np.ndarray:

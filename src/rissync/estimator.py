@@ -2,12 +2,14 @@
 
 The training observation stacks NK reflection patterns, one per element:
 under pattern m element i applies exp(-2j pi m i / NK), row m of the scaled
-DFT Phi, while a known pilot sequence is transmitted. Timing offsets enter
-through each surface's pulse steering matrix, and the cascaded channel enters
-linearly. Training is this DFT by definition, so its products are FFTs: the
-simulation's Phi X is ``fft(X)`` and ``Z = Phi^H Y`` is the unscaled inverse
-transform, so training forms no NK x NK matrix; ``TrainingPattern.phases``
-builds the dense Phi only for the oracles.
+DFT Phi, while a known pilot sequence is transmitted: Phi follows from the
+configuration, so the pilot array (:func:`gen_training`) is the training's
+only side information. Timing offsets enter through each surface's pulse
+steering matrix, and the cascaded channel enters linearly. Training is this
+DFT by definition, so its products are FFTs: the simulation's Phi X is
+``fft(X)`` and ``Z = Phi^H Y`` is the unscaled inverse transform, so training
+forms no NK x NK matrix; ``_training_phases`` builds the dense Phi only for
+the oracles.
 
 The offsets are recovered by maximum likelihood on the profiled residual (the
 channel projected out). Every column of Phi is orthogonal to the others and
@@ -48,7 +50,6 @@ from .errors import SingularSystemError
 from .pulse import _OFFSET_EDGE, lag_pilot_matrix, rrc_impulse, steering_matrix
 
 __all__ = [
-    "TrainingPattern",
     "EstimationResult",
     "gen_training",
     "observation_matrix",
@@ -65,32 +66,6 @@ FINAL_SPACING = 2e-8
 
 
 @dataclass(frozen=True)
-class TrainingPattern:
-    """Known training side information: the pilot and the size NK of the
-    scaled-DFT reflection patterns.
-
-    ``pilot`` is the transmitted symbol sequence covering one observation
-    block plus both pulse tails; ``size`` is the number of elements, which is
-    also the number of patterns.
-    """
-
-    pilot: np.ndarray
-    size: int
-
-    def __post_init__(self):
-        if self.pilot.ndim != 1:
-            raise ValueError("pilot must be a 1-D sequence")
-
-    @property
-    def phases(self) -> np.ndarray:
-        """The (size, size) phase matrix, entry (m, i) exp(-2j*pi*m*i/size):
-        row m holds the reflection coefficients all surfaces apply during
-        pattern m. Built on each read, for the dense oracles only."""
-        index = np.arange(self.size)
-        return np.exp(-2j * np.pi * index[:, None] * index[None, :] / self.size)
-
-
-@dataclass(frozen=True)
 class EstimationResult:
     """The searched offsets and the least-squares fit at them. Every search
     runs its fixed zoom levels: there is no iteration count to report."""
@@ -100,36 +75,51 @@ class EstimationResult:
     final_cost: float            # residual energy at the returned offsets
 
 
-def gen_training(cfg: SystemConfig, seed) -> TrainingPattern:
-    """Scaled-DFT reflection patterns of size N*K plus a random QPSK pilot.
-
-    The patterns satisfy phases @ phases^H = NK * identity; only the pilot is
-    drawn here: unit-modulus symbols, deterministic per seed.
-    """
+def gen_training(cfg: SystemConfig, seed) -> np.ndarray:
+    """The training pilot: ``seq_len`` random QPSK symbols, covering one
+    observation block plus both pulse tails; unit modulus, deterministic per
+    seed. It does not depend on N*K: the reflection patterns are the scaled
+    DFT of size N*K by definition (:func:`_training_phases`)."""
     rng = np.random.default_rng(seed)
     quadrants = rng.integers(0, 4, cfg.pulse.seq_len)
-    pilot = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrants))
-    return TrainingPattern(pilot=pilot, size=cfg.total_elements)
+    return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrants))
 
 
-def _pilot(tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
-    """The pilot, once the pattern is checked against ``cfg``: every route that
-    simulates, searches, fits or bounds reads it here. ValueError unless the
-    pattern's size is N*K and its pilot is ``seq_len`` symbols long."""
-    if (tp.size, tp.pilot.size) != (cfg.total_elements, cfg.pulse.seq_len):
-        raise ValueError(f"training pattern has {tp.size} elements and a {tp.pilot.size}-symbol "
-                         f"pilot; the configuration needs {cfg.total_elements} elements and "
-                         f"{cfg.pulse.seq_len} symbols")
-    return tp.pilot
+def _training_phases(cfg: SystemConfig) -> np.ndarray:
+    """The (NK, NK) phase matrix Phi, entry (m, i) exp(-2j*pi*m*i/NK): row m
+    holds the reflection coefficients all surfaces apply during pattern m.
+    Built on each call, for the dense oracles only."""
+    index = np.arange(cfg.total_elements)
+    return np.exp(-2j * np.pi * index[:, None] * index[None, :] / cfg.total_elements)
 
 
-def _pilot_rows(steer, offsets, tp: TrainingPattern, cfg: SystemConfig) -> np.ndarray:
+def _pilot(pilot: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The pilot, once checked against ``cfg``: every route that simulates,
+    searches, fits or bounds reads it here. ValueError unless its shape is
+    ``(seq_len,)``."""
+    if np.shape(pilot) != (cfg.pulse.seq_len,):
+        raise ValueError(f"pilot has shape {np.shape(pilot)}; the configuration needs "
+                         f"seq_len = {cfg.pulse.seq_len} symbols")
+    return pilot
+
+
+def _channel(channel, cfg: SystemConfig) -> np.ndarray:
+    """The cascaded channel as an array, for simulating or bounding; ValueError
+    unless it is a finite 1-D vector of N*K entries."""
+    h = np.asarray(channel)
+    if h.shape != (cfg.total_elements,) or not np.all(np.isfinite(h)):
+        raise ValueError(f"channel has shape {h.shape}; the configuration needs a finite "
+                         f"vector of {cfg.total_elements} entries")
+    return h
+
+
+def _pilot_rows(steer, offsets, pilot: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """``steer(offset_k) @ pilot`` for each surface k, one row per surface
     (one stack per row of a 2-D ``offsets``), from one pulse evaluation."""
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape[-1:] != (cfg.n_surfaces,):
         raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
-    return steer(offsets, cfg.pulse) @ _pilot(tp, cfg)
+    return steer(offsets, cfg.pulse) @ _pilot(pilot, cfg)
 
 
 def _stack_columns(rows: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -139,14 +129,15 @@ def _stack_columns(rows: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> n
     return (phases[:, None, :] * columns[None]).reshape(-1, cfg.total_elements)
 
 
-def observation_matrix(offsets: np.ndarray, tp: TrainingPattern,
+def observation_matrix(offsets: np.ndarray, pilot: np.ndarray,
                        cfg: SystemConfig) -> np.ndarray:
     """Linear map from the cascaded channel to the stacked training output:
     each element's phase column times its surface's filtered pilot."""
-    return _stack_columns(_pilot_rows(steering_matrix, offsets, tp, cfg), tp.phases, cfg)
+    return _stack_columns(_pilot_rows(steering_matrix, offsets, pilot, cfg),
+                          _training_phases(cfg), cfg)
 
 
-def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var,
+def simulate_training(ch: ChannelSet, offsets, pilot: np.ndarray, noise_var,
                       cfg: SystemConfig, noise_seed) -> np.ndarray:
     """One noisy training observation: signal through the true offsets plus
     white complex Gaussian noise of total variance ``noise_var`` per sample.
@@ -163,8 +154,8 @@ def simulate_training(ch: ChannelSet, offsets, tp: TrainingPattern, noise_var,
     if var.ndim > 1 or not np.all((0.0 <= var) & (var < np.inf)):
         raise ValueError(f"noise_var must be finite and >= 0 (a scalar or 1-D array), "
                          f"got {noise_var}")
-    pilots = np.repeat(_pilot_rows(steering_matrix, offsets, tp, cfg), cfg.n_elements, axis=0)
-    clean = np.fft.fft(cascade(ch)[:, None] * pilots, axis=0).reshape(-1)
+    pilots = np.repeat(_pilot_rows(steering_matrix, offsets, pilot, cfg), cfg.n_elements, axis=0)
+    clean = np.fft.fft(_channel(cascade(ch), cfg)[:, None] * pilots, axis=0).reshape(-1)
     rng = np.random.default_rng(noise_seed)
     noise = (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
     scale = np.sqrt(var / 2.0)[..., None]
@@ -186,31 +177,33 @@ def _pattern_correlation(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """``Z = Phi^H Y``, one row per element: the inverse DFT over the patterns,
     unscaled; a stack of observations (leading axes of ``y``) gives one ``Z``
     each, from one transform. ValueError unless the last axis holds NK
-    patterns of ``n_samples`` samples each."""
+    patterns of ``n_samples`` samples each and every sample is finite."""
     shape = (cfg.total_elements, cfg.pulse.n_samples)
     if y.shape[-1:] != (shape[0] * shape[1],):
         raise ValueError(f"training observation has shape {y.shape}; the configuration needs "
                          f"{shape[0]} patterns x {shape[1]} samples = {shape[0] * shape[1]} "
                          "on its last axis")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("training observation has non-finite samples")
     return np.fft.ifft(y.reshape(*y.shape[:-1], *shape), axis=-2, norm="forward")
 
 
-def _training_gram(offsets, tp: TrainingPattern,
+def _training_gram(offsets, pilot: np.ndarray,
                    cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Filtered pilots f_k (one row per surface) and the diagonal observation
     Gram N^H N, G_i = NK |f_k|^2 for element i of surface k (every DFT column
     has energy NK); a stack of offset rows gives a stack of each."""
-    pilots = _pilot_rows(steering_matrix, offsets, tp, cfg)
+    pilots = _pilot_rows(steering_matrix, offsets, pilot, cfg)
     pilot_energy = np.repeat(np.sum(np.abs(pilots) ** 2, axis=-1), cfg.n_elements, axis=-1)
     return pilots, cfg.total_elements * pilot_energy
 
 
-def residual_cost(offsets, y: np.ndarray, tp: TrainingPattern,
+def residual_cost(offsets, y: np.ndarray, pilot: np.ndarray,
                   cfg: SystemConfig) -> float:
     """Energy of y outside the observation matrix's column space: the profile
     objective of timing estimation, the channel projected out. A QR of the
     dense observation matrix: the closed forms' reference."""
-    q, r = np.linalg.qr(observation_matrix(offsets, tp, cfg))
+    q, r = np.linalg.qr(observation_matrix(offsets, pilot, cfg))
     _check_spread(np.linalg.svd(r, compute_uv=False), "training observation matrix")
     total = float(np.vdot(y, y).real)
     captured = float(np.vdot(q.conj().T @ y, q.conj().T @ y).real)
@@ -238,12 +231,12 @@ def _grid_table(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
     return offsets, table
 
 
-def _forms(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig, group: int) -> tuple:
+def _forms(z: np.ndarray, pilot: np.ndarray, cfg: SystemConfig, group: int) -> tuple:
     """Lag-pilot times and quadratic forms for each run of ``group`` rows of each
     ``Z`` of a stack: P = Re(B^T conj(B)) / NK per run, B = Z conj(A), and
     Q = Re(A^H A). The run's captured energy sum_i |Z_i f(x)^*|^2 / (NK
     |f(x)|^2) is g^T P g / g^T Q g, g = ``rrc_impulse(times - x)``."""
-    times, a = lag_pilot_matrix(_pilot(tp, cfg), cfg.pulse)
+    times, a = lag_pilot_matrix(_pilot(pilot, cfg), cfg.pulse)
     b = (z @ a.conj()).reshape(-1, group, times.size)
     p = (np.swapaxes(b, -1, -2) @ b.conj()).real / cfg.total_elements
     return times, p, (a.conj().T @ a).real
@@ -255,7 +248,7 @@ def _quotient(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum((rows @ p) * rows, axis=-1) / np.sum((rows @ q) * rows, axis=-1)
 
 
-def _search_offsets(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
+def _search_offsets(z: np.ndarray, pilot: np.ndarray, cfg: SystemConfig,
                     group: int) -> np.ndarray:
     """Searched offsets of every surface, shape (..., K), for each ``Z`` of a
     stack (leading axes of ``z``). Each run of ``group`` consecutive elements
@@ -265,7 +258,7 @@ def _search_offsets(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
     re-centres on its best point seen and shrinks the cell tenfold, down to
     FINAL_SPACING, one pulse call per level for all groups. The table's jump
     points, which the zoom need not reach, seed the best point seen."""
-    times, p, q = _forms(z, tp, cfg, group)
+    times, p, q = _forms(z, pilot, cfg, group)
     offsets, table = _grid_table(cfg.pulse)
     scores, groups = _quotient(table, p, q), np.arange(p.shape[0])
     centre = _GRID[np.argmax(scores[:, :_GRID.size], axis=-1)]
@@ -283,12 +276,12 @@ def _search_offsets(z: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
     return np.repeat(best_x, group // cfg.n_elements).reshape(*z.shape[:-2], cfg.n_surfaces)
 
 
-def _fits(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> tuple:
+def _fits(eps, z: np.ndarray, y: np.ndarray, pilot: np.ndarray, cfg: SystemConfig) -> tuple:
     """Least-squares fits of a stack of observations ``y`` with their ``Z``, each
     at its row of offsets ``eps``, from one pulse call: the offsets, the Gram
     G, the channel Z_i f_k^* / G_i of each element i (on surface k) and the
     residual, the energy of ``y`` less the sum |Z_i f_k^*|^2 / G_i."""
-    pilots, gram = _training_gram(eps, tp, cfg)
+    pilots, gram = _training_gram(eps, pilot, cfg)
     z = z.reshape(*gram.shape[:-1], cfg.n_surfaces, cfg.n_elements, -1)
     corr = (z @ pilots.conj()[..., None]).reshape(gram.shape)
     captured = np.sum(np.abs(corr) ** 2 / gram, axis=-1)
@@ -296,13 +289,13 @@ def _fits(eps, z: np.ndarray, y: np.ndarray, tp: TrainingPattern, cfg: SystemCon
     return np.asarray(eps, dtype=float), gram, corr / gram, np.maximum(total - captured, 0.0)
 
 
-def _estimate(z: np.ndarray, y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig,
+def _estimate(z: np.ndarray, y: np.ndarray, pilot: np.ndarray, cfg: SystemConfig,
               group: int) -> tuple:
     """Search, then fit: the stacked fits (:func:`_fits`) of observations ``y``
     with their ``Z`` at the offsets searched over runs of ``group`` elements
     (:func:`_search_offsets`; N gives the joint estimate, N*K the one offset
     shared by every surface). The only route from correlations to fits."""
-    return _fits(_search_offsets(z, tp, cfg, group), z, y, tp, cfg)
+    return _fits(_search_offsets(z, pilot, cfg, group), z, y, pilot, cfg)
 
 
 def _point(fits: tuple, p) -> EstimationResult:
@@ -313,11 +306,15 @@ def _point(fits: tuple, p) -> EstimationResult:
     return EstimationResult(offsets=eps, channel=channel, final_cost=float(cost))
 
 
-def mle_alternating(y: np.ndarray, tp: TrainingPattern, cfg: SystemConfig) -> EstimationResult:
-    """Joint timing/channel maximum-likelihood estimate.
+def mle_alternating(y: np.ndarray, pilot: np.ndarray, cfg: SystemConfig) -> EstimationResult:
+    """Joint timing/channel maximum-likelihood estimate of one observation.
 
     The DFT training's columns are orthogonal, so the profile objective is a
     sum of per-surface terms and each offset comes from its own 1-D search;
     the channel estimate is the least-squares solve at the returned offsets.
+    ValueError unless ``y`` is 1-D: stacks go through ``_estimate``.
     """
-    return _point(_estimate(_pattern_correlation(y, cfg), y, tp, cfg, cfg.n_elements), ())
+    if np.ndim(y) != 1:
+        raise ValueError(f"training observation has shape {np.shape(y)}; "
+                         "mle_alternating estimates one 1-D observation")
+    return _point(_estimate(_pattern_correlation(y, cfg), y, pilot, cfg, cfg.n_elements), ())

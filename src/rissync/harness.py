@@ -45,8 +45,7 @@ from .design import (
     white_noise_cov,
 )
 from .errors import FailureRateError, SingularSystemError
-from .estimator import (TrainingPattern, _estimate, _pattern_correlation, _point, gen_training,
-                        simulate_training)
+from .estimator import _estimate, _pattern_correlation, _point, gen_training, simulate_training
 from .pulse import _OFFSET_EDGE
 
 __all__ = [
@@ -183,7 +182,7 @@ class _Trial:
     streams: dict
     channels: ChannelSet
     offsets: np.ndarray
-    pattern: TrainingPattern
+    pilot: np.ndarray
     gains: np.ndarray
     channel_norm: float  # squared norms of the true parameters
     timing_norm: float
@@ -197,7 +196,7 @@ class _Trial:
         conditioning checks do not depend on it, so one evaluation serves
         every SNR point; a trial that fails here fails at every point.
         """
-        bounds = crlb(self.offsets, self.gains, self.pattern, 1.0, self.cfg)
+        bounds = crlb(self.offsets, self.gains, self.pilot, 1.0, self.cfg)
         return np.trace(bounds.channel_cov).real, np.trace(bounds.timing_cov)
 
     @cached_property
@@ -205,7 +204,7 @@ class _Trial:
         """The training blocks at the sweep's noise variances, one row per
         point (one noise draw, scaled per point), and their correlations
         ``Z``: one simulation and one transform over every point."""
-        obs = simulate_training(self.channels, self.offsets, self.pattern,
+        obs = simulate_training(self.channels, self.offsets, self.pilot,
                                 np.array(self.noise_vars), self.cfg, self.streams["noise"])
         return obs, _pattern_correlation(obs, self.cfg)
 
@@ -213,14 +212,14 @@ class _Trial:
     def joint(self) -> tuple:
         """Every point's joint estimate, one offset searched per surface, as
         stacked fits (row ``p`` is point ``p``'s)."""
-        return _estimate(self.training[1], self.training[0], self.pattern, self.cfg,
+        return _estimate(self.training[1], self.training[0], self.pilot, self.cfg,
                          self.cfg.n_elements)
 
     @cached_property
     def naive(self) -> tuple:
         """Every point's offset-synchronization-naive estimate, one offset
         searched over all surfaces' elements and shared, as stacked fits."""
-        return _estimate(self.training[1], self.training[0], self.pattern, self.cfg,
+        return _estimate(self.training[1], self.training[0], self.pilot, self.cfg,
                          self.cfg.total_elements)
 
 
@@ -229,7 +228,7 @@ def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
     channels = _draw_channels(spec, cfg, streams["channel"])
     offsets, gains = _draw_offsets(spec, streams["offsets"]), cascade(channels)
     return _Trial(cfg=cfg, streams=streams, channels=channels, offsets=offsets,
-                  pattern=gen_training(cfg, streams["pilot"]), gains=gains,
+                  pilot=gen_training(cfg, streams["pilot"]), gains=gains,
                   channel_norm=float(np.sum(np.abs(gains) ** 2)),
                   timing_norm=float(np.sum(offsets ** 2)),
                   noise_vars=tuple(_noise_var(snr_db) for snr_db in spec.snr_grid_db))
@@ -271,7 +270,7 @@ def _believed(trial: _Trial, p: int) -> DesignInputs:
     the joint estimates, the bound at them as their uncertainty, and the
     noise."""
     est, var = _point(trial.joint, p), trial.noise_vars[p]
-    bounds = crlb(est.offsets, est.channel, trial.pattern, var, trial.cfg)
+    bounds = crlb(est.offsets, est.channel, trial.pilot, var, trial.cfg)
     return DesignInputs(offsets=est.offsets, channel=est.channel,
                         channel_cov=bounds.channel_cov,
                         noise_cov=white_noise_cov(var, trial.cfg))
@@ -334,15 +333,14 @@ def _score_design(trial: _Trial, p: int) -> dict:
     energy = true_problem.window_energy
 
     tuned = design_accelerated(belief_problem)
-    aligned = design_phase_aligned(believed, cfg)
+    aligned_theta, aligned_eq = design_phase_aligned(believed, cfg)
     genie = design_accelerated(true_problem)  # perfect knowledge of offsets and channel
     scrambled = random_phases(cfg.total_elements, trial.streams["design"])
     scrambled_eq = mmse_equalizer(scrambled, belief_problem)
 
     return {
         "nmse_proposed": mse_compact(tuned.theta, tuned.equalizer, true_problem) / energy,
-        "nmse_phase_aligned": mse_compact(aligned.theta, aligned.equalizer,
-                                          true_problem) / energy,
+        "nmse_phase_aligned": mse_compact(aligned_theta, aligned_eq, true_problem) / energy,
         "nmse_perfect": mse_compact(genie.theta, genie.equalizer, true_problem) / energy,
         "nmse_random": mse_compact(scrambled, scrambled_eq, true_problem) / energy,
     }

@@ -1,11 +1,13 @@
 """Tests for the information matrix and closed-form error bounds."""
+import importlib
+
 import numpy as np
 import pytest
 
 from rissync import SingularSystemError, SystemConfig
 from rissync.channel import cascade, gen_mmwave, gen_rayleigh
 from rissync.crlb import crlb, crlb_from_fim, fim, observation_matrix_deriv
-from rissync.estimator import TrainingPattern, gen_training, observation_matrix
+from rissync.estimator import _training_phases, gen_training, observation_matrix
 
 CFG = SystemConfig(n_surfaces=2, n_elements=4)
 
@@ -13,15 +15,15 @@ CFG = SystemConfig(n_surfaces=2, n_elements=4)
 def _instance(cfg, seed):
     rng = np.random.default_rng(seed)
     ch = gen_rayleigh(cfg, rng.integers(2**32))
-    tp = gen_training(cfg, rng.integers(2**32))
+    pilot = gen_training(cfg, rng.integers(2**32))
     offsets = rng.uniform(-0.5, 0.5, cfg.n_surfaces)
-    return cascade(ch), tp, offsets
+    return cascade(ch), pilot, offsets
 
 
 def test_deriv_matrix_shape_and_fd():
-    vec, tp, offsets = _instance(CFG, 0)
-    nd = observation_matrix_deriv(offsets, tp, CFG)
-    nmat = observation_matrix(offsets, tp, CFG)
+    vec, pilot, offsets = _instance(CFG, 0)
+    nd = observation_matrix_deriv(offsets, pilot, CFG)
+    nmat = observation_matrix(offsets, pilot, CFG)
     assert nd.shape == nmat.shape
     # central finite differences, block by block
     h = 1e-6
@@ -30,7 +32,7 @@ def test_deriv_matrix_shape_and_fd():
         up, dn = offsets.copy(), offsets.copy()
         up[k] += h
         dn[k] -= h
-        fd = (observation_matrix(up, tp, CFG) - observation_matrix(dn, tp, CFG)) / (2 * h)
+        fd = (observation_matrix(up, pilot, CFG) - observation_matrix(dn, pilot, CFG)) / (2 * h)
         cols = slice(k * n_el, (k + 1) * n_el)
         np.testing.assert_allclose(nd[:, cols], fd[:, cols], rtol=1e-4, atol=1e-7)
         # other blocks do not move with offset k
@@ -40,38 +42,39 @@ def test_deriv_matrix_shape_and_fd():
 
 def test_deriv_matrix_degenerate_single_element():
     cfg = SystemConfig(1, 1)
-    tp = gen_training(cfg, 1)
+    pilot = gen_training(cfg, 1)
     from rissync.pulse import steering_matrix_deriv
-    nd = observation_matrix_deriv(np.array([0.3]), tp, cfg)
+    nd = observation_matrix_deriv(np.array([0.3]), pilot, cfg)
     np.testing.assert_allclose(
-        nd[:, 0], steering_matrix_deriv(0.3, cfg.pulse) @ tp.pilot, rtol=1e-12
+        nd[:, 0], steering_matrix_deriv(0.3, cfg.pulse) @ pilot, rtol=1e-12
     )
 
 
 def test_fim_is_symmetric_and_scales_inversely_with_noise():
-    vec, tp, offsets = _instance(CFG, 1)
-    j1 = fim(offsets, vec, tp, 0.5, CFG)
+    vec, pilot, offsets = _instance(CFG, 1)
+    j1 = fim(offsets, vec, pilot, 0.5, CFG)
     dim = CFG.n_surfaces + 2 * CFG.total_elements
     assert j1.shape == (dim, dim)
     assert np.max(np.abs(j1 - j1.T)) <= 1e-12
-    j2 = fim(offsets, vec, tp, 0.05, CFG)
+    j2 = fim(offsets, vec, pilot, 0.05, CFG)
     np.testing.assert_allclose(j2, 10.0 * j1, rtol=1e-12)
 
 
 def test_fim_builds_the_phase_matrix_once_per_call(monkeypatch):
-    # the dense phase matrix is built on each read of the property, so fim
-    # reads it once for both the observation matrix and its derivative
-    vec, tp, offsets = _instance(CFG, 2)
-    want = fim(offsets, vec, tp, 0.5, CFG)
-    reads, phases = [], TrainingPattern.phases
+    # the dense phase matrix is built on each call, so fim builds it once
+    # for both the observation matrix and its derivative
+    vec, pilot, offsets = _instance(CFG, 2)
+    want = fim(offsets, vec, pilot, 0.5, CFG)
+    reads = []
 
-    def counted(pattern):
-        reads.append(pattern)
-        return phases.fget(pattern)
+    def counted(cfg):
+        reads.append(cfg)
+        return _training_phases(cfg)
 
-    monkeypatch.setattr(TrainingPattern, "phases", property(counted))
+    for module in ("rissync.estimator", "rissync.crlb"):
+        monkeypatch.setattr(importlib.import_module(module), "_training_phases", counted)
     for calls in (1, 2):
-        assert fim(offsets, vec, tp, 0.5, CFG).tobytes() == want.tobytes()
+        assert fim(offsets, vec, pilot, 0.5, CFG).tobytes() == want.tobytes()
         assert len(reads) == calls
 
 
@@ -79,12 +82,12 @@ def test_fim_matches_finite_difference_jacobian():
     # Fully independent oracle: differentiate the mean map numerically with
     # respect to every real coordinate and form the Gram matrix directly.
     cfg = SystemConfig(2, 2)
-    vec, tp, offsets = _instance(cfg, 2)
+    vec, pilot, offsets = _instance(cfg, 2)
     noise_var = 0.3
     nk = cfg.total_elements
 
     def mean(eps, h):
-        return observation_matrix(eps, tp, cfg) @ h
+        return observation_matrix(eps, pilot, cfg) @ h
 
     h_step = 1e-6
     cols = []
@@ -101,7 +104,7 @@ def test_fim_matches_finite_difference_jacobian():
         cols[-1] /= 2 * h_step
     jac = np.column_stack(cols)
     oracle = (2.0 / noise_var) * (jac.conj().T @ jac).real
-    np.testing.assert_allclose(fim(offsets, vec, tp, noise_var, cfg), oracle,
+    np.testing.assert_allclose(fim(offsets, vec, pilot, noise_var, cfg), oracle,
                                rtol=1e-4, atol=1e-6)
 
 
@@ -109,9 +112,9 @@ def test_closed_form_matches_information_inverse():
     # The module's core property: profiled closed forms equal the mapped
     # blocks of the full information-matrix inverse.
     for seed in range(10):
-        vec, tp, offsets = _instance(CFG, 100 + seed)
-        a = crlb(offsets, vec, tp, 0.2, CFG)
-        b = crlb_from_fim(offsets, vec, tp, 0.2, CFG)
+        vec, pilot, offsets = _instance(CFG, 100 + seed)
+        a = crlb(offsets, vec, pilot, 0.2, CFG)
+        b = crlb_from_fim(offsets, vec, pilot, 0.2, CFG)
         # relative to matrix scale: entrywise ratios blow up on the
         # structurally-zero cross terms (~1e-20)
         for lhs, rhs in ((a.timing_cov, b.timing_cov), (a.channel_cov, b.channel_cov)):
@@ -125,23 +128,23 @@ def test_closed_form_matches_information_inverse_at_bench_geometry():
     for seed in range(3):
         rng = np.random.default_rng(seed)
         vec = cascade(gen_mmwave(cfg, 4, rng.integers(2**32)))
-        tp = gen_training(cfg, rng.integers(2**32))
+        pilot = gen_training(cfg, rng.integers(2**32))
         offsets = rng.uniform(-0.9, 0.9, cfg.n_surfaces)
-        a = crlb(offsets, vec, tp, 0.1, cfg)
-        b = crlb_from_fim(offsets, vec, tp, 0.1, cfg)
+        a = crlb(offsets, vec, pilot, 0.1, cfg)
+        b = crlb_from_fim(offsets, vec, pilot, 0.1, cfg)
         for lhs, rhs in ((a.timing_cov, b.timing_cov), (a.channel_cov, b.channel_cov)):
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(rhs))
 
 
 def test_bounds_are_positive_definite_and_linear_in_noise():
-    vec, tp, offsets = _instance(SystemConfig(2, 16), 3)
-    res = crlb(offsets, vec, tp, 0.1, SystemConfig(2, 16))
+    vec, pilot, offsets = _instance(SystemConfig(2, 16), 3)
+    res = crlb(offsets, vec, pilot, 0.1, SystemConfig(2, 16))
     assert np.max(np.abs(res.timing_cov - res.timing_cov.T)) <= 1e-10
     assert np.max(np.abs(res.channel_cov - res.channel_cov.conj().T)) <= 1e-10
     assert np.all(np.linalg.eigvalsh(res.timing_cov) > 0)
     assert np.all(np.linalg.eigvalsh(res.channel_cov) > 0)
     assert np.all(np.diag(res.timing_cov) > 0)
-    half = crlb(offsets, vec, tp, 0.05, SystemConfig(2, 16))
+    half = crlb(offsets, vec, pilot, 0.05, SystemConfig(2, 16))
     np.testing.assert_allclose(2.0 * half.timing_cov, res.timing_cov, rtol=1e-10)
     np.testing.assert_allclose(2.0 * half.channel_cov, res.channel_cov, rtol=1e-10)
 
@@ -149,45 +152,45 @@ def test_bounds_are_positive_definite_and_linear_in_noise():
 def test_channel_bound_dominates_known_offset_bound():
     # Having to estimate the offsets can only inflate the channel bound above
     # the known-offset least-squares covariance.
-    vec, tp, offsets = _instance(CFG, 4)
+    vec, pilot, offsets = _instance(CFG, 4)
     noise_var = 0.2
-    res = crlb(offsets, vec, tp, noise_var, CFG)
-    nmat = observation_matrix(offsets, tp, CFG)
+    res = crlb(offsets, vec, pilot, noise_var, CFG)
+    nmat = observation_matrix(offsets, pilot, CFG)
     known = noise_var * np.linalg.inv(nmat.conj().T @ nmat)
     gap = res.channel_cov - known
     assert np.min(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))) > -1e-10
 
 
 def test_zero_channel_is_flagged_unidentifiable():
-    vec, tp, offsets = _instance(CFG, 5)
+    vec, pilot, offsets = _instance(CFG, 5)
     with pytest.raises(SingularSystemError):
-        crlb(offsets, np.zeros_like(vec), tp, 0.1, CFG)
+        crlb(offsets, np.zeros_like(vec), pilot, 0.1, CFG)
 
 
 def test_one_surface_with_zero_channel_is_flagged_unidentifiable():
     # the other surfaces are fine, but this one's offset moves nothing
-    vec, tp, offsets = _instance(CFG, 8)
+    vec, pilot, offsets = _instance(CFG, 8)
     vec[CFG.n_elements:] = 0.0
     for bound in (crlb, crlb_from_fim):
         with pytest.raises(SingularSystemError):
-            bound(offsets, vec, tp, 0.1, CFG)
+            bound(offsets, vec, pilot, 0.1, CFG)
 
 
 def test_fim_rejects_nonpositive_noise():
-    vec, tp, offsets = _instance(CFG, 6)
+    vec, pilot, offsets = _instance(CFG, 6)
     with pytest.raises(ValueError):
-        fim(offsets, vec, tp, 0.0, CFG)
+        fim(offsets, vec, pilot, 0.0, CFG)
 
 
 @pytest.mark.parametrize("noise_var", [np.nan, np.inf])
 def test_fim_rejects_non_finite_noise(noise_var):
-    vec, tp, offsets = _instance(CFG, 6)
+    vec, pilot, offsets = _instance(CFG, 6)
     with pytest.raises(ValueError, match="noise_var"):
-        fim(offsets, vec, tp, noise_var, CFG)
+        fim(offsets, vec, pilot, noise_var, CFG)
 
 
 @pytest.mark.parametrize("noise_var", [0.0, -0.1, np.nan, np.inf])
 def test_crlb_rejects_nonpositive_or_non_finite_noise(noise_var):
-    vec, tp, offsets = _instance(CFG, 6)
+    vec, pilot, offsets = _instance(CFG, 6)
     with pytest.raises(ValueError, match="noise_var"):
-        crlb(offsets, vec, tp, noise_var, CFG)
+        crlb(offsets, vec, pilot, noise_var, CFG)

@@ -470,15 +470,16 @@ def test_design_loop_returns_its_last_point(max_iters, monkeypatch):
 
 def test_phase_aligned_baseline_shape_and_single_surface_degeneracy():
     cfg, inputs = _instance(19, k=1, n=4, noise_var=0.5, cov_scale=0.01)
-    aligned = design_phase_aligned(inputs, cfg)
-    assert np.abs(np.abs(aligned.theta) - 1.0).max() <= 1e-14
-    np.testing.assert_allclose(aligned.theta,
-                               np.exp(-1j * np.angle(inputs.channel)))
-    # one surface means no asynchrony to exploit: the baseline should be close
-    # to the optimized design
+    theta, equalizer = design_phase_aligned(inputs, cfg)
+    assert np.abs(np.abs(theta) - 1.0).max() <= 1e-14
+    np.testing.assert_allclose(theta, np.exp(-1j * np.angle(inputs.channel)))
+    # one surface means no asynchrony to exploit: the mean offset is the
+    # offset, so the equalizer is the belief problem's Wiener solution, and
+    # the baseline should be close to the optimized design
     problem = build_problem(inputs, cfg)
+    np.testing.assert_allclose(equalizer, mmse_equalizer(theta, problem), rtol=1e-12)
     tuned = design_accelerated(problem)
-    base_mse = mse_compact(aligned.theta, aligned.equalizer, problem)
+    base_mse = mse_compact(theta, equalizer, problem)
     assert base_mse <= 1.01 * tuned.objective_trace[-1]
     assert tuned.objective_trace[-1] <= base_mse + 1e-9 * (1.0 + abs(base_mse))
 

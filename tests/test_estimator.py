@@ -1,5 +1,6 @@
 """Tests for training simulation and the per-surface timing/channel estimator."""
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rissync.estimator import (
     _LEVELS,
     _ZOOM,
     GRID_STEP,
-    TrainingPattern,
     _estimate,
     _fits,
     _forms,
@@ -22,6 +22,7 @@ from rissync.estimator import (
     _point,
     _quotient,
     _search_offsets,
+    _training_phases,
     gen_training,
     mle_alternating,
     observation_matrix,
@@ -42,49 +43,55 @@ CFG = SystemConfig(n_surfaces=2, n_elements=4)
 def _instance(cfg, seed, offsets=None, noise_var=0.0):
     rng = np.random.default_rng(seed)
     ch = gen_rayleigh(cfg, rng.integers(2**32))
-    tp = gen_training(cfg, rng.integers(2**32))
+    pilot = gen_training(cfg, rng.integers(2**32))
     if offsets is None:
         offsets = rng.uniform(-0.5, 0.5, cfg.n_surfaces)
-    y = simulate_training(ch, offsets, tp, noise_var, cfg, rng.integers(2**32))
-    return ch, tp, np.asarray(offsets, float), y
+    y = simulate_training(ch, offsets, pilot, noise_var, cfg, rng.integers(2**32))
+    return ch, pilot, np.asarray(offsets, float), y
 
 
-def _ls_channel(offsets, y, tp, cfg):
+def _ls_channel(offsets, y, pilot, cfg):
     # least-squares channel at given offsets, through the sweeps' fit route
-    return _point(_fits(offsets, _pattern_correlation(y, cfg), y, tp, cfg), ()).channel
+    return _point(_fits(offsets, _pattern_correlation(y, cfg), y, pilot, cfg), ()).channel
 
 
-def _common_offset(y, tp, cfg):
+def _common_offset(y, pilot, cfg):
     # the offset-synchronization-naive estimate as the sweeps form it: one
     # search over every element, then the least-squares fit
-    return _point(_estimate(_pattern_correlation(y, cfg), y, tp, cfg, cfg.total_elements), ())
+    return _point(_estimate(_pattern_correlation(y, cfg), y, pilot, cfg, cfg.total_elements), ())
 
 
 # ---------------------------------------------------------------------------
-# training pattern
+# training: the scaled-DFT patterns and the pilot
 # ---------------------------------------------------------------------------
 
 def test_training_phase_matrix_is_scaled_unitary():
-    tp = gen_training(CFG, 0)
+    phases = _training_phases(CFG)
     nk = CFG.total_elements
-    gram = tp.phases @ tp.phases.conj().T
+    gram = phases @ phases.conj().T
     assert np.max(np.abs(gram - nk * np.eye(nk))) <= 1e-10
-    assert np.allclose(np.abs(tp.phases), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
 
 
 def test_training_pilot_is_unit_modulus_qpsk():
-    tp = gen_training(CFG, 1)
-    assert tp.pilot.shape == (CFG.pulse.seq_len,)
-    assert np.allclose(np.abs(tp.pilot), 1.0, atol=1e-12)
-    quads = {complex(round(z.real, 6), round(z.imag, 6)) for z in tp.pilot * np.sqrt(2)}
+    pilot = gen_training(CFG, 1)
+    assert pilot.shape == (CFG.pulse.seq_len,)
+    assert np.allclose(np.abs(pilot), 1.0, atol=1e-12)
+    quads = {complex(round(z.real, 6), round(z.imag, 6)) for z in pilot * np.sqrt(2)}
     assert quads <= {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
 
 
 def test_training_is_deterministic_per_seed():
     a, b = gen_training(CFG, 7), gen_training(CFG, 7)
-    np.testing.assert_array_equal(a.pilot, b.pilot)
-    np.testing.assert_array_equal(a.phases, b.phases)
-    assert not np.array_equal(a.pilot, gen_training(CFG, 8).pilot)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(_training_phases(CFG), _training_phases(CFG))
+    assert not np.array_equal(a, gen_training(CFG, 8))
+
+
+def test_the_pilot_does_not_depend_on_the_element_count():
+    for seed in (0, 7, 2**32 - 1):
+        pilot = gen_training(SystemConfig(2, 4), seed)
+        assert pilot.tobytes() == gen_training(SystemConfig(3, 5), seed).tobytes()
 
 
 def test_pilot_sample_autocorrelation_is_white():
@@ -92,7 +99,7 @@ def test_pilot_sample_autocorrelation_is_white():
     n_seeds, length = 400, CFG.pulse.seq_len
     acc = np.zeros(3, dtype=complex)
     for seed in range(n_seeds):
-        s = gen_training(CFG, seed).pilot
+        s = gen_training(CFG, seed)
         for lag in (1, 2, 3):
             acc[lag - 1] += np.mean(s[lag:] * np.conj(s[:-lag]))
     acc /= n_seeds
@@ -100,22 +107,16 @@ def test_pilot_sample_autocorrelation_is_white():
 
 
 @settings(max_examples=30, deadline=None)
-@given(k_surf=st.integers(1, 3), n_el=st.integers(1, 4), seed=st.integers(0, 2**32 - 2))
-def test_training_phases_are_the_scaled_dft_of_its_size(k_surf, n_el, seed):
+@given(k_surf=st.integers(1, 3), n_el=st.integers(1, 4))
+def test_training_phases_are_the_scaled_dft_of_its_size(k_surf, n_el):
     cfg = SystemConfig(k_surf, n_el)
     nk = cfg.total_elements
-    tp, other_seed = gen_training(cfg, seed), gen_training(cfg, seed + 1)
-    assert tp.size == nk
     rows = np.arange(nk)[:, None]
     cols = np.arange(nk)[None, :]
-    assert tp.phases.tobytes() == np.exp(-2j * np.pi * rows * cols / nk).tobytes()
-    # the phases depend on N*K alone, whichever config or seed asks
-    swapped = gen_training(SystemConfig(n_el, k_surf), seed)
-    for same in (other_seed, swapped):
-        assert same.phases.tobytes() == tp.phases.tobytes()
-    with pytest.raises(AttributeError):
-        tp.phases = np.ones((nk, nk), dtype=complex)
-    assert not np.array_equal(tp.pilot, other_seed.pilot)
+    phases = _training_phases(cfg)
+    assert phases.tobytes() == np.exp(-2j * np.pi * rows * cols / nk).tobytes()
+    # the phases depend on N*K alone, whichever config asks
+    assert _training_phases(SystemConfig(n_el, k_surf)).tobytes() == phases.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -123,75 +124,76 @@ def test_training_phases_are_the_scaled_dft_of_its_size(k_surf, n_el, seed):
 # ---------------------------------------------------------------------------
 
 def test_observation_matrix_shape_and_blocks():
-    ch, tp, offsets, _ = _instance(CFG, 3)
-    nmat = observation_matrix(offsets, tp, CFG)
+    ch, pilot, offsets, _ = _instance(CFG, 3)
+    nmat = observation_matrix(offsets, pilot, CFG)
     m, rows = CFG.total_elements, CFG.pulse.n_samples
     assert nmat.shape == (m * rows, CFG.total_elements)
     # block (pattern m, surface k, element l) = phases[m, kN+l] * filtered pilot
-    filt = [steering_matrix(e, CFG.pulse) @ tp.pilot for e in offsets]
+    filt = [steering_matrix(e, CFG.pulse) @ pilot for e in offsets]
     for pat in (0, 3):
         for k in range(CFG.n_surfaces):
             for el in (0, 2):
                 col = k * CFG.n_elements + el
                 np.testing.assert_allclose(
                     nmat[pat * rows:(pat + 1) * rows, col],
-                    tp.phases[pat, col] * filt[k], rtol=1e-12,
+                    _training_phases(CFG)[pat, col] * filt[k], rtol=1e-12,
                 )
 
 
 def test_observation_matrix_degenerate_single_element():
     cfg = SystemConfig(1, 1)
-    tp = gen_training(cfg, 0)
-    assert tp.phases.shape == (1, 1) and tp.phases[0, 0] == pytest.approx(1.0)
-    nmat = observation_matrix(np.array([0.25]), tp, cfg)
+    pilot = gen_training(cfg, 0)
+    phases = _training_phases(cfg)
+    assert phases.shape == (1, 1) and phases[0, 0] == pytest.approx(1.0)
+    nmat = observation_matrix(np.array([0.25]), pilot, cfg)
     np.testing.assert_allclose(
-        nmat[:, 0], steering_matrix(0.25, cfg.pulse) @ tp.pilot, rtol=1e-12
+        nmat[:, 0], steering_matrix(0.25, cfg.pulse) @ pilot, rtol=1e-12
     )
 
 
 def test_observation_matrix_matches_per_pattern_stacking():
     # Multiplying by the cascaded channel must reproduce the pattern-by-pattern
     # sum of per-surface gains times filtered pilots, stacked pattern-major.
-    ch, tp, offsets, _ = _instance(CFG, 4)
-    lhs = observation_matrix(offsets, tp, CFG) @ cascade(ch)
+    ch, pilot, offsets, _ = _instance(CFG, 4)
+    lhs = observation_matrix(offsets, pilot, CFG) @ cascade(ch)
     stacked = np.column_stack(
-        [steering_matrix(e, CFG.pulse) @ tp.pilot for e in offsets]
+        [steering_matrix(e, CFG.pulse) @ pilot for e in offsets]
     )  # (n_samples, K)
     he = block_gains(cascade(ch), CFG.n_surfaces)
-    rhs = (stacked @ (he @ tp.phases.T)).T.reshape(-1)  # pattern-major stack
+    rhs = (stacked @ (he @ _training_phases(CFG).T)).T.reshape(-1)  # pattern-major stack
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
 def test_simulate_training_noiseless_and_noise_power():
-    ch, tp, offsets, y = _instance(CFG, 5)
+    ch, pilot, offsets, y = _instance(CFG, 5)
     np.testing.assert_allclose(
-        y, observation_matrix(offsets, tp, CFG) @ cascade(ch), rtol=1e-12
+        y, observation_matrix(offsets, pilot, CFG) @ cascade(ch), rtol=1e-12
     )
     # empirical noise variance
     var = 0.5
     diffs = []
     for seed in range(300):
-        noisy = simulate_training(ch, offsets, tp, var, CFG, seed)
+        noisy = simulate_training(ch, offsets, pilot, var, CFG, seed)
         diffs.append(np.mean(np.abs(noisy - y) ** 2))
     assert np.mean(diffs) == pytest.approx(var, rel=0.03)
     # determinism in the noise draw
-    n1 = simulate_training(ch, offsets, tp, var, CFG, 99)
-    n2 = simulate_training(ch, offsets, tp, var, CFG, 99)
+    n1 = simulate_training(ch, offsets, pilot, var, CFG, 99)
+    n2 = simulate_training(ch, offsets, pilot, var, CFG, 99)
     np.testing.assert_array_equal(n1, n2)
 
 
 def test_simulate_training_rejects_negative_variance():
-    ch, tp, offsets, _ = _instance(CFG, 6)
+    ch, pilot, offsets, _ = _instance(CFG, 6)
     with pytest.raises(ValueError):
-        simulate_training(ch, offsets, tp, -0.1, CFG, 0)
+        simulate_training(ch, offsets, pilot, -0.1, CFG, 0)
 
 
 @pytest.mark.parametrize("noise_var", [np.nan, np.inf, [0.1, np.nan], [0.1, np.inf],
                                        [0.1, -0.1], [[0.1, 0.2]]])
 def test_simulate_training_rejects_non_finite_or_misshapen_variances(noise_var):
-    ch, tp, offsets, _ = _instance(CFG, 6)
+    ch, pilot, offsets, _ = _instance(CFG, 6)
     with pytest.raises(ValueError, match="noise_var"):
-        simulate_training(ch, offsets, tp, noise_var, CFG, 0)
+        simulate_training(ch, offsets, pilot, noise_var, CFG, 0)
 
 
 STACKED_VARS = (0.0, 1e-4, 1e-2, 0.1, 1.0, 10.0)
@@ -202,13 +204,13 @@ def test_stacked_training_rows_are_the_scalar_calls(k_surf):
     # One noise draw serves every row, scaled per row: each row must be the
     # scalar call at its variance, and a zero-variance row the clean signal.
     cfg = SystemConfig(k_surf, 4)
-    ch, tp, offsets, clean = _instance(cfg, 80 + k_surf)
-    rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, 123)
+    ch, pilot, offsets, clean = _instance(cfg, 80 + k_surf)
+    rows = simulate_training(ch, offsets, pilot, np.array(STACKED_VARS), cfg, 123)
     assert rows.shape == (len(STACKED_VARS), clean.size)
     for row, var in zip(rows, STACKED_VARS):
-        assert row.tobytes() == simulate_training(ch, offsets, tp, var, cfg, 123).tobytes()
+        assert row.tobytes() == simulate_training(ch, offsets, pilot, var, cfg, 123).tobytes()
     assert rows[0].tobytes() == clean.tobytes()
-    dense = observation_matrix(offsets, tp, cfg) @ cascade(ch)
+    dense = observation_matrix(offsets, pilot, cfg) @ cascade(ch)
     assert np.linalg.norm(clean - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
@@ -225,21 +227,22 @@ def test_clean_signal_is_the_observation_matrix_times_the_channel(k_surf):
     for n_el in FFT_SIZES[k_surf]:
         cfg = SystemConfig(k_surf, n_el)
         for seed in range(2):
-            ch, tp, offsets, clean = _instance(cfg, 500 + seed)
-            dense = observation_matrix(offsets, tp, cfg) @ cascade(ch)
+            ch, pilot, offsets, clean = _instance(cfg, 500 + seed)
+            dense = observation_matrix(offsets, pilot, cfg) @ cascade(ch)
             assert clean.shape == dense.shape
             assert np.linalg.norm(clean - dense) <= 1e-13 * np.linalg.norm(dense)
-            y = simulate_training(ch, offsets, tp, 0.3, cfg, seed)
+            y = simulate_training(ch, offsets, pilot, 0.3, cfg, seed)
             z = _pattern_correlation(y, cfg)
-            product = tp.phases.conj().T @ y.reshape(cfg.total_elements, -1)
+            product = _training_phases(cfg).conj().T @ y.reshape(cfg.total_elements, -1)
             assert np.linalg.norm(z - product) <= 1e-13 * np.linalg.norm(product)
 
 
 def test_trial_path_never_reads_the_phase_matrix(monkeypatch):
-    def forbidden(self):
+    def forbidden(cfg):
         raise AssertionError("dense phase matrix built")
 
-    monkeypatch.setattr(TrainingPattern, "phases", property(forbidden))
+    for module in ("rissync.estimator", "rissync.crlb"):
+        monkeypatch.setattr(importlib.import_module(module), "_training_phases", forbidden)
     for run in (harness.run_estimation_sweep, harness.run_design_sweep):
         rows = run(harness.ExperimentSpec(n_surfaces=2, n_x=3, n_y=1, snr_grid_db=(10.0,),
                                           trials=1, base_seed=3))
@@ -248,14 +251,14 @@ def test_trial_path_never_reads_the_phase_matrix(monkeypatch):
 
 def test_simulate_training_builds_no_observation_matrix(monkeypatch):
     estimator_module = importlib.import_module("rissync.estimator")
-    ch, tp, offsets, y = _instance(CFG, 7)
+    ch, pilot, offsets, y = _instance(CFG, 7)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("observation matrix built")
 
     monkeypatch.setattr(estimator_module, "observation_matrix", forbidden)
     monkeypatch.setattr(estimator_module, "_stack_columns", forbidden)
-    rows = simulate_training(ch, offsets, tp, np.array([0.0, 0.5]), CFG, 3)
+    rows = simulate_training(ch, offsets, pilot, np.array([0.0, 0.5]), CFG, 3)
     assert rows[0].tobytes() == y.tobytes()
 
 
@@ -265,16 +268,16 @@ def test_stacked_search_and_fit_match_the_one_shot_estimators(k_surf):
     # one-shot estimators' results on that row, bit for bit.
     cfg = SystemConfig(k_surf, 4)
     for seed in range(3):
-        ch, tp, offsets, _ = _instance(cfg, 90 + seed)
-        rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, seed)
+        ch, pilot, offsets, _ = _instance(cfg, 90 + seed)
+        rows = simulate_training(ch, offsets, pilot, np.array(STACKED_VARS), cfg, seed)
         z = _pattern_correlation(rows, cfg)
         for estimate, group in ((mle_alternating, cfg.n_elements),
                                 (_common_offset, cfg.total_elements)):
-            searched = _search_offsets(z, tp, cfg, group)
+            searched = _search_offsets(z, pilot, cfg, group)
             assert searched.shape == (len(STACKED_VARS), k_surf)
             for p, y in enumerate(rows):
-                stacked = _point(_fits(searched[p], z[p], y, tp, cfg), ())
-                alone = estimate(y, tp, cfg)
+                stacked = _point(_fits(searched[p], z[p], y, pilot, cfg), ())
+                alone = estimate(y, pilot, cfg)
                 assert stacked.offsets.tobytes() == alone.offsets.tobytes()
                 assert stacked.channel.tobytes() == alone.channel.tobytes()
                 assert stacked.final_cost == alone.final_cost
@@ -286,15 +289,15 @@ def test_stacked_fit_rows_are_the_one_point_fits(k_surf):
     # fit of observation p, byte for byte, whatever the stack holds.
     cfg = SystemConfig(k_surf, 4)
     for seed in range(3):
-        ch, tp, offsets, _ = _instance(cfg, 110 + seed)
-        rows = simulate_training(ch, offsets, tp, np.array(STACKED_VARS), cfg, seed)
+        ch, pilot, offsets, _ = _instance(cfg, 110 + seed)
+        rows = simulate_training(ch, offsets, pilot, np.array(STACKED_VARS), cfg, seed)
         z = _pattern_correlation(rows, cfg)
         for group in (cfg.n_elements, cfg.total_elements):
-            searched = _search_offsets(z, tp, cfg, group)
-            fits = _fits(searched, z, rows, tp, cfg)
+            searched = _search_offsets(z, pilot, cfg, group)
+            fits = _fits(searched, z, rows, pilot, cfg)
             for p, y in enumerate(rows):
                 stacked = _point(fits, p)
-                alone = _point(_fits(searched[p], z[p], y, tp, cfg), ())
+                alone = _point(_fits(searched[p], z[p], y, pilot, cfg), ())
                 assert stacked.offsets.tobytes() == alone.offsets.tobytes()
                 assert stacked.channel.tobytes() == alone.channel.tobytes()
                 assert stacked.final_cost == alone.final_cost
@@ -305,57 +308,57 @@ def test_stacked_fit_rows_are_the_one_point_fits(k_surf):
 # ---------------------------------------------------------------------------
 
 def test_ls_channel_recovers_noiseless_truth():
-    ch, tp, offsets, y = _instance(CFG, 10)
-    est = _ls_channel(offsets, y, tp, CFG)
+    ch, pilot, offsets, y = _instance(CFG, 10)
+    est = _ls_channel(offsets, y, pilot, CFG)
     true = cascade(ch)
     assert np.linalg.norm(est - true) / np.linalg.norm(true) < 1e-10
 
 
 def test_ls_channel_matches_normal_equations():
-    ch, tp, offsets, y = _instance(CFG, 11, noise_var=0.3)
-    nmat = observation_matrix(offsets, tp, CFG)
+    ch, pilot, offsets, y = _instance(CFG, 11, noise_var=0.3)
+    nmat = observation_matrix(offsets, pilot, CFG)
     oracle = np.linalg.solve(nmat.conj().T @ nmat, nmat.conj().T @ y)
-    np.testing.assert_allclose(_ls_channel(offsets, y, tp, CFG), oracle, rtol=1e-8)
+    np.testing.assert_allclose(_ls_channel(offsets, y, pilot, CFG), oracle, rtol=1e-8)
 
 
 def test_ls_channel_annihilates_orthogonal_component():
-    ch, tp, offsets, y = _instance(CFG, 12)
-    nmat = observation_matrix(offsets, tp, CFG)
+    ch, pilot, offsets, y = _instance(CFG, 12)
+    nmat = observation_matrix(offsets, pilot, CFG)
     q, _ = np.linalg.qr(nmat)
     rng = np.random.default_rng(0)
     z = rng.standard_normal(nmat.shape[0]) + 1j * rng.standard_normal(nmat.shape[0])
     perp = z - q @ (q.conj().T @ z)
-    est = _ls_channel(offsets, perp, tp, CFG)
+    est = _ls_channel(offsets, perp, pilot, CFG)
     assert np.linalg.norm(est) < 1e-10 * np.linalg.norm(z)
-    assert residual_cost(offsets, perp, tp, CFG) == pytest.approx(
+    assert residual_cost(offsets, perp, pilot, CFG) == pytest.approx(
         float(np.vdot(perp, perp).real), rel=1e-10
     )
 
 
 def test_residual_cost_identity_and_nonnegativity():
     for seed in range(5):
-        ch, tp, offsets, y = _instance(CFG, 20 + seed, noise_var=1.0)
-        cost = residual_cost(offsets, y, tp, CFG)
-        est = _ls_channel(offsets, y, tp, CFG)
-        direct = float(np.linalg.norm(y - observation_matrix(offsets, tp, CFG) @ est) ** 2)
+        ch, pilot, offsets, y = _instance(CFG, 20 + seed, noise_var=1.0)
+        cost = residual_cost(offsets, y, pilot, CFG)
+        est = _ls_channel(offsets, y, pilot, CFG)
+        direct = float(np.linalg.norm(y - observation_matrix(offsets, pilot, CFG) @ est) ** 2)
         assert cost == pytest.approx(direct, rel=1e-9)
         assert cost >= 0.0
-    ch, tp, offsets, y = _instance(CFG, 30)
-    assert residual_cost(offsets, y, tp, CFG) <= 1e-16 * float(np.vdot(y, y).real)
+    ch, pilot, offsets, y = _instance(CFG, 30)
+    assert residual_cost(offsets, y, pilot, CFG) <= 1e-16 * float(np.vdot(y, y).real)
 
 
 def test_rank_deficient_observation_raises():
     cfg = SystemConfig(2, 1)
     # a silent pilot leaves every column of the observation matrix zero
-    tp = TrainingPattern(pilot=np.zeros(cfg.pulse.seq_len, dtype=complex), size=2)
+    pilot = np.zeros(cfg.pulse.seq_len, dtype=complex)
     y = np.zeros(cfg.total_elements * cfg.pulse.n_samples, dtype=complex)
     with pytest.raises(SingularSystemError) as err:
-        residual_cost(np.array([0.1, 0.1]), y, tp, cfg)
+        residual_cost(np.array([0.1, 0.1]), y, pilot, cfg)
     assert err.value.cond > 1e12 or not np.isfinite(err.value.cond)
 
 
 def _route(name, bad):
-    # one entry point called with a training pattern ``bad``, all else valid
+    # one entry point called with a pilot ``bad``, all else valid
     crlb_module = importlib.import_module("rissync.crlb")
     ch, _, offsets, y = _instance(CFG, 14, noise_var=0.1)
     z = _pattern_correlation(y, CFG)
@@ -372,29 +375,69 @@ def _route(name, bad):
 
 @pytest.mark.parametrize("name", ["simulate_training", "mle_alternating", "search", "fit",
                                   "crlb", "fim"])
-def test_every_route_rejects_a_pattern_for_another_configuration(name):
-    other = SystemConfig(CFG.n_surfaces, CFG.n_elements + 1)
-    pilot = gen_training(CFG, 0).pilot
-    wanted = f"needs {CFG.total_elements} elements and {CFG.pulse.seq_len} symbols"
-    for bad, named in ((gen_training(other, 0), f"{other.total_elements} elements"),
-                       (TrainingPattern(pilot=pilot[:-1], size=CFG.total_elements),
-                        f"{pilot.size - 1}-symbol pilot")):
-        with pytest.raises(ValueError, match=named) as err:
+def test_every_route_rejects_a_pilot_of_another_shape(name):
+    pilot = gen_training(CFG, 0)
+    wanted = f"seq_len = {CFG.pulse.seq_len} symbols"
+    for bad in (pilot[:-1], np.stack([pilot, pilot])):
+        with pytest.raises(ValueError, match=re.escape(str(bad.shape))) as err:
             _route(name, bad)
         assert wanted in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["simulate_training", "crlb", "fim"])
+def test_every_route_rejects_a_channel_that_does_not_fit(name):
+    # K=2, N=4 needs a finite cascaded channel of 8 entries; the simulation
+    # takes the links, so it gets sets drawn for 12 (K=3), 7 and 16 elements
+    crlb_module = importlib.import_module("rissync.crlb")
+    pilot, offsets = gen_training(CFG, 0), np.array([0.2, -0.3])
+    if name == "simulate_training":
+        bads = [gen_rayleigh(SystemConfig(k, n), 0) for k, n in ((3, 4), (1, 7), (2, 8))]
+        sizes = [cascade(ch).shape for ch in bads]
+    else:
+        bads = [np.ones(7, complex), np.ones(16, complex), np.full(8, np.nan + 0j),
+                np.full(8, np.inf + 0j), np.ones((2, 4), complex)]
+        sizes = [bad.shape for bad in bads]
+    calls = {
+        "simulate_training": lambda bad: simulate_training(bad, offsets, pilot, 0.1, CFG, 0),
+        "crlb": lambda bad: crlb_module.crlb(offsets, bad, pilot, 0.1, CFG),
+        "fim": lambda bad: crlb_module.fim(offsets, bad, pilot, 0.1, CFG),
+    }
+    for bad, size in zip(bads, sizes):
+        with pytest.raises(ValueError, match=re.escape(str(size))) as err:
+            calls[name](bad)
+        assert f"finite vector of {CFG.total_elements} entries" in str(err.value)
 
 
 @pytest.mark.parametrize("length", [168, 200])
 def test_wrong_length_observation_fails_naming_both_lengths(length):
     # K=2, N=4 needs 8 patterns of 24 samples: 192 values per observation,
     # alone (the one-shot estimator) or on the last axis of a stack (a trial)
-    tp = gen_training(CFG, 0)
+    pilot = gen_training(CFG, 0)
     wanted = f"{CFG.total_elements} patterns x {CFG.pulse.n_samples} samples = 192"
-    for route, y in ((lambda y: mle_alternating(y, tp, CFG), np.zeros(length, complex)),
+    for route, y in ((lambda y: mle_alternating(y, pilot, CFG), np.zeros(length, complex)),
                      (lambda y: _pattern_correlation(y, CFG), np.zeros((3, length), complex))):
         with pytest.raises(ValueError, match=str(length)) as err:
             route(y)
         assert wanted in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_observation_fails_loudly(bad):
+    # one bad sample once gave offsets of -0.5, an all-NaN channel and a NaN
+    # cost; both routes to Z reject it
+    _, pilot, _, y = _instance(CFG, 15, noise_var=0.1)
+    broken = y.copy()
+    broken[17] = bad
+    for route in (lambda: mle_alternating(broken, pilot, CFG),
+                  lambda: _pattern_correlation(np.stack([y, broken]), CFG)):
+        with pytest.raises(ValueError, match="non-finite"):
+            route()
+
+
+def test_one_shot_estimator_rejects_a_stack_naming_its_shape():
+    _, pilot, _, y = _instance(CFG, 16, noise_var=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"(2, {y.size})")):
+        mle_alternating(np.stack([y, y]), pilot, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +453,13 @@ def test_per_surface_captured_energy_matches_residual_oracle(k_surf):
     # per call.
     cfg = SystemConfig(k_surf, 3)
     for seed in range(3):
-        _, tp, _, y = _instance(cfg, 300 + seed, noise_var=0.2)
-        times, p, q = _forms(_pattern_correlation(y, cfg), tp, cfg, cfg.n_elements)
+        _, pilot, _, y = _instance(cfg, 300 + seed, noise_var=0.2)
+        times, p, q = _forms(_pattern_correlation(y, cfg), pilot, cfg, cfg.n_elements)
         eps = np.random.default_rng(seed).uniform(-0.95, 0.95, k_surf)
         captured = sum(_quotient(rrc_impulse(times - e, cfg.pulse)[None], p[k], q)[0]
                        for k, e in enumerate(eps))
         separable = float(np.vdot(y, y).real) - captured
-        assert separable == pytest.approx(residual_cost(eps, y, tp, cfg), rel=1e-9)
+        assert separable == pytest.approx(residual_cost(eps, y, pilot, cfg), rel=1e-9)
 
 
 def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
@@ -426,7 +469,7 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
     crlb_module = importlib.import_module("rissync.crlb")
     estimator_module = importlib.import_module("rissync.estimator")
 
-    _, tp, offsets, y = _instance(CFG, 71, noise_var=0.1)
+    _, pilot, offsets, y = _instance(CFG, 71, noise_var=0.1)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense route used")
@@ -438,10 +481,10 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
     monkeypatch.setattr(crlb_module, "observation_matrix_deriv", forbidden)
     for name in ("qr", "solve", "inv", "cond", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    res = mle_alternating(y, tp, CFG)
-    _common_offset(y, tp, CFG)
-    _ls_channel(res.offsets, y, tp, CFG)
-    crlb_module.crlb(res.offsets, res.channel, tp, 0.1, CFG)
+    res = mle_alternating(y, pilot, CFG)
+    _common_offset(y, pilot, CFG)
+    _ls_channel(res.offsets, y, pilot, CFG)
+    crlb_module.crlb(res.offsets, res.channel, pilot, 0.1, CFG)
 
 
 def test_batched_grid_matches_single_offset_path():
@@ -452,10 +495,10 @@ def test_batched_grid_matches_single_offset_path():
     for cfg in (CFG, SystemConfig(3, 2), SystemConfig(1, 5)):
         offsets, table = _grid_table(cfg.pulse)
         for seed in range(4):
-            _, tp, _, y = _instance(cfg, 400 + seed, noise_var=0.3)
+            _, pilot, _, y = _instance(cfg, 400 + seed, noise_var=0.3)
             z = _pattern_correlation(y, cfg)
             for group in (cfg.n_elements, cfg.total_elements):
-                times, p, q = _forms(z, tp, cfg, group)
+                times, p, q = _forms(z, pilot, cfg, group)
                 batched = _quotient(table, p, q)
                 loop = np.array([_quotient(rrc_impulse(times - x, cfg.pulse)[None], p, q)[:, 0]
                                  for x in offsets]).T
@@ -482,15 +525,15 @@ def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
     monkeypatch.setattr(estimator_module, "rrc_impulse", recording)
     for k_surf in (1, 2, 4):
         cfg = SystemConfig(k_surf, 4)
-        _, tp, _, y = _instance(cfg, 72, noise_var=0.1)
+        _, pilot, _, y = _instance(cfg, 72, noise_var=0.1)
         pulse = cfg.pulse
         lags = pulse.n_samples + pulse.oversampling * (pulse.seq_len - 1)
-        reachable = lag_pilot_matrix(tp.pilot, pulse)[0].size
+        reachable = lag_pilot_matrix(pilot, pulse)[0].size
         table_rows = _GRID.size + 3 * (2 * pulse.oversampling - 1)
         estimator_module._grid_table.cache_clear()
         for cold in (True, False):
             shapes.clear()
-            mle_alternating(y, tp, cfg)
+            mle_alternating(y, pilot, cfg)
             assert (pulse.n_samples, pulse.seq_len) not in shapes
             assert len(shapes) == _LEVELS + 1 + cold
             assert shapes.count((table_rows, reachable)) == cold
@@ -519,10 +562,10 @@ def test_each_search_scores_zero_and_both_sides_of_every_jump(monkeypatch):
 
     monkeypatch.setattr(estimator_module, "_quotient", recording)
     for seed in range(3):
-        _, tp, _, y = _instance(CFG, 73 + seed, noise_var=0.1)
+        _, pilot, _, y = _instance(CFG, 73 + seed, noise_var=0.1)
         for estimate, searches in ((mle_alternating, CFG.n_surfaces), (_common_offset, 1)):
             calls.clear()
-            res = estimate(y, tp, CFG)
+            res = estimate(y, pilot, CFG)
             assert len(calls) == 1 + _LEVELS
             (table, groups), *levels = calls
             assert groups == searches
@@ -533,16 +576,16 @@ def test_each_search_scores_zero_and_both_sides_of_every_jump(monkeypatch):
                 for k in range(CFG.n_surfaces):
                     moved = np.full(CFG.n_surfaces, x) if searches == 1 else res.offsets.copy()
                     moved[k] = x
-                    assert res.final_cost <= residual_cost(moved, y, tp, CFG) * (1 + 1e-12)
+                    assert res.final_cost <= residual_cost(moved, y, pilot, CFG) * (1 + 1e-12)
 
 
-def _reference_search(z, energy, tp, cfg):
+def _reference_search(z, energy, pilot, cfg):
     # One surface's search as it ran before the surfaces were batched: its own
     # grid and zoom calls, on every distinct time of the steering matrix.
     pulse = cfg.pulse
     times, index = _lag_layout(pulse)
     a = np.zeros((pulse.n_samples, times.size), dtype=complex)
-    a[np.arange(pulse.n_samples)[:, None], index] = tp.pilot
+    a[np.arange(pulse.n_samples)[:, None], index] = pilot
 
     def captured(offsets):
         f = rrc_impulse(times - offsets[:, None], pulse) @ a.T
@@ -573,24 +616,24 @@ def test_search_is_never_worse_than_the_normalize_and_correlate_reference(k_surf
     # sides of every truncation jump, so it never ends with a larger residual.
     cfg = SystemConfig(k_surf, n_el)
     offsets = np.random.default_rng(seed).uniform(-_OFFSET_EDGE, _OFFSET_EDGE, k_surf)
-    _, tp, _, y = _instance(cfg, seed, offsets=offsets, noise_var=noise_var)
+    _, pilot, _, y = _instance(cfg, seed, offsets=offsets, noise_var=noise_var)
     z, energy = _pattern_correlation(y, cfg), np.full(cfg.total_elements, cfg.total_elements)
     want = np.array([_reference_search(z[k * n_el:(k + 1) * n_el],
-                                       energy[k * n_el:(k + 1) * n_el], tp, cfg)
+                                       energy[k * n_el:(k + 1) * n_el], pilot, cfg)
                      for k in range(k_surf)])
-    common = np.full(k_surf, _reference_search(z, energy, tp, cfg))
+    common = np.full(k_surf, _reference_search(z, energy, pilot, cfg))
     # A residual is the energy of y less the captured energy, so it carries a
     # rounding error of a few ulps of that energy: two searches that end one
     # final spacing apart can differ by that much and no more.
     rounding = 1e-14 * float(np.vdot(y, y).real)
     for estimate, reference in ((mle_alternating, want), (_common_offset, common)):
-        oracle = _point(_fits(reference, z, y, tp, cfg), ()).final_cost
-        assert estimate(y, tp, cfg).final_cost <= oracle * (1 + 1e-12) + rounding
+        oracle = _point(_fits(reference, z, y, pilot, cfg), ()).final_cost
+        assert estimate(y, pilot, cfg).final_cost <= oracle * (1 + 1e-12) + rounding
 
 
 def test_mle_noiseless_exact_recovery():
-    ch, tp, offsets, y = _instance(CFG, 40, offsets=np.array([0.30, -0.45]))
-    res = mle_alternating(y, tp, CFG)
+    ch, pilot, offsets, y = _instance(CFG, 40, offsets=np.array([0.30, -0.45]))
+    res = mle_alternating(y, pilot, CFG)
     assert np.max(np.abs(res.offsets - offsets)) < 1e-4
     true = cascade(ch)
     assert np.linalg.norm(res.channel - true) / np.linalg.norm(true) <= 1e-6
@@ -598,10 +641,10 @@ def test_mle_noiseless_exact_recovery():
 
 def test_mle_single_surface_matches_exhaustive_search():
     cfg = SystemConfig(1, 2)
-    ch, tp, offsets, y = _instance(cfg, 41, offsets=np.array([0.123]), noise_var=0.05)
-    res = mle_alternating(y, tp, cfg)
+    ch, pilot, offsets, y = _instance(cfg, 41, offsets=np.array([0.123]), noise_var=0.05)
+    res = mle_alternating(y, pilot, cfg)
     grid = np.arange(-0.9995, 0.9996, 1e-3)
-    costs = np.array([residual_cost(np.array([e]), y, tp, cfg) for e in grid])
+    costs = np.array([residual_cost(np.array([e]), y, pilot, cfg) for e in grid])
     best = grid[np.argmin(costs)]
     # the refined estimate must be at least as good as the best grid point
     assert res.final_cost <= costs.min() + 1e-12 * (1 + costs.min())
@@ -624,7 +667,7 @@ def test_search_reaches_the_open_end_of_a_truncation_step():
     for k in range(cfg.n_surfaces):
         moved = np.tile(res.offsets, (grid.size, 1))
         moved[:, k] = grid
-        best = min(residual_cost(e, y, trial.pattern, cfg) for e in moved)
+        best = min(residual_cost(e, y, trial.pilot, cfg) for e in moved)
         assert res.final_cost <= best * (1 + 1e-12)
     assert 0.0 < res.offsets[0] < 1e-3
 
@@ -635,39 +678,39 @@ def test_common_offset_search_reaches_the_open_end_of_a_truncation_step(seed, ju
     # beside the step at `jump`, on the side the step leaves open, where only
     # the point 1e-9 from the jump reaches it; the jump itself is worse.
     cfg = SystemConfig(2, 16)
-    _, tp, _, y = _instance(cfg, seed, noise_var=1e-3)
-    res, z = _common_offset(y, tp, cfg), _pattern_correlation(y, cfg)
-    assert res.final_cost == pytest.approx(residual_cost(res.offsets, y, tp, cfg), rel=1e-12)
+    _, pilot, _, y = _instance(cfg, seed, noise_var=1e-3)
+    res, z = _common_offset(y, pilot, cfg), _pattern_correlation(y, cfg)
+    assert res.final_cost == pytest.approx(residual_cost(res.offsets, y, pilot, cfg), rel=1e-12)
     grid = np.arange(-0.9995, 0.9996, 1e-3)
-    best = min(_point(_fits(np.full(2, x), z, y, tp, cfg), ()).final_cost for x in grid)
+    best = min(_point(_fits(np.full(2, x), z, y, pilot, cfg), ()).final_cost for x in grid)
     assert res.final_cost <= best * (1 + 1e-12)
     assert 0.0 < abs(res.offsets[0] - jump) < 1e-3
-    assert residual_cost(np.full(2, jump), y, tp, cfg) > res.final_cost
+    assert residual_cost(np.full(2, jump), y, pilot, cfg) > res.final_cost
 
 
 def test_mle_offsets_are_local_optimum_of_residual_cost():
     step = 1e-4
     for seed in range(20):
-        ch, tp, offsets, y = _instance(CFG, 100 + seed, noise_var=0.1)
-        res = mle_alternating(y, tp, CFG)
-        cost = residual_cost(res.offsets, y, tp, CFG)
+        ch, pilot, offsets, y = _instance(CFG, 100 + seed, noise_var=0.1)
+        res = mle_alternating(y, pilot, CFG)
+        cost = residual_cost(res.offsets, y, pilot, CFG)
         assert res.final_cost == pytest.approx(cost, rel=1e-12)
         for k in range(CFG.n_surfaces):
             for shift in (-step, step):
                 moved = res.offsets.copy()
                 moved[k] += shift
-                assert residual_cost(moved, y, tp, CFG) >= cost
+                assert residual_cost(moved, y, pilot, CFG) >= cost
 
 
 def test_mle_permutation_equivariance():
     # Relabeling surfaces (swapping their channels and offsets) swaps the
     # recovered offsets and channel segments.
     n = CFG.n_elements
-    ch, tp, offsets, y = _instance(CFG, 50, offsets=np.array([0.2, -0.35]))
+    ch, pilot, offsets, y = _instance(CFG, 50, offsets=np.array([0.2, -0.35]))
     ch_swap = ChannelSet(inbound=ch.inbound[::-1].copy(), outbound=ch.outbound[::-1].copy())
-    y_swap = simulate_training(ch_swap, offsets[::-1], tp, 0.0, CFG, 0)
-    res = mle_alternating(y, tp, CFG)
-    res_swap = mle_alternating(y_swap, tp, CFG)
+    y_swap = simulate_training(ch_swap, offsets[::-1], pilot, 0.0, CFG, 0)
+    res = mle_alternating(y, pilot, CFG)
+    res_swap = mle_alternating(y_swap, pilot, CFG)
     np.testing.assert_allclose(res_swap.offsets, res.offsets[::-1], atol=1e-6)
     np.testing.assert_allclose(
         res_swap.channel.reshape(2, n)[::-1].reshape(-1), res.channel, atol=1e-7
@@ -682,9 +725,9 @@ def test_mle_nmse_improves_with_snr():
         errs = []
         for t in range(rng_trials):
             cfg = SystemConfig(2, 2)
-            ch, tp, offsets, _ = _instance(cfg, 200 + t)
-            y = simulate_training(ch, offsets, tp, var, cfg, 777 + t)
-            res = mle_alternating(y, tp, cfg)
+            ch, pilot, offsets, _ = _instance(cfg, 200 + t)
+            y = simulate_training(ch, offsets, pilot, var, cfg, 777 + t)
+            res = mle_alternating(y, pilot, cfg)
             true = cascade(ch)
             errs.append(np.linalg.norm(res.channel - true) ** 2 / np.linalg.norm(true) ** 2)
         nmse.append(np.mean(errs))
@@ -692,8 +735,8 @@ def test_mle_nmse_improves_with_snr():
 
 
 def test_common_offset_variant_ties_all_surfaces():
-    ch, tp, offsets, y = _instance(CFG, 61, offsets=np.array([0.15, 0.15]))
-    res = _common_offset(y, tp, CFG)
+    ch, pilot, offsets, y = _instance(CFG, 61, offsets=np.array([0.15, 0.15]))
+    res = _common_offset(y, pilot, CFG)
     assert res.offsets[0] == res.offsets[1]
     assert abs(res.offsets[0] - 0.15) < 1e-4
     # with genuinely different offsets the shared fit cannot match the joint one

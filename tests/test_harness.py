@@ -200,6 +200,20 @@ def test_async_impact_estimators_coincide_without_spread():
         rows["channel_nmse"], rel=0.05)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_async_impact_estimators_are_one_estimator_on_one_surface(seed):
+    # with K=1 the one shared offset is the joint search's only offset, so
+    # both columns must be the same numbers at every point
+    spec = ExperimentSpec(n_surfaces=1, n_x=4, n_y=2, snr_grid_db=(0.0, 20.0), trials=3,
+                          base_seed=seed)
+    rows = run_async_impact(spec)
+    for snr_db in spec.snr_grid_db:
+        at = {r.metric: r for r in rows if r.snr_db == snr_db}
+        joint, naive = at["channel_nmse"], at["channel_nmse_sync_naive"]
+        assert (naive.mean, naive.stderr, naive.trials) == (joint.mean, joint.stderr,
+                                                              joint.trials)
+
+
 def test_async_impact_always_uses_clustered_offsets():
     # the offset_model field is ignored by this operation; the comparison is
     # only defined for clustered draws

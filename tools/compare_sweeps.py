@@ -81,6 +81,9 @@ SPECS = {
                            "--snr-db", "0,10,20", "--trials", "5", "--seed", "7"],
     "async-k3": ["--kind", "async", "--surfaces", "3", "--nx", "2", "--ny", "2",
                  "--snr-db", "0,10,20,30", "--trials", "20", "--seed", "13"],
+    # K=1: the joint and single-offset estimators are the same estimator
+    "async-k1": ["--kind", "async", "--surfaces", "1", "--nx", "4", "--ny", "2",
+                 "--snr-db", "0,20", "--trials", "5"],
     "design-bench": ["--kind", "design", "--scenario", "rayleigh", "--surfaces", "2",
                      "--nx", "8", "--ny", "4", "--offset-model", "common-delta",
                      "--delta-max", "0.3", "--algorithm", "accelerated", "--snr-db", "10",
