@@ -118,15 +118,17 @@ def cascade(ch: ChannelSet) -> np.ndarray:
 def block_gains(cascaded: np.ndarray, n_surfaces: int) -> np.ndarray:
     """Arrange a cascaded vector as a block-diagonal (K, N*K) matrix, row k
     carrying surface k's segment; multiplying a stacked reflection vector
-    gives per-surface scalar gains."""
+    gives per-surface scalar gains. A stack of vectors (leading axes) gives
+    one matrix each."""
     cascaded = np.asarray(cascaded)
-    total = cascaded.shape[0]
-    if cascaded.ndim != 1 or total % n_surfaces:
+    if cascaded.ndim == 0 or cascaded.shape[-1] % n_surfaces:
         raise ValueError(
             f"cascaded vector of length {cascaded.shape} does not split into "
             f"{n_surfaces} equal segments"
         )
-    out = np.zeros((n_surfaces, total), dtype=complex)
+    lead = cascaded.shape[:-1]
+    out = np.zeros((*lead, n_surfaces, cascaded.shape[-1]), dtype=complex)
     diagonal = np.arange(n_surfaces)
-    out.reshape(n_surfaces, n_surfaces, -1)[diagonal, diagonal] = cascaded.reshape(n_surfaces, -1)
+    out.reshape(*lead, n_surfaces, n_surfaces, -1)[..., diagonal, diagonal, :] = (
+        cascaded.reshape(*lead, n_surfaces, -1))
     return out

@@ -3,28 +3,35 @@
 The training observation is linear in the cascaded channel and smooth in the
 timing offsets. The scaled-DFT training's columns are orthogonal with energy
 NK, so the observation Gram is diagonal and :func:`crlb` profiles the channel
-out one surface at a time in closed form. The dense route (:func:`fim`,
-:func:`crlb_from_fim`) builds the training's phase matrix from the
-configuration and inverts the full information matrix over (offsets,
+out one surface at a time in closed form. The channel bound it returns is a
+diagonal plus one rank-one block per surface: :class:`CrlbResult` keeps those
+parts, forms the dense NK x NK matrix only when ``channel_cov`` is read, and
+gives the traces a sweep reads from the parts in O(NK). The dense route
+(:func:`fim`, :func:`crlb_from_fim`) builds the training's phase matrix from
+the configuration and inverts the full information matrix over (offsets,
 Re channel, Im channel); it is the reference the closed forms must agree
 with. Every route takes the training pilot (``gen_training``'s array);
 :func:`crlb` and :func:`crlb_from_fim` share one signature, naming it
-``tp``, so one set of bound arguments serves both.
+``tp``, so one set of bound arguments serves both. Both also bound a stack of
+trials in one call: offsets (..., K), channel (..., NK) and pilot
+(..., seq_len) with one leading shape, row r bounded as if alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import block_gains
 from .config import SystemConfig
-from .estimator import (_channel, _check_spread, _pilot_rows, _stack_columns, _training_gram,
-                        _training_phases)
+from .estimator import (_channel, _check_spread, _pilot, _pilot_rows, _stack_columns,
+                        _training_gram, _training_phases)
 from .pulse import steering_matrix, steering_matrix_deriv
 
 __all__ = [
     "CrlbResult",
+    "DenseBounds",
     "observation_matrix_deriv",
     "fim",
     "crlb",
@@ -32,17 +39,75 @@ __all__ = [
 ]
 
 
+def _diag(values: np.ndarray) -> np.ndarray:
+    """``np.diag`` of each row of a stack: (..., n) -> (..., n, n)."""
+    n = values.shape[-1]
+    out = np.zeros((*values.shape[:-1], n * n), dtype=values.dtype)
+    out[..., ::n + 1] = values
+    return out.reshape(*values.shape, n)
+
+
 @dataclass(frozen=True)
 class CrlbResult:
-    """Lower bounds on estimator error covariance.
+    """Lower bounds on estimator error covariance, for one trial or a stack
+    (leading axes, as :func:`crlb` was given them).
 
-    ``timing_cov`` is the K x K real bound for the offset estimates;
-    ``channel_cov`` is the NK x NK complex Hermitian bound for the cascaded
-    channel.
+    ``timing_cov`` (..., K, K) is the real diagonal bound for the offset
+    estimates. The complex Hermitian channel bound is held in parts:
+    ``channel_diag`` (..., NK) is noise_var / G, and row k of
+    ``channel_factor`` (..., K, N) is surface k's vector r_k, so the bound is
+    diag(channel_diag) plus (noise_var / 2) r_k r_k^H on surface k's block.
+    ``channel_cov`` forms that (..., NK, NK) matrix on first read and keeps
+    it; ``channel_trace`` and ``timing_trace`` come from the parts.
     """
 
     timing_cov: np.ndarray
+    channel_diag: np.ndarray
+    channel_factor: np.ndarray
+    noise_var: float
+
+    @cached_property
+    def channel_cov(self) -> np.ndarray:
+        reaction = block_gains(self.channel_factor.reshape(*self.channel_diag.shape),
+                               self.channel_factor.shape[-2])
+        return _diag(self.channel_diag) + (self.noise_var / 2.0) * (
+            np.swapaxes(reaction, -1, -2) @ reaction.conj())
+
+    @property
+    def channel_trace(self) -> np.ndarray:
+        """The channel bound's trace, in O(NK): one value per trial."""
+        return (np.sum(self.channel_diag, axis=-1) + (self.noise_var / 2.0)
+                * np.sum(np.abs(self.channel_factor) ** 2, axis=(-2, -1)))
+
+    @property
+    def timing_trace(self) -> np.ndarray:
+        """The timing bound's trace: one value per trial."""
+        return np.trace(self.timing_cov, axis1=-2, axis2=-1)
+
+
+@dataclass(frozen=True)
+class DenseBounds:
+    """The bounds as :func:`crlb_from_fim` reads them off the inverse
+    information matrix: ``timing_cov`` (..., K, K) and ``channel_cov``
+    (..., NK, NK), both dense."""
+
+    timing_cov: np.ndarray
     channel_cov: np.ndarray
+
+
+def _stacks(offsets, channel, pilot, cfg: SystemConfig) -> tuple:
+    """The bounds' inputs as arrays, one trial per index of their shared
+    leading shape. ValueError naming the three shapes when the leading shapes
+    differ, and the channel's or pilot's own error when it does not fit."""
+    offsets, channel = np.asarray(offsets, dtype=float), np.asarray(channel)
+    pilot, lead = np.asarray(pilot), offsets.shape[:-1]
+    if not channel.shape[:-1] == pilot.shape[:-1] == lead:
+        raise ValueError(f"offsets {offsets.shape}, channel {channel.shape} and pilot "
+                         f"{pilot.shape} must share one leading shape; per trial the "
+                         f"configuration needs {cfg.n_surfaces} offsets, a finite vector of "
+                         f"{cfg.total_elements} entries and seq_len = {cfg.pulse.seq_len} "
+                         "symbols")
+    return offsets, _channel(channel, cfg, lead), _pilot(pilot, cfg, lead)
 
 
 def observation_matrix_deriv(offsets, pilot: np.ndarray,
@@ -82,34 +147,49 @@ def crlb(offsets, channel: np.ndarray, tp: np.ndarray, noise_var: float,
     With f_k surface k's filtered pilot, f'_k its offset derivative and
     c_k = f_k^H f'_k / |f_k|^2, surface k's profiled timing information is
     J_k = sum_{i in k} NK |h_i|^2 (|f'_k|^2 - |c_k|^2 |f_k|^2), so
-    timing_cov = (noise_var/2) diag(1/J). channel_cov = noise_var diag(1/G),
-    with G_i = NK |f_k|^2 the diagonal training Gram, plus the rank-one
-    block (noise_var/2) c_k h_k (c_k h_k)^H / J_k for each surface. ``tp``
-    is the training pilot. Raises ValueError when the pilot or the channel
-    does not fit ``cfg``, and SingularSystemError when G or J is not
-    positive or its max/min ratio exceeds COND_LIMIT.
+    timing_cov = (noise_var/2) diag(1/J). The channel bound is noise_var
+    diag(1/G), with G_i = NK |f_k|^2 the diagonal training Gram, plus the
+    rank-one block (noise_var/2) r_k r_k^H, r_k = c_k h_k / sqrt(J_k), for
+    each surface; :class:`CrlbResult` keeps 1/G and r. ``tp`` is the
+    training pilot. A stack of trials (see the module docstring) is bounded
+    in one pass, each row bit for bit as alone. Raises ValueError when the
+    inputs do not fit ``cfg`` or each other, and SingularSystemError when
+    some row's G or J is not positive or its max/min ratio exceeds
+    COND_LIMIT.
     """
     if not 0.0 < noise_var < np.inf:
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
-    h = _channel(channel, cfg).reshape(cfg.n_surfaces, cfg.n_elements)
+    offsets, channel, tp = _stacks(offsets, channel, tp, cfg)
+    h = channel.reshape(*channel.shape[:-1], cfg.n_surfaces, cfg.n_elements)
     pilots, gram = _training_gram(offsets, tp, cfg)
     _check_spread(gram, "training Gram matrix")
     slopes = _pilot_rows(steering_matrix_deriv, offsets, tp, cfg)
-    pilot_energy = np.sum(np.abs(pilots) ** 2, axis=1)
-    c = np.sum(pilots.conj() * slopes, axis=1) / pilot_energy
-    info = (np.sum(gram.reshape(h.shape) * np.abs(h) ** 2, axis=1)
-            * (np.sum(np.abs(slopes) ** 2, axis=1) / pilot_energy - np.abs(c) ** 2))
+    pilot_energy = np.sum(np.abs(pilots) ** 2, axis=-1)
+    c = np.sum(pilots.conj() * slopes, axis=-1) / pilot_energy
+    info = (np.sum(gram.reshape(h.shape) * np.abs(h) ** 2, axis=-1)
+            * (np.sum(np.abs(slopes) ** 2, axis=-1) / pilot_energy - np.abs(c) ** 2))
     _check_spread(info, "profiled timing information (unidentifiable configuration)")
-    reaction = block_gains((c[:, None] * h / np.sqrt(info)[:, None]).reshape(-1), cfg.n_surfaces)
-    channel_cov = np.diag(noise_var / gram) + (noise_var / 2.0) * (reaction.T @ reaction.conj())
-    return CrlbResult(timing_cov=np.diag(noise_var / (2.0 * info)), channel_cov=channel_cov)
+    return CrlbResult(timing_cov=_diag(noise_var / (2.0 * info)), channel_diag=noise_var / gram,
+                      channel_factor=c[..., None] * h / np.sqrt(info)[..., None],
+                      noise_var=noise_var)
 
 
 def crlb_from_fim(offsets, channel: np.ndarray, tp: np.ndarray,
-                  noise_var: float, cfg: SystemConfig) -> CrlbResult:
+                  noise_var: float, cfg: SystemConfig) -> DenseBounds:
     """Brute-force route: invert the full information matrix over the real
     coordinates, then map the (Re, Im) channel blocks back to a complex
-    covariance. Must agree with :func:`crlb` to solver accuracy."""
+    covariance, one :func:`fim` per trial of a stack. Must agree with
+    :func:`crlb` to solver accuracy."""
+    offsets, channel, tp = _stacks(offsets, channel, tp, cfg)
+    lead = offsets.shape[:-1]
+    rows = [_inverse_bounds(offsets[i], channel[i], tp[i], noise_var, cfg)
+            for i in np.ndindex(lead)]
+    return DenseBounds(*(np.stack(part).reshape(*lead, *part[0].shape) for part in zip(*rows)))
+
+
+def _inverse_bounds(offsets, channel: np.ndarray, tp: np.ndarray, noise_var: float,
+                    cfg: SystemConfig) -> tuple:
+    """One trial's (timing_cov, channel_cov) from the inverse of its :func:`fim`."""
     j = fim(offsets, channel, tp, noise_var, cfg)
     _check_spread(np.linalg.svd(j, compute_uv=False), "Fisher information matrix")
     jinv = np.linalg.solve(j, np.eye(j.shape[0]))
@@ -120,5 +200,4 @@ def crlb_from_fim(offsets, channel: np.ndarray, tp: np.ndarray,
     ii = jinv[kdim + nk:, kdim + nk:]
     ri = jinv[kdim:kdim + nk, kdim + nk:]
     channel_cov = rr + ii + 1j * (ri.T - ri)
-    channel_cov = 0.5 * (channel_cov + channel_cov.conj().T)
-    return CrlbResult(timing_cov=timing_cov, channel_cov=channel_cov)
+    return timing_cov, 0.5 * (channel_cov + channel_cov.conj().T)

@@ -93,21 +93,21 @@ def _training_phases(cfg: SystemConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * index[:, None] * index[None, :] / cfg.total_elements)
 
 
-def _pilot(pilot: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def _pilot(pilot: np.ndarray, cfg: SystemConfig, lead: tuple = ()) -> np.ndarray:
     """The pilot, once checked against ``cfg``: every route that simulates,
     searches, fits or bounds reads it here. ValueError unless its shape is
-    ``(seq_len,)``."""
-    if np.shape(pilot) != (cfg.pulse.seq_len,):
+    ``(*lead, seq_len)``: one pilot, or one per index of a bound's stack."""
+    if np.shape(pilot) != (*lead, cfg.pulse.seq_len):
         raise ValueError(f"pilot has shape {np.shape(pilot)}; the configuration needs "
                          f"seq_len = {cfg.pulse.seq_len} symbols")
-    return pilot
+    return np.asarray(pilot)
 
 
-def _channel(channel, cfg: SystemConfig) -> np.ndarray:
+def _channel(channel, cfg: SystemConfig, lead: tuple = ()) -> np.ndarray:
     """The cascaded channel as an array, for simulating or bounding; ValueError
-    unless it is a finite 1-D vector of N*K entries."""
+    unless it is a finite vector of N*K entries (one per index of ``lead``)."""
     h = np.asarray(channel)
-    if h.shape != (cfg.total_elements,) or not np.all(np.isfinite(h)):
+    if h.shape != (*lead, cfg.total_elements) or not np.all(np.isfinite(h)):
         raise ValueError(f"channel has shape {h.shape}; the configuration needs a finite "
                          f"vector of {cfg.total_elements} entries")
     return h
@@ -115,11 +115,14 @@ def _channel(channel, cfg: SystemConfig) -> np.ndarray:
 
 def _pilot_rows(steer, offsets, pilot: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """``steer(offset_k) @ pilot`` for each surface k, one row per surface
-    (one stack per row of a 2-D ``offsets``), from one pulse evaluation."""
+    (one stack per row of a 2-D ``offsets``), from one pulse evaluation. The
+    pilot is one shared by every row of offsets, or one per row (the leading
+    axes of both); either way each row has the bits of its call alone."""
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape[-1:] != (cfg.n_surfaces,):
         raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
-    return steer(offsets, cfg.pulse) @ _pilot(pilot, cfg)
+    pilot = _pilot(pilot, cfg, offsets.shape[:-1] if np.ndim(pilot) > 1 else ())
+    return (steer(offsets, cfg.pulse) @ pilot[..., None, :, None])[..., 0]
 
 
 def _stack_columns(rows: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -164,28 +167,39 @@ def simulate_training(ch: ChannelSet, offsets, pilot: np.ndarray, noise_var,
 
 def _check_spread(values: np.ndarray, what: str) -> None:
     """Raise SingularSystemError unless ``values``, a matrix's singular values or
-    positive diagonal, are positive with max/min (its cond) <= COND_LIMIT.
-    In ``design`` it is reached only when the cheap cond bound on the
-    equalizer normal matrix fails, so the SVD it needs runs only then."""
-    low = values.min()
-    cond = values.max() / low if low > 0 else np.inf
+    positive diagonal (one per row of a stack, on the last axis), are positive
+    with max/min (its cond) <= COND_LIMIT in every row; the error carries the
+    worst row's cond. In ``design`` it is reached only when the cheap cond
+    bound on the equalizer normal matrix fails, so the SVD it needs runs only
+    then."""
+    low = values.min(axis=-1)
+    cond = (values.max(axis=-1) / low).max() if (low > 0).all() else np.inf
     if not cond <= COND_LIMIT:
         raise SingularSystemError(what, float(cond))
+
+
+def _observation(y, cfg: SystemConfig) -> np.ndarray:
+    """A training observation (or a stack, on leading axes) as an array, once
+    checked: ValueError unless its last axis holds NK patterns of
+    ``n_samples`` samples each and every sample is finite."""
+    y = np.asarray(y)
+    size = cfg.total_elements * cfg.pulse.n_samples
+    if y.shape[-1:] != (size,):
+        raise ValueError(f"training observation has shape {y.shape}; the configuration needs "
+                         f"{cfg.total_elements} patterns x {cfg.pulse.n_samples} samples = "
+                         f"{size} on its last axis")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("training observation has non-finite samples")
+    return y
 
 
 def _pattern_correlation(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """``Z = Phi^H Y``, one row per element: the inverse DFT over the patterns,
     unscaled; a stack of observations (leading axes of ``y``) gives one ``Z``
-    each, from one transform. ValueError unless the last axis holds NK
-    patterns of ``n_samples`` samples each and every sample is finite."""
-    shape = (cfg.total_elements, cfg.pulse.n_samples)
-    if y.shape[-1:] != (shape[0] * shape[1],):
-        raise ValueError(f"training observation has shape {y.shape}; the configuration needs "
-                         f"{shape[0]} patterns x {shape[1]} samples = {shape[0] * shape[1]} "
-                         "on its last axis")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("training observation has non-finite samples")
-    return np.fft.ifft(y.reshape(*y.shape[:-1], *shape), axis=-2, norm="forward")
+    each, from one transform. ``y`` is read through :func:`_observation`."""
+    y = _observation(y, cfg)
+    return np.fft.ifft(y.reshape(*y.shape[:-1], cfg.total_elements, cfg.pulse.n_samples),
+                       axis=-2, norm="forward")
 
 
 def _training_gram(offsets, pilot: np.ndarray,
@@ -202,7 +216,9 @@ def residual_cost(offsets, y: np.ndarray, pilot: np.ndarray,
                   cfg: SystemConfig) -> float:
     """Energy of y outside the observation matrix's column space: the profile
     objective of timing estimation, the channel projected out. A QR of the
-    dense observation matrix: the closed forms' reference."""
+    dense observation matrix: the closed forms' reference. ``y`` is read
+    through the same check as every estimate's (:func:`_observation`)."""
+    y = _observation(y, cfg)
     q, r = np.linalg.qr(observation_matrix(offsets, pilot, cfg))
     _check_spread(np.linalg.svd(r, compute_uv=False), "training observation matrix")
     total = float(np.vdot(y, y).real)

@@ -1,5 +1,6 @@
 """Tests for the information matrix and closed-form error bounds."""
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,3 +195,109 @@ def test_crlb_rejects_nonpositive_or_non_finite_noise(noise_var):
     vec, pilot, offsets = _instance(CFG, 6)
     with pytest.raises(ValueError, match="noise_var"):
         crlb(offsets, vec, pilot, noise_var, CFG)
+
+
+# ---------------------------------------------------------------------------
+# stacks of trials, and the bound kept in parts
+# ---------------------------------------------------------------------------
+
+def _stack(cfg, rows, seed):
+    # ``rows`` trials' offsets, cascaded channels and pilots, stacked; mmWave
+    # channels when the surfaces are 4x4
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(rows):
+        ch = (gen_mmwave(cfg, 4, rng.integers(2**32)) if cfg.n_elements == 16
+              else gen_rayleigh(cfg, rng.integers(2**32)))
+        draws.append((rng.uniform(-0.9, 0.9, cfg.n_surfaces), cascade(ch),
+                      gen_training(cfg, rng.integers(2**32))))
+    return tuple(np.stack(part) for part in zip(*draws))
+
+
+@pytest.mark.parametrize("cfg", [SystemConfig(2, 8), SystemConfig(4, 16)], ids=["k2-4x2", "k4-4x4"])
+@pytest.mark.parametrize("rows", [1, 3, 70])
+def test_stacked_rows_are_bit_equal_to_single_calls(cfg, rows):
+    offsets, gains, pilots = _stack(cfg, rows, rows)
+    stacked = crlb(offsets, gains, pilots, 0.3, cfg)
+    assert stacked.timing_cov.shape == (rows, cfg.n_surfaces, cfg.n_surfaces)
+    assert stacked.channel_cov.shape == (rows, cfg.total_elements, cfg.total_elements)
+    for r in range(rows):
+        alone = crlb(offsets[r], gains[r], pilots[r], 0.3, cfg)
+        for name in ("timing_cov", "channel_cov", "channel_diag", "channel_factor"):
+            assert getattr(stacked, name)[r].tobytes() == getattr(alone, name).tobytes(), name
+
+
+@pytest.mark.parametrize("cfg", [SystemConfig(2, 8), SystemConfig(4, 16)], ids=["k2-4x2", "k4-4x4"])
+def test_traces_from_the_parts_match_the_dense_bounds(cfg):
+    offsets, gains, pilots = _stack(cfg, 5, 17)
+    for res in (crlb(offsets, gains, pilots, 0.2, cfg), crlb(offsets[0], gains[0], pilots[0], 0.2, cfg)):
+        for trace, dense in ((res.channel_trace, res.channel_cov), (res.timing_trace, res.timing_cov)):
+            want = np.trace(dense, axis1=-2, axis2=-1).real
+            assert np.shape(trace) == np.shape(want)
+            assert np.max(np.abs(trace - want) / want) <= 1e-14
+
+
+def test_dense_channel_bound_is_built_once_on_read():
+    vec, pilot, offsets = _instance(CFG, 9)
+    res = crlb(offsets, vec, pilot, 0.1, CFG)
+    assert "channel_cov" not in vars(res)
+    assert res.channel_cov is res.channel_cov
+    # the diagonal is noise_var / G, and each surface adds a rank-one block
+    assert np.allclose(np.diag(res.channel_cov).real,
+                       res.channel_diag + 0.05 * np.abs(res.channel_factor.reshape(-1)) ** 2)
+    off_block = res.channel_cov[:CFG.n_elements, CFG.n_elements:]
+    assert not np.any(off_block)
+
+
+def test_replacing_the_timing_bound_keeps_the_channel_parts():
+    vec, pilot, offsets = _instance(CFG, 10)
+    res = crlb(offsets, vec, pilot, 0.1, CFG)
+    moved = replace(res, timing_cov=2.0 * res.timing_cov)
+    assert moved.channel_cov.tobytes() == res.channel_cov.tobytes()
+    assert moved.timing_trace == pytest.approx(2.0 * res.timing_trace, rel=1e-15)
+
+
+@pytest.mark.parametrize("shapes", [((3, 2), (2, 8), (3, 20)), ((3, 2), (3, 8), (20,)),
+                                    ((2,), (1, 8), (20,)), ((4, 2), (4, 8), (2, 2, 20))])
+def test_mismatched_stacks_fail_naming_their_shapes(shapes):
+    cfg = SystemConfig(2, 4)
+    o_shape, h_shape, p_shape = shapes
+    args = (np.zeros(o_shape), np.ones(h_shape, complex), np.ones(p_shape, complex))
+    assert cfg.pulse.seq_len == 20
+    for bound in (crlb, crlb_from_fim):
+        with pytest.raises(ValueError, match="leading shape") as err:
+            bound(*args, 0.1, cfg)
+        for shape in shapes:
+            assert str(shape) in str(err.value)
+
+
+def test_one_bad_row_fails_the_whole_stack():
+    # the conditioning checks hold row by row: a zero channel in one row
+    # makes the stacked call raise, while the other rows bound alone
+    offsets, gains, pilots = _stack(CFG, 3, 23)
+    gains[1] = 0.0
+    with pytest.raises(SingularSystemError):
+        crlb(offsets, gains, pilots, 0.1, CFG)
+    for r in (0, 2):
+        crlb(offsets[r], gains[r], pilots[r], 0.1, CFG)
+
+
+def test_spread_is_checked_per_row_not_across_the_stack():
+    # two trials whose Grams differ by far more than COND_LIMIT, each fine
+    offsets, gains, pilots = _stack(CFG, 2, 29)
+    pilots[1] *= 1e7
+    res = crlb(offsets, gains, pilots, 0.1, CFG)
+    assert res.channel_diag[0].max() / res.channel_diag[1].min() > 1e12
+
+
+def test_fim_bounds_of_a_stack_are_its_rows_bounds():
+    cfg = SystemConfig(2, 2)
+    offsets, gains, pilots = _stack(cfg, 3, 31)
+    stacked = crlb_from_fim(offsets, gains, pilots, 0.2, cfg)
+    closed = crlb(offsets, gains, pilots, 0.2, cfg)
+    for r in range(3):
+        alone = crlb_from_fim(offsets[r], gains[r], pilots[r], 0.2, cfg)
+        for name in ("timing_cov", "channel_cov"):
+            assert getattr(stacked, name)[r].tobytes() == getattr(alone, name).tobytes()
+            lhs, rhs = getattr(closed, name)[r], getattr(alone, name)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(rhs))

@@ -408,13 +408,16 @@ def test_every_route_rejects_a_channel_that_does_not_fit(name):
         assert f"finite vector of {CFG.total_elements} entries" in str(err.value)
 
 
-@pytest.mark.parametrize("length", [168, 200])
+@pytest.mark.parametrize("length", [168, 189, 200])
 def test_wrong_length_observation_fails_naming_both_lengths(length):
     # K=2, N=4 needs 8 patterns of 24 samples: 192 values per observation,
-    # alone (the one-shot estimator) or on the last axis of a stack (a trial)
+    # alone (the one-shot estimator and the dense reference) or on the last
+    # axis of a stack (a trial)
     pilot = gen_training(CFG, 0)
     wanted = f"{CFG.total_elements} patterns x {CFG.pulse.n_samples} samples = 192"
     for route, y in ((lambda y: mle_alternating(y, pilot, CFG), np.zeros(length, complex)),
+                     (lambda y: residual_cost([0.1, -0.2], y, pilot, CFG),
+                      np.zeros(length, complex)),
                      (lambda y: _pattern_correlation(y, CFG), np.zeros((3, length), complex))):
         with pytest.raises(ValueError, match=str(length)) as err:
             route(y)
@@ -424,11 +427,13 @@ def test_wrong_length_observation_fails_naming_both_lengths(length):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_non_finite_observation_fails_loudly(bad):
     # one bad sample once gave offsets of -0.5, an all-NaN channel and a NaN
-    # cost; both routes to Z reject it
+    # cost; both routes to Z reject it, and so does the dense reference
+    # (which once returned a NaN residual)
     _, pilot, _, y = _instance(CFG, 15, noise_var=0.1)
     broken = y.copy()
     broken[17] = bad
     for route in (lambda: mle_alternating(broken, pilot, CFG),
+                  lambda: residual_cost([0.1, -0.2], broken, pilot, CFG),
                   lambda: _pattern_correlation(np.stack([y, broken]), CFG)):
         with pytest.raises(ValueError, match="non-finite"):
             route()

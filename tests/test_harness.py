@@ -356,11 +356,74 @@ def _counting(monkeypatch, name, module=harness):
     return calls
 
 
+def _bound_stacks(monkeypatch) -> list:
+    # the offsets' shape of every crlb call the harness makes
+    shapes, original = [], harness.crlb
+
+    def recorded(offsets, *args, **kwargs):
+        shapes.append(np.shape(offsets))
+        return original(offsets, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "crlb", recorded)
+    return shapes
+
+
 @pytest.mark.parametrize("runner", [run_crlb_sweep, run_estimation_sweep])
 def test_bound_is_evaluated_once_per_trial(monkeypatch, runner):
-    calls = _counting(monkeypatch, "crlb")
+    # every trial is one row of its block's one stacked call
+    shapes = _bound_stacks(monkeypatch)
     runner(ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY))
-    assert calls["n"] == TINY["trials"]
+    assert shapes == [(TINY["trials"], TINY["n_surfaces"])]
+
+
+@pytest.mark.parametrize("runner", [run_design_sweep, run_async_impact])
+def test_design_and_async_sweeps_make_no_stacked_bound_call(monkeypatch, runner):
+    # design bounds each point's estimate alone; async reads no bound
+    shapes = _bound_stacks(monkeypatch)
+    runner(ExperimentSpec(snr_grid_db=(0.0, 10.0), **TINY))
+    assert all(len(shape) == 1 for shape in shapes)
+    assert len(shapes) == (2 * TINY["trials"] if runner is run_design_sweep else 0)
+
+
+def _zero_channel_at(monkeypatch, trial):
+    # the given trial of the sweep draws an all-zero cascaded channel, so its
+    # bound is unidentifiable; the other trials are unchanged
+    drawn, original = [], harness.cascade
+
+    def cascade(channels):
+        drawn.append(None)
+        gains = original(channels)
+        return np.zeros_like(gains) if len(drawn) == trial + 1 else gains
+
+    monkeypatch.setattr(harness, "cascade", cascade)
+
+
+def test_unidentifiable_trial_is_excluded_alone_at_every_point(monkeypatch):
+    # blocks of 2 over 5 trials: the failing trial's block is bounded again
+    # trial by trial, and the rows are those of bounding every trial alone
+    spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **{**TINY, "trials": 5})
+    monkeypatch.setattr(harness, "EXCLUSION_LIMIT", 1.0)
+    _zero_channel_at(monkeypatch, 2)
+    shapes = _bound_stacks(monkeypatch)
+    monkeypatch.setattr(harness, "_BLOCK", 2)
+    blocked = run_crlb_sweep(spec)
+    assert shapes == [(2, 2), (2, 2), (2,), (2,), (1, 2)]
+    _zero_channel_at(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_BLOCK", 1)
+    assert run_crlb_sweep(spec) == blocked
+    for row in blocked:
+        assert (row.excluded, row.trials) == (1, 4)
+
+
+@pytest.mark.parametrize("runner", [run_crlb_sweep, run_estimation_sweep])
+def test_rows_do_not_depend_on_the_block_size(monkeypatch, runner):
+    # 70 trials cross the default block's boundary; blocks of one bound every
+    # trial alone
+    spec = ExperimentSpec(n_surfaces=2, n_x=2, n_y=1, snr_grid_db=(0.0, 20.0), trials=70)
+    assert spec.trials > harness._BLOCK
+    blocked = runner(spec)
+    monkeypatch.setattr(harness, "_BLOCK", 1)
+    assert runner(spec) == blocked
 
 
 @pytest.mark.parametrize("runner, searches", [(run_estimation_sweep, 1),
@@ -379,8 +442,9 @@ def test_timing_search_runs_once_per_trial_over_every_point(monkeypatch, runner,
 def test_fits_make_one_steering_evaluation_per_offset_set_per_trial(monkeypatch, runner, sets):
     # Every point's fit at one set of searched offsets (joint, and for async
     # the common one) comes from one steering evaluation of the stacked
-    # offsets; the others are the simulation's and the bound's, one each, at
-    # the true offsets.
+    # offsets; the others are the simulation's, one per trial at its true
+    # offsets, and for estimation the bound's, one for the block at the
+    # stacked true offsets of its trials.
     stacked, single = [], []
     steering = estimator.steering_matrix
 
@@ -389,10 +453,12 @@ def test_fits_make_one_steering_evaluation_per_offset_set_per_trial(monkeypatch,
         return steering(offsets, pulse_cfg)
 
     monkeypatch.setattr(estimator, "steering_matrix", counting)
-    grid = (0.0, 10.0, 20.0)
+    grid = (0.0, 20.0)
     runner(ExperimentSpec(snr_grid_db=grid, **TINY))
-    assert stacked == [(len(grid), TINY["n_surfaces"])] * (sets * TINY["trials"])
-    assert len(single) == (2 if runner is run_estimation_sweep else 1) * TINY["trials"]
+    bound = [(TINY["trials"], TINY["n_surfaces"])] if runner is run_estimation_sweep else []
+    fits = [(len(grid), TINY["n_surfaces"])] * (sets * TINY["trials"])
+    assert sorted(stacked) == sorted(fits + bound)
+    assert len(single) == TINY["trials"]
 
 
 def test_conditioning_failure_at_one_point_excludes_that_point_only(monkeypatch):

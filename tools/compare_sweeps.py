@@ -65,6 +65,9 @@ SPECS = {
     # N*K = 13, a prime: the training's FFTs take numpy's Bluestein path
     "estimation-prime-13": ["--kind", "estimation", "--surfaces", "1", "--nx", "13", "--ny", "1",
                             "--snr-db", "0,20", "--trials", "3"],
+    # 70 trials span three of the sweeps' blocks of trials bounded together
+    "estimation-blocks": ["--kind", "estimation", "--surfaces", "2", "--nx", "2", "--ny", "1",
+                          "--snr-db", "0,20", "--trials", "70"],
     "crlb-bench": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4", "--nx", "4",
                    "--ny", "4", "--offset-model", "uniform", "--snr-db", "0,10,20,30",
                    "--trials", "25", "--seed", "101"],
