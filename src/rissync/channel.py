@@ -5,7 +5,10 @@ outbound vector (surface to destination). What the receiver can identify is
 only their elementwise product after reflection, the cascaded channel; this
 module generates the raw vectors (Rayleigh or clustered mmWave), forms the
 cascaded vector, and packs the per-surface segments into the block-diagonal
-gain matrix used throughout estimation and design (``block_gains``).
+gain matrix used throughout estimation and design (``block_gains``). Each
+generator is its random calls on one seed (``_*_draws``) and a map of them
+(``_*_links``) that also takes stacks, so a sweep maps many seeds' draws in
+one pass, each row the bytes of the generator on its seed.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ MMWAVE_PATHS = 10
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One realization of the physical links for all K surfaces.
+    """One realization of the physical links for all K surfaces, or a stack
+    of them (leading axes).
 
     ``inbound[k]`` is the length-N source→surface_k vector and ``outbound[k]``
     the surface_k→destination vector.
@@ -41,7 +45,7 @@ class ChannelSet:
 
     def __post_init__(self):
         inb, outb = np.asarray(self.inbound), np.asarray(self.outbound)
-        if inb.ndim != 2 or inb.shape != outb.shape:
+        if inb.ndim < 2 or inb.shape != outb.shape:
             raise ValueError(
                 f"inbound/outbound must be matching (K, N) arrays, got "
                 f"{inb.shape} and {outb.shape}"
@@ -52,15 +56,20 @@ class ChannelSet:
 
 def gen_rayleigh(cfg: SystemConfig, seed) -> ChannelSet:
     """Draw iid unit-variance complex Gaussian links for every surface element."""
-    rng = np.random.default_rng(seed)
-    shape = (cfg.n_surfaces, cfg.n_elements)
-    inbound = _std_complex(rng, shape)
-    outbound = _std_complex(rng, shape)
-    return ChannelSet(inbound=inbound, outbound=outbound)
+    return _rayleigh_links(*_rayleigh_draws(cfg, np.random.default_rng(seed)))
 
 
-def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _rayleigh_draws(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
+    """Real and imaginary parts of the inbound links, then of the outbound."""
+    return tuple(rng.standard_normal((cfg.n_surfaces, cfg.n_elements)) for _ in range(4))
+
+
+def _rayleigh_links(in_re, in_im, out_re, out_im) -> ChannelSet:
+    return ChannelSet(inbound=_std_complex(in_re, in_im), outbound=_std_complex(out_re, out_im))
+
+
+def _std_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def array_response(azimuth, elevation, n_elements: int, n_x: int) -> np.ndarray:
@@ -93,26 +102,35 @@ def gen_mmwave(cfg: SystemConfig, n_x: int, seed) -> ChannelSet:
     gain, then the inbound three.
     """
     n_x = positive_int(n_x, "n_x")
-    rng = np.random.default_rng(seed)
-    k_surf, n_el, n_p = cfg.n_surfaces, cfg.n_elements, MMWAVE_PATHS
-    out_az = rng.uniform(0.0, 2.0 * np.pi, (k_surf, n_p))
-    out_el = rng.uniform(0.0, np.pi, (k_surf, n_p))
-    out_g = _std_complex(rng, (k_surf, n_p))
-    in_az = rng.uniform(0.0, 2.0 * np.pi, k_surf)
-    in_el = rng.uniform(0.0, np.pi, k_surf)
-    in_g = _std_complex(rng, k_surf)
+    return _mmwave_links(cfg.n_elements, n_x, *_mmwave_draws(cfg, np.random.default_rng(seed)))
 
-    # Summing over the middle axis of (K, paths, N) adds the paths in order.
+
+def _mmwave_draws(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
+    """Outbound azimuths, elevations and gains' real and imaginary parts,
+    (K, MMWAVE_PATHS) each, then the inbound four, (K,) each."""
+    draws = []
+    for shape in ((cfg.n_surfaces, MMWAVE_PATHS), cfg.n_surfaces):
+        draws += [rng.uniform(0.0, 2.0 * np.pi, shape), rng.uniform(0.0, np.pi, shape),
+                  rng.standard_normal(shape), rng.standard_normal(shape)]
+    return tuple(draws)
+
+
+def _mmwave_links(n_el: int, n_x: int, out_az, out_el, out_re, out_im,
+                  in_az, in_el, in_re, in_im) -> ChannelSet:
+    # Summing over axis -2 of (..., K, paths, N) adds the paths in order.
     responses = array_response(out_az, out_el, n_el, n_x)
-    outbound = np.sqrt(n_el / n_p) * (np.conj(out_g)[..., None] * responses).sum(axis=1)
-    inbound = (np.sqrt(n_el) * in_g)[:, None] * array_response(in_az, in_el, n_el, n_x)
+    out_g = _std_complex(out_re, out_im)
+    outbound = np.sqrt(n_el / MMWAVE_PATHS) * (np.conj(out_g)[..., None] * responses).sum(axis=-2)
+    inbound = ((np.sqrt(n_el) * _std_complex(in_re, in_im))[..., None]
+               * array_response(in_az, in_el, n_el, n_x))
     return ChannelSet(inbound=inbound, outbound=outbound)
 
 
 def cascade(ch: ChannelSet) -> np.ndarray:
     """Stack the per-surface reflected products conj(outbound)*inbound into one
-    length-N*K vector (surface-major: entry (k*N + l) belongs to surface k)."""
-    return (np.conj(ch.outbound) * ch.inbound).reshape(-1)
+    length-N*K vector (surface-major: entry (k*N + l) belongs to surface k);
+    a stack of channel sets gives one vector each."""
+    return (np.conj(ch.outbound) * ch.inbound).reshape(*np.shape(ch.inbound)[:-2], -1)
 
 
 def block_gains(cascaded: np.ndarray, n_surfaces: int) -> np.ndarray:

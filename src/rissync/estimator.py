@@ -80,8 +80,16 @@ def gen_training(cfg: SystemConfig, seed) -> np.ndarray:
     observation block plus both pulse tails; unit modulus, deterministic per
     seed. It does not depend on N*K: the reflection patterns are the scaled
     DFT of size N*K by definition (:func:`_training_phases`)."""
-    rng = np.random.default_rng(seed)
-    quadrants = rng.integers(0, 4, cfg.pulse.seq_len)
+    return _qpsk(_pilot_draws(cfg, np.random.default_rng(seed)))
+
+
+def _pilot_draws(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """The pilot's random call: its ``seq_len`` QPSK quadrants."""
+    return rng.integers(0, 4, cfg.pulse.seq_len)
+
+
+def _qpsk(quadrants: np.ndarray) -> np.ndarray:
+    """QPSK symbols of quadrant indices, elementwise: stacks map row for row."""
     return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrants))
 
 

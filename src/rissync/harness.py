@@ -14,15 +14,19 @@ fits (``estimator._point``), checked there alone. A trial that dies in an
 ill-conditioned linear solve is excluded at that point and counted; an
 exclusion rate above one percent aborts the run.
 
-Trials are drawn in blocks of ``_BLOCK`` and scored in order, each released
-once scored, so a sweep holds only one block's draws (and the trial being
-scored). The bounds are exactly proportional to the noise variance, so each
-trial's are evaluated once at unit variance and scaled: when a scorer first
-reads a trial's bound traces, its whole block is bounded in one stacked
-``crlb`` call, whose traces come from the bound's diagonal and per-surface
-parts without forming the dense channel bound. If that call finds some row
-ill-conditioned, the block's trials are bounded one at a time, so only the
-failing trial is excluded, at every point.
+Trials are drawn in blocks of ``_BLOCK`` and scored in order, so a sweep
+holds one block's draws: arrays with one row per trial (``_Block``). Per
+trial only the random calls run, on its channel, offsets and pilot streams
+(``_stream``); the maps of the draws run once on their stack, each row the
+bytes of its trial drawn alone. A trial (``_Trial``) is a row, whose noise
+and design streams are built when its scorer reads them. The bounds are
+exactly proportional to the noise variance, so each trial's are evaluated
+once at unit variance and scaled: when a scorer first reads a trial's bound
+traces, the block's arrays are bounded in one stacked ``crlb`` call, whose
+traces come from the bound's diagonal and per-surface parts without forming
+the dense channel bound. If that call finds some row ill-conditioned, the
+block's trials are bounded one at a time, so only the failing trial is
+excluded, at every point.
 
 Reported metrics are normalized mean-squared errors. For estimates the
 normalizer is that trial's own squared true-parameter norm; for the matching
@@ -39,7 +43,8 @@ import numpy as np
 # load it with the package rather than inside the first trial.
 import numpy.random  # noqa: F401
 
-from .channel import ChannelSet, cascade, gen_mmwave, gen_rayleigh
+from .channel import (ChannelSet, _mmwave_draws, _mmwave_links, _rayleigh_draws,
+                      _rayleigh_links, cascade, gen_mmwave, gen_rayleigh)
 from .config import SystemConfig, finite_real, int_at_least, positive_int
 from .crlb import crlb
 from .design import (
@@ -54,7 +59,8 @@ from .design import (
     white_noise_cov,
 )
 from .errors import FailureRateError, SingularSystemError
-from .estimator import _estimate, _pattern_correlation, _point, gen_training, simulate_training
+from .estimator import (_estimate, _pattern_correlation, _pilot_draws, _point, _qpsk,
+                        simulate_training)
 from .pulse import _OFFSET_EDGE
 
 __all__ = [
@@ -80,10 +86,11 @@ EXCLUSION_LIMIT = 0.01
 _STREAM_NAMES = ("channel", "offsets", "pilot", "noise", "design")
 
 # Trials drawn, and bounded in one crlb call, together. For 25 trials at
-# mmWave, K=4, 4x4, one stacked call took 1.5 ms against 25 x 0.2 ms for
-# single calls, and the process peak rose by 1.4 MB, mostly the stacked
-# steering matrices, which do not grow with N. 32 bounds such a round in one
-# call; at N*K = 1024 a block's draws stay under 2 MB.
+# mmWave, K=4, 4x4, drawing the block took 2.9 ms and one stacked call
+# 0.8 ms, against 25 x 0.17 ms for single calls (warm timeit minima, one
+# core). 32 bounds such a round in one call. At N*K = 1024 a block's draws
+# hold 1.5 MB; drawing an mmWave one peaks at 13 MB, its K x paths x N
+# path responses (Rayleigh: 3.8 MB).
 _BLOCK = 32
 
 
@@ -155,20 +162,29 @@ def _trial_streams(base_seed: int, trial: int) -> dict:
     return dict(zip(_STREAM_NAMES, root.spawn(len(_STREAM_NAMES))))
 
 
+def _stream(base_seed: int, trial: int, name: str) -> np.random.Generator:
+    """A new generator on the ``_trial_streams`` child ``name``, whose seed
+    is built alone, without spawning the other children."""
+    seed = np.random.SeedSequence((base_seed, trial), spawn_key=(_STREAM_NAMES.index(name),))
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _noise_var(snr_db: float) -> float:
     # unit-power symbols, so the SNR fixes the noise variance directly
     return 10.0 ** (-snr_db / 10.0)
 
 
 def _draw_offsets(spec: ExperimentSpec, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+    return np.clip(_offset_draws(spec, np.random.default_rng(seed)), -_OFFSET_EDGE, _OFFSET_EDGE)
+
+
+def _offset_draws(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
+    """The offsets before their clip to the open interval (-1, 1)."""
     k = spec.n_surfaces
     if spec.offset_model == "uniform":
-        eps = rng.uniform(-1.0, 1.0, k)
-    else:
-        base = rng.uniform(-0.5, 0.5)
-        eps = base + rng.uniform(-spec.delta_max, spec.delta_max, k)
-    return np.clip(eps, -_OFFSET_EDGE, _OFFSET_EDGE)
+        return rng.uniform(-1.0, 1.0, k)
+    base = rng.uniform(-0.5, 0.5)
+    return base + rng.uniform(-spec.delta_max, spec.delta_max, k)
 
 
 def _draw_channels(spec: ExperimentSpec, cfg: SystemConfig, seed):
@@ -191,13 +207,24 @@ _DESIGN_METRICS = ("nmse_proposed", "nmse_phase_aligned", "nmse_perfect", "nmse_
 
 
 class _Block:
-    """Trials drawn together, whose bounds are taken together. It holds each
-    trial's bound inputs (offsets, gains, pilot), not the trial, so a scored
-    trial is released."""
+    """Trials ``trials`` (a range) of a sweep, drawn and bounded together:
+    links (B, K, N), offsets (B, K), gains (B, NK), pilots (B, seq_len) and
+    squared norms, one row per trial, each the bytes of that trial drawn alone."""
 
-    def __init__(self, cfg: SystemConfig):
-        self.cfg = cfg
-        self.inputs = []
+    def __init__(self, spec: ExperimentSpec, cfg: SystemConfig, trials: range, noise_vars):
+        self.spec, self.cfg, self.trials, self.noise_vars = spec, cfg, trials, noise_vars
+        rayleigh, seed = spec.scenario == "rayleigh", spec.base_seed
+        channel_draws = _rayleigh_draws if rayleigh else _mmwave_draws
+        rows = [(*channel_draws(cfg, _stream(seed, t, "channel")),
+                 _offset_draws(spec, _stream(seed, t, "offsets")),
+                 _pilot_draws(cfg, _stream(seed, t, "pilot"))) for t in trials]
+        *channel, offsets, quadrants = map(np.array, zip(*rows))
+        self.links = (_rayleigh_links(*channel) if rayleigh
+                      else _mmwave_links(cfg.n_elements, spec.n_x, *channel))
+        self.offsets = np.clip(offsets, -_OFFSET_EDGE, _OFFSET_EDGE)
+        self.gains, self.pilots = cascade(self.links), _qpsk(quadrants)
+        self.channel_norms = np.sum(np.abs(self.gains) ** 2, axis=-1)
+        self.timing_norms = np.sum(self.offsets ** 2, axis=-1)
 
     @cached_property
     def unit_bound_traces(self) -> list:
@@ -205,34 +232,32 @@ class _Block:
         variance, or the SingularSystemError that bounding it alone raised:
         one stacked call, and one call per trial only if that one raises."""
         try:
-            bounds = crlb(*map(np.stack, zip(*self.inputs)), 1.0, self.cfg)
+            bounds = crlb(self.offsets, self.gains, self.pilots, 1.0, self.cfg)
         except SingularSystemError:
-            return [self._alone(*inputs) for inputs in self.inputs]
+            return [self._alone(row) for row in range(len(self.trials))]
         return list(zip(bounds.channel_trace, bounds.timing_trace))
 
-    def _alone(self, offsets, gains, pilot):
+    def _alone(self, row: int):
         try:
-            bounds = crlb(offsets, gains, pilot, 1.0, self.cfg)
+            bounds = crlb(self.offsets[row], self.gains[row], self.pilots[row], 1.0, self.cfg)
         except SingularSystemError as err:
             return err
         return bounds.channel_trace, bounds.timing_trace
 
 
-@dataclass(frozen=True)
 class _Trial:
-    """One trial's draws, shared by every SNR point of a sweep."""
+    """One trial's draws, shared by every SNR point of a sweep: row ``row``
+    of its block."""
 
-    cfg: SystemConfig
-    streams: dict
-    channels: ChannelSet
-    offsets: np.ndarray
-    pilot: np.ndarray
-    gains: np.ndarray
-    channel_norm: float  # squared norms of the true parameters
-    timing_norm: float
-    noise_vars: tuple    # the sweep's noise variances, one per SNR point
-    block: _Block        # the trials drawn with it, and its row there
-    row: int
+    def __init__(self, block: _Block, row: int):
+        self.block, self.row, self.cfg, self.noise_vars = block, row, block.cfg, block.noise_vars
+        self.offsets, self.gains = block.offsets[row], block.gains[row]
+        self.pilot = block.pilots[row]
+        self.channel_norm, self.timing_norm = block.channel_norms[row], block.timing_norms[row]
+
+    def stream(self, name: str) -> np.random.Generator:
+        """A new generator at the start of the trial's stream ``name``."""
+        return _stream(self.block.spec.base_seed, self.block.trials[self.row], name)
 
     @property
     def unit_bound_traces(self) -> tuple:
@@ -253,8 +278,9 @@ class _Trial:
         """The training blocks at the sweep's noise variances, one row per
         point (one noise draw, scaled per point), and their correlations
         ``Z``: one simulation and one transform over every point."""
-        obs = simulate_training(self.channels, self.offsets, self.pilot,
-                                np.array(self.noise_vars), self.cfg, self.streams["noise"])
+        links = ChannelSet(self.block.links.inbound[self.row], self.block.links.outbound[self.row])
+        obs = simulate_training(links, self.offsets, self.pilot, np.array(self.noise_vars),
+                                self.cfg, self.stream("noise"))
         return obs, _pattern_correlation(obs, self.cfg)
 
     @cached_property
@@ -272,22 +298,10 @@ class _Trial:
                          self.cfg.total_elements)
 
 
-def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int,
-                block: _Block | None = None) -> _Trial:
-    """Draw trial ``trial`` as the next row of ``block`` (by default a new
-    block of its own)."""
-    block = _Block(cfg) if block is None else block
-    streams = _trial_streams(spec.base_seed, trial)
-    channels = _draw_channels(spec, cfg, streams["channel"])
-    offsets, gains = _draw_offsets(spec, streams["offsets"]), cascade(channels)
-    pilot = gen_training(cfg, streams["pilot"])
-    block.inputs.append((offsets, gains, pilot))
-    return _Trial(cfg=cfg, streams=streams, channels=channels, offsets=offsets,
-                  pilot=pilot, gains=gains,
-                  channel_norm=float(np.sum(np.abs(gains) ** 2)),
-                  timing_norm=float(np.sum(offsets ** 2)),
-                  noise_vars=tuple(_noise_var(snr_db) for snr_db in spec.snr_grid_db),
-                  block=block, row=len(block.inputs) - 1)
+def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
+    """Trial ``trial`` alone: the one row of a block of its own."""
+    noise_vars = tuple(map(_noise_var, spec.snr_grid_db))
+    return _Trial(_Block(spec, cfg, range(trial, trial + 1), noise_vars), 0)
 
 
 def _sweep(spec: ExperimentSpec, score, metrics) -> list:
@@ -299,13 +313,12 @@ def _sweep(spec: ExperimentSpec, score, metrics) -> list:
     :class:`SingularSystemError` is excluded at that point only; the run
     aborts once one point's exclusions pass the limit.
     """
-    cfg = spec.system_config()
+    cfg, noise_vars = spec.system_config(), tuple(map(_noise_var, spec.snr_grid_db))
     scored = [[] for _ in spec.snr_grid_db]
     for start in range(0, spec.trials, _BLOCK):
-        block, stop = _Block(cfg), min(start + _BLOCK, spec.trials)
-        drawn = {index: _draw_trial(spec, cfg, index, block) for index in range(start, stop)}
-        for index in range(start, stop):
-            trial = drawn.pop(index)
+        block = _Block(spec, cfg, range(start, min(start + _BLOCK, spec.trials)), noise_vars)
+        for row, index in enumerate(block.trials):
+            trial = _Trial(block, row)
             for p, results in enumerate(scored):
                 try:
                     results.append(score(trial, p))
@@ -394,7 +407,7 @@ def _score_design(trial: _Trial, p: int) -> dict:
     tuned = design_accelerated(belief_problem)
     aligned_theta, aligned_eq = design_phase_aligned(believed, cfg)
     genie = design_accelerated(true_problem)  # perfect knowledge of offsets and channel
-    scrambled = random_phases(cfg.total_elements, trial.streams["design"])
+    scrambled = random_phases(cfg.total_elements, trial.stream("design"))
     scrambled_eq = mmse_equalizer(scrambled, belief_problem)
 
     return {

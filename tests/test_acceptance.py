@@ -1,10 +1,12 @@
-"""Acceptance suite: eleven end-to-end guarantees, one test each.
+"""Acceptance suite: eleven end-to-end guarantees, one test each (the
+eleventh, byte determinism, also across BLAS thread counts).
 
 Run ``pytest tests/test_acceptance.py -v`` for a one-line verdict per
 guarantee. The two Monte Carlo studies (estimator efficiency, design-scheme
 ordering) dominate the runtime; their wall-clock budgets are asserted inside
 the tests themselves.
 """
+import os
 import subprocess
 import sys
 import time
@@ -352,3 +354,22 @@ def test_a11_sweep_cli_is_byte_deterministic(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(b"snr_db,metric,mean,stderr,trials,excluded\n")
+
+
+@pytest.mark.parametrize("args", [
+    # 40 trials: a full block of trials bounded in one stacked call, then the rest
+    ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4", "--nx", "4", "--ny", "4",
+     "--trials", "40"],
+    ["--kind", "estimation", "--surfaces", "2", "--nx", "4", "--ny", "2", "--trials", "3"],
+], ids=["crlb", "estimation"])
+def test_a11_sweep_bytes_do_not_depend_on_blas_threads(tmp_path, args):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rissync.cli", "sweep", *args, "--snr-db", "0,20",
+             "--seed", "5", "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -51,6 +51,10 @@ def test_channel_set_validation():
         ChannelSet(inbound=np.ones((2, 4)), outbound=np.ones((2, 3)))
     with pytest.raises(ValueError):
         ChannelSet(inbound=np.array([[np.inf]]), outbound=np.array([[1.0]]))
+    with pytest.raises(ValueError):
+        ChannelSet(inbound=np.ones(4), outbound=np.ones(4))
+    with pytest.raises(ValueError, match="finite"):
+        ChannelSet(inbound=np.ones((3, 2, 4)), outbound=np.full((3, 2, 4), np.nan))
 
 
 def test_array_response_norm_and_phases():
@@ -183,6 +187,16 @@ def test_cascade_layout_is_surface_major():
     for k in range(CFG.n_surfaces):
         seg = vec[k * CFG.n_elements:(k + 1) * CFG.n_elements]
         np.testing.assert_allclose(seg, np.conj(ch.outbound[k]) * ch.inbound[k])
+
+
+def test_a_stack_of_channel_sets_cascades_row_by_row():
+    sets = [gen_mmwave(CFG, 2, seed) for seed in range(3)]
+    stack = ChannelSet(inbound=np.array([ch.inbound for ch in sets]),
+                       outbound=np.array([ch.outbound for ch in sets]))
+    vectors = cascade(stack)
+    assert vectors.shape == (3, CFG.total_elements)
+    for row, ch in zip(vectors, sets):
+        assert row.tobytes() == cascade(ch).tobytes()
 
 
 def test_cascade_depends_on_conjugation():

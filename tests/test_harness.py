@@ -4,8 +4,9 @@ import pytest
 
 import rissync.estimator as estimator
 import rissync.harness as harness
+from rissync.channel import cascade
 from rissync.errors import FailureRateError, SingularSystemError
-from rissync.estimator import EstimationResult
+from rissync.estimator import EstimationResult, gen_training
 from rissync.harness import (
     ExperimentSpec,
     SweepRow,
@@ -97,6 +98,44 @@ def test_trial_streams_differ_between_trials_and_seeds():
     other_seed = np.random.default_rng(harness._trial_streams(4, 0)["noise"]).random(4)
     assert not np.array_equal(base, other_trial)
     assert not np.array_equal(base, other_seed)
+
+
+@pytest.mark.parametrize("base_seed, trial", [(0, 0), (3, 17), (2**32 - 1, 70)])
+def test_each_stream_is_its_spawned_child_built_alone(base_seed, trial):
+    children = harness._trial_streams(base_seed, trial)
+    for name in harness._STREAM_NAMES:
+        direct = harness._stream(base_seed, trial, name).bit_generator
+        np.testing.assert_array_equal(direct.seed_seq.generate_state(8),
+                                      children[name].generate_state(8))
+        assert direct.state == np.random.default_rng(children[name]).bit_generator.state
+
+
+def _bytes(*arrays) -> list:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("scenario, n_surfaces, n_x, n_y", [("rayleigh", 2, 4, 2),
+                                                          ("mmwave", 4, 4, 4)])
+@pytest.mark.parametrize("offset_model", ["uniform", "common-delta"])
+def test_block_rows_are_the_per_seed_draws(scenario, n_surfaces, n_x, n_y, offset_model):
+    # the blocks of a sweep of _BLOCK + 1 trials, row for row against the
+    # public functions on each trial's spawned streams
+    spec = ExperimentSpec(scenario=scenario, n_surfaces=n_surfaces, n_x=n_x, n_y=n_y,
+                          offset_model=offset_model, trials=harness._BLOCK + 1, base_seed=11)
+    cfg = spec.system_config()
+    for start in range(0, spec.trials, harness._BLOCK):
+        block = harness._Block(spec, cfg, range(start, min(start + harness._BLOCK, spec.trials)),
+                               ())
+        for row, trial in enumerate(block.trials):
+            streams = harness._trial_streams(spec.base_seed, trial)
+            channels = harness._draw_channels(spec, cfg, streams["channel"])
+            gains, offsets = cascade(channels), harness._draw_offsets(spec, streams["offsets"])
+            expected = [channels.inbound, channels.outbound, gains, offsets,
+                        gen_training(cfg, streams["pilot"]), np.sum(np.abs(gains) ** 2),
+                        np.sum(offsets ** 2)]
+            assert _bytes(block.links.inbound[row], block.links.outbound[row], block.gains[row],
+                          block.offsets[row], block.pilots[row], block.channel_norms[row],
+                          block.timing_norms[row]) == _bytes(*expected)
 
 
 def test_offset_draws_respect_models():
@@ -387,13 +426,17 @@ def test_design_and_async_sweeps_make_no_stacked_bound_call(monkeypatch, runner)
 
 def _zero_channel_at(monkeypatch, trial):
     # the given trial of the sweep draws an all-zero cascaded channel, so its
-    # bound is unidentifiable; the other trials are unchanged
-    drawn, original = [], harness.cascade
+    # bound is unidentifiable; the other trials are unchanged. Blocks are
+    # drawn in trial order, each cascading its links in one call, so the
+    # trial is the row of its block that follows the rows drawn before it.
+    drawn, original = [0], harness.cascade
 
-    def cascade(channels):
-        drawn.append(None)
-        gains = original(channels)
-        return np.zeros_like(gains) if len(drawn) == trial + 1 else gains
+    def cascade(links):
+        gains = original(links)
+        if 0 <= trial - drawn[0] < len(gains):
+            gains[trial - drawn[0]] = 0.0
+        drawn[0] += len(gains)
+        return gains
 
     monkeypatch.setattr(harness, "cascade", cascade)
 
@@ -483,7 +526,7 @@ def test_conditioning_failure_at_one_point_excludes_that_point_only(monkeypatch)
 
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_each_trial_is_drawn_once(monkeypatch, runner):
-    calls = _counting(monkeypatch, "gen_training")
+    calls = _counting(monkeypatch, "_pilot_draws")
     runner(ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY))
     assert calls["n"] == TINY["trials"]
 

@@ -74,6 +74,10 @@ SPECS = {
     "crlb-mmwave-nonsquare": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "3",
                               "--nx", "8", "--ny", "2", "--snr-db", "0,20", "--trials", "10",
                               "--seed", "3"],
+    # 70 trials span three blocks: the one crlb spec whose mmWave draws cross a block boundary
+    "crlb-mmwave-blocks": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4",
+                           "--nx", "4", "--ny", "4", "--offset-model", "common-delta",
+                           "--snr-db", "0,20", "--trials", "70"],
     "crlb-grid": ["--kind", "crlb", "--surfaces", "2", "--nx", "4", "--ny", "2",
                   "--snr-db=-10,0,5,10,15,20,25,30,40", "--trials", "200", "--seed", "1"],
     "async-mmwave": ["--kind", "async", "--scenario", "mmwave", "--surfaces", "3", "--nx", "2",
