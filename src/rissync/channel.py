@@ -60,16 +60,36 @@ def gen_rayleigh(cfg: SystemConfig, seed) -> ChannelSet:
 
 
 def _rayleigh_draws(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
-    """Real and imaginary parts of the inbound links, then of the outbound."""
-    return tuple(rng.standard_normal((cfg.n_surfaces, cfg.n_elements)) for _ in range(4))
+    """The links' one random call, (4, K, N): real and imaginary parts of the
+    inbound links, then of the outbound, the values of four (K, N) calls."""
+    return (rng.standard_normal((4, cfg.n_surfaces, cfg.n_elements)),)
 
 
-def _rayleigh_links(in_re, in_im, out_re, out_im) -> ChannelSet:
+def _rayleigh_links(parts) -> ChannelSet:
+    in_re, in_im, out_re, out_im = _rows(parts, 2)
     return ChannelSet(inbound=_std_complex(in_re, in_im), outbound=_std_complex(out_re, out_im))
+
+
+def _rows(draw: np.ndarray, ndim: int) -> np.ndarray:
+    """A call's draw (..., rows, *shape), ``shape`` ``ndim`` axes long, with
+    its rows first: a stack of draws (leading axes) gives stacked rows."""
+    return np.moveaxis(draw, -1 - ndim, 0)
 
 
 def _std_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _axis_factors(azimuth, elevation, n_elements: int, n_x: int) -> tuple:
+    """The y-axis factor exp(j pi n cos(elevation)), n < N / n_x, and the
+    x-axis factor exp(j pi m sin(azimuth) sin(elevation)), m < n_x, of a
+    rectangular surface's response; angle arrays broadcast and gain a last
+    axis of elements along each."""
+    if n_elements % n_x:
+        raise ValueError(f"n_elements={n_elements} not divisible by n_x={n_x}")
+    az, el = np.asarray(azimuth)[..., None], np.asarray(elevation)[..., None]
+    along_y = np.exp(1j * np.pi * (np.arange(n_elements // n_x) * np.cos(el)))
+    return along_y, np.exp(1j * np.pi * (np.arange(n_x) * np.sin(az) * np.sin(el)))
 
 
 def array_response(azimuth, elevation, n_elements: int, n_x: int) -> np.ndarray:
@@ -77,17 +97,14 @@ def array_response(azimuth, elevation, n_elements: int, n_x: int) -> np.ndarray:
     half-wavelength spacing.
 
     Element (m, n) with 0 <= m < n_x sits at flat index n*n_x + m and
-    contributes phase pi*(m*sin(azimuth)*sin(elevation) + n*cos(elevation));
-    every entry has magnitude 1/sqrt(N). Arrays of angles broadcast against
-    each other and gain a last axis of N elements.
+    contributes phase pi*(m*sin(azimuth)*sin(elevation) + n*cos(elevation)):
+    the response is the outer (Kronecker) product of the y-axis and x-axis
+    factors, every entry of magnitude 1/sqrt(N). Arrays of angles broadcast
+    against each other and gain a last axis of N elements.
     """
-    if n_elements % n_x:
-        raise ValueError(f"n_elements={n_elements} not divisible by n_x={n_x}")
-    az, el = np.asarray(azimuth)[..., None], np.asarray(elevation)[..., None]
-    m = np.arange(n_x) * np.sin(az) * np.sin(el)
-    n = np.arange(n_elements // n_x) * np.cos(el)
-    phase = np.pi * (n[..., :, None] + m[..., None, :])
-    return np.exp(1j * phase.reshape(phase.shape[:-2] + (n_elements,))) / np.sqrt(n_elements)
+    along_y, along_x = _axis_factors(azimuth, elevation, n_elements, n_x)
+    outer = along_y[..., :, None] * along_x[..., None, :]
+    return outer.reshape(*outer.shape[:-2], n_elements) / np.sqrt(n_elements)
 
 
 def gen_mmwave(cfg: SystemConfig, n_x: int, seed) -> ChannelSet:
@@ -106,24 +123,31 @@ def gen_mmwave(cfg: SystemConfig, n_x: int, seed) -> ChannelSet:
 
 
 def _mmwave_draws(cfg: SystemConfig, rng: np.random.Generator) -> tuple:
-    """Outbound azimuths, elevations and gains' real and imaginary parts,
-    (K, MMWAVE_PATHS) each, then the inbound four, (K,) each."""
-    draws = []
-    for shape in ((cfg.n_surfaces, MMWAVE_PATHS), cfg.n_surfaces):
-        draws += [rng.uniform(0.0, 2.0 * np.pi, shape), rng.uniform(0.0, np.pi, shape),
-                  rng.standard_normal(shape), rng.standard_normal(shape)]
-    return tuple(draws)
+    """The outbound links' two random calls, (2, K, MMWAVE_PATHS) each: the
+    azimuths' and elevations' uniforms, then the gains' real and imaginary
+    parts; then the inbound two, (2, K) each. Scaled (``_angles``), they are
+    the values of one uniform or normal call per array."""
+    out, inb = (2, cfg.n_surfaces, MMWAVE_PATHS), (2, cfg.n_surfaces)
+    return rng.random(out), rng.standard_normal(out), rng.random(inb), rng.standard_normal(inb)
 
 
-def _mmwave_links(n_el: int, n_x: int, out_az, out_el, out_re, out_im,
-                  in_az, in_el, in_re, in_im) -> ChannelSet:
-    # Summing over axis -2 of (..., K, paths, N) adds the paths in order.
-    responses = array_response(out_az, out_el, n_el, n_x)
-    out_g = _std_complex(out_re, out_im)
-    outbound = np.sqrt(n_el / MMWAVE_PATHS) * (np.conj(out_g)[..., None] * responses).sum(axis=-2)
-    inbound = ((np.sqrt(n_el) * _std_complex(in_re, in_im))[..., None]
-               * array_response(in_az, in_el, n_el, n_x))
-    return ChannelSet(inbound=inbound, outbound=outbound)
+def _angles(uniforms: np.ndarray, ndim: int) -> tuple:
+    """Azimuths uniform on [0, 2pi) and elevations on [0, pi) from a draw's
+    uniforms (see ``_rows``)."""
+    azimuth, elevation = _rows(uniforms, ndim)
+    return 2.0 * np.pi * azimuth, np.pi * elevation
+
+
+def _mmwave_links(n_el: int, n_x: int, out_uniforms, out_gains, in_uniforms,
+                  in_gains) -> ChannelSet:
+    # The paths sum per axis, (..., K, n_y, paths) @ (..., K, paths, n_x)
+    # weighted by the conjugate gains, so no (..., K, paths, N) responses are formed.
+    along_y, along_x = _axis_factors(*_angles(out_uniforms, 2), n_el, n_x)
+    weights = np.conj(_std_complex(*_rows(out_gains, 2))) / np.sqrt(MMWAVE_PATHS)
+    outbound = np.swapaxes(along_y * weights[..., None], -1, -2) @ along_x
+    inbound = (np.sqrt(n_el) * _std_complex(*_rows(in_gains, 1)))[..., None] * array_response(
+        *_angles(in_uniforms, 1), n_el, n_x)
+    return ChannelSet(inbound=inbound, outbound=outbound.reshape(inbound.shape))
 
 
 def cascade(ch: ChannelSet) -> np.ndarray:

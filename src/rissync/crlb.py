@@ -3,7 +3,11 @@
 The training observation is linear in the cascaded channel and smooth in the
 timing offsets. The scaled-DFT training's columns are orthogonal with energy
 NK, so the observation Gram is diagonal and :func:`crlb` profiles the channel
-out one surface at a time in closed form. The channel bound it returns is a
+out one surface at a time in closed form. It reads each surface's filtered
+pilot and offset slope as ``f = A g`` and ``f' = -A g'``: A the pilot's
+lag-pilot matrix (``lag_pilot_matrix``) and g, g' the pulse and its
+derivative at A's T reachable times, so it forms no steering matrix or
+derivative and no complex copy of one. The channel bound it returns is a
 diagonal plus one rank-one block per surface: :class:`CrlbResult` keeps those
 parts, forms the dense NK x NK matrix only when ``channel_cov`` is read, and
 gives the traces a sweep reads from the parts in O(NK). The dense route
@@ -27,7 +31,8 @@ from .channel import block_gains
 from .config import SystemConfig
 from .estimator import (_channel, _check_spread, _pilot, _pilot_rows, _stack_columns,
                         _training_gram, _training_phases)
-from .pulse import steering_matrix, steering_matrix_deriv
+from .pulse import (_offsets, lag_pilot_matrix, rrc_impulse, rrc_impulse_deriv, steering_matrix,
+                    steering_matrix_deriv)
 
 __all__ = [
     "CrlbResult",
@@ -101,7 +106,8 @@ def _stacks(offsets, channel, pilot, cfg: SystemConfig) -> tuple:
     differ, and the channel's or pilot's own error when it does not fit."""
     offsets, channel = np.asarray(offsets, dtype=float), np.asarray(channel)
     pilot, lead = np.asarray(pilot), offsets.shape[:-1]
-    if not channel.shape[:-1] == pilot.shape[:-1] == lead:
+    if (not channel.shape[:-1] == pilot.shape[:-1] == lead
+            or offsets.shape[-1:] != (cfg.n_surfaces,)):
         raise ValueError(f"offsets {offsets.shape}, channel {channel.shape} and pilot "
                          f"{pilot.shape} must share one leading shape; per trial the "
                          f"configuration needs {cfg.n_surfaces} offsets, a finite vector of "
@@ -144,7 +150,8 @@ def crlb(offsets, channel: np.ndarray, tp: np.ndarray, noise_var: float,
          cfg: SystemConfig) -> CrlbResult:
     """Closed-form bounds for the DFT training, with the channel profiled out.
 
-    With f_k surface k's filtered pilot, f'_k its offset derivative and
+    With f_k surface k's filtered pilot, f'_k its offset derivative (both
+    from the lag-pilot matrix: the module docstring) and
     c_k = f_k^H f'_k / |f_k|^2, surface k's profiled timing information is
     J_k = sum_{i in k} NK |h_i|^2 (|f'_k|^2 - |c_k|^2 |f_k|^2), so
     timing_cov = (noise_var/2) diag(1/J). The channel bound is noise_var
@@ -161,9 +168,11 @@ def crlb(offsets, channel: np.ndarray, tp: np.ndarray, noise_var: float,
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     offsets, channel, tp = _stacks(offsets, channel, tp, cfg)
     h = channel.reshape(*channel.shape[:-1], cfg.n_surfaces, cfg.n_elements)
-    pilots, gram = _training_gram(offsets, tp, cfg)
+    times, a = lag_pilot_matrix(tp, cfg.pulse)
+    lags, a = times - _offsets(offsets)[..., None], np.swapaxes(a, -1, -2)
+    pilots, slopes = rrc_impulse(lags, cfg.pulse) @ a, -(rrc_impulse_deriv(lags, cfg.pulse) @ a)
+    gram = _training_gram(pilots, cfg)
     _check_spread(gram, "training Gram matrix")
-    slopes = _pilot_rows(steering_matrix_deriv, offsets, tp, cfg)
     pilot_energy = np.sum(np.abs(pilots) ** 2, axis=-1)
     c = np.sum(pilots.conj() * slopes, axis=-1) / pilot_energy
     info = (np.sum(gram.reshape(h.shape) * np.abs(h) ** 2, axis=-1)

@@ -72,7 +72,6 @@ class EstimationResult:
 
     offsets: np.ndarray          # one timing estimate per surface, in (-1, 1)
     channel: np.ndarray          # cascaded-channel estimate, length N*K
-    final_cost: float            # residual energy at the returned offsets
 
 
 def gen_training(cfg: SystemConfig, seed) -> np.ndarray:
@@ -210,14 +209,12 @@ def _pattern_correlation(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
                        axis=-2, norm="forward")
 
 
-def _training_gram(offsets, pilot: np.ndarray,
-                   cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered pilots f_k (one row per surface) and the diagonal observation
-    Gram N^H N, G_i = NK |f_k|^2 for element i of surface k (every DFT column
-    has energy NK); a stack of offset rows gives a stack of each."""
-    pilots = _pilot_rows(steering_matrix, offsets, pilot, cfg)
+def _training_gram(pilots: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The diagonal observation Gram N^H N of filtered pilots f_k (one row per
+    surface): G_i = NK |f_k|^2 for element i of surface k (every DFT column
+    has energy NK); a stack of pilot rows gives a stack."""
     pilot_energy = np.repeat(np.sum(np.abs(pilots) ** 2, axis=-1), cfg.n_elements, axis=-1)
-    return pilots, cfg.total_elements * pilot_energy
+    return cfg.total_elements * pilot_energy
 
 
 def residual_cost(offsets, y: np.ndarray, pilot: np.ndarray,
@@ -300,34 +297,31 @@ def _search_offsets(z: np.ndarray, pilot: np.ndarray, cfg: SystemConfig,
     return np.repeat(best_x, group // cfg.n_elements).reshape(*z.shape[:-2], cfg.n_surfaces)
 
 
-def _fits(eps, z: np.ndarray, y: np.ndarray, pilot: np.ndarray, cfg: SystemConfig) -> tuple:
-    """Least-squares fits of a stack of observations ``y`` with their ``Z``, each
-    at its row of offsets ``eps``, from one pulse call: the offsets, the Gram
-    G, the channel Z_i f_k^* / G_i of each element i (on surface k) and the
-    residual, the energy of ``y`` less the sum |Z_i f_k^*|^2 / G_i."""
-    pilots, gram = _training_gram(eps, pilot, cfg)
+def _fits(eps, z: np.ndarray, pilot: np.ndarray, cfg: SystemConfig) -> tuple:
+    """Least-squares fits of a stack of correlations ``Z``, each at its row of
+    offsets ``eps``, from one pulse call: the offsets, the Gram G and the
+    channel Z_i f_k^* / G_i of each element i (on surface k)."""
+    pilots = _pilot_rows(steering_matrix, eps, pilot, cfg)
+    gram = _training_gram(pilots, cfg)
     z = z.reshape(*gram.shape[:-1], cfg.n_surfaces, cfg.n_elements, -1)
     corr = (z @ pilots.conj()[..., None]).reshape(gram.shape)
-    captured = np.sum(np.abs(corr) ** 2 / gram, axis=-1)
-    total = np.sum(y.real ** 2 + y.imag ** 2, axis=-1)
-    return np.asarray(eps, dtype=float), gram, corr / gram, np.maximum(total - captured, 0.0)
+    return np.asarray(eps, dtype=float), gram, corr / gram
 
 
-def _estimate(z: np.ndarray, y: np.ndarray, pilot: np.ndarray, cfg: SystemConfig,
-              group: int) -> tuple:
-    """Search, then fit: the stacked fits (:func:`_fits`) of observations ``y``
-    with their ``Z`` at the offsets searched over runs of ``group`` elements
+def _estimate(z: np.ndarray, pilot: np.ndarray, cfg: SystemConfig, group: int) -> tuple:
+    """Search, then fit: the stacked fits (:func:`_fits`) of correlations ``Z``
+    at the offsets searched over runs of ``group`` elements
     (:func:`_search_offsets`; N gives the joint estimate, N*K the one offset
     shared by every surface). The only route from correlations to fits."""
-    return _fits(_search_offsets(z, pilot, cfg, group), z, y, pilot, cfg)
+    return _fits(_search_offsets(z, pilot, cfg, group), z, pilot, cfg)
 
 
 def _point(fits: tuple, p) -> EstimationResult:
     """Fit ``p`` of :func:`_fits` (``()`` for a lone one); SingularSystemError
     where its observation matrix (singular values sqrt(G)) is ill-conditioned."""
-    eps, gram, channel, cost = (part[p] for part in fits)
+    eps, gram, channel = (part[p] for part in fits)
     _check_spread(np.sqrt(gram), "training observation matrix")
-    return EstimationResult(offsets=eps, channel=channel, final_cost=float(cost))
+    return EstimationResult(offsets=eps, channel=channel)
 
 
 def mle_alternating(y: np.ndarray, pilot: np.ndarray, cfg: SystemConfig) -> EstimationResult:
@@ -341,4 +335,4 @@ def mle_alternating(y: np.ndarray, pilot: np.ndarray, cfg: SystemConfig) -> Esti
     if np.ndim(y) != 1:
         raise ValueError(f"training observation has shape {np.shape(y)}; "
                          "mle_alternating estimates one 1-D observation")
-    return _point(_estimate(_pattern_correlation(y, cfg), y, pilot, cfg, cfg.n_elements), ())
+    return _point(_estimate(_pattern_correlation(y, cfg), pilot, cfg, cfg.n_elements), ())

@@ -86,11 +86,11 @@ EXCLUSION_LIMIT = 0.01
 _STREAM_NAMES = ("channel", "offsets", "pilot", "noise", "design")
 
 # Trials drawn, and bounded in one crlb call, together. For 25 trials at
-# mmWave, K=4, 4x4, drawing the block took 2.9 ms and one stacked call
-# 0.8 ms, against 25 x 0.17 ms for single calls (warm timeit minima, one
-# core). 32 bounds such a round in one call. At N*K = 1024 a block's draws
-# hold 1.5 MB; drawing an mmWave one peaks at 13 MB, its K x paths x N
-# path responses (Rayleigh: 3.8 MB).
+# mmWave, K=4, 4x4, a process's first block drew in 5.4 ms and was bounded
+# in one 2.0 ms call, against 8.9 ms for 25 single calls (medians over 20
+# fresh processes, one core). 32 bounds such a round in one call. At
+# N*K = 1024 a block's draws hold 1.6 MB; drawing an mmWave one peaks at
+# 2.5 MB (Rayleigh: 4.0 MB).
 _BLOCK = 32
 
 
@@ -287,15 +287,13 @@ class _Trial:
     def joint(self) -> tuple:
         """Every point's joint estimate, one offset searched per surface, as
         stacked fits (row ``p`` is point ``p``'s)."""
-        return _estimate(self.training[1], self.training[0], self.pilot, self.cfg,
-                         self.cfg.n_elements)
+        return _estimate(self.training[1], self.pilot, self.cfg, self.cfg.n_elements)
 
     @cached_property
     def naive(self) -> tuple:
         """Every point's offset-synchronization-naive estimate, one offset
         searched over all surfaces' elements and shared, as stacked fits."""
-        return _estimate(self.training[1], self.training[0], self.pilot, self.cfg,
-                         self.cfg.total_elements)
+        return _estimate(self.training[1], self.pilot, self.cfg, self.cfg.total_elements)
 
 
 def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:

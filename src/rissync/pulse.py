@@ -233,18 +233,35 @@ def _lag_layout(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
     return times, index
 
 
+@lru_cache(maxsize=8)
+def _reachable_layout(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct times with ``|t| < span + 1``, and for each steering entry
+    (n, i) at one of them its flat position in the (n_samples, times) matrix
+    and its symbol i. Cached per (frozen) config."""
+    times, index = _lag_layout(cfg)
+    keep = np.abs(times) < cfg.span + 1
+    rows, symbols = np.nonzero(keep[index])
+    column = np.cumsum(keep) - 1
+    positions = rows * np.count_nonzero(keep) + column[index[rows, symbols]]
+    kept = times[keep]
+    for part in (kept, positions, symbols):
+        part.flags.writeable = False
+    return kept, positions, symbols
+
+
 def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sample times t of the steering matrix that reach the pulse's
     support at some offset in (-1, 1), ``|t| < span + 1``, and the (n_samples,
     times) matrix ``A`` whose entry (n, j) is the pilot symbol i with (n, i) at
     time j, so ``steering_matrix(x) @ pilot == A @ rrc_impulse(times - x)`` up
     to the order of the sums, and ``rrc_impulse(times - x[:, None]) @ A.T``
-    gives the filtered pilots of many offsets with no gather."""
-    times, index = _lag_layout(cfg)
-    a = np.zeros((cfg.n_samples, times.size), dtype=pilot.dtype)
-    a[np.arange(cfg.n_samples)[:, None], index] = pilot
-    keep = np.abs(times) < cfg.span + 1
-    return times[keep], a[:, keep]
+    gives the filtered pilots of many offsets with no gather. A stack of
+    pilots (leading axes) gives one ``A`` each."""
+    times, positions, symbols = _reachable_layout(cfg)
+    lead = pilot.shape[:-1]
+    a = np.zeros((*lead, cfg.n_samples * times.size), dtype=pilot.dtype)
+    a[..., positions] = pilot[..., symbols]
+    return times, a.reshape(*lead, cfg.n_samples, times.size)
 
 
 # Largest offset magnitude that a timing search or an offset draw may reach:
@@ -252,12 +269,18 @@ def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, n
 _OFFSET_EDGE = 1.0 - 1e-9
 
 
-def _shifted(pulse, offset, cfg: PulseConfig) -> np.ndarray:
-    """``pulse`` at every entry's sample time minus ``offset`` (per offset, if
-    an array), from one evaluation over the distinct times."""
+def _offsets(offset) -> np.ndarray:
+    """Timing offsets as a float array; ValueError unless each lies in (-1, 1)."""
     offset = np.asarray(offset, dtype=float)
     if not np.all((offset > -1.0) & (offset < 1.0)):
         raise ValueError(f"timing offset must lie in (-1, 1), got {offset}")
+    return offset
+
+
+def _shifted(pulse, offset, cfg: PulseConfig) -> np.ndarray:
+    """``pulse`` at every entry's sample time minus ``offset`` (per offset, if
+    an array), from one evaluation over the distinct times."""
+    offset = _offsets(offset)
     times, index = _lag_layout(cfg)
     # np.take keeps a stack C-contiguous: einsum's summation order follows strides
     return np.take(pulse(times - offset[..., None], cfg), index, axis=-1)

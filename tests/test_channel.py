@@ -90,6 +90,10 @@ def _literal_response(az, el, n_elements, n_x, spacing_phase):
 
 
 def test_array_response_broadcasts_and_each_slice_matches_the_scalar_call():
+    # A slice equals the scalar call bit for bit. The response is the product
+    # of its two axis factors, so it rounds differently from the literal
+    # exponential of the summed phase: they agree to 1e-13 of each entry's
+    # magnitude (measured: under 3e-15).
     rng = np.random.default_rng(3)
     az, el = rng.uniform(0, 2 * np.pi, (3, 1)), rng.uniform(0, np.pi, 5)
     for n_elements, n_x in ((16, 4), (16, 8), (12, 2), (7, 7)):
@@ -100,8 +104,8 @@ def test_array_response_broadcasts_and_each_slice_matches_the_scalar_call():
                 single = array_response(az[i, 0], el[j], n_elements, n_x=n_x)
                 assert single.shape == (n_elements,)
                 assert np.array_equal(stacked[i, j], single)
-                assert np.array_equal(single, _literal_response(
-                    az[i, 0], el[j], n_elements, n_x, np.pi))
+                np.testing.assert_allclose(single, _literal_response(
+                    az[i, 0], el[j], n_elements, n_x, np.pi), rtol=1e-13, atol=0.0)
 
 
 def _mmwave_loop(cfg, n_x, out_az, out_el, out_g, in_az, in_el, in_g):
@@ -127,6 +131,9 @@ def test_mmwave_matches_per_path_loop(k_surf, n_el, n_x, n_paths, monkeypatch):
     # Drawn in the generator's order: outbound azimuth, elevation, gains,
     # then the same three for the inbound link. Path counts other than
     # MMWAVE_PATHS are patched in, to check the sum over paths at any count.
+    # The generator sums the paths per axis factor, so it rounds differently
+    # from the literal per-path exponentials: each link agrees to 1e-13 of
+    # its norm (measured: under 1e-15).
     monkeypatch.setattr(channel_module, "MMWAVE_PATHS", n_paths)
     cfg = SystemConfig(k_surf, n_el)
     for seed in range(20):
@@ -138,7 +145,36 @@ def test_mmwave_matches_per_path_loop(k_surf, n_el, n_x, n_paths, monkeypatch):
                       / np.sqrt(2.0)]
         inbound, outbound = _mmwave_loop(cfg, n_x, *draws)
         ch = gen_mmwave(cfg, n_x, seed)
-        assert np.array_equal(ch.inbound, inbound) and np.array_equal(ch.outbound, outbound)
+        for got, want in ((ch.inbound, inbound), (ch.outbound, outbound)):
+            assert got.shape == want.shape
+            assert np.all(np.max(np.abs(got - want), axis=-1)
+                          <= 1e-13 * np.linalg.norm(want, axis=-1))
+
+
+@pytest.mark.parametrize("k_surf, n_el", [(1, 4), (2, 16), (4, 8)])
+def test_draws_are_one_call_per_array_in_the_documented_order(k_surf, n_el):
+    # Each generator's random calls, its angles scaled, give bit for bit the
+    # values of one call per array in its documented order: Rayleigh inbound
+    # real, imaginary, outbound real, imaginary; mmWave outbound azimuth,
+    # elevation, gain real, imaginary, then the inbound four. A reordered or
+    # rescaled draw fails.
+    cfg = SystemConfig(k_surf, n_el)
+    links, paths = (k_surf, n_el), (k_surf, MMWAVE_PATHS)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        rayleigh = [rng.standard_normal(links) for _ in range(4)]
+        (got,) = channel_module._rayleigh_draws(cfg, np.random.default_rng(seed))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in rayleigh]
+        ch = gen_rayleigh(cfg, seed)
+        assert ch.inbound.tobytes() == ((rayleigh[0] + 1j * rayleigh[1]) / np.sqrt(2.0)).tobytes()
+        assert ch.outbound.tobytes() == ((rayleigh[2] + 1j * rayleigh[3]) / np.sqrt(2.0)).tobytes()
+        rng = np.random.default_rng(seed)
+        mmwave = [draw for shape in (paths, (k_surf,))
+                  for draw in (rng.uniform(0.0, 2.0 * np.pi, shape), rng.uniform(0.0, np.pi, shape),
+                               rng.standard_normal(shape), rng.standard_normal(shape))]
+        out_u, out_g, in_u, in_g = channel_module._mmwave_draws(cfg, np.random.default_rng(seed))
+        got = [*channel_module._angles(out_u, 2), *out_g, *channel_module._angles(in_u, 1), *in_g]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in mmwave]
 
 
 def test_mmwave_single_path_is_rank_one(monkeypatch):

@@ -190,6 +190,19 @@ def test_fim_rejects_non_finite_noise(noise_var):
         fim(offsets, vec, pilot, noise_var, CFG)
 
 
+@pytest.mark.parametrize("offsets, match", [(np.array([0.1, 0.2, 0.3]), "2 offsets"),
+                                            (np.array([0.1, 1.0]), "lie in"),
+                                            (np.array([-1.5, 0.2]), "lie in"),
+                                            (np.array([0.1, np.nan]), "lie in")])
+def test_crlb_rejects_offsets_it_cannot_bound(offsets, match):
+    # the lag-pilot matrix holds only the times an offset in (-1, 1) can
+    # reach, so the closed form checks the offsets as the dense route does
+    vec, pilot, _ = _instance(CFG, 6)
+    for bound in (crlb, crlb_from_fim):
+        with pytest.raises(ValueError, match=match):
+            bound(offsets, vec, pilot, 0.1, CFG)
+
+
 @pytest.mark.parametrize("noise_var", [0.0, -0.1, np.nan, np.inf])
 def test_crlb_rejects_nonpositive_or_non_finite_noise(noise_var):
     vec, pilot, offsets = _instance(CFG, 6)

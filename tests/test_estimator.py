@@ -52,13 +52,13 @@ def _instance(cfg, seed, offsets=None, noise_var=0.0):
 
 def _ls_channel(offsets, y, pilot, cfg):
     # least-squares channel at given offsets, through the sweeps' fit route
-    return _point(_fits(offsets, _pattern_correlation(y, cfg), y, pilot, cfg), ()).channel
+    return _point(_fits(offsets, _pattern_correlation(y, cfg), pilot, cfg), ()).channel
 
 
 def _common_offset(y, pilot, cfg):
     # the offset-synchronization-naive estimate as the sweeps form it: one
     # search over every element, then the least-squares fit
-    return _point(_estimate(_pattern_correlation(y, cfg), y, pilot, cfg, cfg.total_elements), ())
+    return _point(_estimate(_pattern_correlation(y, cfg), pilot, cfg, cfg.total_elements), ())
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +276,10 @@ def test_stacked_search_and_fit_match_the_one_shot_estimators(k_surf):
             searched = _search_offsets(z, pilot, cfg, group)
             assert searched.shape == (len(STACKED_VARS), k_surf)
             for p, y in enumerate(rows):
-                stacked = _point(_fits(searched[p], z[p], y, pilot, cfg), ())
+                stacked = _point(_fits(searched[p], z[p], pilot, cfg), ())
                 alone = estimate(y, pilot, cfg)
                 assert stacked.offsets.tobytes() == alone.offsets.tobytes()
                 assert stacked.channel.tobytes() == alone.channel.tobytes()
-                assert stacked.final_cost == alone.final_cost
 
 
 @pytest.mark.parametrize("k_surf", [1, 2, 4])
@@ -294,13 +293,12 @@ def test_stacked_fit_rows_are_the_one_point_fits(k_surf):
         z = _pattern_correlation(rows, cfg)
         for group in (cfg.n_elements, cfg.total_elements):
             searched = _search_offsets(z, pilot, cfg, group)
-            fits = _fits(searched, z, rows, pilot, cfg)
+            fits = _fits(searched, z, pilot, cfg)
             for p, y in enumerate(rows):
                 stacked = _point(fits, p)
-                alone = _point(_fits(searched[p], z[p], y, pilot, cfg), ())
+                alone = _point(_fits(searched[p], z[p], pilot, cfg), ())
                 assert stacked.offsets.tobytes() == alone.offsets.tobytes()
                 assert stacked.channel.tobytes() == alone.channel.tobytes()
-                assert stacked.final_cost == alone.final_cost
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def _route(name, bad):
         "simulate_training": lambda: simulate_training(ch, offsets, bad, 0.1, CFG, 0),
         "mle_alternating": lambda: mle_alternating(y, bad, CFG),
         "search": lambda: _search_offsets(z, bad, CFG, CFG.total_elements),
-        "fit": lambda: _fits(offsets, z, y, bad, CFG),
+        "fit": lambda: _fits(offsets, z, bad, CFG),
         "crlb": lambda: crlb_module.crlb(offsets, cascade(ch), bad, 0.1, CFG),
         "fim": lambda: crlb_module.fim(offsets, cascade(ch), bad, 0.1, CFG),
     }
@@ -577,11 +575,12 @@ def test_each_search_scores_zero_and_both_sides_of_every_jump(monkeypatch):
             scored = {row.tobytes() for row in table}
             assert all(rrc_impulse(times - x, pulse).tobytes() in scored for x in jumps)
             assert all(rows.shape == (searches, 21, times.size) for rows, _ in levels)
+            cost = residual_cost(res.offsets, y, pilot, CFG)
             for x in jumps:
                 for k in range(CFG.n_surfaces):
                     moved = np.full(CFG.n_surfaces, x) if searches == 1 else res.offsets.copy()
                     moved[k] = x
-                    assert res.final_cost <= residual_cost(moved, y, pilot, CFG) * (1 + 1e-12)
+                    assert cost <= residual_cost(moved, y, pilot, CFG) * (1 + 1e-12)
 
 
 def _reference_search(z, energy, pilot, cfg):
@@ -632,8 +631,9 @@ def test_search_is_never_worse_than_the_normalize_and_correlate_reference(k_surf
     # final spacing apart can differ by that much and no more.
     rounding = 1e-14 * float(np.vdot(y, y).real)
     for estimate, reference in ((mle_alternating, want), (_common_offset, common)):
-        oracle = _point(_fits(reference, z, y, pilot, cfg), ()).final_cost
-        assert estimate(y, pilot, cfg).final_cost <= oracle * (1 + 1e-12) + rounding
+        oracle = residual_cost(reference, y, pilot, cfg)
+        cost = residual_cost(estimate(y, pilot, cfg).offsets, y, pilot, cfg)
+        assert cost <= oracle * (1 + 1e-12) + rounding
 
 
 def test_mle_noiseless_exact_recovery():
@@ -652,7 +652,7 @@ def test_mle_single_surface_matches_exhaustive_search():
     costs = np.array([residual_cost(np.array([e]), y, pilot, cfg) for e in grid])
     best = grid[np.argmin(costs)]
     # the refined estimate must be at least as good as the best grid point
-    assert res.final_cost <= costs.min() + 1e-12 * (1 + costs.min())
+    assert residual_cost(res.offsets, y, pilot, cfg) <= costs.min() + 1e-12 * (1 + costs.min())
     assert abs(res.offsets[0] - best) < 1e-3 + 1e-5
 
 
@@ -673,7 +673,7 @@ def test_search_reaches_the_open_end_of_a_truncation_step():
         moved = np.tile(res.offsets, (grid.size, 1))
         moved[:, k] = grid
         best = min(residual_cost(e, y, trial.pilot, cfg) for e in moved)
-        assert res.final_cost <= best * (1 + 1e-12)
+        assert residual_cost(res.offsets, y, trial.pilot, cfg) <= best * (1 + 1e-12)
     assert 0.0 < res.offsets[0] < 1e-3
 
 
@@ -684,13 +684,13 @@ def test_common_offset_search_reaches_the_open_end_of_a_truncation_step(seed, ju
     # the point 1e-9 from the jump reaches it; the jump itself is worse.
     cfg = SystemConfig(2, 16)
     _, pilot, _, y = _instance(cfg, seed, noise_var=1e-3)
-    res, z = _common_offset(y, pilot, cfg), _pattern_correlation(y, cfg)
-    assert res.final_cost == pytest.approx(residual_cost(res.offsets, y, pilot, cfg), rel=1e-12)
+    res = _common_offset(y, pilot, cfg)
+    cost = residual_cost(res.offsets, y, pilot, cfg)
     grid = np.arange(-0.9995, 0.9996, 1e-3)
-    best = min(_point(_fits(np.full(2, x), z, y, pilot, cfg), ()).final_cost for x in grid)
-    assert res.final_cost <= best * (1 + 1e-12)
+    best = min(residual_cost(np.full(2, x), y, pilot, cfg) for x in grid)
+    assert cost <= best * (1 + 1e-12)
     assert 0.0 < abs(res.offsets[0] - jump) < 1e-3
-    assert residual_cost(np.full(2, jump), y, pilot, cfg) > res.final_cost
+    assert residual_cost(np.full(2, jump), y, pilot, cfg) > cost
 
 
 def test_mle_offsets_are_local_optimum_of_residual_cost():
@@ -699,7 +699,6 @@ def test_mle_offsets_are_local_optimum_of_residual_cost():
         ch, pilot, offsets, y = _instance(CFG, 100 + seed, noise_var=0.1)
         res = mle_alternating(y, pilot, CFG)
         cost = residual_cost(res.offsets, y, pilot, CFG)
-        assert res.final_cost == pytest.approx(cost, rel=1e-12)
         for k in range(CFG.n_surfaces):
             for shift in (-step, step):
                 moved = res.offsets.copy()
@@ -748,4 +747,5 @@ def test_common_offset_variant_ties_all_surfaces():
     ch2, tp2, offs2, y2 = _instance(CFG, 62, offsets=np.array([0.4, -0.4]))
     joint = mle_alternating(y2, tp2, CFG)
     shared = _common_offset(y2, tp2, CFG)
-    assert shared.final_cost >= joint.final_cost - 1e-12
+    assert (residual_cost(shared.offsets, y2, tp2, CFG)
+            >= residual_cost(joint.offsets, y2, tp2, CFG) - 1e-12)

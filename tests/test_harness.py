@@ -4,6 +4,7 @@ import pytest
 
 import rissync.estimator as estimator
 import rissync.harness as harness
+import rissync.pulse as pulse
 from rissync.channel import cascade
 from rissync.errors import FailureRateError, SingularSystemError
 from rissync.estimator import EstimationResult, gen_training
@@ -329,9 +330,7 @@ def test_convergence_on_a_grid_uses_the_first_point_listed():
 
 
 def _fake_estimate(n_surfaces, n_total):
-    return EstimationResult(
-        offsets=np.zeros(n_surfaces), channel=np.ones(n_total, dtype=complex),
-        final_cost=0.0)
+    return EstimationResult(offsets=np.zeros(n_surfaces), channel=np.ones(n_total, dtype=complex))
 
 
 def test_exclusion_rate_above_limit_aborts(monkeypatch):
@@ -486,21 +485,21 @@ def test_fits_make_one_steering_evaluation_per_offset_set_per_trial(monkeypatch,
     # Every point's fit at one set of searched offsets (joint, and for async
     # the common one) comes from one steering evaluation of the stacked
     # offsets; the others are the simulation's, one per trial at its true
-    # offsets, and for estimation the bound's, one for the block at the
-    # stacked true offsets of its trials.
+    # offsets. The estimation sweep's bound makes none: its filtered pilots
+    # come from the lag-pilot matrix. Every steering matrix and derivative,
+    # whichever module asks for it, is a ``pulse._shifted`` evaluation.
     stacked, single = [], []
-    steering = estimator.steering_matrix
+    shifted = pulse._shifted
 
-    def counting(offsets, pulse_cfg):
+    def counting(pulse_fn, offsets, pulse_cfg):
         (stacked if np.ndim(offsets) == 2 else single).append(np.shape(offsets))
-        return steering(offsets, pulse_cfg)
+        return shifted(pulse_fn, offsets, pulse_cfg)
 
-    monkeypatch.setattr(estimator, "steering_matrix", counting)
+    monkeypatch.setattr(pulse, "_shifted", counting)
     grid = (0.0, 20.0)
     runner(ExperimentSpec(snr_grid_db=grid, **TINY))
-    bound = [(TINY["trials"], TINY["n_surfaces"])] if runner is run_estimation_sweep else []
     fits = [(len(grid), TINY["n_surfaces"])] * (sets * TINY["trials"])
-    assert sorted(stacked) == sorted(fits + bound)
+    assert sorted(stacked) == sorted(fits)
     assert len(single) == TINY["trials"]
 
 

@@ -78,6 +78,10 @@ SPECS = {
     "crlb-mmwave-blocks": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4",
                            "--nx", "4", "--ny", "4", "--offset-model", "common-delta",
                            "--snr-db", "0,20", "--trials", "70"],
+    # N*K = 1024 over 40 trials, two blocks: the factored mmWave draw and the
+    # stacked bound at the largest size any spec reaches
+    "crlb-mmwave-16x16": ["--kind", "crlb", "--scenario", "mmwave", "--surfaces", "4",
+                          "--nx", "16", "--ny", "16", "--snr-db", "0,20", "--trials", "40"],
     "crlb-grid": ["--kind", "crlb", "--surfaces", "2", "--nx", "4", "--ny", "2",
                   "--snr-db=-10,0,5,10,15,20,25,30,40", "--trials", "200", "--seed", "1"],
     "async-mmwave": ["--kind", "async", "--scenario", "mmwave", "--surfaces", "3", "--nx", "2",
