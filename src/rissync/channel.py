@@ -77,7 +77,9 @@ def _rows(draw: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _std_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return (re + 1j * im) / np.sqrt(2.0)
+    out = re + 1j * im
+    out /= np.sqrt(2.0)
+    return out
 
 
 def _axis_factors(azimuth, elevation, n_elements: int, n_x: int) -> tuple:

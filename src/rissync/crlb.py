@@ -44,14 +44,6 @@ __all__ = [
 ]
 
 
-def _diag(values: np.ndarray) -> np.ndarray:
-    """``np.diag`` of each row of a stack: (..., n) -> (..., n, n)."""
-    n = values.shape[-1]
-    out = np.zeros((*values.shape[:-1], n * n), dtype=values.dtype)
-    out[..., ::n + 1] = values
-    return out.reshape(*values.shape, n)
-
-
 @dataclass(frozen=True)
 class CrlbResult:
     """Lower bounds on estimator error covariance, for one trial or a stack
@@ -75,8 +67,8 @@ class CrlbResult:
     def channel_cov(self) -> np.ndarray:
         reaction = block_gains(self.channel_factor.reshape(*self.channel_diag.shape),
                                self.channel_factor.shape[-2])
-        return _diag(self.channel_diag) + (self.noise_var / 2.0) * (
-            np.swapaxes(reaction, -1, -2) @ reaction.conj())
+        diagonal = self.channel_diag[..., None] * np.eye(self.channel_diag.shape[-1])
+        return diagonal + (self.noise_var / 2.0) * (np.swapaxes(reaction, -1, -2) @ reaction.conj())
 
     @property
     def channel_trace(self) -> np.ndarray:
@@ -178,7 +170,8 @@ def crlb(offsets, channel: np.ndarray, tp: np.ndarray, noise_var: float,
     info = (np.sum(gram.reshape(h.shape) * np.abs(h) ** 2, axis=-1)
             * (np.sum(np.abs(slopes) ** 2, axis=-1) / pilot_energy - np.abs(c) ** 2))
     _check_spread(info, "profiled timing information (unidentifiable configuration)")
-    return CrlbResult(timing_cov=_diag(noise_var / (2.0 * info)), channel_diag=noise_var / gram,
+    return CrlbResult(timing_cov=(noise_var / (2.0 * info))[..., None] * np.eye(cfg.n_surfaces),
+                      channel_diag=noise_var / gram,
                       channel_factor=c[..., None] * h / np.sqrt(info)[..., None],
                       noise_var=noise_var)
 

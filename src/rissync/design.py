@@ -23,10 +23,12 @@ squared-extrapolation accelerator with step backtracking, which speeds up
 the fixed-point iteration without giving up monotone progress. The loop's
 state is the surrogate anchor at the current iterate: one Wiener solve gives
 its captured energy and the next surrogate, so each iterate is solved once.
+The sync-naive baseline's equalizer (all K offsets at their mean, so one A)
+is a closed form on the belief problem's offset-free parts, already checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -282,21 +284,19 @@ def mse_compact(theta, equalizer: np.ndarray, problem: DesignProblem) -> float:
     return quad - 2.0 * cross + problem.window_energy
 
 
-def _concentrated_pieces(theta, problem: DesignProblem):
-    """Shared core: moment rows and the Wiener solve.
-
-    Returns (rows, solved, recovered) where ``solved`` is the normal-matrix
-    solve against the target and ``recovered`` the energy the best equalizer
-    captures. The normal matrix is a PSD phase part plus ``noise_cov``, so its
-    cond is at most trace(normal) / noise_floor; only when that bound fails to
-    clear COND_LIMIT / SAFETY does an SVD decide whether it is too
-    ill-conditioned (SingularSystemError with the exact cond).
-    """
-    rows, normal, target = _response(theta, problem)
-    floor = problem.noise_floor
+def _wiener(normal: np.ndarray, target: np.ndarray, floor: float) -> np.ndarray:
+    """Solve ``normal`` against ``target`` behind the cond gate of ``SAFETY``,
+    whose SVD raises SingularSystemError with the exact cond."""
     if not (floor > 0.0 and np.trace(normal).real <= COND_LIMIT / SAFETY * floor):
         _check_spread(np.linalg.svd(normal, compute_uv=False), "equalizer normal matrix")
-    solved = np.linalg.solve(normal, target)
+    return np.linalg.solve(normal, target)
+
+
+def _concentrated_pieces(theta, problem: DesignProblem):
+    """Shared core: (rows, solved, recovered), the moment rows, the Wiener
+    solve (``_wiener``) and the energy the best equalizer captures."""
+    rows, normal, target = _response(theta, problem)
+    solved = _wiener(normal, target, problem.noise_floor)
     recovered = float(np.vdot(target, solved).real)
     return rows, solved, recovered
 
@@ -437,18 +437,25 @@ def design_accelerated(problem: DesignProblem) -> DesignResult:
     )
 
 
-def design_phase_aligned(inputs: DesignInputs,
+def design_phase_aligned(problem: DesignProblem, offsets,
                          cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Synchronization-naive baseline: cancel the estimated channel phases.
 
-    Returns ``(theta, equalizer)``. Each element conjugates its estimated
-    cascaded gain; the equalizer is the Wiener solution computed as if all
-    surfaces shared one timing offset (the mean of the estimates), which is
-    all a receiver ignoring asynchrony can do.
+    Returns ``(theta, equalizer)``: each element conjugates its estimated
+    gain, and the equalizer is the Wiener solution with every offset at the
+    mean of ``offsets`` (one per surface, else ValueError). All steering
+    matrices are then one A: the normal matrix is (theta^T M theta^*) A A^H
+    plus the noise, the target (theta . h) A W^H, both from offset-free parts
+    of the belief ``problem``, which were checked when it was built.
     """
-    theta = np.exp(-1j * np.angle(inputs.channel))
-    common = np.full(inputs.offsets.size, float(np.mean(inputs.offsets)))
-    return theta, mmse_equalizer(theta, build_problem(replace(inputs, offsets=common), cfg))
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.shape != problem.steer_products.shape[:1]:
+        raise ValueError(f"expected {problem.steer_products.shape[0]} offsets, got {offsets.shape}")
+    theta = np.exp(-1j * np.angle(problem.channel))
+    steer = steering_matrix(np.mean(offsets), cfg.pulse)       # (S, L), real like W
+    normal = (theta @ problem.moment @ theta.conj()).real * (steer @ steer.T) + problem.noise_cov
+    target = (theta @ problem.channel) * (steer @ problem.window.T)
+    return theta, _wiener(normal, target, problem.noise_floor).conj().T
 
 
 def random_phases(n: int, seed) -> np.ndarray:

@@ -90,7 +90,7 @@ _STREAM_NAMES = ("channel", "offsets", "pilot", "noise", "design")
 # in one 2.0 ms call, against 8.9 ms for 25 single calls (medians over 20
 # fresh processes, one core). 32 bounds such a round in one call. At
 # N*K = 1024 a block's draws hold 1.6 MB; drawing an mmWave one peaks at
-# 2.5 MB (Rayleigh: 4.0 MB).
+# 2.3 MB (Rayleigh: 2.8 MB).
 _BLOCK = 32
 
 
@@ -219,6 +219,7 @@ class _Block:
                  _offset_draws(spec, _stream(seed, t, "offsets")),
                  _pilot_draws(cfg, _stream(seed, t, "pilot"))) for t in trials]
         *channel, offsets, quadrants = map(np.array, zip(*rows))
+        del rows  # the per-trial draws, now stacked: not held while the links are mapped
         self.links = (_rayleigh_links(*channel) if rayleigh
                       else _mmwave_links(cfg.n_elements, spec.n_x, *channel))
         self.offsets = np.clip(offsets, -_OFFSET_EDGE, _OFFSET_EDGE)
@@ -274,26 +275,26 @@ class _Trial:
         return traces
 
     @cached_property
-    def training(self) -> tuple:
-        """The training blocks at the sweep's noise variances, one row per
-        point (one noise draw, scaled per point), and their correlations
-        ``Z``: one simulation and one transform over every point."""
+    def training(self) -> np.ndarray:
+        """The training blocks' correlations ``Z`` at the sweep's noise
+        variances, one row per point (one noise draw, scaled per point): one
+        simulation and one transform over every point, the blocks not kept."""
         links = ChannelSet(self.block.links.inbound[self.row], self.block.links.outbound[self.row])
         obs = simulate_training(links, self.offsets, self.pilot, np.array(self.noise_vars),
                                 self.cfg, self.stream("noise"))
-        return obs, _pattern_correlation(obs, self.cfg)
+        return _pattern_correlation(obs, self.cfg)
 
     @cached_property
     def joint(self) -> tuple:
         """Every point's joint estimate, one offset searched per surface, as
         stacked fits (row ``p`` is point ``p``'s)."""
-        return _estimate(self.training[1], self.pilot, self.cfg, self.cfg.n_elements)
+        return _estimate(self.training, self.pilot, self.cfg, self.cfg.n_elements)
 
     @cached_property
     def naive(self) -> tuple:
         """Every point's offset-synchronization-naive estimate, one offset
         searched over all surfaces' elements and shared, as stacked fits."""
-        return _estimate(self.training[1], self.pilot, self.cfg, self.cfg.total_elements)
+        return _estimate(self.training, self.pilot, self.cfg, self.cfg.total_elements)
 
 
 def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
@@ -403,7 +404,7 @@ def _score_design(trial: _Trial, p: int) -> dict:
     energy = true_problem.window_energy
 
     tuned = design_accelerated(belief_problem)
-    aligned_theta, aligned_eq = design_phase_aligned(believed, cfg)
+    aligned_theta, aligned_eq = design_phase_aligned(belief_problem, believed.offsets, cfg)
     genie = design_accelerated(true_problem)  # perfect knowledge of offsets and channel
     scrambled = random_phases(cfg.total_elements, trial.stream("design"))
     scrambled_eq = mmse_equalizer(scrambled, belief_problem)

@@ -1,4 +1,6 @@
 """Tests for the reflection-pattern and equalizer design module."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,7 @@ def test_singular_normal_matrix_raises_through_the_svd(noise_var, monkeypatch):
 def test_bench_design_trial_needs_no_exact_gate(monkeypatch):
     """At the benchmark's design geometry every gate passes by certificate:
     no SVD of a normal matrix and no eigvalsh of an NK x NK covariance; the
-    only eigvalsh calls are the three problems' S x S noise floors."""
+    only eigvalsh calls are the two problems' S x S noise floors."""
     spec = harness.ExperimentSpec(n_surfaces=2, n_x=8, n_y=4, offset_model="common-delta",
                                   delta_max=0.3, snr_grid_db=(10.0,), trials=1, base_seed=0)
     cfg = spec.system_config()
@@ -143,7 +145,26 @@ def test_bench_design_trial_needs_no_exact_gate(monkeypatch):
     scores = harness._score_design(trial, 0)
     assert all(np.isfinite(v) for v in scores.values())
     assert svd_shapes == []
-    assert eig_shapes == [(cfg.pulse.n_samples,) * 2] * 3
+    assert eig_shapes == [(cfg.pulse.n_samples,) * 2] * 2
+
+
+def test_design_trial_builds_the_belief_and_the_truth_problems_only(monkeypatch):
+    """The phase-aligned baseline reads the belief problem: a trial builds two."""
+    spec = harness.ExperimentSpec(n_surfaces=3, n_x=2, n_y=1, snr_grid_db=(0.0, 20.0),
+                                  trials=1, base_seed=5)
+    trial = harness._draw_trial(spec, spec.system_config(), 0)
+    built = []
+
+    def counted(inputs, cfg):
+        built.append(inputs)
+        return build_problem(inputs, cfg)
+
+    monkeypatch.setattr(harness, "build_problem", counted)
+    for p in range(len(spec.snr_grid_db)):
+        built.clear()
+        harness._score_design(trial, p)
+        assert len(built) == 2
+        np.testing.assert_array_equal(built[1].offsets, trial.offsets)
 
 
 def _relative_gap(actual, expected):
@@ -468,20 +489,84 @@ def test_design_loop_returns_its_last_point(max_iters, monkeypatch):
         assert not result.converged
 
 
+def _normwise_gap(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
+
+
 def test_phase_aligned_baseline_shape_and_single_surface_degeneracy():
     cfg, inputs = _instance(19, k=1, n=4, noise_var=0.5, cov_scale=0.01)
-    theta, equalizer = design_phase_aligned(inputs, cfg)
+    problem = build_problem(inputs, cfg)
+    theta, equalizer = design_phase_aligned(problem, inputs.offsets, cfg)
     assert np.abs(np.abs(theta) - 1.0).max() <= 1e-14
     np.testing.assert_allclose(theta, np.exp(-1j * np.angle(inputs.channel)))
     # one surface means no asynchrony to exploit: the mean offset is the
     # offset, so the equalizer is the belief problem's Wiener solution, and
     # the baseline should be close to the optimized design
-    problem = build_problem(inputs, cfg)
-    np.testing.assert_allclose(equalizer, mmse_equalizer(theta, problem), rtol=1e-12)
+    assert _normwise_gap(equalizer, mmse_equalizer(theta, problem)) <= 1e-12
     tuned = design_accelerated(problem)
     base_mse = mse_compact(theta, equalizer, problem)
     assert base_mse <= 1.01 * tuned.objective_trace[-1]
     assert tuned.objective_trace[-1] <= base_mse + 1e-9 * (1.0 + abs(base_mse))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_phase_aligned_closed_form_is_the_common_offset_problem_solve(k, monkeypatch):
+    """The closed form equals the general route it replaces: the Wiener solve
+    of a problem built with every offset at the mean of the estimates. The
+    closed form itself builds no problem, no inputs and no phase response."""
+    for seed in range(4):
+        cfg, inputs = _instance(1600 + 10 * k + seed, k=k, n=1 + seed)
+        problem = build_problem(inputs, cfg)
+        common = np.full(k, float(np.mean(inputs.offsets)))
+        theta = np.exp(-1j * np.angle(inputs.channel))
+        expected = mmse_equalizer(theta, build_problem(replace(inputs, offsets=common), cfg))
+        with monkeypatch.context() as patch:
+            for name in ("build_problem", "_response"):
+                patch.setattr(design_module, name, None)
+            patch.setattr(DesignInputs, "__post_init__", None)
+            aligned_theta, equalizer = design_phase_aligned(problem, inputs.offsets, cfg)
+        np.testing.assert_array_equal(aligned_theta, theta)
+        assert _normwise_gap(equalizer, expected) <= 1e-10
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 1e-20])
+def test_phase_aligned_singular_normal_matrix_raises_with_its_cond(noise_var, monkeypatch):
+    """The common-offset phase part q A A^H has rank at most L < S, so with no
+    or negligible noise the shared Wiener gate rejects it through the SVD, and
+    the error carries the exact cond of the matrix it checked."""
+    cfg = SystemConfig(n_surfaces=2, n_elements=2)
+    inputs = DesignInputs(offsets=np.array([0.3, -0.1]),
+                          channel=_cgauss(np.random.default_rng(8), 4),
+                          channel_cov=np.zeros((4, 4)),
+                          noise_cov=noise_var * np.eye(cfg.pulse.n_samples))
+    problem = build_problem(inputs, cfg)
+    checked = []
+    original = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        checked.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    with pytest.raises(SingularSystemError) as err:
+        design_phase_aligned(problem, inputs.offsets, cfg)
+    assert len(checked) == 1 and checked[0].shape == (cfg.pulse.n_samples,) * 2
+    values = original(checked[0], compute_uv=False)
+    cond = values.max() / values.min() if values.min() > 0 else np.inf
+    assert not cond <= design_module.COND_LIMIT
+    assert err.value.cond == cond
+    assert str(err.value).startswith("equalizer normal matrix: ")
+    # with no channel uncertainty theta^T M theta^* is (theta . h)^2 = (sum |h|)^2
+    steer = steering_matrix(np.mean(inputs.offsets), cfg.pulse)
+    quad = np.sum(np.abs(inputs.channel)) ** 2
+    assert _normwise_gap(checked[0], quad * steer @ steer.T + inputs.noise_cov) <= 1e-12
+
+
+@pytest.mark.parametrize("offsets", [np.zeros(1), np.zeros(3), np.zeros((2, 1)), 0.0])
+def test_phase_aligned_needs_one_offset_per_surface(offsets):
+    cfg, inputs = _instance(1700, k=2, n=2)
+    with pytest.raises(ValueError, match="expected 2 offsets"):
+        design_phase_aligned(build_problem(inputs, cfg), offsets, cfg)
 
 
 def test_random_phases_unit_and_deterministic():

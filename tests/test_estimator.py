@@ -667,7 +667,12 @@ def test_search_reaches_the_open_end_of_a_truncation_step():
     spec = harness.ExperimentSpec(n_surfaces=2, n_x=2, n_y=1, trials=3, base_seed=42)
     cfg = spec.system_config()
     trial = harness._draw_trial(spec, cfg, 2)
-    y, res = trial.training[0][0], _point(trial.joint, 0)  # 0 dB
+    links = ChannelSet(trial.block.links.inbound[0], trial.block.links.outbound[0])
+    obs = simulate_training(links, trial.offsets, trial.pilot, np.array(trial.noise_vars), cfg,
+                            trial.stream("noise"))
+    # the sweep's own observation: its correlations are the trial's
+    np.testing.assert_array_equal(_pattern_correlation(obs, cfg), trial.training)
+    y, res = obs[0], _point(trial.joint, 0)  # 0 dB
     grid = np.arange(-0.9995, 0.9996, 1e-3)
     for k in range(cfg.n_surfaces):
         moved = np.tile(res.offsets, (grid.size, 1))

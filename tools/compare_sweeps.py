@@ -105,6 +105,11 @@ SPECS = {
     "design-k4-8x8": ["--kind", "design", "--surfaces", "4", "--nx", "8", "--ny", "8",
                       "--offset-model", "common-delta", "--delta-max", "0.3", "--snr-db", "10",
                       "--trials", "8", "--seed", "77"],
+    # N*K = 1024, trial 0 only (trial 1 alone runs about ten times longer):
+    # the design trial at the largest size any spec reaches
+    "design-k4-16x16": ["--kind", "design", "--surfaces", "4", "--nx", "16", "--ny", "16",
+                        "--offset-model", "common-delta", "--delta-max", "0.3",
+                        "--snr-db", "10", "--trials", "1", "--seed", "0"],
     "config-example": ["--config", "configs/example.cfg", "--trials", "3"],
 }
 
