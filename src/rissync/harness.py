@@ -28,10 +28,10 @@ the dense channel bound. If that call finds some row ill-conditioned, the
 block's trials are bounded one at a time, so only the failing trial is
 excluded, at every point.
 
-Reported metrics are normalized mean-squared errors. For estimates the
-normalizer is that trial's own squared true-parameter norm; for the matching
-error-bound traces it is the empirical mean of those norms over the point's
-included trials.
+Every reported metric is the mean, over a point's included trials, of one
+per-trial value: an error and its bound's trace are both divided by that
+trial's own squared true norm, |h|^2 or |eps|^2, so their rows compare like
+with like. Timing keeps this rule although its ratios are heavy-tailed (README).
 """
 from __future__ import annotations
 
@@ -199,9 +199,8 @@ def _aggregate(snr_db: float, metric: str, vals: np.ndarray, excluded: int) -> S
                     stderr=stderr, trials=int(vals.size), excluded=excluded)
 
 
-# Bound metrics -> the per-trial norm their sweep mean is divided by.
-_BOUND_NORMS = {"channel_crlb": "channel_norm", "timing_crlb": "timing_norm"}
-_ESTIMATION_METRICS = ("channel_nmse", "timing_nmse", *_BOUND_NORMS)
+_BOUND_METRICS = ("channel_crlb", "timing_crlb")
+_ESTIMATION_METRICS = ("channel_nmse", "timing_nmse", *_BOUND_METRICS)
 _ASYNC_METRICS = ("channel_nmse", "channel_nmse_sync_naive")
 _DESIGN_METRICS = ("nmse_proposed", "nmse_phase_aligned", "nmse_perfect", "nmse_random")
 
@@ -330,8 +329,6 @@ def _sweep(spec: ExperimentSpec, score, metrics) -> list:
         excluded = spec.trials - len(results)
         for metric in metrics:
             values = np.array([r[metric] for r in results], dtype=float)
-            if metric in _BOUND_NORMS:
-                values = values / np.mean([r[_BOUND_NORMS[metric]] for r in results])
             rows.append(_aggregate(snr_db, metric, values, excluded))
     return rows
 
@@ -354,8 +351,8 @@ def _channel_nmse(estimate: np.ndarray, trial: _Trial) -> float:
 def _score_bounds(trial: _Trial, p: int) -> dict:
     channel_trace, timing_trace = trial.unit_bound_traces
     var = trial.noise_vars[p]
-    return {"channel_crlb": var * channel_trace, "timing_crlb": var * timing_trace,
-            "channel_norm": trial.channel_norm, "timing_norm": trial.timing_norm}
+    return {"channel_crlb": var * channel_trace / trial.channel_norm,
+            "timing_crlb": var * timing_trace / trial.timing_norm}
 
 
 def _score_estimation(trial: _Trial, p: int) -> dict:
@@ -434,7 +431,7 @@ def run_estimation_sweep(spec: ExperimentSpec) -> list:
 
 def run_crlb_sweep(spec: ExperimentSpec) -> list:
     """Bound curves only — no estimator, so it is fast at any SNR."""
-    return _sweep(spec, _score_bounds, tuple(_BOUND_NORMS))
+    return _sweep(spec, _score_bounds, _BOUND_METRICS)
 
 
 def run_async_impact(spec: ExperimentSpec) -> list:

@@ -698,6 +698,33 @@ def test_common_offset_search_reaches_the_open_end_of_a_truncation_step(seed, ju
     assert residual_cost(np.full(2, jump), y, pilot, cfg) > cost
 
 
+@pytest.mark.parametrize("scenario, n_surfaces", [("rayleigh", 2), ("mmwave", 4)])
+def test_search_is_global_in_the_threshold_region(scenario, n_surfaces):
+    # From -30 to -10 dB the captured energy is multimodal in the offset, and
+    # the estimator's excess over its bound there is ML threshold behaviour
+    # only if the search still finds the global maximum. Each searched group
+    # of the sweep's own trials (one per surface, and the one shared offset)
+    # must capture at least the maximum over a dense grid: 20,001 offsets in
+    # (-1, 1), spaced 1e-4, plus each truncation jump and 1e-9 either side.
+    spec = harness.ExperimentSpec(scenario=scenario, n_surfaces=n_surfaces, n_x=4, n_y=4,
+                                  snr_grid_db=(-30.0, -20.0, -10.0), trials=16, base_seed=11)
+    cfg = spec.system_config()
+    pulse = cfg.pulse
+    jumps = np.arange(1.0 - pulse.oversampling, pulse.oversampling) / pulse.oversampling
+    dense = np.concatenate([np.linspace(-1.0, 1.0, 20003)[1:-1],
+                            (jumps[:, None] + [-1e-9, 0.0, 1e-9]).reshape(-1)])
+    times = lag_pilot_matrix(np.zeros(pulse.seq_len), pulse)[0]
+    rows = rrc_impulse(times - dense[:, None], pulse)
+    for index in range(spec.trials):
+        trial = harness._draw_trial(spec, cfg, index)
+        for fits, group in ((trial.joint, cfg.n_elements), (trial.naive, cfg.total_elements)):
+            _, p, q = _forms(trial.training, trial.pilot, cfg, group)
+            searched = fits[0][..., ::group // cfg.n_elements].reshape(-1)
+            found = _quotient(rrc_impulse(times - searched[:, None], pulse)[:, None], p, q)[:, 0]
+            for g in range(p.shape[0]):
+                assert found[g] >= _quotient(rows, p[g], q).max() * (1.0 - 1e-9)
+
+
 def test_mle_offsets_are_local_optimum_of_residual_cost():
     step = 1e-4
     for seed in range(20):

@@ -6,6 +6,7 @@ import rissync.estimator as estimator
 import rissync.harness as harness
 import rissync.pulse as pulse
 from rissync.channel import cascade
+from rissync.crlb import crlb
 from rissync.errors import FailureRateError, SingularSystemError
 from rissync.estimator import EstimationResult, gen_training
 from rissync.harness import (
@@ -192,6 +193,26 @@ def test_estimation_tracks_bound_at_high_snr():
     assert 0.5 < ratio < 4.0
 
 
+def test_channel_estimate_meets_its_bound_row_in_the_linear_regime():
+    # At 10 dB the joint ML channel estimate is efficient, so the sweep's
+    # own channel_nmse / channel_crlb lies within 3 standard errors of 1.
+    # Both rows are means of paired per-trial values x_i and b_i, so the
+    # ratio's standard error is the delta method's for a ratio of means:
+    # sd(x_i - ratio * b_i) / (sqrt(n) * mean(b)).
+    spec = ExperimentSpec(n_surfaces=2, n_x=4, n_y=4, snr_grid_db=(10.0,), trials=200,
+                          base_seed=0)
+    cfg = spec.system_config()
+    rows = {r.metric: r.mean for r in run_estimation_sweep(spec)}
+    scores = [harness._score_estimation(harness._draw_trial(spec, cfg, t), 0)
+              for t in range(spec.trials)]
+    x, b = (np.array([s[metric] for s in scores]) for metric in ("channel_nmse", "channel_crlb"))
+    ratio = rows["channel_nmse"] / rows["channel_crlb"]
+    stderr = np.std(x - ratio * b, ddof=1) / (np.sqrt(spec.trials) * b.mean())
+    assert abs(ratio - 1.0) <= 3.0 * stderr
+    assert rows["channel_nmse"] == pytest.approx(x.mean(), rel=1e-12)
+    assert rows["channel_crlb"] == pytest.approx(b.mean(), rel=1e-12)
+
+
 def test_mmwave_scenario_runs():
     spec = ExperimentSpec(scenario="mmwave", n_surfaces=2, n_x=2, n_y=2,
                           snr_grid_db=(20.0,), trials=2, base_seed=0)
@@ -218,6 +239,27 @@ def test_crlb_sweep_matches_estimation_sweep_bounds():
     for metric in ("channel_crlb", "timing_crlb"):
         assert bound_only[metric].mean == full[metric].mean
         assert bound_only[metric].stderr == full[metric].stderr
+
+
+def test_crlb_rows_are_means_of_per_trial_bounds_over_their_own_norms():
+    # A bound row takes its estimate row's normalization: the mean over
+    # trials of var * trace_i / norm_i, with each trial bounded alone.
+    spec = ExperimentSpec(snr_grid_db=(0.0, 10.0), **{**TINY, "trials": 6})
+    cfg = spec.system_config()
+    rows = {(r.snr_db, r.metric): r for r in run_crlb_sweep(spec)}
+    trials = [harness._draw_trial(spec, cfg, t) for t in range(spec.trials)]
+    for snr_db in spec.snr_grid_db:
+        bounds = [crlb(t.offsets, t.gains, t.pilot, 10.0 ** (-snr_db / 10.0), cfg) for t in trials]
+        per_trial = {
+            "channel_crlb": [b.channel_trace / np.sum(np.abs(t.gains) ** 2)
+                             for b, t in zip(bounds, trials)],
+            "timing_crlb": [b.timing_trace / np.sum(t.offsets ** 2) for b, t in zip(bounds, trials)],
+        }
+        for metric, values in per_trial.items():
+            row = rows[(snr_db, metric)]
+            assert row.mean == pytest.approx(np.mean(values), rel=1e-12)
+            assert row.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(spec.trials),
+                                               rel=1e-9)
 
 
 # --------------------------------------------------------------- async

@@ -60,6 +60,10 @@ SPECS = {
                                    "--seed", "9"],
     "estimation-grid9": ["--kind", "estimation", "--surfaces", "2", "--nx", "2", "--ny", "1",
                          "--snr-db=-10,0,5,10,15,20,25,30,40", "--trials", "5"],
+    # the ML threshold region: at K=2, 4x4 the estimate rows leave their
+    # bound rows below about -20 dB (README, Metrics)
+    "estimation-threshold": ["--kind", "estimation", "--surfaces", "2", "--nx", "4", "--ny", "4",
+                             "--snr-db=-30,-20,-10,0", "--trials", "20"],
     "estimation-k1": ["--kind", "estimation", "--surfaces", "1", "--nx", "4", "--ny", "2",
                       "--snr-db", "10", "--trials", "3"],
     # N*K = 13, a prime: the training's FFTs take numpy's Bluestein path
