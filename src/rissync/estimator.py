@@ -28,7 +28,7 @@ scores both sides of each jump.
 Observations stack on leading axes: given a 1-D array of noise variances,
 ``simulate_training`` returns one row per variance from one noise draw, and
 ``Z``, the search and the least-squares fit (``_fits``) serve every row in
-one pass; a row's conditioning is checked when it is taken (``_point``).
+one pass, and ``_excess`` checks each row's conditioning.
 ``_estimate`` is the one route from ``Z`` to fits, a search and then a fit
 at its offsets: ``mle_alternating`` takes it with one search per surface,
 and the sweeps take it for every point of a trial at once.
@@ -172,17 +172,22 @@ def simulate_training(ch: ChannelSet, offsets, pilot: np.ndarray, noise_var,
     return np.where(scale > 0.0, clean + scale * noise, clean)
 
 
-def _check_spread(values: np.ndarray, what: str) -> None:
-    """Raise SingularSystemError unless ``values``, a matrix's singular values or
-    positive diagonal (one per row of a stack, on the last axis), are positive
-    with max/min (its cond) <= COND_LIMIT in every row; the error carries the
-    worst row's cond. In ``design`` it is reached only when the cheap cond
-    bound on the equalizer normal matrix fails, so the SVD it needs runs only
-    then."""
+def _excess(values: np.ndarray) -> np.ndarray:
+    """Per row of ``values`` (singular values or a positive diagonal, one row
+    per matrix of a stack, on the last axis): NaN where its cond max/min is
+    <= COND_LIMIT, else that cond, inf unless all are positive and finite."""
     low = values.min(axis=-1)
-    cond = (values.max(axis=-1) / low).max() if (low > 0).all() else np.inf
-    if not cond <= COND_LIMIT:
-        raise SingularSystemError(what, float(cond))
+    usable = (low > 0) & (low < np.inf)  # inf / inf would read NaN: a pass
+    cond = np.where(usable, values.max(axis=-1), np.inf) / np.where(usable, low, 1.0)
+    return np.where(cond <= COND_LIMIT, np.nan, cond)
+
+
+def _check_spread(values: np.ndarray, what: str) -> None:
+    """Raise SingularSystemError, with the worst row's cond, unless every row
+    of ``values`` passes :func:`_excess`."""
+    excess = _excess(values)
+    if not np.isnan(excess).all():
+        raise SingularSystemError(what, float(np.nanmax(excess)))
 
 
 def _observation(y, cfg: SystemConfig) -> np.ndarray:

@@ -9,10 +9,11 @@ therefore simulated and correlated together, and each estimate a scorer
 needs (the joint one, and for the asynchrony study the one shared offset)
 is one timing search and one stacked least-squares fit over every point and
 surface, through the estimator's one route (``estimator._estimate``).
-Scorers take a point by its index ``p`` in the grid and row ``p`` of those
-fits (``estimator._point``), checked there alone. A trial that dies in an
-ill-conditioned linear solve is excluded at that point and counted; an
-exclusion rate above one percent aborts the run.
+A scorer takes one trial and returns its record ``(values, conds)`` for the
+grid: ``values`` maps each metric, in the rows' order, to its value at every
+point, and ``conds`` holds per point NaN, or the cond of the ill-conditioned
+solve that excludes the trial there. An exclusion rate above one percent at
+some point aborts the run.
 
 Trials are drawn in blocks of ``_BLOCK`` and scored in order, so a sweep
 holds one block's draws: arrays with one row per trial (``_Block``). Per
@@ -21,12 +22,12 @@ trial only the random calls run, on its channel, offsets and pilot streams
 bytes of its trial drawn alone. A trial (``_Trial``) is a row, whose noise
 and design streams are built when its scorer reads them. The bounds are
 exactly proportional to the noise variance, so each trial's are evaluated
-once at unit variance and scaled: when a scorer first reads a trial's bound
-traces, the block's arrays are bounded in one stacked ``crlb`` call, whose
+once at unit variance and scaled: when a scorer first reads a trial's
+bounds, the block's arrays are bounded in one stacked ``crlb`` call, whose
 traces come from the bound's diagonal and per-surface parts without forming
 the dense channel bound. If that call finds some row ill-conditioned, the
 block's trials are bounded one at a time, so only the failing trial is
-excluded, at every point.
+excluded, at every point, with the cond its bound raised.
 
 Every reported metric is the mean, over a point's included trials, of one
 per-trial value: an error and its bound's trace are both divided by that
@@ -59,8 +60,8 @@ from .design import (
     white_noise_cov,
 )
 from .errors import FailureRateError, SingularSystemError
-from .estimator import (_estimate, _pattern_correlation, _pilot_draws, _point, _qpsk,
-                        simulate_training)
+from .estimator import (_estimate, _excess, _pattern_correlation, _pilot_draws, _point,
+                        _qpsk, simulate_training)
 from .pulse import _OFFSET_EDGE
 
 __all__ = [
@@ -199,9 +200,6 @@ def _aggregate(snr_db: float, metric: str, vals: np.ndarray, excluded: int) -> S
                     stderr=stderr, trials=int(vals.size), excluded=excluded)
 
 
-_BOUND_METRICS = ("channel_crlb", "timing_crlb")
-_ESTIMATION_METRICS = ("channel_nmse", "timing_nmse", *_BOUND_METRICS)
-_ASYNC_METRICS = ("channel_nmse", "channel_nmse_sync_naive")
 _DESIGN_METRICS = ("nmse_proposed", "nmse_phase_aligned", "nmse_perfect", "nmse_random")
 
 
@@ -227,22 +225,25 @@ class _Block:
         self.timing_norms = np.sum(self.offsets ** 2, axis=-1)
 
     @cached_property
-    def unit_bound_traces(self) -> list:
-        """Per trial, its channel and timing bound traces at unit noise
-        variance, or the SingularSystemError that bounding it alone raised:
-        one stacked call, and one call per trial only if that one raises."""
+    def bound_records(self) -> tuple:
+        """Every trial's bound record, one row each (module docstring): one
+        stacked call, and one call per trial only if that one raises."""
         try:
             bounds = crlb(self.offsets, self.gains, self.pilots, 1.0, self.cfg)
+            traces = bounds.channel_trace, bounds.timing_trace, np.full(len(self.trials), np.nan)
         except SingularSystemError:
-            return [self._alone(row) for row in range(len(self.trials))]
-        return list(zip(bounds.channel_trace, bounds.timing_trace))
+            traces = tuple(map(np.array, zip(*map(self._alone, range(len(self.trials))))))
+        (channel, timing, conds), var = (part[:, None] for part in traces), np.array(self.noise_vars)
+        return ({"channel_crlb": var * channel / self.channel_norms[:, None],
+                 "timing_crlb": var * timing / self.timing_norms[:, None]},
+                conds.repeat(var.size, axis=1))
 
-    def _alone(self, row: int):
+    def _alone(self, row: int) -> tuple:
         try:
             bounds = crlb(self.offsets[row], self.gains[row], self.pilots[row], 1.0, self.cfg)
         except SingularSystemError as err:
-            return err
-        return bounds.channel_trace, bounds.timing_trace
+            return np.nan, np.nan, err.cond
+        return bounds.channel_trace, bounds.timing_trace, np.nan
 
 
 class _Trial:
@@ -258,20 +259,6 @@ class _Trial:
     def stream(self, name: str) -> np.random.Generator:
         """A new generator at the start of the trial's stream ``name``."""
         return _stream(self.block.spec.base_seed, self.block.trials[self.row], name)
-
-    @property
-    def unit_bound_traces(self) -> tuple:
-        """Channel and timing bound traces at unit noise variance.
-
-        Both bounds are exactly proportional to the noise variance and their
-        conditioning checks do not depend on it, so one evaluation (the
-        block's) serves every SNR point; a trial that fails there fails at
-        every point.
-        """
-        traces = self.block.unit_bound_traces[self.row]
-        if isinstance(traces, SingularSystemError):
-            raise traces.with_traceback(None)
-        return traces
 
     @cached_property
     def training(self) -> np.ndarray:
@@ -302,35 +289,29 @@ def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
     return _Trial(_Block(spec, cfg, range(trial, trial + 1), noise_vars), 0)
 
 
-def _sweep(spec: ExperimentSpec, score, metrics) -> list:
-    """Score every trial at every SNR point; one row per (SNR, metric).
+def _sweep(spec: ExperimentSpec, score) -> list:
+    """Score every trial over the SNR grid; one row per (SNR, metric).
 
-    Trials are drawn a block of ``_BLOCK`` at a time; each is scored by
-    ``score(trial, p) -> {metric: value}`` at every point index ``p`` of the
-    grid and dropped before the next is scored. A trial whose scoring raises
-    :class:`SingularSystemError` is excluded at that point only; the run
-    aborts once one point's exclusions pass the limit.
+    Trials are drawn a block of ``_BLOCK`` at a time and each is scored by
+    ``score(trial)``, its record (module docstring). The run aborts after the
+    trial whose exclusions pass the limit at some point; a row aggregates
+    its point's kept values in trial order.
     """
     cfg, noise_vars = spec.system_config(), tuple(map(_noise_var, spec.snr_grid_db))
-    scored = [[] for _ in spec.snr_grid_db]
+    records, excluded = [], np.zeros(len(spec.snr_grid_db), dtype=int)
     for start in range(0, spec.trials, _BLOCK):
         block = _Block(spec, cfg, range(start, min(start + _BLOCK, spec.trials)), noise_vars)
-        for row, index in enumerate(block.trials):
-            trial = _Trial(block, row)
-            for p, results in enumerate(scored):
-                try:
-                    results.append(score(trial, p))
-                except SingularSystemError:
-                    excluded = index + 1 - len(results)
-                    if excluded > EXCLUSION_LIMIT * spec.trials:
-                        raise FailureRateError(excluded, spec.trials, EXCLUSION_LIMIT) from None
-    rows = []
-    for snr_db, results in zip(spec.snr_grid_db, scored):
-        excluded = spec.trials - len(results)
-        for metric in metrics:
-            values = np.array([r[metric] for r in results], dtype=float)
-            rows.append(_aggregate(snr_db, metric, values, excluded))
-    return rows
+        for row in range(len(block.trials)):
+            records.append(score(_Trial(block, row)))
+            counted = np.isnan(records[-1][1])
+            if not counted.all():  # rare: most trials skip the count's array updates
+                excluded += ~counted
+                if excluded.max() > EXCLUSION_LIMIT * spec.trials:
+                    raise FailureRateError(int(excluded.max()), spec.trials, EXCLUSION_LIMIT)
+    kept = np.isnan([conds for _, conds in records])
+    stacks = {m: np.array([values[m] for values, _ in records]) for m in records[0][0]}
+    return [_aggregate(snr_db, metric, stack[kept[:, p], p], int(excluded[p]))
+            for p, snr_db in enumerate(spec.snr_grid_db) for metric, stack in stacks.items()]
 
 
 def _believed(trial: _Trial, p: int) -> DesignInputs:
@@ -344,28 +325,28 @@ def _believed(trial: _Trial, p: int) -> DesignInputs:
                         noise_cov=white_noise_cov(var, trial.cfg))
 
 
-def _channel_nmse(estimate: np.ndarray, trial: _Trial) -> float:
-    return np.sum(np.abs(estimate - trial.gains) ** 2) / trial.channel_norm
+def _channel_nmse(estimate: np.ndarray, trial: _Trial) -> np.ndarray:
+    return np.sum(np.abs(estimate - trial.gains) ** 2, axis=-1) / trial.channel_norm
 
 
-def _score_bounds(trial: _Trial, p: int) -> dict:
-    channel_trace, timing_trace = trial.unit_bound_traces
-    var = trial.noise_vars[p]
-    return {"channel_crlb": var * channel_trace / trial.channel_norm,
-            "timing_crlb": var * timing_trace / trial.timing_norm}
+def _score_bounds(trial: _Trial) -> tuple:
+    values, conds = trial.block.bound_records
+    return {metric: rows[trial.row] for metric, rows in values.items()}, conds[trial.row]
 
 
-def _score_estimation(trial: _Trial, p: int) -> dict:
-    est = _point(trial.joint, p)
-    return {"channel_nmse": _channel_nmse(est.channel, trial),
-            "timing_nmse": np.sum((est.offsets - trial.offsets) ** 2) / trial.timing_norm,
-            **_score_bounds(trial, p)}
+def _score_estimation(trial: _Trial) -> tuple:
+    eps, gram, channel = trial.joint
+    bounds, bound_conds = _score_bounds(trial)
+    return ({"channel_nmse": _channel_nmse(channel, trial),
+             "timing_nmse": np.sum((eps - trial.offsets) ** 2, axis=-1) / trial.timing_norm,
+             **bounds}, np.fmax(_excess(np.sqrt(gram)), bound_conds))
 
 
-def _score_async(trial: _Trial, p: int) -> dict:
-    joint, naive = _point(trial.joint, p), _point(trial.naive, p)
-    return {"channel_nmse": _channel_nmse(joint.channel, trial),
-            "channel_nmse_sync_naive": _channel_nmse(naive.channel, trial)}
+def _score_async(trial: _Trial) -> tuple:
+    (_, joint_gram, joint), (_, naive_gram, naive) = trial.joint, trial.naive
+    return ({"channel_nmse": _channel_nmse(joint, trial),
+             "channel_nmse_sync_naive": _channel_nmse(naive, trial)},
+            np.fmax(_excess(np.sqrt(joint_gram)), _excess(np.sqrt(naive_gram))))
 
 
 def _score_design(trial: _Trial, p: int) -> dict:
@@ -414,6 +395,19 @@ def _score_design(trial: _Trial, p: int) -> dict:
     }
 
 
+def _score_design_points(trial: _Trial) -> tuple:
+    """The record of :func:`_score_design`, its values NaN where it raised."""
+    values = {metric: np.full(len(trial.noise_vars), np.nan) for metric in _DESIGN_METRICS}
+    conds = np.full(len(trial.noise_vars), np.nan)
+    for p in range(conds.size):
+        try:
+            for metric, value in _score_design(trial, p).items():
+                values[metric][p] = value
+        except SingularSystemError as err:
+            conds[p] = err.cond
+    return values, conds
+
+
 def _design_trial(spec: ExperimentSpec, cfg: SystemConfig, snr_db: float,
                   trial: int) -> dict:
     return _score_design(_draw_trial(spec, cfg, trial), spec.snr_grid_db.index(snr_db))
@@ -426,12 +420,12 @@ def run_estimation_sweep(spec: ExperimentSpec) -> list:
     point, run the timing/channel estimator, and record the channel and timing
     errors next to the bound traces evaluated at the true parameters.
     """
-    return _sweep(spec, _score_estimation, _ESTIMATION_METRICS)
+    return _sweep(spec, _score_estimation)
 
 
 def run_crlb_sweep(spec: ExperimentSpec) -> list:
     """Bound curves only — no estimator, so it is fast at any SNR."""
-    return _sweep(spec, _score_bounds, _BOUND_METRICS)
+    return _sweep(spec, _score_bounds)
 
 
 def run_async_impact(spec: ExperimentSpec) -> list:
@@ -439,12 +433,12 @@ def run_async_impact(spec: ExperimentSpec) -> list:
     offsets (a shared base value plus per-surface deviations up to delta_max),
     whatever the spec's offset model.
     """
-    return _sweep(replace(spec, offset_model="common-delta"), _score_async, _ASYNC_METRICS)
+    return _sweep(replace(spec, offset_model="common-delta"), _score_async)
 
 
 def run_design_sweep(spec: ExperimentSpec) -> list:
     """Compare reflection-design schemes end to end across the SNR grid."""
-    return _sweep(spec, _score_design, _DESIGN_METRICS)
+    return _sweep(spec, _score_design_points)
 
 
 def run_convergence(spec: ExperimentSpec) -> DesignResult:

@@ -13,8 +13,11 @@ from rissync.estimator import (
     _GRID,
     _LEVELS,
     _ZOOM,
+    COND_LIMIT,
     GRID_STEP,
+    _check_spread,
     _estimate,
+    _excess,
     _fits,
     _forms,
     _grid_table,
@@ -353,6 +356,29 @@ def test_rank_deficient_observation_raises():
     with pytest.raises(SingularSystemError) as err:
         residual_cost(np.array([0.1, 0.1]), y, pilot, cfg)
     assert err.value.cond > 1e12 or not np.isfinite(err.value.cond)
+
+
+def test_excess_is_the_cond_of_each_row_beyond_the_limit():
+    # NaN for a row that passes, its max/min for one that does not, and inf
+    # for a row with a value that is not positive
+    values = np.array([[1.0, 2.0], [2.0, 2e13], [0.0, 1.0], [np.nan, 1.0], [1.0, COND_LIMIT],
+                       [-1.0, 1.0]])
+    np.testing.assert_array_equal(_excess(values), [np.nan, 1e13, np.inf, np.inf, np.nan, np.inf])
+    np.testing.assert_array_equal(_excess(values.reshape(3, 2, 2)),
+                                  [[np.nan, 1e13], [np.inf, np.inf], [np.nan, np.inf]])
+    assert np.isnan(_excess(np.array([1.0, COND_LIMIT])))
+    assert _excess(np.array([np.inf, np.inf])) == np.inf
+
+
+def test_check_spread_raises_with_the_worst_rows_cond():
+    rows = np.array([[1.0, 3e12], [1.0, 2.0], [1.0, 5e12]])
+    with pytest.raises(SingularSystemError) as err:
+        _check_spread(rows, "stack")
+    assert err.value.cond == 5e12
+    with pytest.raises(SingularSystemError) as err:
+        _check_spread(np.vstack([rows, [0.0, 1.0]]), "stack")
+    assert err.value.cond == np.inf
+    _check_spread(np.array([[1.0, COND_LIMIT], [1.0, 2.0]]), "stack")  # at the limit: kept
 
 
 def _route(name, bad):

@@ -8,7 +8,7 @@ import rissync.pulse as pulse
 from rissync.channel import cascade
 from rissync.crlb import crlb
 from rissync.errors import FailureRateError, SingularSystemError
-from rissync.estimator import EstimationResult, gen_training
+from rissync.estimator import _point, gen_training
 from rissync.harness import (
     ExperimentSpec,
     SweepRow,
@@ -203,9 +203,10 @@ def test_channel_estimate_meets_its_bound_row_in_the_linear_regime():
                           base_seed=0)
     cfg = spec.system_config()
     rows = {r.metric: r.mean for r in run_estimation_sweep(spec)}
-    scores = [harness._score_estimation(harness._draw_trial(spec, cfg, t), 0)
+    scores = [harness._score_estimation(harness._draw_trial(spec, cfg, t))[0]
               for t in range(spec.trials)]
-    x, b = (np.array([s[metric] for s in scores]) for metric in ("channel_nmse", "channel_crlb"))
+    x, b = (np.array([s[metric][0] for s in scores])
+            for metric in ("channel_nmse", "channel_crlb"))
     ratio = rows["channel_nmse"] / rows["channel_crlb"]
     stderr = np.std(x - ratio * b, ddof=1) / (np.sqrt(spec.trials) * b.mean())
     assert abs(ratio - 1.0) <= 3.0 * stderr
@@ -371,15 +372,16 @@ def test_convergence_on_a_grid_uses_the_first_point_listed():
 # ----------------------------------------------------------- exclusion
 
 
-def _fake_estimate(n_surfaces, n_total):
-    return EstimationResult(offsets=np.zeros(n_surfaces), channel=np.ones(n_total, dtype=complex))
+def _kept(values):
+    # the conditioning check's verdict on every row of a trial's fits: kept
+    return np.full(values.shape[:-1], np.nan)
 
 
 def test_exclusion_rate_above_limit_aborts(monkeypatch):
-    def always_fails(fits, p):
-        raise SingularSystemError("forced failure", 1e99)
+    def always_fails(values):
+        return np.full(values.shape[:-1], 1e99)
 
-    monkeypatch.setattr(harness, "_point", always_fails)
+    monkeypatch.setattr(harness, "_excess", always_fails)
     spec = ExperimentSpec(snr_grid_db=(10.0,), **TINY)
     with pytest.raises(FailureRateError):
         run_estimation_sweep(spec)
@@ -388,29 +390,29 @@ def test_exclusion_rate_above_limit_aborts(monkeypatch):
 def test_exclusion_rate_aborts_as_soon_as_the_limit_is_passed(monkeypatch):
     calls = {"n": 0}
 
-    def always_fails(fits, p):
+    def always_fails(values):
         calls["n"] += 1
-        raise SingularSystemError("forced failure", 1e99)
+        return np.full(values.shape[:-1], 1e99)
 
-    monkeypatch.setattr(harness, "_point", always_fails)
+    monkeypatch.setattr(harness, "_excess", always_fails)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0),
                           trials=100, base_seed=0)
     with pytest.raises(FailureRateError) as info:
         run_estimation_sweep(spec)
-    # one exclusion per 100 trials is allowed, so the second one aborts
-    assert info.value.excluded == 2 and calls["n"] == 3
+    # one exclusion per 100 trials is allowed, so the second trial aborts
+    assert info.value.excluded == 2 and calls["n"] == 2
 
 
 def test_exclusion_at_limit_is_tolerated(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(fits, p):
+    def flaky(values):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise SingularSystemError("forced failure", 1e99)
-        return _fake_estimate(2, 2)
+            return np.full(values.shape[:-1], 1e99)
+        return _kept(values)
 
-    monkeypatch.setattr(harness, "_point", flaky)
+    monkeypatch.setattr(harness, "_excess", flaky)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(10.0,),
                           trials=100, base_seed=0)
     rows = run_estimation_sweep(spec)
@@ -575,18 +577,110 @@ def test_each_trial_is_drawn_once(monkeypatch, runner):
 def test_failure_at_one_point_excludes_the_trial_there_only(monkeypatch):
     seen = {}
 
-    def fails_once_at_10db(fits, p):
-        if p == 1 and not seen.get("failed"):
+    def fails_once_at_10db(values):
+        conds = _kept(values)
+        if not seen.get("failed"):
             seen["failed"] = True
-            raise SingularSystemError("forced failure", 1e99)
-        return _fake_estimate(2, 2)
+            conds[1] = 1e99
+        return conds
 
-    monkeypatch.setattr(harness, "_point", fails_once_at_10db)
+    monkeypatch.setattr(harness, "_excess", fails_once_at_10db)
     spec = ExperimentSpec(n_surfaces=2, n_x=1, n_y=1, snr_grid_db=(0.0, 10.0, 20.0),
                           trials=100, base_seed=0)
     for row in run_estimation_sweep(spec):
         dropped = 1 if row.snr_db == 10.0 else 0
         assert (row.excluded, row.trials) == (dropped, 100 - dropped)
+
+
+@pytest.mark.parametrize("geometry", [TINY, dict(n_surfaces=2, n_x=4, n_y=4, trials=3,
+                                                  base_seed=5)])
+def test_records_are_the_per_point_values_bit_for_bit(geometry):
+    # Column p of a record has the bytes of point p scored alone: row p of
+    # the stacked fits taken by ``_point`` and summed in 1-D, and each bound
+    # the scalar var * trace / norm of the trial's traces at unit variance.
+    spec = ExperimentSpec(snr_grid_db=(-10.0, 0.0, 10.0, 20.0, 30.0),
+                          offset_model="common-delta", **geometry)
+    noise_vars = tuple(map(harness._noise_var, spec.snr_grid_db))
+    block = harness._Block(spec, spec.system_config(), range(spec.trials), noise_vars)
+    for row in range(spec.trials):
+        trial = harness._Trial(block, row)
+        unit = crlb(trial.offsets, trial.gains, trial.pilot, 1.0, trial.cfg)
+        estimation, asynchrony = harness._score_estimation(trial), harness._score_async(trial)
+        assert list(estimation[0]) == ["channel_nmse", "timing_nmse", "channel_crlb",
+                                       "timing_crlb"]
+        assert list(asynchrony[0]) == ["channel_nmse", "channel_nmse_sync_naive"]
+        assert np.isnan(estimation[1]).all() and np.isnan(asynchrony[1]).all()
+        for p, var in enumerate(noise_vars):
+            joint, naive = _point(trial.joint, p), _point(trial.naive, p)
+            expected = {
+                "channel_nmse": np.sum(np.abs(joint.channel - trial.gains) ** 2)
+                / trial.channel_norm,
+                "timing_nmse": np.sum((joint.offsets - trial.offsets) ** 2) / trial.timing_norm,
+                "channel_crlb": var * unit.channel_trace / trial.channel_norm,
+                "timing_crlb": var * unit.timing_trace / trial.timing_norm,
+                "channel_nmse_sync_naive": np.sum(np.abs(naive.channel - trial.gains) ** 2)
+                / trial.channel_norm,
+            }
+            for metric, values in (*estimation[0].items(), *asynchrony[0].items()):
+                assert values[p].tobytes() == np.float64(expected[metric]).tobytes(), metric
+
+
+def test_a_failed_bound_excludes_its_trial_with_the_cond_it_raises_alone(monkeypatch):
+    spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY)
+    cfg = spec.system_config()
+    _zero_channel_at(monkeypatch, 1)
+    block = harness._Block(spec, cfg, range(spec.trials), (1.0, 0.1, 0.01))
+    with pytest.raises(SingularSystemError) as err:
+        crlb(block.offsets[1], block.gains[1], block.pilots[1], 1.0, cfg)
+    for row in range(spec.trials):
+        expected = np.full(3, err.value.cond if row == 1 else np.nan)
+        with np.errstate(divide="ignore"):  # the zero channel's own error over its zero norm
+            for score in (harness._score_bounds, harness._score_estimation):
+                np.testing.assert_array_equal(score(harness._Trial(block, row))[1], expected)
+    # where the fit check fails too, the record keeps the larger cond
+    monkeypatch.setattr(harness, "_excess", lambda values: np.full(values.shape[:-1], 1e20))
+    for row in range(spec.trials):
+        expected = np.full(3, err.value.cond if row == 1 else 1e20)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_array_equal(
+                harness._score_estimation(harness._Trial(block, row))[1], expected)
+
+
+def test_a_failed_fit_is_excluded_with_the_spread_of_its_row(monkeypatch):
+    # the limit lowered as in the conditioning test above: one (trial, point)
+    # of the joint fits fails, with its own spread; the naive fits share one
+    # offset, so every element's Gram entry is equal and their spread is 1
+    spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), offset_model="common-delta", **TINY)
+    trials = [harness._draw_trial(spec, spec.system_config(), i) for i in range(spec.trials)]
+    roots = [np.sqrt(trial.joint[1]) for trial in trials]
+    spreads = np.array([root.max(axis=-1) / root.min(axis=-1) for root in roots])
+    worst, next_worst = np.sort(spreads, axis=None)[:-3:-1]
+    assert worst > next_worst > 1.0
+    assert all(np.ptp(trial.naive[1], axis=-1).max() == 0.0 for trial in trials)
+    monkeypatch.setattr(estimator, "COND_LIMIT", (worst + next_worst) / 2.0)
+    for trial, spread in zip(trials, spreads):
+        expected = np.where(spread == worst, spread, np.nan)
+        np.testing.assert_array_equal(harness._score_async(trial)[1], expected)
+    assert np.sum(spreads == worst) == 1
+
+
+def test_a_design_point_that_raises_stores_its_cond_there_only(monkeypatch):
+    spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY)
+    trial = harness._draw_trial(spec, spec.system_config(), 0)
+    alone = [harness._score_design(trial, p) for p in range(3)]
+    original = harness._score_design
+
+    def fails_at_10db(trial, p):
+        if p == 1:
+            raise SingularSystemError("forced failure", 1e99)
+        return original(trial, p)
+
+    monkeypatch.setattr(harness, "_score_design", fails_at_10db)
+    values, conds = harness._score_design_points(trial)
+    np.testing.assert_array_equal(conds, [np.nan, 1e99, np.nan])
+    assert list(values) == list(harness._DESIGN_METRICS)
+    for metric, column in values.items():
+        np.testing.assert_array_equal(column, [alone[0][metric], np.nan, alone[2][metric]])
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
