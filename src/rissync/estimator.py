@@ -47,7 +47,7 @@ import numpy.fft  # noqa: F401
 from .channel import ChannelSet, cascade
 from .config import PulseConfig, SystemConfig
 from .errors import SingularSystemError
-from .pulse import _OFFSET_EDGE, lag_pilot_matrix, rrc_impulse, steering_matrix
+from .pulse import _OFFSET_EDGE, _layout, lag_pilot_matrix, rrc_impulse, steering_matrix
 
 __all__ = [
     "EstimationResult",
@@ -70,7 +70,7 @@ class EstimationResult:
     """The searched offsets and the least-squares fit at them. Every search
     runs its fixed zoom levels: there is no iteration count to report."""
 
-    offsets: np.ndarray          # one timing estimate per surface, in (-1, 1)
+    offsets: np.ndarray          # one timing estimate per surface, |x| <= _OFFSET_EDGE
     channel: np.ndarray          # cascaded-channel estimate, length N*K
 
 
@@ -246,13 +246,13 @@ _LEVELS = math.ceil(math.log10(GRID_STEP / FINAL_SPACING))
 
 @lru_cache(maxsize=4)
 def _grid_table(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets x and ``rrc_impulse(times - x)`` at the lag-pilot matrix's times,
+    """Offsets x and ``rrc_impulse(times - x)`` at the reachable times (``_layout``),
     one row per x: the coarse grid, then each truncation jump j/oversampling
     in (-1, 1) and 1e-9 either side of it. No pilot enters it, so it is built
     once per pulse config, on first use, and shared read-only."""
     jumps = np.arange(1.0 - cfg.oversampling, cfg.oversampling) / cfg.oversampling
     offsets = np.concatenate([_GRID, (jumps[:, None] + [-1e-9, 0.0, 1e-9]).reshape(-1)])
-    table = rrc_impulse(lag_pilot_matrix(np.zeros(cfg.seq_len), cfg)[0] - offsets[:, None], cfg)
+    table = rrc_impulse(_layout(cfg)[0] - offsets[:, None], cfg)
     offsets.flags.writeable = table.flags.writeable = False
     return offsets, table
 

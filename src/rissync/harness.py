@@ -180,7 +180,7 @@ def _draw_offsets(spec: ExperimentSpec, seed) -> np.ndarray:
 
 
 def _offset_draws(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
-    """The offsets before their clip to the open interval (-1, 1)."""
+    """The offsets before their clip to [-_OFFSET_EDGE, _OFFSET_EDGE]."""
     k = spec.n_surfaces
     if spec.offset_model == "uniform":
         return rng.uniform(-1.0, 1.0, k)

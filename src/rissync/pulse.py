@@ -54,8 +54,10 @@ def _deriv_kernel(x: np.ndarray, beta: float) -> np.ndarray:
     """Quotient-rule derivative of the direct RRC formula."""
     a = np.pi * (1.0 - beta)
     b = np.pi * (1.0 + beta)
-    num = np.sin(a * x) + 4.0 * beta * x * np.cos(b * x)
-    dnum = a * np.cos(a * x) + 4.0 * beta * np.cos(b * x) - 4.0 * beta * b * x * np.sin(b * x)
+    ax, bx = a * x, b * x
+    cos_bx = np.cos(bx)
+    num = np.sin(ax) + 4.0 * beta * x * cos_bx
+    dnum = a * np.cos(ax) + 4.0 * beta * cos_bx - 4.0 * beta * b * x * np.sin(bx)
     den = np.pi * x * _denominator_factor(x, beta)
     dden = np.pi * (1.0 - 48.0 * beta**2 * x**2)
     return (dnum * den - num * dden) / den**2
@@ -207,83 +209,76 @@ def pulse_autocorr(tau, cfg: PulseConfig):
 # steering and windowing matrices
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _lag_layout(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sample times ``n*sample_step - i`` of the steering matrix and
-    the (n_samples, seq_len) index of each entry into them.
+# Largest offset magnitude that a timing search or an offset draw may reach,
+# and that a steering matrix accepts: every sample time with |t| >= span + 1
+# then stays outside the pulse's support.
+_OFFSET_EDGE = 1.0 - 1e-9
 
-    Entry (n, i) depends on n and i only through the integer lag
-    ``n - oversampling*i``, so a matrix is a gather from a few dozen pulse
-    values. The times are deduplicated as computed, not formed as
+
+@lru_cache(maxsize=8)
+def _layout(cfg: PulseConfig) -> tuple[np.ndarray, ...]:
+    """The sample times ``n*sample_step - i`` that reach the pulse's support at
+    some accepted offset, ``|t| < span + 1``, and for each steering entry
+    (n, i) at one of them: its flat position in the (n_samples, seq_len)
+    steering matrix, its column among the times, its flat position in the
+    (n_samples, times) lag-pilot matrix, and its symbol i.
+
+    Every other entry is zero at every accepted offset. The times are
+    deduplicated as computed, first seen first, not formed as
     ``lag*sample_step``: where the step is inexact (oversampling 3) one lag
-    can round to two times, and keeping both makes the gather reproduce the
+    can round to two times, and keeping both makes the scatter reproduce the
     direct evaluation bit for bit. Cached per (frozen) config.
     """
-    rows = np.arange(cfg.n_samples) * cfg.sample_step
-    cols = np.arange(-cfg.span, cfg.obs_len + cfg.span)
+    times = (np.arange(cfg.n_samples)[:, None] * cfg.sample_step
+             - np.arange(-cfg.span, cfg.obs_len + cfg.span)[None, :]).ravel()
+    flat = np.flatnonzero(np.abs(times) < cfg.span + 1)
     # A dict rather than np.unique: numpy's sort would page in its SIMD sort
     # code, about 0.25 MB of resident memory, to order a few hundred values.
-    first = {}  # time -> its position among the distinct times, first seen first
-    index = np.array([first.setdefault(t, len(first))
-                      for t in (rows[:, None] - cols[None, :]).ravel().tolist()])
-    index = index.reshape(cfg.n_samples, cfg.seq_len)
-    times = np.array(list(first))
-    times.flags.writeable = False
-    index.flags.writeable = False
-    return times, index
-
-
-@lru_cache(maxsize=8)
-def _reachable_layout(cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct times with ``|t| < span + 1``, and for each steering entry
-    (n, i) at one of them its flat position in the (n_samples, times) matrix
-    and its symbol i. Cached per (frozen) config."""
-    times, index = _lag_layout(cfg)
-    keep = np.abs(times) < cfg.span + 1
-    rows, symbols = np.nonzero(keep[index])
-    column = np.cumsum(keep) - 1
-    positions = rows * np.count_nonzero(keep) + column[index[rows, symbols]]
-    kept = times[keep]
-    for part in (kept, positions, symbols):
+    first = {}  # time -> its column, first seen first
+    columns = np.array([first.setdefault(t, len(first)) for t in times[flat].tolist()])
+    rows, symbols = np.divmod(flat, cfg.seq_len)
+    kept = np.array(list(first))
+    layout = (kept, flat, columns, rows * kept.size + columns, symbols)
+    for part in layout:
         part.flags.writeable = False
-    return kept, positions, symbols
+    return layout
 
 
 def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sample times t of the steering matrix that reach the pulse's
-    support at some offset in (-1, 1), ``|t| < span + 1``, and the (n_samples,
+    support at some accepted offset, ``|t| < span + 1``, and the (n_samples,
     times) matrix ``A`` whose entry (n, j) is the pilot symbol i with (n, i) at
     time j, so ``steering_matrix(x) @ pilot == A @ rrc_impulse(times - x)`` up
     to the order of the sums, and ``rrc_impulse(times - x[:, None]) @ A.T``
     gives the filtered pilots of many offsets with no gather. A stack of
     pilots (leading axes) gives one ``A`` each."""
-    times, positions, symbols = _reachable_layout(cfg)
+    times, _, _, positions, symbols = _layout(cfg)
     lead = pilot.shape[:-1]
     a = np.zeros((*lead, cfg.n_samples * times.size), dtype=pilot.dtype)
     a[..., positions] = pilot[..., symbols]
     return times, a.reshape(*lead, cfg.n_samples, times.size)
 
 
-# Largest offset magnitude that a timing search or an offset draw may reach:
-# steering matrices take offsets strictly inside the open interval (-1, 1).
-_OFFSET_EDGE = 1.0 - 1e-9
-
-
 def _offsets(offset) -> np.ndarray:
-    """Timing offsets as a float array; ValueError unless each lies in (-1, 1)."""
+    """Timing offsets as a float array; ValueError unless each has magnitude
+    at most ``_OFFSET_EDGE``."""
     offset = np.asarray(offset, dtype=float)
-    if not np.all((offset > -1.0) & (offset < 1.0)):
-        raise ValueError(f"timing offset must lie in (-1, 1), got {offset}")
+    bad = ~(np.abs(offset) <= _OFFSET_EDGE)
+    if bad.any():
+        raise ValueError(f"timing offset must lie in [-{_OFFSET_EDGE}, {_OFFSET_EDGE}], "
+                         f"got {offset[bad].tolist()}")
     return offset
 
 
 def _shifted(pulse, offset, cfg: PulseConfig) -> np.ndarray:
     """``pulse`` at every entry's sample time minus ``offset`` (per offset, if
-    an array), from one evaluation over the distinct times."""
+    an array), from one evaluation over the reachable times scattered into
+    zeros; C-contiguous, since einsum's summation order follows strides."""
     offset = _offsets(offset)
-    times, index = _lag_layout(cfg)
-    # np.take keeps a stack C-contiguous: einsum's summation order follows strides
-    return np.take(pulse(times - offset[..., None], cfg), index, axis=-1)
+    times, flat, columns, _, _ = _layout(cfg)
+    out = np.zeros((*offset.shape, cfg.n_samples * cfg.seq_len))
+    out[..., flat] = pulse(times - offset[..., None], cfg)[..., columns]
+    return out.reshape(*offset.shape, cfg.n_samples, cfg.seq_len)
 
 
 def steering_matrix(offset, cfg: PulseConfig) -> np.ndarray:
@@ -291,17 +286,18 @@ def steering_matrix(offset, cfg: PulseConfig) -> np.ndarray:
 
     Row ``n`` and column ``i`` (symbols indexed from ``-span``) hold the pulse
     sampled at ``n*sample_step - i - offset``; shape is
-    ``(obs_len * oversampling, seq_len)``. The pulse is evaluated once per
-    distinct lag ``n - oversampling*i`` and gathered into place. An array of
-    offsets gives one matrix per offset, stacked along its leading axes, from
-    one pulse evaluation.
+    ``(obs_len * oversampling, seq_len)``. The offset must have magnitude at
+    most ``_OFFSET_EDGE`` = 1 - 1e-9. The pulse is evaluated once per
+    reachable sample time (:func:`_layout`) and scattered into place. An array
+    of offsets gives one matrix per offset, stacked along its leading axes,
+    from one pulse evaluation.
     """
     return _shifted(rrc_impulse, offset, cfg)
 
 
 def steering_matrix_deriv(offset, cfg: PulseConfig) -> np.ndarray:
     """Entrywise derivative of :func:`steering_matrix` with respect to the
-    offset; the same lag gather, and the same batching over offsets."""
+    offset; the same scatter, and the same batching over offsets."""
     return -_shifted(rrc_impulse_deriv, offset, cfg)
 
 

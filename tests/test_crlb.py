@@ -9,6 +9,7 @@ from rissync import SingularSystemError, SystemConfig
 from rissync.channel import cascade, gen_mmwave, gen_rayleigh
 from rissync.crlb import crlb, crlb_from_fim, fim, observation_matrix_deriv
 from rissync.estimator import _training_phases, gen_training, observation_matrix
+from rissync.pulse import _OFFSET_EDGE
 
 CFG = SystemConfig(n_surfaces=2, n_elements=4)
 
@@ -201,6 +202,27 @@ def test_crlb_rejects_offsets_it_cannot_bound(offsets, match):
     for bound in (crlb, crlb_from_fim):
         with pytest.raises(ValueError, match=match):
             bound(offsets, vec, pilot, 0.1, CFG)
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(1.0, 0.0), 1.0 - 5e-10])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bounds_reject_offsets_past_the_edge(bad, sign):
+    # Just inside +-1 a sample time at span + 1 would reach the support: the
+    # dense route would keep that tail and the closed form would drop it.
+    vec, pilot, _ = _instance(CFG, 7)
+    for bound in (crlb, crlb_from_fim):
+        with pytest.raises(ValueError, match="lie in"):
+            bound(np.array([0.1, sign * bad]), vec, pilot, 0.1, CFG)
+
+
+@pytest.mark.parametrize("offsets", [[_OFFSET_EDGE, -_OFFSET_EDGE], [-_OFFSET_EDGE, 0.3]])
+def test_bound_routes_agree_at_the_edge(offsets):
+    for seed in range(5):
+        vec, pilot, _ = _instance(CFG, 200 + seed)
+        a = crlb(np.array(offsets), vec, pilot, 0.2, CFG)
+        b = crlb_from_fim(np.array(offsets), vec, pilot, 0.2, CFG)
+        for lhs, rhs in ((a.timing_cov, b.timing_cov), (a.channel_cov, b.channel_cov)):
+            assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize("noise_var", [0.0, -0.1, np.nan, np.inf])

@@ -34,7 +34,6 @@ from rissync.estimator import (
 )
 from rissync.pulse import (
     _OFFSET_EDGE,
-    _lag_layout,
     lag_pilot_matrix,
     rrc_impulse,
     steering_matrix,
@@ -556,7 +555,6 @@ def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
         cfg = SystemConfig(k_surf, 4)
         _, pilot, _, y = _instance(cfg, 72, noise_var=0.1)
         pulse = cfg.pulse
-        lags = pulse.n_samples + pulse.oversampling * (pulse.seq_len - 1)
         reachable = lag_pilot_matrix(pilot, pulse)[0].size
         table_rows = _GRID.size + 3 * (2 * pulse.oversampling - 1)
         estimator_module._grid_table.cache_clear()
@@ -567,7 +565,7 @@ def test_timing_search_evaluates_the_pulse_per_lag(monkeypatch):
             assert len(shapes) == _LEVELS + 1 + cold
             assert shapes.count((table_rows, reachable)) == cold
             assert shapes.count((k_surf, 21, reachable)) == _LEVELS
-            assert shapes[-1] == (k_surf, lags)
+            assert shapes[-1] == (k_surf, reachable)
 
 
 def test_each_search_scores_zero_and_both_sides_of_every_jump(monkeypatch):
@@ -613,7 +611,12 @@ def _reference_search(z, energy, pilot, cfg):
     # One surface's search as it ran before the surfaces were batched: its own
     # grid and zoom calls, on every distinct time of the steering matrix.
     pulse = cfg.pulse
-    times, index = _lag_layout(pulse)
+    every = (np.arange(pulse.n_samples)[:, None] * pulse.sample_step
+             - np.arange(-pulse.span, pulse.obs_len + pulse.span)[None, :])
+    first = {}  # distinct time -> its column, first seen first
+    index = np.reshape([first.setdefault(t, len(first)) for t in every.ravel().tolist()],
+                       every.shape)
+    times = np.array(list(first))
     a = np.zeros((pulse.n_samples, times.size), dtype=complex)
     a[np.arange(pulse.n_samples)[:, None], index] = pilot
 

@@ -21,7 +21,7 @@ from rissync import (
     steering_matrix,
     steering_matrix_deriv,
 )
-from rissync.pulse import _OFFSET_EDGE, SINGULARITY_TOL, _lag_layout, lag_pilot_matrix
+from rissync.pulse import _OFFSET_EDGE, SINGULARITY_TOL, lag_pilot_matrix
 
 CFG = PulseConfig()  # rolloff 0.22, span 4, oversampling 2, obs_len 12
 BETA = CFG.rolloff
@@ -214,6 +214,19 @@ def test_steering_matrix_offset_bounds():
     steering_matrix(0.999, CFG)  # interior values are fine
 
 
+@pytest.mark.parametrize("bad", [np.nextafter(1.0, 0.0), 1.0 - 5e-10])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_steering_matrix_rejects_offsets_past_the_edge(bad, sign):
+    # Offsets are accepted up to _OFFSET_EDGE = 1 - 1e-9 and no further: a
+    # sample time at span + 1 then stays outside the pulse's support.
+    for route in (steering_matrix, steering_matrix_deriv):
+        with pytest.raises(ValueError, match="lie in"):
+            route(sign * bad, CFG)
+        with pytest.raises(ValueError, match="lie in"):
+            route(np.array([0.2, sign * bad]), CFG)
+        assert route(sign * _OFFSET_EDGE, CFG).shape == (CFG.n_samples, CFG.seq_len)
+
+
 def test_steering_matrix_deriv_matches_finite_differences():
     # Offsets chosen so no sample time lands on the truncation edge, where
     # the pulse jumps to zero and a finite difference would straddle the jump.
@@ -274,7 +287,8 @@ def test_lag_gather_is_bit_equal_to_direct_evaluation(cfg):
     special = (times[:, None, None] - np.array([0.0, x_sing, -x_sing])[None, :, None]
                + near[None, None, :]).ravel()
     special = special[np.abs(special) < 1.0]
-    offsets = np.concatenate([np.random.default_rng(0).uniform(-0.999, 0.999, 500), special])
+    offsets = np.concatenate([np.random.default_rng(0).uniform(-0.999, 0.999, 500), special,
+                              [-_OFFSET_EDGE, _OFFSET_EDGE]])
     assert special.size >= 20
     stacked = steering_matrix(offsets, cfg)
     stacked_deriv = steering_matrix_deriv(offsets, cfg)
@@ -289,10 +303,11 @@ def test_lag_gather_is_bit_equal_to_direct_evaluation(cfg):
 
 
 @pytest.mark.parametrize("oversampling", [1, 2, 4])
-def test_pulse_is_evaluated_once_per_distinct_lag(oversampling, monkeypatch):
+def test_pulse_is_evaluated_once_per_reachable_time(oversampling, monkeypatch):
     # With an exact sample step every entry's time is a multiple of it by the
-    # integer lag n - oversampling*i: n_samples + oversampling*(seq_len - 1)
-    # values in all, against n_samples*seq_len entries.
+    # integer lag n - oversampling*i. Only the times strictly within span + 1
+    # of zero reach the support at an accepted offset: the lags with
+    # |lag| < (span + 1)*oversampling, against n_samples*seq_len entries.
     cfg = PulseConfig(oversampling=oversampling)
     pulse_module = importlib.import_module("rissync.pulse")
     shapes = []
@@ -302,24 +317,34 @@ def test_pulse_is_evaluated_once_per_distinct_lag(oversampling, monkeypatch):
         return rrc_impulse(t, cfg)
 
     monkeypatch.setattr(pulse_module, "rrc_impulse", recording)
-    lags = cfg.n_samples + oversampling * (cfg.seq_len - 1)
+    reachable = 2 * (cfg.span + 1) * oversampling - 1
     steering_matrix(0.3, cfg)
     steering_matrix(np.array([0.1, -0.2, 0.7]), cfg)
-    assert shapes == [(lags,), (3, lags)]
+    assert shapes == [(reachable,), (3, reachable)]
+
+
+def _every_time(cfg):
+    # Every distinct sample time of the steering matrix, first seen first, and
+    # the (n_samples, seq_len) index of each entry into them.
+    times = (np.arange(cfg.n_samples)[:, None] * cfg.sample_step
+             - np.arange(-cfg.span, cfg.obs_len + cfg.span)[None, :])
+    first = {}
+    index = [first.setdefault(t, len(first)) for t in times.ravel().tolist()]
+    return np.array(list(first)), np.reshape(index, times.shape)
 
 
 @pytest.mark.parametrize("oversampling", [2, 3])
 def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
     # A @ g(times - x) is steering_matrix(x) @ pilot with its sums reordered
     # and its zero terms dropped, for one offset and for a stack of them,
-    # anywhere in (-1, 1): only the times with |t| < span + 1 are kept, and
+    # at any accepted offset: only the times with |t| < span + 1 are kept, and
     # no dropped time's pulse is nonzero at such an offset. At oversampling 3
     # one lag rounds to two times, so there are more times than lags.
     cfg = PulseConfig(oversampling=oversampling)
     rng = np.random.default_rng(oversampling)
     pilot = np.exp(1j * np.pi / 4.0 * (2 * rng.integers(0, 4, cfg.seq_len) + 1))
     times, a = lag_pilot_matrix(pilot, cfg)
-    every, index = _lag_layout(cfg)
+    every, index = _every_time(cfg)
     full = np.zeros((cfg.n_samples, every.size), dtype=complex)
     full[np.arange(cfg.n_samples)[:, None], index] = pilot
     keep = np.abs(every) < cfg.span + 1

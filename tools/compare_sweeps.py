@@ -7,22 +7,24 @@ Each tree is a checkout that holds ``src/rissync``. Every spec in ``SPECS``
 and the ``convergence`` traces in ``TRACES`` run once per tree, with
 ``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``. So does the ``pulse``
 output: the raw float64 bytes of the functions in ``PULSE_FUNCTIONS`` at
-fixed points (``write_pulse_values``). Every command runs in the tree's
-directory, so the ``config-example`` spec reads each tree's own
-``configs/example.cfg``. For each output the script prints
+fixed points and of those in ``STEERING_FUNCTIONS`` at fixed offsets, with an
+index of how many values each function wrote (``write_pulse_values``). Every
+command runs in the tree's directory, so the ``config-example`` spec reads
+each tree's own ``configs/example.cfg``. For each output the script prints
 ``identical`` when the bytes match; otherwise, for every (metric, column)
 that moved, or every pulse function, the largest relative drift
 ``|a - b| / max(|a|, |b|)`` over its rows or values. It exits 1 when an
-output's row keys, ``trials`` or ``excluded`` differ between the trees, or a
-pulse value's count or finiteness, and 0 otherwise; when a trace's length
-differs it also prints both iteration counts and the relative drift of the
-final objective. Last it prints ``src/rissync lines: PARENT -> CHANGE``,
+output's row keys, ``trials`` or ``excluded`` differ between the trees, or
+the pulse index or a pulse value's finiteness, and 0 otherwise; when a
+trace's length differs it also prints both iteration counts and the
+relative drift of the final objective. Last it prints ``src/rissync lines: PARENT -> CHANGE``,
 the newlines in each tree's ``src/rissync/*.py`` as ``wc -l`` counts them;
 they do not affect the exit status. Standard library only; the ``pulse``
 child imports the tree's ``rissync`` and numpy.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import glob
 import io
@@ -134,6 +136,11 @@ TRACES = {
 PULSE_FUNCTIONS = ("rrc_impulse", "rrc_impulse_deriv", "pulse_autocorr")
 PULSE_ROLLOFFS = (0.1, 0.22, 0.25, 0.35, 0.5, 1.0)
 PULSE_SPANS = (2, 4, 6)
+# ... then each of these, at every oversampling below, on one stack of these
+# offsets: the edges are rissync.pulse._OFFSET_EDGE, the largest accepted.
+STEERING_FUNCTIONS = ("steering_matrix", "steering_matrix_deriv")
+STEERING_OVERSAMPLINGS = (2, 3)
+STEERING_OFFSETS = (0.0, 0.3, -0.77, 0.5, 1.0 / 3.0, -(1.0 - 1e-9), 1.0 - 1e-9)
 
 
 def _pulse_points(rolloff: float, span: int):
@@ -156,17 +163,33 @@ def _pulse_points(rolloff: float, span: int):
     return np.concatenate([points, -points])
 
 
-def write_pulse_values(path: str):
-    """Write the ``pulse`` output of the ``rissync`` on the import path."""
+def _pulse_values():
+    """(function name, values) of the ``pulse`` output, in order."""
+    import numpy as np
     from rissync import PulseConfig, pulse
 
+    for name in PULSE_FUNCTIONS:
+        for rolloff in PULSE_ROLLOFFS:
+            for span in PULSE_SPANS:
+                yield name, getattr(pulse, name)(_pulse_points(rolloff, span),
+                                                 PulseConfig(rolloff=rolloff, span=span))
+    for name in STEERING_FUNCTIONS:
+        for oversampling in STEERING_OVERSAMPLINGS:
+            yield name, getattr(pulse, name)(np.array(STEERING_OFFSETS),
+                                             PulseConfig(oversampling=oversampling))
+
+
+def write_pulse_values(path: str):
+    """Write the ``pulse`` output of the ``rissync`` on the import path: the
+    values to ``path`` and one line ``name count`` per function to
+    ``path.txt``."""
+    counts = {}
     with open(path, "wb") as fh:
-        for name in PULSE_FUNCTIONS:
-            for rolloff in PULSE_ROLLOFFS:
-                for span in PULSE_SPANS:
-                    values = getattr(pulse, name)(_pulse_points(rolloff, span),
-                                                  PulseConfig(rolloff=rolloff, span=span))
-                    fh.write(values.tobytes())
+        for name, values in _pulse_values():
+            fh.write(values.tobytes())
+            counts[name] = counts.get(name, 0) + values.size
+    with open(f"{path}.txt", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{name} {count}\n" for name, count in counts.items())
 
 
 # run in a child with the tree's rissync: argv is this directory, the out path
@@ -185,7 +208,8 @@ def _run(tree: str, *args: str):
 
 
 def outputs(tree: str, work: str) -> dict:
-    """Run every spec on one tree; output name -> CSV text, or bytes for ``pulse``."""
+    """Run every spec on one tree; output name -> CSV text, or (index, bytes)
+    for ``pulse``."""
     texts = {}
     for name, args in SPECS.items():
         path = os.path.join(work, f"{name}.csv")
@@ -199,8 +223,8 @@ def outputs(tree: str, work: str) -> dict:
             texts[f"{name}-accelerated"] = fh.read()
     path = os.path.join(work, "pulse.bin")
     _run(tree, "-c", _PULSE_CHILD, os.path.dirname(os.path.abspath(__file__)), path)
-    with open(path, "rb") as fh:
-        texts["pulse"] = fh.read()
+    with open(f"{path}.txt", encoding="utf-8") as index, open(path, "rb") as fh:
+        texts["pulse"] = (index.read(), fh.read())
     return texts
 
 
@@ -248,21 +272,26 @@ def compare(old: str, new: str) -> tuple[list, dict]:
     return problems, drifts
 
 
-def compare_values(old: bytes, new: bytes) -> tuple[list, dict]:
+def compare_values(old: tuple, new: tuple) -> tuple[list, dict]:
     """The ``pulse`` output's structural differences and
     {(function, "value"): largest relative drift}.
 
-    Values must agree in count, and each pair in finiteness; two NaNs agree.
+    The indexes must agree (functions and value counts), and each pair of
+    values in finiteness; two NaNs agree.
     """
-    old_values, new_values = array("d", old), array("d", new)
-    if len(old_values) != len(new_values):
-        return [f"{len(old_values)} -> {len(new_values)} values"], {}
-    per_function = len(old_values) // len(PULSE_FUNCTIONS)
+    if old[0] != new[0]:
+        return [f"index {old[0].split()} -> {new[0].split()}"], {}
+    names, ends = [], []
+    for line in old[0].splitlines():
+        name, count = line.split()
+        names.append(name)
+        ends.append((ends[-1] if ends else 0) + int(count))
+    old_values, new_values = array("d", old[1]), array("d", new[1])
     turned, drifts = {}, {}
     for i, (a, b) in enumerate(zip(old_values, new_values)):
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
-        name = PULSE_FUNCTIONS[i // per_function]
+        name = names[bisect.bisect_right(ends, i)]
         if math.isfinite(a) and math.isfinite(b):
             drifts[(name, "value")] = max(drifts.get((name, "value"), 0.0), _drift(a, b))
         else:
