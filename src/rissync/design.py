@@ -9,10 +9,10 @@ The mean-squared error is first written in a literal per-surface form
 (``mse_direct``) and, equivalently, in a structured form (``mse_compact``).
 The structured form rests on one identity: lifted over the block samples, the
 channel second moment M = h h^H + C couples elements i and j through
-M_ij A_k(i) A_k(j)^H, where A_k is surface k's steering matrix. Every
+M_ij A_k(i) A_k(j)^T, where A_k is surface k's (real) steering matrix. Every
 phase-weighted quantity is therefore a sum over surface pairs,
-sum_{k,k'} (theta_k^T M_kk' theta_k'^*) A_k A_k'^H, and needs only the K^2
-small steering products, the K products A_k W^H with the matched-filter
+sum_{k,k'} (theta_k^T M_kk' theta_k'^*) A_k A_k'^T, and needs only the K^2
+small steering products, the K products A_k W^T with the matched-filter
 window W, and M itself; no array has NK times S rows or columns.
 For a fixed reflection vector the best equalizer is a closed-form Wiener
 solution, which concentrates the objective into a single function of the
@@ -21,8 +21,9 @@ scheme whose map is a per-element phase alignment against a linear
 surrogate (``phase_update``). The design loop wraps that map in a
 squared-extrapolation accelerator with step backtracking, which speeds up
 the fixed-point iteration without giving up monotone progress. The loop's
-state is the surrogate anchor at the current iterate: one Wiener solve gives
-its captured energy and the next surrogate, so each iterate is solved once.
+state is the surrogate anchor at the current iterate, the one evaluation of a
+phase vector: one Wiener solve gives its captured energy, its equalizer and
+the next surrogate, so each iterate is solved once.
 The sync-naive baseline's equalizer (all K offsets at their mean, so one A)
 is a closed form on the belief problem's offset-free parts, already checked.
 """
@@ -127,11 +128,11 @@ class DesignInputs:
 class DesignProblem:
     """Phase-independent factors shared by every objective evaluation.
 
-    ``steer_products[k, k']`` is A_k A_k'^H for the steering matrices A_k
-    (S x L) of surfaces k and k', and ``steer_window[k]`` is A_k W^H.
+    ``steer_products[k, k']`` is A_k A_k'^T for the real steering matrices A_k
+    (S x L) of surfaces k and k', and ``steer_window[k]`` is A_k W^T.
     ``moment`` is the channel second moment h h^H + C over all elements, and
     ``channel`` the estimate h. Together they define the lifted Gram whose
-    (i, j) block of S x S is moment[i, j] A_k(i) A_k(j)^H; it is never formed,
+    (i, j) block of S x S is moment[i, j] A_k(i) A_k(j)^T; it is never formed,
     but ``gram_norm1`` is its exact largest absolute column sum, the
     curvature constant of the surrogate. ``window`` is the ideal
     matched-filter windowing matrix W whose output the equalizer chases, and
@@ -205,16 +206,16 @@ def build_problem(inputs: DesignInputs, cfg: SystemConfig) -> DesignProblem:
             )
     moment = np.outer(inputs.channel, inputs.channel.conj()) + cov
     steer = steering_matrix(inputs.offsets, cfg.pulse)        # (K, S, L)
-    products = np.einsum("asl,btl->abst", steer, steer.conj())
+    products = np.einsum("asl,btl->abst", steer, steer)
     # Column q of element j's block column in the lifted Gram has absolute sum
-    # sum_a (sum_{i in a} |M_ij|) (column q's absolute sum of A_a A_k(j)^H).
+    # sum_a (sum_{i in a} |M_ij|) (column q's absolute sum of A_a A_k(j)^T).
     moment_sums = np.abs(moment).reshape(n_surf, -1, n_parts).sum(axis=1)
     column_sums = np.einsum("abj,abq->bjq", moment_sums.reshape(n_surf, n_surf, -1),
                             np.abs(products).sum(axis=2))
     window = matched_filter_window(cfg.pulse)
     return DesignProblem(
         steer_products=products,
-        steer_window=steer @ window.conj().T,
+        steer_window=steer @ window.T,
         moment=moment,
         channel=inputs.channel,
         gram_norm1=float(column_sums.max()),
@@ -259,9 +260,9 @@ def _response(theta, problem: DesignProblem):
     """Phase-weighted moment rows, equalizer normal matrix and target.
 
     ``rows[a, n]`` sums theta_i M_in over the elements i of surface a. The
-    normal matrix (S x S) is sum_{a,b} (theta_a^T M_ab theta_b^*) A_a A_b^H
+    normal matrix (S x S) is sum_{a,b} (theta_a^T M_ab theta_b^*) A_a A_b^T
     plus the noise covariance; the target (S x L_o) is
-    sum_a (theta_a . h_a) A_a W^H.
+    sum_a (theta_a . h_a) A_a W^T.
     """
     theta = _as_complex_vector(theta, "theta")
     if theta.size != problem.n_parts:
@@ -292,29 +293,6 @@ def _wiener(normal: np.ndarray, target: np.ndarray, floor: float) -> np.ndarray:
     return np.linalg.solve(normal, target)
 
 
-def _concentrated_pieces(theta, problem: DesignProblem):
-    """Shared core: (rows, solved, recovered), the moment rows, the Wiener
-    solve (``_wiener``) and the energy the best equalizer captures."""
-    rows, normal, target = _response(theta, problem)
-    solved = _wiener(normal, target, problem.noise_floor)
-    recovered = float(np.vdot(target, solved).real)
-    return rows, solved, recovered
-
-
-def mmse_equalizer(theta, problem: DesignProblem) -> np.ndarray:
-    """Closed-form minimizer of the MSE over the equalizer for fixed phases."""
-    return _concentrated_pieces(theta, problem)[1].conj().T
-
-
-def recovered_energy(theta, problem: DesignProblem) -> float:
-    """Window energy captured by the best equalizer at these phases.
-
-    Satisfies mse_compact(theta, mmse_equalizer(theta)) =
-    window_energy - recovered_energy(theta); the design maximizes it.
-    """
-    return _concentrated_pieces(theta, problem)[2]
-
-
 @dataclass(frozen=True)
 class SurrogateAnchor:
     """Linearization of the concentrated objective at one feasible point.
@@ -333,17 +311,20 @@ class SurrogateAnchor:
 
 
 def surrogate_anchor(theta, problem: DesignProblem) -> SurrogateAnchor:
-    """Build the touching linear minorant of the captured energy at theta."""
+    """Build the touching linear minorant of the captured energy at theta,
+    around the one Wiener solve (``_wiener``) of these phases."""
     theta = _as_complex_vector(theta, "theta")
-    rows, solved, recovered = _concentrated_pieces(theta, problem)
+    rows, normal, target = _response(theta, problem)
+    solved = _wiener(normal, target, problem.noise_floor)
+    recovered = float(np.vdot(target, solved).real)
     n_surf = problem.steer_products.shape[0]
     outer = solved @ solved.conj().T                        # S x S
     scale = problem.gram_norm1 * float(np.abs(outer).sum(axis=0).max())
     # Element n's score is the trace of its S x S slice of the lifted score
-    # matrix: scale * theta_n * S, minus sum_a rows[a, n] tr(outer A_a A_k(n)^H),
-    # plus conj(h_n) tr(solved (A_k(n) W^H)^H).
+    # matrix: scale * theta_n * S, minus sum_a rows[a, n] tr(outer A_a A_k(n)^T),
+    # plus conj(h_n) tr(solved (A_k(n) W^T)^T).
     gram_traces = np.einsum("pq,abqp->ab", outer, problem.steer_products)
-    window_traces = np.einsum("so,aso->a", solved, problem.steer_window.conj())
+    window_traces = np.einsum("so,aso->a", solved, problem.steer_window)
     coupled = (rows.reshape(n_surf, n_surf, -1) * gram_traces[:, :, None]).sum(axis=0)
     mean_part = problem.channel.conj().reshape(n_surf, -1) * window_traces[:, None]
     scores = scale * problem.block * theta - (coupled - mean_part).reshape(-1)
@@ -369,6 +350,20 @@ def surrogate_value(theta, anchor: SurrogateAnchor, problem: DesignProblem) -> f
     noise_part = float(np.vdot(solved, problem.noise_cov @ solved).real)
     offset = -anchor.scale * problem.n_parts * problem.block + anchor.recovered - 2.0 * noise_part
     return linear - penalty + offset
+
+
+def mmse_equalizer(theta, problem: DesignProblem) -> np.ndarray:
+    """Closed-form minimizer of the MSE over the equalizer for fixed phases."""
+    return surrogate_anchor(theta, problem).solved.conj().T
+
+
+def recovered_energy(theta, problem: DesignProblem) -> float:
+    """Window energy captured by the best equalizer at these phases.
+
+    Satisfies mse_compact(theta, mmse_equalizer(theta)) =
+    window_energy - recovered_energy(theta); the design maximizes it.
+    """
+    return surrogate_anchor(theta, problem).recovered
 
 
 def _aligned(anchor: SurrogateAnchor) -> np.ndarray:
@@ -444,8 +439,8 @@ def design_phase_aligned(problem: DesignProblem, offsets,
     Returns ``(theta, equalizer)``: each element conjugates its estimated
     gain, and the equalizer is the Wiener solution with every offset at the
     mean of ``offsets`` (one per surface, else ValueError). All steering
-    matrices are then one A: the normal matrix is (theta^T M theta^*) A A^H
-    plus the noise, the target (theta . h) A W^H, both from offset-free parts
+    matrices are then one A: the normal matrix is (theta^T M theta^*) A A^T
+    plus the noise, the target (theta . h) A W^T, both from offset-free parts
     of the belief ``problem``, which were checked when it was built.
     """
     offsets = np.asarray(offsets, dtype=float)

@@ -122,14 +122,12 @@ def _channel(channel, cfg: SystemConfig, lead: tuple = ()) -> np.ndarray:
 
 def _pilot_rows(steer, offsets, pilot: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """``steer(offset_k) @ pilot`` for each surface k, one row per surface
-    (one stack per row of a 2-D ``offsets``), from one pulse evaluation. The
-    pilot is one shared by every row of offsets, or one per row (the leading
-    axes of both); either way each row has the bits of its call alone."""
+    (one stack per row of a 2-D ``offsets``), from one pulse evaluation of
+    one pilot shared by every row; each row has the bits of its call alone."""
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape[-1:] != (cfg.n_surfaces,):
         raise ValueError(f"expected {cfg.n_surfaces} offsets, got {offsets.shape}")
-    pilot = _pilot(pilot, cfg, offsets.shape[:-1] if np.ndim(pilot) > 1 else ())
-    return (steer(offsets, cfg.pulse) @ pilot[..., None, :, None])[..., 0]
+    return (steer(offsets, cfg.pulse) @ _pilot(pilot, cfg)[:, None])[..., 0]
 
 
 def _stack_columns(rows: np.ndarray, phases: np.ndarray, cfg: SystemConfig) -> np.ndarray:

@@ -196,8 +196,9 @@ def test_fim_rejects_non_finite_noise(noise_var):
                                             (np.array([-1.5, 0.2]), "lie in"),
                                             (np.array([0.1, np.nan]), "lie in")])
 def test_crlb_rejects_offsets_it_cannot_bound(offsets, match):
-    # the lag-pilot matrix holds only the times an offset in (-1, 1) can
-    # reach, so the closed form checks the offsets as the dense route does
+    # the lag-pilot matrix holds only the times an offset with
+    # |x| <= _OFFSET_EDGE can reach, so the closed form checks the offsets
+    # as the dense route does
     vec, pilot, _ = _instance(CFG, 6)
     for bound in (crlb, crlb_from_fim):
         with pytest.raises(ValueError, match=match):

@@ -453,16 +453,16 @@ def test_design_accelerated_monotone_and_never_worse_than_plain():
 
 
 def test_design_loops_solve_each_point_once(monkeypatch):
-    """Every Wiener solve is at a new phase vector, and the returned point is
-    one of them: its equalizer reuses that solve."""
+    """Every Wiener solve (one per anchor) is at a new phase vector, and the
+    returned point is one of them: its equalizer reuses that solve."""
     solved = []
-    original = design_module._concentrated_pieces
+    original = design_module.surrogate_anchor
 
     def recording(theta, problem):
         solved.append(np.asarray(theta, dtype=complex).tobytes())
         return original(theta, problem)
 
-    monkeypatch.setattr(design_module, "_concentrated_pieces", recording)
+    monkeypatch.setattr(design_module, "surrogate_anchor", recording)
     for seed in range(6):
         cfg, inputs = _instance(1200 + seed, k=2, n=2, noise_var=1.0)
         problem = build_problem(inputs, cfg)

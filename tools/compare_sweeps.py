@@ -8,7 +8,9 @@ and the ``convergence`` traces in ``TRACES`` run once per tree, with
 ``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``. So does the ``pulse``
 output: the raw float64 bytes of the functions in ``PULSE_FUNCTIONS`` at
 fixed points and of those in ``STEERING_FUNCTIONS`` at fixed offsets, with an
-index of how many values each function wrote (``write_pulse_values``). Every
+index of how many values each function wrote (``write_pulse_values``). So
+does the ``design-loops`` output: the iterations of every design loop that
+each ``--kind design`` spec runs, in call order (``write_design_loops``). Every
 command runs in the tree's directory, so the ``config-example`` spec reads
 each tree's own ``configs/example.cfg``. For each output the script prints
 ``identical`` when the bytes match; otherwise, for every (metric, column)
@@ -17,10 +19,13 @@ that moved, or every pulse function, the largest relative drift
 output's row keys, ``trials`` or ``excluded`` differ between the trees, or
 the pulse index or a pulse value's finiteness, and 0 otherwise; when a
 trace's length differs it also prints both iteration counts and the
-relative drift of the final objective. Last it prints ``src/rissync lines: PARENT -> CHANGE``,
+relative drift of the final objective. When the design loops' counts differ
+it prints each moved spec's counts before and after, for example
+``design-loops: design-bench 20 17 -> 20 29``; that does not affect the exit
+status either. Last it prints ``src/rissync lines: PARENT -> CHANGE``,
 the newlines in each tree's ``src/rissync/*.py`` as ``wc -l`` counts them;
 they do not affect the exit status. Standard library only; the ``pulse``
-child imports the tree's ``rissync`` and numpy.
+and ``design-loops`` children import the tree's ``rissync`` and numpy.
 """
 from __future__ import annotations
 
@@ -192,9 +197,36 @@ def write_pulse_values(path: str):
         fh.writelines(f"{name} {count}\n" for name, count in counts.items())
 
 
-# run in a child with the tree's rissync: argv is this directory, the out path
-_PULSE_CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import compare_sweeps; "
-                "compare_sweeps.write_pulse_values(sys.argv[2])")
+def write_design_loops(path: str):
+    """Write the ``design-loops`` output of the ``rissync`` on the import path
+    to ``path``: one line ``name counts`` per ``--kind design`` spec, its
+    design loops' iterations in call order, each marked ``*`` when that loop
+    stopped without converging. Every spec runs through ``cli.main`` with its
+    CSV sent to ``os.devnull``."""
+    from rissync import cli, harness
+
+    original, calls = harness.design_accelerated, []
+
+    def counting(problem):
+        result = original(problem)
+        calls.append(f"{result.iterations}{'' if result.converged else '*'}")
+        return result
+
+    harness.design_accelerated = counting
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, args in SPECS.items():
+            if "--kind" not in args or args[args.index("--kind") + 1] != "design":
+                continue
+            calls.clear()
+            if cli.main(["sweep", *args, "--out", os.devnull]) != 0:
+                sys.exit(f"sweep {name} failed")
+            fh.write(f"{name} {' '.join(calls)}\n")
+
+
+# run in a child with the tree's rissync: argv is this directory, the name of
+# the writer to call and its out path
+_CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import compare_sweeps; "
+          "getattr(compare_sweeps, sys.argv[2])(sys.argv[3])")
 
 
 def _run(tree: str, *args: str):
@@ -208,8 +240,8 @@ def _run(tree: str, *args: str):
 
 
 def outputs(tree: str, work: str) -> dict:
-    """Run every spec on one tree; output name -> CSV text, or (index, bytes)
-    for ``pulse``."""
+    """Run every spec on one tree; output name -> CSV text, (index, bytes)
+    for ``pulse``, or the loop counts' text for ``design-loops``."""
     texts = {}
     for name, args in SPECS.items():
         path = os.path.join(work, f"{name}.csv")
@@ -221,10 +253,15 @@ def outputs(tree: str, work: str) -> dict:
         _run(tree, "-m", "rissync.cli", "convergence", *args, "--out", prefix)
         with open(f"{prefix}-accelerated.csv", encoding="utf-8") as fh:
             texts[f"{name}-accelerated"] = fh.read()
+    here = os.path.dirname(os.path.abspath(__file__))
     path = os.path.join(work, "pulse.bin")
-    _run(tree, "-c", _PULSE_CHILD, os.path.dirname(os.path.abspath(__file__)), path)
+    _run(tree, "-c", _CHILD, here, "write_pulse_values", path)
     with open(f"{path}.txt", encoding="utf-8") as index, open(path, "rb") as fh:
         texts["pulse"] = (index.read(), fh.read())
+    path = os.path.join(work, "design-loops.txt")
+    _run(tree, "-c", _CHILD, here, "write_design_loops", path)
+    with open(path, encoding="utf-8") as fh:
+        texts["design-loops"] = fh.read()
     return texts
 
 
@@ -312,6 +349,12 @@ def main(argv) -> int:
         new = runs[1][name]
         if old == new:
             print(f"{name}: identical")
+            continue
+        if name == "design-loops":
+            for before, after in zip(old.splitlines(), new.splitlines()):
+                if before != after:
+                    spec, _, counts = before.partition(" ")
+                    print(f"{name}: {spec} {counts} -> {after.partition(' ')[2]}")
             continue
         problems, drifts = (compare_values if name == "pulse" else compare)(old, new)
         failed = failed or bool(problems)
