@@ -37,7 +37,6 @@ from .pulse import (_offsets, lag_pilot_matrix, rrc_impulse, rrc_impulse_deriv, 
 __all__ = [
     "CrlbResult",
     "DenseBounds",
-    "observation_matrix_deriv",
     "fim",
     "crlb",
     "crlb_from_fim",
@@ -106,15 +105,6 @@ def _stacks(offsets, channel, pilot, cfg: SystemConfig) -> tuple:
                          f"{cfg.total_elements} entries and seq_len = {cfg.pulse.seq_len} "
                          "symbols")
     return offsets, _channel(channel, cfg, lead), _pilot(pilot, cfg, lead)
-
-
-def observation_matrix_deriv(offsets, pilot: np.ndarray,
-                             cfg: SystemConfig) -> np.ndarray:
-    """Entrywise derivative of the observation matrix: column block k is
-    differentiated with respect to offset k (other blocks' derivatives are
-    zero there, so the result stacks each block's own derivative)."""
-    return _stack_columns(_pilot_rows(steering_matrix_deriv, offsets, pilot, cfg),
-                          _training_phases(cfg), cfg)
 
 
 def fim(offsets, channel: np.ndarray, pilot: np.ndarray, noise_var: float,

@@ -7,7 +7,7 @@ import pytest
 
 from rissync import SingularSystemError, SystemConfig
 from rissync.channel import cascade, gen_mmwave, gen_rayleigh
-from rissync.crlb import crlb, crlb_from_fim, fim, observation_matrix_deriv
+from rissync.crlb import crlb, crlb_from_fim, fim
 from rissync.estimator import _training_phases, gen_training, observation_matrix
 from rissync.pulse import _OFFSET_EDGE
 
@@ -20,36 +20,6 @@ def _instance(cfg, seed):
     pilot = gen_training(cfg, rng.integers(2**32))
     offsets = rng.uniform(-0.5, 0.5, cfg.n_surfaces)
     return cascade(ch), pilot, offsets
-
-
-def test_deriv_matrix_shape_and_fd():
-    vec, pilot, offsets = _instance(CFG, 0)
-    nd = observation_matrix_deriv(offsets, pilot, CFG)
-    nmat = observation_matrix(offsets, pilot, CFG)
-    assert nd.shape == nmat.shape
-    # central finite differences, block by block
-    h = 1e-6
-    n_el = CFG.n_elements
-    for k in range(CFG.n_surfaces):
-        up, dn = offsets.copy(), offsets.copy()
-        up[k] += h
-        dn[k] -= h
-        fd = (observation_matrix(up, pilot, CFG) - observation_matrix(dn, pilot, CFG)) / (2 * h)
-        cols = slice(k * n_el, (k + 1) * n_el)
-        np.testing.assert_allclose(nd[:, cols], fd[:, cols], rtol=1e-4, atol=1e-7)
-        # other blocks do not move with offset k
-        rest = np.delete(fd, np.s_[cols], axis=1)
-        assert np.max(np.abs(rest)) < 1e-8
-
-
-def test_deriv_matrix_degenerate_single_element():
-    cfg = SystemConfig(1, 1)
-    pilot = gen_training(cfg, 1)
-    from rissync.pulse import steering_matrix_deriv
-    nd = observation_matrix_deriv(np.array([0.3]), pilot, cfg)
-    np.testing.assert_allclose(
-        nd[:, 0], steering_matrix_deriv(0.3, cfg.pulse) @ pilot, rtol=1e-12
-    )
 
 
 def test_fim_is_symmetric_and_scales_inversely_with_noise():

@@ -7,6 +7,7 @@ import pytest
 from rissync import design as design_module
 from rissync import harness
 from rissync.config import SystemConfig
+from rissync.crlb import crlb
 from rissync.design import (
     DesignInputs,
     build_problem,
@@ -305,6 +306,50 @@ def test_recovered_energy_identity_bounds_and_global_phase():
         assert -1e-10 <= rec <= problem.window_energy + 1e-10
         spun = np.exp(1j * rng.uniform(0, 2 * np.pi)) * theta
         assert abs(recovered_energy(spun, problem) - rec) <= 1e-10 * (1.0 + rec)
+
+
+def _k_scalar_energy(theta, inputs, cfg, bounds=None):
+    """Re tr((v W^T)^H N^-1 v W^T), v = sum_a g_a A_a with g_a = theta_a . h_a
+    one complex number per surface: N = v v^H + N_0, plus, on a belief with
+    the bound's parts d and r_a, sum_a (sum_{i in a} d_i
+    + (noise_var/2) |theta_a . r_a|^2) A_a A_a^T."""
+    k = cfg.n_surfaces
+    steer = steering_matrix(inputs.offsets, cfg.pulse)
+    v = np.einsum("a,asl->sl", (theta * inputs.channel).reshape(k, -1).sum(axis=1), steer)
+    normal = v @ v.conj().T + inputs.noise_cov
+    if bounds is not None:
+        spread = (bounds.channel_diag.reshape(k, -1).sum(axis=1) + bounds.noise_var / 2.0
+                  * np.abs((theta.reshape(k, -1) * bounds.channel_factor).sum(axis=1)) ** 2)
+        normal = normal + np.einsum("a,asl,atl->st", spread, steer, steer)
+    target = v @ matched_filter_window(cfg.pulse).T
+    return np.vdot(target, np.linalg.solve(normal, target)).real
+
+
+@pytest.mark.parametrize("spec", [
+    harness.ExperimentSpec(n_surfaces=2, n_x=8, n_y=4, offset_model="common-delta",
+                           delta_max=0.3, snr_grid_db=(10.0,), trials=1, base_seed=0),
+    harness.ExperimentSpec(scenario="mmwave", n_surfaces=4, n_x=8, n_y=8,
+                           offset_model="common-delta", delta_max=0.3, snr_grid_db=(10.0,),
+                           trials=1, base_seed=77),
+], ids=["bench", "mmwave-k4-8x8"])
+def test_captured_energy_depends_on_the_phases_through_k_scalars(spec):
+    """On a sweep trial's belief and truth problems the captured energy is a
+    function of g_a = theta_a . h_a alone, at random, conjugate and loop phases."""
+    cfg = spec.system_config()
+    trial = harness._draw_trial(spec, cfg, 0)
+    believed = harness._believed(trial, 0)
+    est = harness._point(trial.joint, 0)
+    bounds = crlb(est.offsets, est.channel, trial.pilot, trial.noise_vars[0], cfg)
+    truth = DesignInputs(offsets=trial.offsets, channel=trial.gains,
+                         channel_cov=np.zeros((cfg.total_elements,) * 2, dtype=complex),
+                         noise_cov=believed.noise_cov)
+    rng = np.random.default_rng(3)
+    for inputs, parts in ((believed, bounds), (truth, None)):
+        problem = build_problem(inputs, cfg)
+        for theta in (_unit(rng, cfg.total_elements), np.exp(-1j * np.angle(inputs.channel)),
+                      design_accelerated(problem).theta):
+            want = _k_scalar_energy(theta, inputs, cfg, parts)
+            assert abs(recovered_energy(theta, problem) - want) <= 1e-12 * abs(want)
 
 
 def test_phase_update_unit_modulus_and_monotone():

@@ -506,7 +506,6 @@ def test_estimates_and_bounds_use_no_dense_route(monkeypatch):
     for module in (estimator_module, crlb_module):
         monkeypatch.setattr(module, "_stack_columns", forbidden)
     monkeypatch.setattr(estimator_module, "observation_matrix", forbidden)
-    monkeypatch.setattr(crlb_module, "observation_matrix_deriv", forbidden)
     for name in ("qr", "solve", "inv", "cond", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     res = mle_alternating(y, pilot, CFG)

@@ -3,35 +3,48 @@
 
     python3 tools/compare_sweeps.py PARENT_TREE CHANGE_TREE
 
-Each tree is a checkout that holds ``src/rissync``. Every spec in ``SPECS``
-and the ``convergence`` traces in ``TRACES`` run once per tree, with
-``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``. So does the ``pulse``
-output: the raw float64 bytes of the functions in ``PULSE_FUNCTIONS`` at
-fixed points and of those in ``STEERING_FUNCTIONS`` at fixed offsets, with an
-index of how many values each function wrote (``write_pulse_values``). So
-does the ``design-loops`` output: the iterations of every design loop that
-each ``--kind design`` spec runs, in call order (``write_design_loops``). Every
-command runs in the tree's directory, so the ``config-example`` spec reads
-each tree's own ``configs/example.cfg``. For each output the script prints
-``identical`` when the bytes match; otherwise, for every (metric, column)
-that moved, or every pulse function, the largest relative drift
-``|a - b| / max(|a|, |b|)`` over its rows or values. It exits 1 when an
-output's row keys, ``trials`` or ``excluded`` differ between the trees, or
-the pulse index or a pulse value's finiteness, and 0 otherwise; when a
-trace's length differs it also prints both iteration counts and the
-relative drift of the final objective. When the design loops' counts differ
-it prints each moved spec's counts before and after, for example
-``design-loops: design-bench 20 17 -> 20 29``; that does not affect the exit
-status either. Last it prints ``src/rissync lines: PARENT -> CHANGE``,
-the newlines in each tree's ``src/rissync/*.py`` as ``wc -l`` counts them;
-they do not affect the exit status. Standard library only; the ``pulse``
-and ``design-loops`` children import the tree's ``rissync`` and numpy.
+Each tree is a checkout that holds ``src/rissync``. Per tree, one child
+process (``write_outputs``) runs in the tree's directory with
+``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``, so the
+``config-example`` spec reads each tree's own ``configs/example.cfg``.
+Through ``cli.main`` it runs every spec in ``SPECS`` and every
+``convergence`` trace in ``TRACES`` once, and counts two outputs as they run:
+
+- ``design-loops``: per ``--kind design`` spec, the iterations of every
+  design loop it runs, in call order, each marked ``*`` when that loop
+  stopped without converging;
+- ``work``: per spec and trace, the ``WORK_COUNTERS`` that moved from 0:
+  pulse values evaluated, surrogate anchors, bound rows and trial streams.
+  One process per tree means that a cache fills, and counts, in the first
+  run that needs it.
+
+Last it writes the ``pulse`` output: the raw float64 bytes of the functions
+in ``PULSE_FUNCTIONS`` at fixed points and of those in
+``STEERING_FUNCTIONS`` at fixed offsets, with an index of how many values
+each function wrote (``write_pulse_values``). A run that fails stops the
+script with the child's error.
+
+For each output the script prints ``identical`` when the bytes match;
+otherwise, for every (metric, column) that moved, or every pulse function,
+the largest relative drift ``|a - b| / max(|a|, |b|)`` over its rows or
+values. It exits 1 when an output's row keys, ``trials`` or ``excluded``
+differ between the trees, or the pulse index or a pulse value's finiteness,
+and 0 otherwise; when a trace's length differs it also prints both
+iteration counts and the relative drift of the final objective. When
+``design-loops`` or ``work`` differ it prints each moved line before and
+after, for example ``design-loops: design-bench 20 17 -> 20 29``; that does
+not affect the exit status either. Last it prints
+``src/rissync lines: PARENT -> CHANGE``, the newlines in each tree's
+``src/rissync/*.py`` as ``wc -l`` counts them; they do not affect the exit
+status. Standard library only; the child imports the tree's ``rissync`` and
+numpy.
 """
 from __future__ import annotations
 
 import bisect
 import csv
 import glob
+import importlib
 import io
 import math
 import os
@@ -39,6 +52,8 @@ import subprocess
 import sys
 import tempfile
 from array import array
+from collections import Counter
+from pathlib import Path
 
 _ESTIMATION = ["--kind", "estimation", "--scenario", "rayleigh", "--surfaces", "2",
                "--nx", "4", "--ny", "4", "--offset-model", "uniform",
@@ -147,6 +162,16 @@ STEERING_FUNCTIONS = ("steering_matrix", "steering_matrix_deriv")
 STEERING_OVERSAMPLINGS = (2, 3)
 STEERING_OFFSETS = (0.0, 0.3, -0.77, 0.5, 1.0 / 3.0, -(1.0 - 1e-9), 1.0 - 1e-9)
 
+# The `work` output: (counter, rissync module, function, the work one call of
+# the function adds, read off the call's arguments).
+WORK_COUNTERS = (
+    ("pulse_values", "pulse", "rrc_impulse", lambda t, *_, **__: getattr(t, "size", 1)),
+    ("pulse_values", "pulse", "rrc_impulse_deriv", lambda t, *_, **__: getattr(t, "size", 1)),
+    ("anchors", "design", "surrogate_anchor", lambda *_, **__: 1),
+    ("bound_rows", "crlb", "crlb",
+     lambda offsets, *_, **__: math.prod(getattr(offsets, "shape", (0,))[:-1])),
+    ("streams", "harness", "_stream", lambda *_, **__: 1),
+)
 
 def _pulse_points(rolloff: float, span: int):
     """A 1e-3 grid one symbol past the support; around 0, both removable
@@ -197,71 +222,90 @@ def write_pulse_values(path: str):
         fh.writelines(f"{name} {count}\n" for name, count in counts.items())
 
 
-def write_design_loops(path: str):
-    """Write the ``design-loops`` output of the ``rissync`` on the import path
-    to ``path``: one line ``name counts`` per ``--kind design`` spec, its
-    design loops' iterations in call order, each marked ``*`` when that loop
-    stopped without converging. Every spec runs through ``cli.main`` with its
-    CSV sent to ``os.devnull``."""
-    from rissync import cli, harness
-
-    original, calls = harness.design_accelerated, []
-
-    def counting(problem):
-        result = original(problem)
-        calls.append(f"{result.iterations}{'' if result.converged else '*'}")
-        return result
-
-    harness.design_accelerated = counting
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, args in SPECS.items():
-            if "--kind" not in args or args[args.index("--kind") + 1] != "design":
-                continue
-            calls.clear()
-            if cli.main(["sweep", *args, "--out", os.devnull]) != 0:
-                sys.exit(f"sweep {name} failed")
-            fh.write(f"{name} {' '.join(calls)}\n")
+def _wrap(module: str, name: str, wrapper):
+    """Point every reference to ``rissync.<module>.<name>`` that a ``rissync``
+    module holds at ``wrapper(function)``; a name the tree lacks is skipped.
+    The module comes through ``importlib``, since ``rissync.crlb`` is also the
+    name of a function."""
+    original = getattr(importlib.import_module(f"rissync.{module}"), name, None)
+    if original is None:
+        return
+    replacement = wrapper(original)
+    for key, held in list(sys.modules.items()):
+        if key == "rissync" or key.startswith("rissync."):
+            for attr, value in list(vars(held).items()):
+                if value is original:
+                    setattr(held, attr, replacement)
 
 
-# run in a child with the tree's rissync: argv is this directory, the name of
-# the writer to call and its out path
+def write_outputs(work: str):
+    """Write every output of the ``rissync`` on the import path into the
+    directory ``work``, in this one process: each spec's CSV and each trace
+    through ``cli.main``, then ``design-loops.txt`` and ``work.txt`` (one line
+    per run, as counted while it ran), then ``pulse.bin``."""
+    from rissync import cli
+
+    loops, counts = [], Counter()
+
+    def looped(design):
+        def counted(problem):
+            result = design(problem)
+            loops.append(f"{result.iterations}{'' if result.converged else '*'}")
+            return result
+        return counted
+
+    def counting(counter, measure):
+        def wrapper(function):
+            def counted(*args, **kwargs):
+                counts[counter] += measure(*args, **kwargs)
+                return function(*args, **kwargs)
+            return counted
+        return wrapper
+
+    _wrap("harness", "design_accelerated", looped)
+    for counter, module, name, measure in WORK_COUNTERS:
+        _wrap(module, name, counting(counter, measure))
+    runs = [("sweep", name, args, os.path.join(work, f"{name}.csv"))
+            for name, args in SPECS.items()]
+    runs += [("convergence", name, args, os.path.join(work, name))
+             for name, args in TRACES.items()]
+    with open(os.path.join(work, "design-loops.txt"), "w", encoding="utf-8") as design_loops, \
+            open(os.path.join(work, "work.txt"), "w", encoding="utf-8") as work_counts:
+        for command, name, args, out in runs:
+            loops.clear()
+            counts.clear()
+            if cli.main([command, *args, "--out", out]) != 0:
+                sys.exit(f"{command} {name} failed")
+            if "--kind" in args and args[args.index("--kind") + 1] == "design":
+                design_loops.write(f"{name} {' '.join(loops)}\n")
+            work_counts.write(" ".join([name, *(f"{k}={v}" for k, v in sorted(counts.items()))])
+                              + "\n")
+    write_pulse_values(os.path.join(work, "pulse.bin"))
+
+
+# run in a child with the tree's rissync: argv is this directory and the
+# directory to write the outputs to
 _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import compare_sweeps; "
-          "getattr(compare_sweeps, sys.argv[2])(sys.argv[3])")
+          "compare_sweeps.write_outputs(sys.argv[2])")
 
 
-def _run(tree: str, *args: str):
+def outputs(tree: str, work: str) -> dict:
+    """Run the child on one tree and read what it wrote; output name -> CSV
+    text, (index, bytes) for ``pulse``, or the text of ``design-loops`` or
+    ``work``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, *args]
+    cmd = [sys.executable, "-c", _CHILD, os.path.dirname(os.path.abspath(__file__)), work]
     done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
         sys.exit(f"{' '.join(cmd)} failed in {tree} (exit {done.returncode}):\n{done.stderr}")
-
-
-def outputs(tree: str, work: str) -> dict:
-    """Run every spec on one tree; output name -> CSV text, (index, bytes)
-    for ``pulse``, or the loop counts' text for ``design-loops``."""
-    texts = {}
-    for name, args in SPECS.items():
-        path = os.path.join(work, f"{name}.csv")
-        _run(tree, "-m", "rissync.cli", "sweep", *args, "--out", path)
-        with open(path, encoding="utf-8") as fh:
-            texts[name] = fh.read()
-    for name, args in TRACES.items():
-        prefix = os.path.join(work, name)
-        _run(tree, "-m", "rissync.cli", "convergence", *args, "--out", prefix)
-        with open(f"{prefix}-accelerated.csv", encoding="utf-8") as fh:
-            texts[f"{name}-accelerated"] = fh.read()
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.path.join(work, "pulse.bin")
-    _run(tree, "-c", _CHILD, here, "write_pulse_values", path)
-    with open(f"{path}.txt", encoding="utf-8") as index, open(path, "rb") as fh:
-        texts["pulse"] = (index.read(), fh.read())
-    path = os.path.join(work, "design-loops.txt")
-    _run(tree, "-c", _CHILD, here, "write_design_loops", path)
-    with open(path, encoding="utf-8") as fh:
-        texts["design-loops"] = fh.read()
+    csvs = [*SPECS, *(f"{name}-accelerated" for name in TRACES)]
+    texts = {name: Path(work, f"{name}.csv").read_text(encoding="utf-8") for name in csvs}
+    texts["pulse"] = (Path(work, "pulse.bin.txt").read_text(encoding="utf-8"),
+                      Path(work, "pulse.bin").read_bytes())
+    for name in ("design-loops", "work"):
+        texts[name] = Path(work, f"{name}.txt").read_text(encoding="utf-8")
     return texts
 
 
@@ -350,7 +394,7 @@ def main(argv) -> int:
         if old == new:
             print(f"{name}: identical")
             continue
-        if name == "design-loops":
+        if name in ("design-loops", "work"):
             for before, after in zip(old.splitlines(), new.splitlines()):
                 if before != after:
                     spec, _, counts = before.partition(" ")
