@@ -114,9 +114,9 @@ class DesignInputs:
                           ("channel_cov", cov), ("noise_cov", noise)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+        # relative to the matrix's own largest entry at any scale; all zeros pass
         for name, mat in (("channel_cov", cov), ("noise_cov", noise)):
-            scale = max(np.abs(mat).max(), 1.0)
-            if np.abs(mat - mat.conj().T).max() > 1e-10 * scale:
+            if np.abs(mat - mat.conj().T).max() > 1e-10 * np.abs(mat).max():
                 raise ValueError(f"{name} must be Hermitian")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "channel", channel)

@@ -1,10 +1,10 @@
 """Root-raised-cosine pulse machinery.
 
-Implements the unit-energy RRC impulse response, its analytic derivative, and
-its autocorrelation (a raised cosine), plus the oversampled steering and
-windowing matrices built from them. The RRC formulas have removable
-singularities; near those points every function switches to a local series
-expansion, so all values are finite everywhere on the real line.
+Implements the unit-energy RRC impulse response and its analytic derivative,
+the oversampled steering matrices built from them, and the matched-filter
+window of raised-cosine taps. The RRC formulas have removable singularities;
+near those points both functions switch to a local series expansion, so all
+values are finite everywhere on the real line.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ __all__ = [
     "SINGULARITY_TOL",
     "rrc_impulse",
     "rrc_impulse_deriv",
-    "pulse_autocorr",
     "lag_pilot_matrix",
     "steering_matrix",
     "steering_matrix_deriv",
@@ -162,50 +161,6 @@ def rrc_impulse_deriv(t, cfg: PulseConfig):
 
 
 # ---------------------------------------------------------------------------
-# autocorrelation (raised cosine)
-# ---------------------------------------------------------------------------
-
-def pulse_autocorr(tau, cfg: PulseConfig):
-    """Autocorrelation of the unit-energy RRC pulse at a lag of ``tau`` symbols.
-
-    Closed-form raised cosine; equals 1 at tau = 0 and vanishes at every
-    other integer lag.
-    """
-    beta = cfg.rolloff
-    t_sing = 1.0 / (2.0 * beta)
-    # untruncated, and even: every branch is evaluated on |tau|
-    _, x, near0, nears, plain = _branches(tau, np.inf, t_sing)
-    out = np.zeros_like(x)
-    xp = x[plain]
-    # denominator root factored out so there is no cancellation near it
-    den = np.pi * xp * (-4.0 * beta**2) * (xp - t_sing) * (xp + t_sing)
-    out[plain] = np.sin(np.pi * xp) * np.cos(np.pi * beta * xp) / den
-    if near0.any():
-        b2 = beta**2
-        c2 = 4.0 * b2 - np.pi**2 / 6.0 - np.pi**2 * b2 / 2.0
-        c4 = (
-            np.pi**4 / 120.0 + np.pi**4 * b2 / 12.0 + np.pi**4 * b2**2 / 24.0
-            + 16.0 * b2**2 - 2.0 * np.pi**2 * b2 / 3.0 - 2.0 * np.pi**2 * b2**2
-        )
-        x2 = x[near0] ** 2
-        out[near0] = 1.0 + c2 * x2 + c4 * x2 * x2
-    if nears.any():
-        # derivatives of the numerator sin(pi x) cos(pi beta x) at 1/(2*beta)
-        sp, cp = np.sin(np.pi * t_sing), np.cos(np.pi * t_sing)
-        sb, cb = np.sin(np.pi * beta * t_sing), np.cos(np.pi * beta * t_sing)
-        d1 = np.pi * cp * cb - np.pi * beta * sp * sb
-        d2 = -np.pi**2 * (1.0 + beta**2) * sp * cb - 2.0 * np.pi**2 * beta * cp * sb
-        d3 = -np.pi**3 * (1.0 + 3.0 * beta**2) * cp * cb + np.pi**3 * (3.0 * beta + beta**3) * sp * sb
-        d4 = (
-            np.pi**4 * (1.0 + 6.0 * beta**2 + beta**4) * sp * cb
-            + 4.0 * np.pi**4 * (beta + beta**3) * cp * sb
-        )
-        p, q = _taylor_ratio((d1, d2, d3, d4), x[nears] - t_sing, 2.0 * beta)
-        out[nears] = p / q
-    return out[0] if np.ndim(tau) == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # steering and windowing matrices
 # ---------------------------------------------------------------------------
 
@@ -305,10 +260,22 @@ def matched_filter_window(cfg: PulseConfig) -> np.ndarray:
     """The (obs_len, seq_len) matched-filter window that selects the
     ``obs_len`` detected symbols out of a ``seq_len`` block.
 
-    Its taps are the ideal symbol-spaced matched-filter output: pulse
-    autocorrelation values at integer lags ``-span .. span`` followed by
-    ``obs_len - 1`` zeros; row ``r`` holds them rotated right by ``r``.
+    Its taps are the ideal symbol-spaced matched-filter output: the raised
+    cosine at integer lags ``-span .. span`` (1 at lag 0, 0 up to rounding
+    elsewhere), then ``obs_len - 1`` zeros; row ``r`` holds them rotated
+    right by ``r``.
     """
-    lags = np.arange(-cfg.span, cfg.span + 1, dtype=float)
-    taps = np.concatenate([pulse_autocorr(lags, cfg), np.zeros(cfg.obs_len - 1)])
+    # Off lag 0 the taps keep the formula's rounding (exact 0 only where it is
+    # singular), so the design path keeps its bytes until the benchmark draws
+    # design seeds per round; then they become exact zeros, steer_window a
+    # column slice and window_energy = obs_len (ROADMAP item 7).
+    beta = cfg.rolloff
+    t_sing = 1.0 / (2.0 * beta)
+    x = np.abs(np.arange(-cfg.span, cfg.span + 1, dtype=float))
+    plain = (x != 0.0) & (x != t_sing)
+    xp = x[plain]
+    den = np.pi * xp * (-4.0 * beta**2) * (xp - t_sing) * (xp + t_sing)
+    taps = np.zeros(cfg.seq_len)
+    taps[cfg.span] = 1.0
+    taps[:x.size][plain] = np.sin(np.pi * xp) * np.cos(np.pi * beta * xp) / den
     return taps[(np.arange(cfg.seq_len) - np.arange(cfg.obs_len)[:, None]) % cfg.seq_len]

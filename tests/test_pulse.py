@@ -1,8 +1,12 @@
-"""Tests for the root-raised-cosine pulse, its derivative and autocorrelation.
+"""Tests for the root-raised-cosine pulse, its derivative, the steering
+matrices and the matched-filter window.
 
 Reference values were computed independently with mpmath at 40 decimal digits
 (direct textbook formulas plus mp.limit at the removable singularities and
-mp.quad for the energy/correlation integrals) and are frozen here.
+mp.quad for the energy/correlation integrals) and are frozen here. The
+window's taps are the raised cosine at integer lags, from its direct formula:
+exactly 1 at lag 0 and zero up to rounding elsewhere (exactly zero where the
+formula is singular).
 """
 import importlib
 
@@ -15,7 +19,6 @@ from scipy.integrate import quad
 from rissync import (
     PulseConfig,
     matched_filter_window,
-    pulse_autocorr,
     rrc_impulse,
     rrc_impulse_deriv,
     steering_matrix,
@@ -26,16 +29,14 @@ from rissync.pulse import _OFFSET_EDGE, SINGULARITY_TOL, lag_pilot_matrix
 CFG = PulseConfig()  # rolloff 0.22, span 4, oversampling 2, obs_len 12
 BETA = CFG.rolloff
 X_SING = 1.0 / (4.0 * BETA)
-T_SING = 1.0 / (2.0 * BETA)
 
 # mpmath (40 dps) reference values, rolloff 0.22
 PEAK = 1.0601126998417358
 G_AT_SING = -0.15718426207720724
 DG_AT_SING = -0.5370036882886971
 ENERGY_TRUNC = 0.9991162114335723  # integral of g^2 over [-4, 4]
-AC_HALF = 0.6294486138678793       # closed-form autocorrelation at lag 0.5
+AC_HALF = 0.6294486138678793       # raised cosine (untruncated) at lag 0.5
 AC_HALF_TRUNC = 0.6297530129414243  # quadrature of truncated-pulse correlation
-AC_AT_SING = 0.08313245317896841
 SPOT_G = {0.3: 0.8879756445784789, 1.0: -0.05732352424651584,
           2.25: 0.10046073608940728, 3.9: 0.019828370858788176}
 SPOT_DG = {0.3: -1.0865406043878544, 1.0: -0.9235060547502182}
@@ -83,7 +84,7 @@ def test_support_is_truncated():
 
 
 def test_nan_propagates():
-    for fn in (rrc_impulse, rrc_impulse_deriv, pulse_autocorr):
+    for fn in (rrc_impulse, rrc_impulse_deriv):
         assert np.isnan(fn(np.nan, CFG))
         assert np.isnan(fn(np.array([0.3, np.nan]), CFG)[1])
 
@@ -139,43 +140,15 @@ def test_derivative_zero_at_origin():
     assert rrc_impulse_deriv(0.0, CFG) == 0.0
 
 
-def test_autocorr_is_unity_at_zero_lag():
-    assert pulse_autocorr(0.0, CFG) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_autocorr_vanishes_at_nonzero_integer_lags():
-    lags = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0, 7.0])
-    np.testing.assert_allclose(pulse_autocorr(lags, CFG), 0.0, atol=1e-12)
-
-
-def test_autocorr_closed_form_vs_pulse_correlation():
-    assert pulse_autocorr(0.5, CFG) == pytest.approx(AC_HALF, rel=1e-12)
+def test_pulse_correlation_at_half_symbol_lag():
+    # The truncated pulse's correlation at lag 0.5 differs from the raised
+    # cosine, its untruncated closed form, only by truncation leakage.
     val, _ = quad(
         lambda x: rrc_impulse(x, CFG) * rrc_impulse(x - 0.5, CFG),
         -CFG.span, CFG.span + 0.5, limit=200,
     )
     assert val == pytest.approx(AC_HALF_TRUNC, rel=1e-8)
-    # closed form differs from the truncated correlation only by leakage
     assert abs(val - AC_HALF) < 1e-3
-
-
-def test_autocorr_at_singular_lag():
-    assert pulse_autocorr(T_SING, CFG) == pytest.approx(AC_AT_SING, rel=1e-10)
-    boundary = {
-        -1.001e-3: 0.082960306457874155,
-        -0.999e-3: 0.082960651482193017,
-        0.999e-3: 0.083303180915992952,
-        1.001e-3: 0.083303521635871888,
-    }
-    for off, want in boundary.items():
-        assert pulse_autocorr(T_SING + off, CFG) == pytest.approx(want, rel=1e-10)
-    assert pulse_autocorr(0.999e-3, CFG) == pytest.approx(0.99999831320105683, rel=1e-12)
-    assert pulse_autocorr(1.001e-3, CFG) == pytest.approx(0.99999830644034995, rel=1e-12)
-
-
-def test_autocorr_no_nans_on_fine_grid():
-    vals = pulse_autocorr(np.arange(0.0, 8.0, 1e-3), CFG)
-    assert np.all(np.isfinite(vals))
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,7 +158,6 @@ def test_pulse_symmetry_and_boundedness(x):
     assert rrc_impulse(-x, CFG) == g
     assert abs(g) <= PEAK + 1e-12
     assert rrc_impulse_deriv(-x, CFG) == -rrc_impulse_deriv(x, CFG)
-    assert pulse_autocorr(-x, CFG) == pulse_autocorr(x, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +338,20 @@ def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
 
 
 def test_matched_filter_taps_layout():
-    # the window's first row holds the taps unrotated
-    taps = matched_filter_window(CFG)[0]
-    assert taps.shape == (CFG.seq_len,)
-    assert taps[CFG.span] == pytest.approx(1.0, abs=1e-14)
-    lags = np.arange(-CFG.span, CFG.span + 1, dtype=float)
-    assert taps[:lags.size].tobytes() == pulse_autocorr(lags, CFG).tobytes()
-    # off-center integer lags are (numerically) zero, as is the padding
-    mask = np.ones(CFG.seq_len, dtype=bool)
-    mask[CFG.span] = False
-    np.testing.assert_allclose(taps[mask], 0.0, atol=1e-12)
-    assert np.all(taps[2 * CFG.span + 1:] == 0.0)
+    # the window's first row holds the taps unrotated: the raised cosine at
+    # integer lags -span..span, which is 1 at lag 0 and 0 (Nyquist) up to
+    # rounding elsewhere, then zero padding
+    for cfg in (CFG, PulseConfig(rolloff=0.25)):
+        taps = matched_filter_window(cfg)[0]
+        assert taps.shape == (cfg.seq_len,)
+        assert np.all(np.isfinite(taps))
+        assert taps[cfg.span] == 1.0
+        lags = np.arange(-cfg.span, cfg.seq_len - cfg.span)
+        assert np.all(np.abs(taps[lags != 0]) <= 1e-15)
+        assert np.all(taps[2 * cfg.span + 1:] == 0.0)
+    # at rolloff 0.25 the formula is singular at lags +-2 = +-1/(2*rolloff)
+    singular = matched_filter_window(PulseConfig(rolloff=0.25))[0]
+    assert np.all(singular[CFG.span + np.array([-2, 2])] == 0.0)
 
 
 def test_window_matrix_is_circulant_selector():

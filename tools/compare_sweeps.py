@@ -14,15 +14,17 @@ Through ``cli.main`` it runs every spec in ``SPECS`` and every
   design loop it runs, in call order, each marked ``*`` when that loop
   stopped without converging;
 - ``work``: per spec and trace, the ``WORK_COUNTERS`` that moved from 0:
-  pulse values evaluated, surrogate anchors, bound rows and trial streams.
-  One process per tree means that a cache fills, and counts, in the first
-  run that needs it.
+  pulse values evaluated, surrogate anchors, Wiener solves, ``crlb`` calls
+  and the bound rows they hold, trial streams, and calls of numpy's ``fft``
+  and ``ifft`` (wrapped in ``numpy.fft`` itself, which the child's
+  ``rissync`` reaches as ``np.fft``). One process per tree means that a
+  cache fills, and counts, in the first run that needs it.
 
 Last it writes the ``pulse`` output: the raw float64 bytes of the functions
 in ``PULSE_FUNCTIONS`` at fixed points and of those in
 ``STEERING_FUNCTIONS`` at fixed offsets, with an index of how many values
-each function wrote (``write_pulse_values``). A run that fails stops the
-script with the child's error.
+each function wrote (``write_pulse_values``); a function the tree lacks
+writes nothing. A run that fails stops the script with the child's error.
 
 For each output the script prints ``identical`` when the bytes match;
 otherwise, for every (metric, column) that moved, or every pulse function,
@@ -153,7 +155,7 @@ TRACES = {
 
 # The `pulse` output holds each of these functions of `rissync.pulse`, in
 # turn, at every rolloff and span below, on the points of `_pulse_points`.
-PULSE_FUNCTIONS = ("rrc_impulse", "rrc_impulse_deriv", "pulse_autocorr")
+PULSE_FUNCTIONS = ("rrc_impulse", "rrc_impulse_deriv")
 PULSE_ROLLOFFS = (0.1, 0.22, 0.25, 0.35, 0.5, 1.0)
 PULSE_SPANS = (2, 4, 6)
 # ... then each of these, at every oversampling below, on one stack of these
@@ -162,15 +164,20 @@ STEERING_FUNCTIONS = ("steering_matrix", "steering_matrix_deriv")
 STEERING_OVERSAMPLINGS = (2, 3)
 STEERING_OFFSETS = (0.0, 0.3, -0.77, 0.5, 1.0 / 3.0, -(1.0 - 1e-9), 1.0 - 1e-9)
 
-# The `work` output: (counter, rissync module, function, the work one call of
-# the function adds, read off the call's arguments).
+# The `work` output: (counter, module, function, the work one call of the
+# function adds, read off the call's arguments).
 WORK_COUNTERS = (
-    ("pulse_values", "pulse", "rrc_impulse", lambda t, *_, **__: getattr(t, "size", 1)),
-    ("pulse_values", "pulse", "rrc_impulse_deriv", lambda t, *_, **__: getattr(t, "size", 1)),
-    ("anchors", "design", "surrogate_anchor", lambda *_, **__: 1),
-    ("bound_rows", "crlb", "crlb",
+    ("pulse_values", "rissync.pulse", "rrc_impulse", lambda t, *_, **__: getattr(t, "size", 1)),
+    ("pulse_values", "rissync.pulse", "rrc_impulse_deriv",
+     lambda t, *_, **__: getattr(t, "size", 1)),
+    ("anchors", "rissync.design", "surrogate_anchor", lambda *_, **__: 1),
+    ("wiener_solves", "rissync.design", "_wiener", lambda *_, **__: 1),
+    ("crlb_calls", "rissync.crlb", "crlb", lambda *_, **__: 1),
+    ("bound_rows", "rissync.crlb", "crlb",
      lambda offsets, *_, **__: math.prod(getattr(offsets, "shape", (0,))[:-1])),
-    ("streams", "harness", "_stream", lambda *_, **__: 1),
+    ("streams", "rissync.harness", "_stream", lambda *_, **__: 1),
+    ("ffts", "numpy.fft", "fft", lambda *_, **__: 1),
+    ("ffts", "numpy.fft", "ifft", lambda *_, **__: 1),
 )
 
 def _pulse_points(rolloff: float, span: int):
@@ -198,12 +205,12 @@ def _pulse_values():
     import numpy as np
     from rissync import PulseConfig, pulse
 
-    for name in PULSE_FUNCTIONS:
+    for name in (name for name in PULSE_FUNCTIONS if hasattr(pulse, name)):
         for rolloff in PULSE_ROLLOFFS:
             for span in PULSE_SPANS:
                 yield name, getattr(pulse, name)(_pulse_points(rolloff, span),
                                                  PulseConfig(rolloff=rolloff, span=span))
-    for name in STEERING_FUNCTIONS:
+    for name in (name for name in STEERING_FUNCTIONS if hasattr(pulse, name)):
         for oversampling in STEERING_OVERSAMPLINGS:
             yield name, getattr(pulse, name)(np.array(STEERING_OFFSETS),
                                              PulseConfig(oversampling=oversampling))
@@ -223,16 +230,16 @@ def write_pulse_values(path: str):
 
 
 def _wrap(module: str, name: str, wrapper):
-    """Point every reference to ``rissync.<module>.<name>`` that a ``rissync``
-    module holds at ``wrapper(function)``; a name the tree lacks is skipped.
-    The module comes through ``importlib``, since ``rissync.crlb`` is also the
-    name of a function."""
-    original = getattr(importlib.import_module(f"rissync.{module}"), name, None)
+    """Point every reference to ``<module>.<name>`` that ``module`` or a
+    ``rissync`` module holds at ``wrapper(function)``; a name the tree lacks
+    is skipped. The module comes through ``importlib``, since ``rissync.crlb``
+    is also the name of a function."""
+    original = getattr(importlib.import_module(module), name, None)
     if original is None:
         return
     replacement = wrapper(original)
     for key, held in list(sys.modules.items()):
-        if key == "rissync" or key.startswith("rissync."):
+        if key in (module, "rissync") or key.startswith("rissync."):
             for attr, value in list(vars(held).items()):
                 if value is original:
                     setattr(held, attr, replacement)
@@ -262,7 +269,7 @@ def write_outputs(work: str):
             return counted
         return wrapper
 
-    _wrap("harness", "design_accelerated", looped)
+    _wrap("rissync.harness", "design_accelerated", looped)
     for counter, module, name, measure in WORK_COUNTERS:
         _wrap(module, name, counting(counter, measure))
     runs = [("sweep", name, args, os.path.join(work, f"{name}.csv"))
