@@ -1,91 +1,27 @@
 """Timing-offset and cascaded-channel estimation for multi-surface reflected
-links, with downstream cooperative reflection design."""
-from .channel import ChannelSet, cascade, gen_mmwave, gen_rayleigh
-from .config import PulseConfig, SystemConfig
-from .crlb import CrlbResult, crlb, crlb_from_fim, fim
-from .design import (
-    DesignInputs,
-    DesignProblem,
-    DesignResult,
-    build_problem,
-    design_accelerated,
-    design_phase_aligned,
-    mmse_equalizer,
-    mse_compact,
-    mse_direct,
-    random_phases,
-    white_noise_cov,
-)
-from .errors import FailureRateError, SingularSystemError
-from .estimator import (
-    EstimationResult,
-    gen_training,
-    mle_alternating,
-    observation_matrix,
-    residual_cost,
-    simulate_training,
-)
-from .harness import (
-    ExperimentSpec,
-    SweepRow,
-    format_sweep_rows,
-    format_trace,
-    run_async_impact,
-    run_convergence,
-    run_crlb_sweep,
-    run_design_sweep,
-    run_estimation_sweep,
-)
-from .pulse import (
-    matched_filter_window,
-    rrc_impulse,
-    rrc_impulse_deriv,
-    steering_matrix,
-    steering_matrix_deriv,
-)
+links, with downstream cooperative reflection design.
 
-__all__ = [
-    "ChannelSet",
-    "CrlbResult",
-    "DesignInputs",
-    "DesignProblem",
-    "DesignResult",
-    "EstimationResult",
-    "ExperimentSpec",
-    "FailureRateError",
-    "PulseConfig",
-    "SingularSystemError",
-    "SweepRow",
-    "SystemConfig",
-    "build_problem",
-    "cascade",
-    "crlb",
-    "crlb_from_fim",
-    "design_accelerated",
-    "design_phase_aligned",
-    "fim",
-    "format_sweep_rows",
-    "format_trace",
-    "gen_mmwave",
-    "gen_rayleigh",
-    "gen_training",
-    "matched_filter_window",
-    "mle_alternating",
-    "mmse_equalizer",
-    "mse_compact",
-    "mse_direct",
-    "observation_matrix",
-    "random_phases",
-    "residual_cost",
-    "rrc_impulse",
-    "rrc_impulse_deriv",
-    "run_async_impact",
-    "run_convergence",
-    "run_crlb_sweep",
-    "run_design_sweep",
-    "run_estimation_sweep",
-    "simulate_training",
-    "steering_matrix",
-    "steering_matrix_deriv",
-    "white_noise_cov",
-]
+Each module's ``__all__`` declares its public names; the package re-exports
+all of them."""
+from . import channel, config, crlb, design, errors, estimator, harness, pulse
+
+# Built before the star imports: ``from .crlb import *`` rebinds ``crlb`` here
+# from the submodule to the function of that name.
+__all__ = []
+__all__ += channel.__all__
+__all__ += config.__all__
+__all__ += crlb.__all__
+__all__ += design.__all__
+__all__ += errors.__all__
+__all__ += estimator.__all__
+__all__ += harness.__all__
+__all__ += pulse.__all__
+
+from .channel import *  # noqa: E402,F401,F403
+from .config import *  # noqa: E402,F401,F403
+from .crlb import *  # noqa: E402,F401,F403
+from .design import *  # noqa: E402,F401,F403
+from .errors import *  # noqa: E402,F401,F403
+from .estimator import *  # noqa: E402,F401,F403
+from .harness import *  # noqa: E402,F401,F403
+from .pulse import *  # noqa: E402,F401,F403

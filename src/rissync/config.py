@@ -6,6 +6,8 @@ import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
+__all__ = ["PulseConfig", "SystemConfig"]
+
 
 def int_at_least(value, name: str, least: int) -> int:
     """``value`` as an int; ValueError unless it is an integer >= ``least``

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["FailureRateError", "SingularSystemError"]
+
 
 class SingularSystemError(RuntimeError):
     """A linear system was too ill-conditioned to solve reliably.

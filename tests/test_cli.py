@@ -316,20 +316,29 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
 
 
 def test_every_public_name_resolves():
-    """Each name in the package's and every submodule's ``__all__`` exists,
-    so ``from rissync.<module> import *`` cannot fail on a stale entry."""
+    """The package's ``__all__`` is its eight library modules' lists in turn,
+    with no name twice, and each name on the package is the object its module
+    defines, so no ``from rissync... import *`` can fail on a stale entry; the
+    ten names the modules listed but the package once lacked resolve too."""
     import importlib
     import pkgutil
 
     import rissync
 
-    modules = [rissync] + [importlib.import_module(f"rissync.{info.name}")
-                           for info in pkgutil.iter_modules(rissync.__path__)]
+    modules = [importlib.import_module(f"rissync.{info.name}")
+               for info in pkgutil.iter_modules(rissync.__path__)]
     listed = [m for m in modules if hasattr(m, "__all__")]
-    assert len(listed) >= 7
+    assert [m.__name__.partition(".")[2] for m in listed] == [
+        "channel", "config", "crlb", "design", "errors", "estimator", "harness", "pulse"]
+    assert rissync.__all__ == [name for module in listed for name in module.__all__]
+    assert len(set(rissync.__all__)) == len(rissync.__all__)
     for module in listed:
-        missing = [name for name in module.__all__ if not hasattr(module, name)]
-        assert not missing, f"{module.__name__}.__all__ lists {missing}"
+        for name in module.__all__:
+            assert getattr(rissync, name) is getattr(module, name), f"{module.__name__}.{name}"
+    for name in ("DenseBounds", "SINGULARITY_TOL", "SurrogateAnchor", "array_response",
+                 "block_gains", "lag_pilot_matrix", "phase_update", "recovered_energy",
+                 "surrogate_anchor", "surrogate_value"):
+        assert hasattr(rissync, name), name
 
 
 def test_import_needs_no_scipy_and_loads_the_random_streams():

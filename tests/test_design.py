@@ -327,13 +327,15 @@ def _k_scalar_energy(theta, inputs, cfg, bounds=None):
 
 # The sweep's design trials that the K-scalar tests read: the benchmark's
 # design instance and an mmWave K=4 8x8 one.
-_K_SCALAR_SPECS = pytest.mark.parametrize("spec", [
-    harness.ExperimentSpec(n_surfaces=2, n_x=8, n_y=4, offset_model="common-delta",
-                           delta_max=0.3, snr_grid_db=(10.0,), trials=1, base_seed=0),
-    harness.ExperimentSpec(scenario="mmwave", n_surfaces=4, n_x=8, n_y=8,
-                           offset_model="common-delta", delta_max=0.3, snr_grid_db=(10.0,),
-                           trials=1, base_seed=77),
-], ids=["bench", "mmwave-k4-8x8"])
+_K_SCALAR_CASES = {
+    "bench": harness.ExperimentSpec(n_surfaces=2, n_x=8, n_y=4, offset_model="common-delta",
+                                    delta_max=0.3, snr_grid_db=(10.0,), trials=1, base_seed=0),
+    "mmwave-k4-8x8": harness.ExperimentSpec(scenario="mmwave", n_surfaces=4, n_x=8, n_y=8,
+                                            offset_model="common-delta", delta_max=0.3,
+                                            snr_grid_db=(10.0,), trials=1, base_seed=77),
+}
+_K_SCALAR_SPECS = pytest.mark.parametrize("spec", list(_K_SCALAR_CASES.values()),
+                                          ids=list(_K_SCALAR_CASES))
 
 
 def _sweep_inputs(spec, trial_index):
@@ -402,6 +404,51 @@ def test_conjugate_phases_are_stationary(spec):
                 g = anchor.slice_scores - anchor.scale * problem.block * theta
                 tangent = np.linalg.norm((theta.conj() * g).imag) / np.linalg.norm(g)
                 assert (tangent <= 1e-8) if stationary else (tangent >= 1e-2)
+
+
+def _two_group_phases(h, g):
+    """Unit-modulus phases with theta . h = g for |W1 - W2| <= |g| <= sum |h|:
+    the elements split greedily (heaviest first, each to the lighter group)
+    into groups of weight W1 and W2, turned by +alpha and -alpha off the
+    conjugate phases, then all by one rotation onto g's phase."""
+    weights = np.abs(h)
+    second = np.zeros(h.size, dtype=bool)
+    totals = [0.0, 0.0]
+    for n in np.argsort(-weights, kind="stable"):
+        lighter = int(totals[1] < totals[0])
+        second[n] = lighter == 1
+        totals[lighter] += weights[n]
+    w1, w2 = totals
+    cos_2alpha = 1.0 if w2 == 0.0 else np.clip(
+        (abs(g) ** 2 - w1 ** 2 - w2 ** 2) / (2.0 * w1 * w2), -1.0, 1.0)
+    alpha = 0.5 * np.arccos(cos_2alpha)
+    theta = np.exp(1j * (np.where(second, -alpha, alpha) - np.angle(h)))
+    return theta * np.exp(1j * (np.angle(g) - np.angle(theta @ h))), abs(w1 - w2)
+
+
+@pytest.mark.parametrize("spec", [*_K_SCALAR_CASES.values(),
+                                  replace(_K_SCALAR_CASES["bench"], n_x=1, n_y=1)],
+                         ids=[*_K_SCALAR_CASES, "bench-n1"])
+def test_two_groups_realize_the_ring_of_each_surface_scalar(spec):
+    """On sweep trials 0-2, belief and truth, two groups of near-equal weight
+    turned by +-alpha realize every g_a = theta_a . h_a with
+    |W1 - W2| <= |g_a| <= R_a = ||h_a||_1, at both edges and at random
+    magnitudes between, each at a random phase (worst measured 6.6e-15 of
+    R_a). At N=1 the ring is the circle |g_a| = R_a."""
+    rng = np.random.default_rng(6)
+    for trial_index in range(3):
+        cfg, cases = _sweep_inputs(spec, trial_index)
+        for inputs, _ in cases:
+            for h in inputs.channel.reshape(cfg.n_surfaces, -1):
+                reach = np.abs(h).sum()
+                inner = _two_group_phases(h, reach)[1]
+                if h.size == 1:
+                    assert inner == reach
+                for size in (inner, reach, *rng.uniform(inner, reach, 5)):
+                    g = size * np.exp(2j * np.pi * rng.random())
+                    theta = _two_group_phases(h, g)[0]
+                    assert np.all(np.abs(np.abs(theta) - 1.0) <= 1e-15)
+                    assert abs(theta @ h - g) <= 1e-13 * reach
 
 
 def test_phase_update_unit_modulus_and_monotone():

@@ -20,11 +20,14 @@ Through ``cli.main`` it runs every spec in ``SPECS`` and every
   ``rissync`` reaches as ``np.fft``). One process per tree means that a
   cache fills, and counts, in the first run that needs it.
 
-Last it writes the ``pulse`` output: the raw float64 bytes of the functions
+Then it writes the ``pulse`` output: the raw float64 bytes of the functions
 in ``PULSE_FUNCTIONS`` at fixed points and of those in
 ``STEERING_FUNCTIONS`` at fixed offsets, with an index of how many values
 each function wrote (``write_pulse_values``); a function the tree lacks
-writes nothing. A run that fails stops the script with the child's error.
+writes nothing. Last it writes the ``exports`` output: the sorted
+``__all__`` of ``rissync`` and of each submodule that has one, one line
+each (``write_exports``). A run that fails stops the script with the
+child's error.
 
 For each output the script prints ``identical`` when the bytes match;
 otherwise, for every (metric, column) that moved, or every pulse function,
@@ -34,8 +37,9 @@ differ between the trees, or the pulse index or a pulse value's finiteness,
 and 0 otherwise; when a trace's length differs it also prints both
 iteration counts and the relative drift of the final objective. When
 ``design-loops`` or ``work`` differ it prints each moved line before and
-after, for example ``design-loops: design-bench 20 17 -> 20 29``; that does
-not affect the exit status either. Last it prints
+after, for example ``design-loops: design-bench 20 17 -> 20 29``; when
+``exports`` differ it prints, per module, the names added to and removed
+from its ``__all__``. Neither affects the exit status. Last it prints
 ``src/rissync lines: PARENT -> CHANGE``, the newlines in each tree's
 ``src/rissync/*.py`` as ``wc -l`` counts them; they do not affect the exit
 status. Standard library only; the child imports the tree's ``rissync`` and
@@ -229,6 +233,21 @@ def write_pulse_values(path: str):
         fh.writelines(f"{name} {count}\n" for name, count in counts.items())
 
 
+def write_exports(path: str):
+    """Write the ``exports`` output of the ``rissync`` on the import path to
+    ``path``: one line ``module name ...`` with the sorted ``__all__`` of the
+    package, then of each submodule that has one."""
+    import pkgutil
+
+    import rissync
+
+    modules = [rissync] + [importlib.import_module(f"rissync.{info.name}")
+                           for info in pkgutil.iter_modules(rissync.__path__)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(" ".join([module.__name__, *sorted(module.__all__)]) + "\n"
+                      for module in modules if hasattr(module, "__all__"))
+
+
 def _wrap(module: str, name: str, wrapper):
     """Point every reference to ``<module>.<name>`` that ``module`` or a
     ``rissync`` module holds at ``wrapper(function)``; a name the tree lacks
@@ -249,7 +268,7 @@ def write_outputs(work: str):
     """Write every output of the ``rissync`` on the import path into the
     directory ``work``, in this one process: each spec's CSV and each trace
     through ``cli.main``, then ``design-loops.txt`` and ``work.txt`` (one line
-    per run, as counted while it ran), then ``pulse.bin``."""
+    per run, as counted while it ran), then ``pulse.bin`` and ``exports.txt``."""
     from rissync import cli
 
     loops, counts = [], Counter()
@@ -288,6 +307,7 @@ def write_outputs(work: str):
             work_counts.write(" ".join([name, *(f"{k}={v}" for k, v in sorted(counts.items()))])
                               + "\n")
     write_pulse_values(os.path.join(work, "pulse.bin"))
+    write_exports(os.path.join(work, "exports.txt"))
 
 
 # run in a child with the tree's rissync: argv is this directory and the
@@ -298,8 +318,8 @@ _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import compare_sweeps; "
 
 def outputs(tree: str, work: str) -> dict:
     """Run the child on one tree and read what it wrote; output name -> CSV
-    text, (index, bytes) for ``pulse``, or the text of ``design-loops`` or
-    ``work``."""
+    text, (index, bytes) for ``pulse``, or the text of ``design-loops``,
+    ``work`` or ``exports``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-c", _CHILD, os.path.dirname(os.path.abspath(__file__)), work]
@@ -311,7 +331,7 @@ def outputs(tree: str, work: str) -> dict:
     texts = {name: Path(work, f"{name}.csv").read_text(encoding="utf-8") for name in csvs}
     texts["pulse"] = (Path(work, "pulse.bin.txt").read_text(encoding="utf-8"),
                       Path(work, "pulse.bin").read_bytes())
-    for name in ("design-loops", "work"):
+    for name in ("design-loops", "work", "exports"):
         texts[name] = Path(work, f"{name}.txt").read_text(encoding="utf-8")
     return texts
 
@@ -387,6 +407,19 @@ def compare_values(old: tuple, new: tuple) -> tuple[list, dict]:
     return [f"{name}: {count} values change finiteness" for name, count in turned.items()], drifts
 
 
+def compare_exports(old: str, new: str) -> list:
+    """(module, added names, removed names) for each module whose ``__all__``
+    differs; a module without one lists no names."""
+    lists = [{module: set(names) for module, *names in map(str.split, text.splitlines())}
+             for text in (old, new)]
+    moved = []
+    for module in dict.fromkeys([*lists[0], *lists[1]]):
+        before, after = (names.get(module, set()) for names in lists)
+        if before != after:
+            moved.append((module, sorted(after - before), sorted(before - after)))
+    return moved
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
@@ -406,6 +439,11 @@ def main(argv) -> int:
                 if before != after:
                     spec, _, counts = before.partition(" ")
                     print(f"{name}: {spec} {counts} -> {after.partition(' ')[2]}")
+            continue
+        if name == "exports":
+            for module, added, removed in compare_exports(old, new):
+                print(f"{name}: {module} added {' '.join(added) or '-'}"
+                      f" removed {' '.join(removed) or '-'}")
             continue
         problems, drifts = (compare_values if name == "pulse" else compare)(old, new)
         failed = failed or bool(problems)
