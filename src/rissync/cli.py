@@ -1,10 +1,10 @@
 """Command-line front end for the simulation harness.
 
 ``sweep`` runs the SNR sweep that ``--kind`` selects; ``convergence`` writes
-the design loop's objective trace. Settings, one row each in ``_SETTINGS``,
-come from built-in defaults, then an optional config file, then explicit
-flags — later sources win. Exit codes: 0 success, 1 bad arguments or I/O
-trouble, 2 numerical failure (too many excluded trials or an unsolvable system).
+the design loop's objective trace. Each setting, one row in ``_SETTINGS``, is
+a flag; one left unset keeps ``ExperimentSpec``'s default. Exit codes: 0
+success, 1 bad arguments or I/O trouble, 2 numerical failure (too many
+excluded trials or an unsolvable system).
 """
 from __future__ import annotations
 
@@ -42,10 +42,8 @@ def _parse_snr_grid(text: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-# config key -> (ExperimentSpec field, argparse options of its flag). The flag
-# is the key with '-' for '_'; a config value is converted with the same type
-# and checked against the same choices. "kind" has no field: it is a flag of
-# sweep only, but a config file's kind is checked under every subcommand.
+# setting -> (ExperimentSpec field, argparse options of its flag). The flag is
+# the setting with '-' for '_'. "kind" has no field: it is a flag of sweep only.
 _SETTINGS = {
     "scenario": ("scenario", dict(type=str, choices=SCENARIOS, help="channel model")),
     "surfaces": ("n_surfaces", dict(type=int, metavar="K",
@@ -70,41 +68,6 @@ _SETTINGS = {
 }
 
 
-def read_config(path: str) -> dict:
-    """Parse a ``key = value`` config file into typed settings.
-
-    Blank lines and ``#`` comments are ignored. Unknown and repeated keys
-    are an error so that typos fail loudly instead of silently running
-    other settings.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-
-    settings, first_line = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in _SETTINGS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in first_line:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
-                             f"(first set on line {first_line[key]})")
-        first_line[key] = lineno
-        options = _SETTINGS[key][1]
-        try:
-            settings[key] = options["type"](value)
-            if "choices" in options and settings[key] not in options["choices"]:
-                raise ValueError(f"must be one of {list(options['choices'])}, got {value!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return settings
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rissync",
@@ -113,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, desc in (("sweep", "Run one SNR sweep; pick which with --kind."),
                        ("convergence", "Write the design loop's objective trace.")):
         sp = sub.add_parser(name, help=desc, description=desc)
-        sp.add_argument("--config", metavar="FILE",
-                        help="config file with 'key = value' lines; flags override it")
         for key, (field, options) in _SETTINGS.items():
             if field is not None or name == "sweep":
                 sp.add_argument("--" + key.replace("_", "-"), **options)
@@ -123,12 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_spec(args: argparse.Namespace, settings: dict) -> ExperimentSpec:
-    """Merge config-file settings and CLI flags into an experiment spec."""
+def build_spec(args: argparse.Namespace) -> ExperimentSpec:
+    """The experiment spec of the flags given; a flag left unset keeps its default."""
     kwargs = {}
     for key, (field, _) in _SETTINGS.items():
         value = getattr(args, key, None)
-        value = settings.get(key) if value is None else value
         if field is not None and value is not None:
             kwargs[field] = value
     return ExperimentSpec(**kwargs)
@@ -143,8 +103,7 @@ def _write_text(out: str, text: str):
 
 
 def _run(args: argparse.Namespace) -> int:
-    settings = read_config(args.config) if args.config else {}
-    spec = build_spec(args, settings)
+    spec = build_spec(args)
 
     if args.command == "convergence":
         if args.out in (None, "-"):
@@ -157,10 +116,9 @@ def _run(args: argparse.Namespace) -> int:
         print(f"accelerated: {result.iterations} iterations, {state}", file=sys.stderr)
         return 0
 
-    kind = args.kind or settings.get("kind") or "estimation"
-    offset_model = args.offset_model or settings.get("offset_model")
-    if kind == "async" and offset_model not in (None, "common-delta"):
-        raise ValueError(f"--offset-model {offset_model} does not apply to kind 'async', "
+    kind = args.kind or "estimation"
+    if kind == "async" and args.offset_model not in (None, "common-delta"):
+        raise ValueError(f"--offset-model {args.offset_model} does not apply to kind 'async', "
                          "which always draws common-delta offsets")
     rows = _RUNNERS[kind](spec)
     _write_text(args.out, format_sweep_rows(rows))

@@ -3,7 +3,6 @@ import dataclasses
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,89 +15,24 @@ FAST = ["--surfaces", "2", "--nx", "2", "--ny", "1",
         "--snr-db", "10", "--trials", "2", "--seed", "3"]
 
 
-# -------------------------------------------------------------- config
-
-
-def test_read_config_parses_types_and_comments(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment line\n"
-        "\n"
-        "scenario = mmwave   # trailing comment\n"
-        "surfaces=3\n"
-        "snr_db = 0, 10 ,20\n"
-        "delta_max = 0.25\n"
-        "trials = 7\n")
-    settings = cli.read_config(str(path))
-    assert settings == {"scenario": "mmwave", "surfaces": 3,
-                        "snr_db": (0.0, 10.0, 20.0), "delta_max": 0.25,
-                        "trials": 7}
-
-
-@pytest.mark.parametrize("line", [
-    "bogus_key = 1",
-    "trials",
-    "trials =",
-    "= 5",
-    "trials = many",
-    "snr_db = ,",
-    "snr_db = 0,,10",
-    "snr_db = 10,",
-    "scenario = awgn",
-])
-def test_read_config_rejects_malformed_lines(tmp_path, line):
-    path = tmp_path / "bad.cfg"
-    path.write_text(line + "\n")
-    with pytest.raises(ValueError):
-        cli.read_config(str(path))
-
-
-def test_read_config_rejects_a_repeated_key(tmp_path):
-    path = tmp_path / "twice.cfg"
-    path.write_text("trials = 5\n# a comment\n\nseed = 1\ntrials = 50\n")
-    with pytest.raises(ValueError, match=r"twice\.cfg:5: duplicate key 'trials' "
-                                         r"\(first set on line 1\)"):
-        cli.read_config(str(path))
+# ------------------------------------------------------------ settings
 
 
 @pytest.mark.parametrize("grid", ["0,,10", "10,", ",10"])
-def test_snr_grid_rejects_empty_entries(tmp_path, capsys, grid):
+def test_snr_grid_rejects_empty_entries(capsys, grid):
     assert cli.main(["sweep", "--kind", "crlb", "--snr-db", grid] + FAST[:6]) == 1
     assert "--snr-db" in capsys.readouterr().err
-    path = tmp_path / "grid.cfg"
-    path.write_text(f"snr_db = {grid}\n")
-    with pytest.raises(ValueError, match=r"grid\.cfg:1: bad value for 'snr_db': "
-                                         r"empty entry in SNR grid"):
-        cli.read_config(str(path))
+    with pytest.raises(ValueError, match="empty entry in SNR grid"):
+        cli._parse_snr_grid(grid)
     # a grid with no entry at all keeps its own message
     with pytest.raises(ValueError, match="empty SNR grid"):
         cli._parse_snr_grid(" , ")
 
 
-def test_example_config_parses():
-    example = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
-    settings = cli.read_config(str(example))
-    assert settings["kind"] == "estimation"
-    spec = cli.build_spec(cli.build_parser().parse_args(["sweep"]), settings)
-    assert spec.trials == 200
-    assert spec.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-
-
-def test_flags_override_config(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("trials = 9\nsurfaces = 4\nseed = 1\n")
-    args = cli.build_parser().parse_args(
-        ["sweep", "--config", str(path), "--trials", "2"])
-    spec = cli.build_spec(args, cli.read_config(args.config))
-    assert spec.trials == 2        # flag wins
-    assert spec.n_surfaces == 4    # config fills the rest
-    assert spec.base_seed == 1
-
-
 def test_build_spec_defaults_match_experiment_spec():
     for command in ("sweep", "convergence"):
         args = cli.build_parser().parse_args([command])
-        assert cli.build_spec(args, {}) == ExperimentSpec()
+        assert cli.build_spec(args) == ExperimentSpec()
 
 
 # one value per setting, not its default: only 'algorithm' has no other value
@@ -107,23 +41,18 @@ _SETTING_VALUES = {"scenario": "mmwave", "surfaces": "3", "nx": "2", "ny": "3",
                    "delta_max": "0.25", "algorithm": "accelerated", "seed": "11"}
 
 
-def test_settings_table_matches_the_spec(tmp_path):
-    """The table's fields are the spec's, and each setting gives the same
-    spec as a flag as it does as a config line."""
+def test_settings_table_matches_the_spec():
+    """The table's fields are the spec's, and each flag sets its own field."""
     fields = [field for field, _ in cli._SETTINGS.values() if field is not None]
     assert fields == [f.name for f in dataclasses.fields(ExperimentSpec)]
     parser = cli.build_parser()
-    path = tmp_path / "one.cfg"
-    for key, (field, _) in cli._SETTINGS.items():
+    for key, (field, options) in cli._SETTINGS.items():
         if field is None:
             continue
         value = _SETTING_VALUES[key]
-        path.write_text(f"{key} = {value}\n")
-        from_file = cli.build_spec(parser.parse_args(["sweep"]), cli.read_config(str(path)))
-        flag = "--" + key.replace("_", "-")
-        from_flag = cli.build_spec(parser.parse_args(["sweep", flag, value]), {})
-        assert from_flag == from_file, key
-        assert from_flag != ExperimentSpec() or key == "algorithm", key
+        spec = cli.build_spec(parser.parse_args(["sweep", "--" + key.replace("_", "-"), value]))
+        assert spec == dataclasses.replace(ExperimentSpec(), **{field: options["type"](value)})
+        assert spec != ExperimentSpec() or key == "algorithm", key
 
 
 # ------------------------------------------------------------ commands
@@ -160,33 +89,6 @@ def test_design_subcommand_reports_four_schemes(capsys):
     metrics = {line.split(",")[1] for line in lines[1:]}
     assert metrics == {"nmse_proposed", "nmse_phase_aligned",
                        "nmse_perfect", "nmse_random"}
-
-
-def test_sweep_kind_from_config(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("kind = crlb\n")
-    assert cli.main(["sweep", "--config", str(path)] + FAST) == 0
-    lines = capsys.readouterr().out.splitlines()
-    metrics = {line.split(",")[1] for line in lines[1:]}
-    assert metrics == {"channel_crlb", "timing_crlb"}
-
-
-@pytest.mark.parametrize("command", [
-    ["sweep", "--kind", "estimation"], ["sweep", "--kind", "crlb"],
-    ["sweep", "--kind", "design"], ["convergence"], ["sweep"],
-], ids=["estimate", "crlb", "design", "convergence", "sweep"])
-def test_config_kind_is_checked_under_every_subcommand(tmp_path, capsys, command):
-    # a bad kind fails where the file is read, as a bad scenario does, even
-    # where a --kind flag or the convergence command leaves it unused
-    path = tmp_path / "k.cfg"
-    path.write_text("trials = 2\nkind = bogus\n")
-    with pytest.raises(ValueError, match=r"k\.cfg:2: bad value for 'kind'"):
-        cli.read_config(str(path))
-    argv = command + ["--config", str(path), "--out", str(tmp_path / "out")] + FAST
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'kind'" in err and "bogus" in err
-    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_snr_list_may_start_with_a_negative_value(capsys):
@@ -259,8 +161,10 @@ def test_usage_errors_exit_one():
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["sweep", "--scenario", "awgn"]) == 1
     assert cli.main(["sweep", "--trials", "three"]) == 1
+    assert cli.main(["sweep", "--trials"]) == 1
     assert cli.main(["sweep", "--kind", "bogus"]) == 1
     assert cli.main(["sweep", "--kind", "design", "--algorithm", "mm"]) == 1
+    assert cli.main(["sweep", "--bogus-key", "1"]) == 1
 
 
 def test_invalid_spec_exits_one(capsys):
@@ -278,27 +182,17 @@ def test_unrepresentable_snr_exits_one(capsys):
     assert err.startswith("error:") and "snr_grid_db" in err and "Traceback" not in err
 
 
-def test_async_rejects_an_offset_model_it_would_ignore(tmp_path, capsys):
+def test_async_rejects_an_offset_model_it_would_ignore(capsys):
     argv = ["sweep", "--kind", "async"] + FAST
     assert cli.main(argv + ["--offset-model", "uniform"]) == 1
     assert "--offset-model" in capsys.readouterr().err
-    uniform = tmp_path / "uniform.cfg"
-    uniform.write_text("offset_model = uniform\n")
-    assert cli.main(argv + ["--config", str(uniform)]) == 1
-    assert "--offset-model" in capsys.readouterr().err
-    # the spec's default model is not an explicit choice, and a flag wins over the file
+    # the spec's default model is not an explicit choice
     outputs = []
-    for extra in ([], ["--offset-model", "common-delta"],
-                  ["--config", str(uniform), "--offset-model", "common-delta"]):
+    for extra in ([], ["--offset-model", "common-delta"]):
         assert cli.main(argv + extra) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
     assert outputs[0].startswith("snr_db,metric,mean,stderr,trials,excluded\n")
-
-
-def test_missing_config_exits_one(capsys):
-    assert cli.main(["sweep", "--config", "/nonexistent/x.cfg"]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_one(tmp_path):
@@ -342,9 +236,10 @@ def test_every_public_name_resolves():
 
 
 def test_import_needs_no_scipy_and_loads_the_random_streams():
-    """scipy is a test-only dependency; numpy.random, which every sweep draws
-    from, and numpy.fft, through which every trial's training passes, are
-    loaded with the package instead of inside the first trial."""
+    """The package imports no scipy, which no part of the project depends on;
+    numpy.random, which every sweep draws from, and numpy.fft, through which
+    every trial's training passes, are loaded with the package instead of
+    inside the first trial."""
     probe = ("import sys, rissync.cli; "
              "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
              "'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")

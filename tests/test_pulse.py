@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from rissync import (
     PulseConfig,
@@ -61,9 +60,23 @@ def test_spot_values_match_direct_formula():
         assert rrc_impulse(x, CFG) == pytest.approx(rrc_reference(x), rel=1e-13)
 
 
+def _integral(f, a: float, b: float) -> float:
+    """Composite 16-node Gauss-Legendre quadrature of ``f`` over [a, b], on 80
+    equal panels; asserts that 40 panels agree to 1e-12 relative. The
+    integrands here jump only at a and b, so no panel straddles a jump."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    values = []
+    for panels in (40, 80):
+        edges = np.linspace(a, b, panels + 1)
+        half = np.diff(edges)[:, None] / 2.0
+        mid = (edges[:-1] + edges[1:])[:, None] / 2.0
+        values.append(float(np.sum(half * weights * f(mid + half * nodes))))
+    assert abs(values[1] - values[0]) <= 1e-12 * abs(values[1])
+    return values[1]
+
+
 def test_truncated_pulse_energy():
-    val, err = quad(lambda x: rrc_impulse(x, CFG) ** 2, -CFG.span, CFG.span, limit=200)
-    assert err < 1e-9
+    val = _integral(lambda x: rrc_impulse(x, CFG) ** 2, -CFG.span, CFG.span)
     assert val == pytest.approx(ENERGY_TRUNC, rel=1e-9)
     # Truncation at four symbol periods costs well under 0.1% of unit energy.
     assert abs(val - 1.0) < 1e-3
@@ -143,10 +156,8 @@ def test_derivative_zero_at_origin():
 def test_pulse_correlation_at_half_symbol_lag():
     # The truncated pulse's correlation at lag 0.5 differs from the raised
     # cosine, its untruncated closed form, only by truncation leakage.
-    val, _ = quad(
-        lambda x: rrc_impulse(x, CFG) * rrc_impulse(x - 0.5, CFG),
-        -CFG.span, CFG.span + 0.5, limit=200,
-    )
+    val = _integral(lambda x: rrc_impulse(x, CFG) * rrc_impulse(x - 0.5, CFG),
+                    -CFG.span + 0.5, CFG.span)
     assert val == pytest.approx(AC_HALF_TRUNC, rel=1e-8)
     assert abs(val - AC_HALF) < 1e-3
 

@@ -4,11 +4,10 @@
     python3 tools/compare_sweeps.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout that holds ``src/rissync``. Per tree, one child
-process (``write_outputs``) runs in the tree's directory with
-``PYTHONPATH=TREE/src`` and ``OPENBLAS_NUM_THREADS=1``, so the
-``config-example`` spec reads each tree's own ``configs/example.cfg``.
-Through ``cli.main`` it runs every spec in ``SPECS`` and every
-``convergence`` trace in ``TRACES`` once, and counts two outputs as they run:
+process (``write_outputs``) runs with ``PYTHONPATH=TREE/src`` and
+``OPENBLAS_NUM_THREADS=1``. Through ``cli.main`` it runs every spec in
+``SPECS`` and every ``convergence`` trace in ``TRACES`` once, and counts two
+outputs as they run:
 
 - ``design-loops``: per ``--kind design`` spec, the iterations of every
   design loop it runs, in call order, each marked ``*`` when that loop
@@ -33,13 +32,14 @@ For each output the script prints ``identical`` when the bytes match;
 otherwise, for every (metric, column) that moved, or every pulse function,
 the largest relative drift ``|a - b| / max(|a|, |b|)`` over its rows or
 values. It exits 1 when an output's row keys, ``trials`` or ``excluded``
-differ between the trees, or the pulse index or a pulse value's finiteness,
-and 0 otherwise; when a trace's length differs it also prints both
-iteration counts and the relative drift of the final objective. When
-``design-loops`` or ``work`` differ it prints each moved line before and
-after, for example ``design-loops: design-bench 20 17 -> 20 29``; when
-``exports`` differ it prints, per module, the names added to and removed
-from its ``__all__``. Neither affects the exit status. Last it prints
+differ between the trees, or the pulse index, or when a value's finiteness
+differs (two NaNs agree), and 0 otherwise; when a trace's length differs it
+also prints both iteration counts and the relative drift of the final
+objective. When ``design-loops`` or ``work`` differ it prints each moved
+line before and after, for example
+``design-loops: design-bench 20 17 -> 20 29``; when ``exports`` differ it
+prints, per module, the names added to and removed from its ``__all__``.
+Neither affects the exit status. Last it prints
 ``src/rissync lines: PARENT -> CHANGE``, the newlines in each tree's
 ``src/rissync/*.py`` as ``wc -l`` counts them; they do not affect the exit
 status. Standard library only; the child imports the tree's ``rissync`` and
@@ -142,7 +142,10 @@ SPECS = {
     "design-k4-16x16": ["--kind", "design", "--surfaces", "4", "--nx", "16", "--ny", "16",
                         "--offset-model", "common-delta", "--delta-max", "0.3",
                         "--snr-db", "10", "--trials", "1", "--seed", "0"],
-    "config-example": ["--config", "configs/example.cfg", "--trials", "3"],
+    "estimation-example": ["--kind", "estimation", "--scenario", "rayleigh", "--surfaces", "2",
+                           "--nx", "4", "--ny", "1", "--snr-db", "0,5,10,15,20,25,30",
+                           "--offset-model", "uniform", "--delta-max", "0.3",
+                           "--algorithm", "accelerated", "--seed", "1", "--trials", "3"],
 }
 
 # output-name prefix -> arguments of `rissync convergence`; it writes the
@@ -323,7 +326,7 @@ def outputs(tree: str, work: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-c", _CHILD, os.path.dirname(os.path.abspath(__file__)), work]
-    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+    done = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
         sys.exit(f"{' '.join(cmd)} failed in {tree} (exit {done.returncode}):\n{done.stderr}")
@@ -350,11 +353,27 @@ def _drift(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
+def _tally(pairs) -> tuple[Counter, dict]:
+    """Per group of ``(group, a, b)`` triples: how many pairs differ with a
+    value that is not finite, and the largest relative drift of the finite
+    pairs that differ. Equal values agree, and so do two NaNs."""
+    turned, drifts = Counter(), {}
+    for group, a, b in pairs:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        if math.isfinite(a) and math.isfinite(b):
+            drifts[group] = max(drifts.get(group, 0.0), _drift(a, b))
+        else:
+            turned[group] += 1
+    return turned, drifts
+
+
 def compare(old: str, new: str) -> tuple[list, dict]:
     """Structural differences and {(metric, column): largest relative drift}.
 
     Sweep CSVs are keyed by (snr_db, metric) and must agree exactly on
-    ``trials`` and ``excluded``; trace CSVs are keyed by iteration.
+    ``trials`` and ``excluded``; trace CSVs are keyed by iteration. Each pair
+    of values must agree in finiteness; two NaNs agree.
     """
     old_rows = list(csv.DictReader(io.StringIO(old)))
     new_rows = list(csv.DictReader(io.StringIO(new)))
@@ -370,13 +389,11 @@ def compare(old: str, new: str) -> tuple[list, dict]:
                 f"final objective drift {drift:.3e}"], {}
     problems = [f"{r['snr_db']} dB {r['metric']}: {col} {r[col]} -> {s[col]}"
                 for r, s in zip(old_rows, new_rows) for col in exact if r[col] != s[col]]
-    drifts = {}
-    for r, s in zip(old_rows, new_rows):
-        for col in values:
-            moved = _drift(float(r[col]), float(s[col]))
-            group = (r["metric"] if sweep else "trace", col)
-            if moved > 0.0:
-                drifts[group] = max(drifts.get(group, 0.0), moved)
+    turned, drifts = _tally(((r["metric"] if sweep else "trace", col),
+                             float(r[col]), float(s[col]))
+                            for r, s in zip(old_rows, new_rows) for col in values)
+    problems += [f"{metric} {col}: {count} values change finiteness"
+                 for (metric, col), count in turned.items()]
     return problems, drifts
 
 
@@ -395,16 +412,10 @@ def compare_values(old: tuple, new: tuple) -> tuple[list, dict]:
         names.append(name)
         ends.append((ends[-1] if ends else 0) + int(count))
     old_values, new_values = array("d", old[1]), array("d", new[1])
-    turned, drifts = {}, {}
-    for i, (a, b) in enumerate(zip(old_values, new_values)):
-        if a == b or (math.isnan(a) and math.isnan(b)):
-            continue
-        name = names[bisect.bisect_right(ends, i)]
-        if math.isfinite(a) and math.isfinite(b):
-            drifts[(name, "value")] = max(drifts.get((name, "value"), 0.0), _drift(a, b))
-        else:
-            turned[name] = turned.get(name, 0) + 1
-    return [f"{name}: {count} values change finiteness" for name, count in turned.items()], drifts
+    turned, drifts = _tally(((names[bisect.bisect_right(ends, i)], "value"), a, b)
+                            for i, (a, b) in enumerate(zip(old_values, new_values)) if a != b)
+    problems = [f"{name}: {count} values change finiteness" for (name, _), count in turned.items()]
+    return problems, drifts
 
 
 def compare_exports(old: str, new: str) -> list:
