@@ -87,6 +87,7 @@ def _axis_factors(azimuth, elevation, n_elements: int, n_x: int) -> tuple:
     x-axis factor exp(j pi m sin(azimuth) sin(elevation)), m < n_x, of a
     rectangular surface's response; angle arrays broadcast and gain a last
     axis of elements along each."""
+    n_elements, n_x = positive_int(n_elements, "n_elements"), positive_int(n_x, "n_x")
     if n_elements % n_x:
         raise ValueError(f"n_elements={n_elements} not divisible by n_x={n_x}")
     az, el = np.asarray(azimuth)[..., None], np.asarray(elevation)[..., None]
@@ -120,7 +121,6 @@ def gen_mmwave(cfg: SystemConfig, n_x: int, seed) -> ChannelSet:
     complex Gaussian, drawn in this order: outbound azimuth, elevation and
     gain, then the inbound three.
     """
-    n_x = positive_int(n_x, "n_x")
     return _mmwave_links(cfg.n_elements, n_x, *_mmwave_draws(cfg, np.random.default_rng(seed)))
 
 

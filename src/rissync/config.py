@@ -53,6 +53,7 @@ class PulseConfig:
     obs_len: int = 12
 
     def __post_init__(self):
+        object.__setattr__(self, "rolloff", finite_real(self.rolloff, "rolloff"))
         if not 0.0 < self.rolloff <= 1.0:
             raise ValueError(f"rolloff must lie in (0, 1], got {self.rolloff}")
         for name in ("span", "oversampling", "obs_len"):

@@ -44,7 +44,6 @@ import numpy as np
 # transforms, so load it with the package rather than inside the first trial.
 import numpy.fft  # noqa: F401
 
-from .channel import ChannelSet, cascade
 from .config import PulseConfig, SystemConfig
 from .errors import SingularSystemError
 from .pulse import _OFFSET_EDGE, _layout, lag_pilot_matrix, rrc_impulse, steering_matrix
@@ -145,10 +144,11 @@ def observation_matrix(offsets: np.ndarray, pilot: np.ndarray,
                           _training_phases(cfg), cfg)
 
 
-def simulate_training(ch: ChannelSet, offsets, pilot: np.ndarray, noise_var,
+def simulate_training(channel, offsets, pilot: np.ndarray, noise_var,
                       cfg: SystemConfig, noise_seed) -> np.ndarray:
-    """One noisy training observation: signal through the true offsets plus
-    white complex Gaussian noise of total variance ``noise_var`` per sample.
+    """One noisy training observation of the cascaded (NK,) ``channel``:
+    signal through the true offsets plus white complex Gaussian noise of
+    total variance ``noise_var`` per sample.
 
     ``noise_var`` may also be a 1-D array of variances. Row p of the result is
     then the observation at ``noise_var[p]``: every row holds the same clean
@@ -163,7 +163,7 @@ def simulate_training(ch: ChannelSet, offsets, pilot: np.ndarray, noise_var,
         raise ValueError(f"noise_var must be finite and >= 0 (a scalar or 1-D array), "
                          f"got {noise_var}")
     pilots = np.repeat(_pilot_rows(steering_matrix, offsets, pilot, cfg), cfg.n_elements, axis=0)
-    clean = np.fft.fft(_channel(cascade(ch), cfg)[:, None] * pilots, axis=0).reshape(-1)
+    clean = np.fft.fft(_channel(channel, cfg)[:, None] * pilots, axis=0).reshape(-1)
     rng = np.random.default_rng(noise_seed)
     noise = (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
     scale = np.sqrt(var / 2.0)[..., None]

@@ -44,8 +44,7 @@ import numpy as np
 # load it with the package rather than inside the first trial.
 import numpy.random  # noqa: F401
 
-from .channel import (ChannelSet, _mmwave_draws, _mmwave_links, _rayleigh_draws,
-                      _rayleigh_links, cascade, gen_mmwave, gen_rayleigh)
+from .channel import _mmwave_draws, _mmwave_links, _rayleigh_draws, _rayleigh_links, cascade
 from .config import SystemConfig, finite_real, int_at_least, positive_int
 from .crlb import crlb
 from .design import (
@@ -175,10 +174,6 @@ def _noise_var(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _draw_offsets(spec: ExperimentSpec, seed) -> np.ndarray:
-    return np.clip(_offset_draws(spec, np.random.default_rng(seed)), -_OFFSET_EDGE, _OFFSET_EDGE)
-
-
 def _offset_draws(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
     """The offsets before their clip to [-_OFFSET_EDGE, _OFFSET_EDGE]."""
     k = spec.n_surfaces
@@ -186,12 +181,6 @@ def _offset_draws(spec: ExperimentSpec, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, k)
     base = rng.uniform(-0.5, 0.5)
     return base + rng.uniform(-spec.delta_max, spec.delta_max, k)
-
-
-def _draw_channels(spec: ExperimentSpec, cfg: SystemConfig, seed):
-    if spec.scenario == "rayleigh":
-        return gen_rayleigh(cfg, seed)
-    return gen_mmwave(cfg, spec.n_x, seed)
 
 
 def _aggregate(snr_db: float, metric: str, vals: np.ndarray, excluded: int) -> SweepRow:
@@ -205,22 +194,22 @@ _DESIGN_METRICS = ("nmse_proposed", "nmse_phase_aligned", "nmse_perfect", "nmse_
 
 class _Block:
     """Trials ``trials`` (a range) of a sweep, drawn and bounded together:
-    links (B, K, N), offsets (B, K), gains (B, NK), pilots (B, seq_len) and
-    squared norms, one row per trial, each the bytes of that trial drawn alone."""
+    offsets (B, K), cascaded gains (B, NK), pilots (B, seq_len) and squared
+    norms, one row per trial, each the bytes of that trial drawn alone."""
 
-    def __init__(self, spec: ExperimentSpec, cfg: SystemConfig, trials: range, noise_vars):
-        self.spec, self.cfg, self.trials, self.noise_vars = spec, cfg, trials, noise_vars
-        rayleigh, seed = spec.scenario == "rayleigh", spec.base_seed
+    def __init__(self, spec: ExperimentSpec, trials: range):
+        self.spec, self.trials, self.cfg = spec, trials, spec.system_config()
+        self.noise_vars = tuple(map(_noise_var, spec.snr_grid_db))
+        cfg, rayleigh, seed = self.cfg, spec.scenario == "rayleigh", spec.base_seed
         channel_draws = _rayleigh_draws if rayleigh else _mmwave_draws
         rows = [(*channel_draws(cfg, _stream(seed, t, "channel")),
                  _offset_draws(spec, _stream(seed, t, "offsets")),
                  _pilot_draws(cfg, _stream(seed, t, "pilot"))) for t in trials]
         *channel, offsets, quadrants = map(np.array, zip(*rows))
         del rows  # the per-trial draws, now stacked: not held while the links are mapped
-        self.links = (_rayleigh_links(*channel) if rayleigh
-                      else _mmwave_links(cfg.n_elements, spec.n_x, *channel))
-        self.offsets = np.clip(offsets, -_OFFSET_EDGE, _OFFSET_EDGE)
-        self.gains, self.pilots = cascade(self.links), _qpsk(quadrants)
+        self.gains = cascade(_rayleigh_links(*channel) if rayleigh
+                             else _mmwave_links(cfg.n_elements, spec.n_x, *channel))
+        self.offsets, self.pilots = np.clip(offsets, -_OFFSET_EDGE, _OFFSET_EDGE), _qpsk(quadrants)
         self.channel_norms = np.sum(np.abs(self.gains) ** 2, axis=-1)
         self.timing_norms = np.sum(self.offsets ** 2, axis=-1)
 
@@ -265,8 +254,7 @@ class _Trial:
         """The training blocks' correlations ``Z`` at the sweep's noise
         variances, one row per point (one noise draw, scaled per point): one
         simulation and one transform over every point, the blocks not kept."""
-        links = ChannelSet(self.block.links.inbound[self.row], self.block.links.outbound[self.row])
-        obs = simulate_training(links, self.offsets, self.pilot, np.array(self.noise_vars),
+        obs = simulate_training(self.gains, self.offsets, self.pilot, np.array(self.noise_vars),
                                 self.cfg, self.stream("noise"))
         return _pattern_correlation(obs, self.cfg)
 
@@ -283,10 +271,9 @@ class _Trial:
         return _estimate(self.training, self.pilot, self.cfg, self.cfg.total_elements)
 
 
-def _draw_trial(spec: ExperimentSpec, cfg: SystemConfig, trial: int) -> _Trial:
+def _draw_trial(spec: ExperimentSpec, trial: int) -> _Trial:
     """Trial ``trial`` alone: the one row of a block of its own."""
-    noise_vars = tuple(map(_noise_var, spec.snr_grid_db))
-    return _Trial(_Block(spec, cfg, range(trial, trial + 1), noise_vars), 0)
+    return _Trial(_Block(spec, range(trial, trial + 1)), 0)
 
 
 def _sweep(spec: ExperimentSpec, score) -> list:
@@ -297,10 +284,9 @@ def _sweep(spec: ExperimentSpec, score) -> list:
     trial whose exclusions pass the limit at some point; a row aggregates
     its point's kept values in trial order.
     """
-    cfg, noise_vars = spec.system_config(), tuple(map(_noise_var, spec.snr_grid_db))
     records, excluded = [], np.zeros(len(spec.snr_grid_db), dtype=int)
     for start in range(0, spec.trials, _BLOCK):
-        block = _Block(spec, cfg, range(start, min(start + _BLOCK, spec.trials)), noise_vars)
+        block = _Block(spec, range(start, min(start + _BLOCK, spec.trials)))
         for row in range(len(block.trials)):
             records.append(score(_Trial(block, row)))
             counted = np.isnan(records[-1][1])
@@ -408,11 +394,6 @@ def _score_design_points(trial: _Trial) -> tuple:
     return values, conds
 
 
-def _design_trial(spec: ExperimentSpec, cfg: SystemConfig, snr_db: float,
-                  trial: int) -> dict:
-    return _score_design(_draw_trial(spec, cfg, trial), spec.snr_grid_db.index(snr_db))
-
-
 def run_estimation_sweep(spec: ExperimentSpec) -> list:
     """Estimator error and matching bounds across the SNR grid.
 
@@ -444,7 +425,7 @@ def run_design_sweep(spec: ExperimentSpec) -> list:
 def run_convergence(spec: ExperimentSpec) -> DesignResult:
     """The design loop's run, objective trace included, on one matched
     instance (trial zero of the experiment, at the first SNR of the grid)."""
-    trial = _draw_trial(spec, spec.system_config(), 0)
+    trial = _draw_trial(spec, 0)
     return design_accelerated(build_problem(_believed(trial, 0), trial.cfg))
 
 

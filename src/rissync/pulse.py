@@ -207,6 +207,9 @@ def lag_pilot_matrix(pilot: np.ndarray, cfg: PulseConfig) -> tuple[np.ndarray, n
     to the order of the sums, and ``rrc_impulse(times - x[:, None]) @ A.T``
     gives the filtered pilots of many offsets with no gather. A stack of
     pilots (leading axes) gives one ``A`` each."""
+    if pilot.shape[-1:] != (cfg.seq_len,):
+        raise ValueError(f"pilot has shape {pilot.shape}; the configuration needs "
+                         f"seq_len = {cfg.seq_len} symbols")
     times, _, _, positions, symbols = _layout(cfg)
     lead = pilot.shape[:-1]
     a = np.zeros((*lead, cfg.n_samples * times.size), dtype=pilot.dtype)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import rissync.harness as harness
-from rissync.channel import cascade
 from rissync.config import SystemConfig
 from rissync.crlb import crlb, crlb_from_fim
 from rissync.design import (
@@ -31,7 +30,7 @@ from rissync.design import (
     surrogate_value,
     white_noise_cov,
 )
-from rissync.estimator import gen_training, mle_alternating, simulate_training
+from rissync.estimator import mle_alternating, simulate_training
 from rissync.harness import ExperimentSpec
 
 
@@ -63,13 +62,11 @@ def _estimated_design_problem(seed, trial, k, n_x, n_y, snr_db):
                           snr_grid_db=(snr_db,), trials=trial + 1, base_seed=seed)
     cfg = spec.system_config()
     var = 10.0 ** (-snr_db / 10.0)
-    streams = harness._trial_streams(seed, trial)
-    chans = harness._draw_channels(spec, cfg, streams["channel"])
-    eps = harness._draw_offsets(spec, streams["offsets"])
-    tp = gen_training(cfg, streams["pilot"])
-    obs = simulate_training(chans, eps, tp, var, cfg, streams["noise"])
-    est = mle_alternating(obs, tp, cfg)
-    bounds = crlb(est.offsets, est.channel, tp, var, cfg)
+    drawn = harness._draw_trial(spec, trial)
+    obs = simulate_training(drawn.gains, drawn.offsets, drawn.pilot, var, cfg,
+                            drawn.stream("noise"))
+    est = mle_alternating(obs, drawn.pilot, cfg)
+    bounds = crlb(est.offsets, est.channel, drawn.pilot, var, cfg)
     believed = DesignInputs(offsets=est.offsets, channel=est.channel,
                             channel_cov=bounds.channel_cov,
                             noise_cov=white_noise_cov(var, cfg))
@@ -82,17 +79,14 @@ def _estimated_design_problem(seed, trial, k, n_x, n_y, snr_db):
 
 
 def test_a01_noiseless_joint_recovery_is_exact():
-    spec = ExperimentSpec(n_surfaces=2, n_x=4, n_y=1)
+    spec = ExperimentSpec(n_surfaces=2, n_x=4, n_y=1, base_seed=101)
     cfg = spec.system_config()
     start = time.perf_counter()
     for i in range(50):
-        streams = harness._trial_streams(101, i)
-        chans = harness._draw_channels(spec, cfg, streams["channel"])
-        eps = harness._draw_offsets(spec, streams["offsets"])
-        tp = gen_training(cfg, streams["pilot"])
-        obs = simulate_training(chans, eps, tp, 0.0, cfg, streams["noise"])
+        trial = harness._draw_trial(spec, i)
+        eps, gains, tp = trial.offsets, trial.gains, trial.pilot
+        obs = simulate_training(gains, eps, tp, 0.0, cfg, trial.stream("noise"))
         est = mle_alternating(obs, tp, cfg)
-        gains = cascade(chans)
         assert np.max(np.abs(est.offsets - eps)) <= 1e-4
         assert (np.linalg.norm(est.channel - gains)
                 <= 1e-6 * np.linalg.norm(gains))
@@ -108,13 +102,11 @@ def test_a02_bound_routes_agree():
     sizes = [(1, 2), (2, 2), (2, 4), (3, 2), (4, 1)]
     for i in range(50):
         k, n = sizes[i % len(sizes)]
-        spec = ExperimentSpec(n_surfaces=k, n_x=n, n_y=1)
+        spec = ExperimentSpec(n_surfaces=k, n_x=n, n_y=1, base_seed=202)
         cfg = spec.system_config()
-        streams = harness._trial_streams(202, i)
-        gains = cascade(harness._draw_channels(spec, cfg, streams["channel"]))
-        eps = harness._draw_offsets(spec, streams["offsets"])
-        tp = gen_training(cfg, streams["pilot"])
-        var = 10.0 ** np.random.default_rng(streams["noise"]).uniform(-3.0, 0.0)
+        trial = harness._draw_trial(spec, i)
+        eps, gains, tp = trial.offsets, trial.gains, trial.pilot
+        var = 10.0 ** trial.stream("noise").uniform(-3.0, 0.0)
         closed = crlb(eps, gains, tp, var, cfg)
         brute = crlb_from_fim(eps, gains, tp, var, cfg)
         for name in ("timing_cov", "channel_cov"):
@@ -138,12 +130,9 @@ def efficiency_study():
     eps_sq, bound_eps = [], []
     start = time.perf_counter()
     for trial in range(spec.trials):
-        streams = harness._trial_streams(spec.base_seed, trial)
-        chans = harness._draw_channels(spec, cfg, streams["channel"])
-        eps = harness._draw_offsets(spec, streams["offsets"])
-        tp = gen_training(cfg, streams["pilot"])
-        gains = cascade(chans)
-        obs = simulate_training(chans, eps, tp, var, cfg, streams["noise"])
+        drawn = harness._draw_trial(spec, trial)
+        eps, gains, tp = drawn.offsets, drawn.gains, drawn.pilot
+        obs = simulate_training(gains, eps, tp, var, cfg, drawn.stream("noise"))
         est = mle_alternating(obs, tp, cfg)
         bounds = crlb(eps, gains, tp, var, cfg)
         ch_err.append(np.sum(np.abs(est.channel - gains) ** 2))
@@ -295,10 +284,9 @@ def test_a09_design_scheme_ordering():
         spec = ExperimentSpec(n_surfaces=k, n_x=4, n_y=2, snr_grid_db=(10.0,),
                               trials=100, offset_model="common-delta",
                               delta_max=0.3, algorithm="accelerated", base_seed=77)
-        cfg = spec.system_config()
         per_trial = {m: [] for m in harness._DESIGN_METRICS}
         for trial in range(spec.trials):
-            scored = harness._design_trial(spec, cfg, 10.0, trial)
+            scored = harness._score_design(harness._draw_trial(spec, trial), 0)
             for m in harness._DESIGN_METRICS:
                 per_trial[m].append(scored[m])
         arr = {m: np.asarray(v) for m, v in per_trial.items()}

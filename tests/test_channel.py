@@ -205,9 +205,12 @@ def test_mmwave_average_energy_scales_with_elements():
     {"n_x": 0}, {"n_x": 2.5}, {"n_x": 2.0}, {"n_x": None}, {"n_x": "4"}, {"n_x": 3},
 ])
 def test_mmwave_rejects_bad_sizes(kwargs):
-    # n_x=3 is a positive integer that does not divide N=8
+    # n_x=3 is a positive integer that does not divide N=8; the response
+    # alone checks n_x the same way
     with pytest.raises(ValueError, match="n_x"):
         gen_mmwave(CFG, seed=0, **kwargs)
+    with pytest.raises(ValueError, match="n_x"):
+        array_response(0.1, 0.2, CFG.n_elements, **kwargs)
 
 
 def test_cascade_hand_values():

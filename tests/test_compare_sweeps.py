@@ -85,7 +85,7 @@ def test_two_nans_agree():
 def test_main_exits_one_on_a_value_that_turns_nan(monkeypatch, capsys):
     texts = {"sweep": SWEEP}, {"sweep": _edit(SWEEP, 1, "mean", "nan")}
     monkeypatch.setattr(tool, "outputs", lambda tree, work: texts[int(tree)])
-    monkeypatch.setattr(tool, "source_lines", lambda tree: 10)
+    monkeypatch.setattr(tool, "source_lines", lambda tree, folder: 10)
     assert tool.main(["0", "1"]) == 1
     out = capsys.readouterr().out
     assert "sweep: DIFFERS channel_nmse mean: 1 values change finiteness" in out
@@ -139,3 +139,28 @@ def test_exports_report_names_added_and_removed_per_module():
         ("rissync.new", ["y"], []),
     ]
     assert tool.compare_exports(old, old) == []
+
+
+# -------------------------------------------------------- line counts
+
+
+def _tree(root, package: str, tests: str) -> str:
+    """A tree whose package and tests folders hold one module each of those
+    texts, beside a file that is not Python."""
+    for folder, text in (("src/rissync", package), ("tests", tests)):
+        Path(root, folder).mkdir(parents=True)
+        Path(root, folder, "module.py").write_text(text)
+        Path(root, folder, "notes.txt").write_text("not counted\n")
+    return str(root)
+
+
+def test_main_prints_the_line_counts_of_the_package_and_the_tests(tmp_path, monkeypatch,
+                                                                   capsys):
+    # as wc -l counts: a last line without a newline is not counted
+    old = _tree(tmp_path / "old", "a\nb\nc\n", "t\n" * 5)
+    new = _tree(tmp_path / "new", "a\nb", "t\n" * 7)
+    assert (tool.source_lines(old, "src/rissync"), tool.source_lines(old, "tests")) == (3, 5)
+    monkeypatch.setattr(tool, "outputs", lambda tree, work: {"sweep": SWEEP})
+    assert tool.main([old, new]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["sweep: identical", "src/rissync lines: 3 -> 1", "tests lines: 5 -> 7"]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rissync import PulseConfig, SystemConfig
+from rissync import PulseConfig, SystemConfig, rrc_impulse, rrc_impulse_deriv
 
 
 def test_pulse_defaults():
@@ -22,6 +22,8 @@ def test_pulse_defaults():
     {"oversampling": 2.0},
     {"obs_len": 12.5},
     {"span": "4"},
+    {"rolloff": "0.22"},
+    {"rolloff": None},
 ])
 def test_pulse_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
@@ -55,3 +57,14 @@ def test_system_rejects_bad_parameters(kwargs):
 def test_system_stores_integer_sizes_as_int():
     sys = SystemConfig(np.int64(3), np.int32(4))
     assert all(type(v) is int for v in (sys.n_surfaces, sys.n_elements))
+
+
+def test_pulse_stores_a_float32_rolloff_as_float():
+    # the two configs compare and hash equal, so they must give one pulse;
+    # a float32 rolloff would carry single precision into the kernels
+    single = PulseConfig(rolloff=np.float32(0.22))
+    double = PulseConfig(rolloff=float(np.float32(0.22)))
+    assert type(single.rolloff) is float
+    t = np.concatenate([np.linspace(-4.5, 4.5, 901), [1e-9, 1.0 / (4.0 * double.rolloff) + 1e-9]])
+    for pulse in (rrc_impulse, rrc_impulse_deriv):
+        assert pulse(t, single).tobytes() == pulse(t, double).tobytes()

@@ -140,7 +140,7 @@ def test_bench_design_trial_needs_no_exact_gate(monkeypatch):
     spec = harness.ExperimentSpec(n_surfaces=2, n_x=8, n_y=4, offset_model="common-delta",
                                   delta_max=0.3, snr_grid_db=(10.0,), trials=1, base_seed=0)
     cfg = spec.system_config()
-    trial = harness._draw_trial(spec, cfg, 0)
+    trial = harness._draw_trial(spec, 0)
     svd_shapes = _counting(monkeypatch, "svd")
     eig_shapes = _counting(monkeypatch, "eigvalsh")
     scores = harness._score_design(trial, 0)
@@ -153,7 +153,7 @@ def test_design_trial_builds_the_belief_and_the_truth_problems_only(monkeypatch)
     """The phase-aligned baseline reads the belief problem: a trial builds two."""
     spec = harness.ExperimentSpec(n_surfaces=3, n_x=2, n_y=1, snr_grid_db=(0.0, 20.0),
                                   trials=1, base_seed=5)
-    trial = harness._draw_trial(spec, spec.system_config(), 0)
+    trial = harness._draw_trial(spec, 0)
     built = []
 
     def counted(inputs, cfg):
@@ -342,7 +342,7 @@ def _sweep_inputs(spec, trial_index):
     """Trial ``trial_index``'s belief inputs at its first point, with the bound
     they carry, and its truth inputs (the drawn gains, no uncertainty)."""
     cfg = spec.system_config()
-    trial = harness._draw_trial(spec, cfg, trial_index)
+    trial = harness._draw_trial(spec, trial_index)
     believed = harness._believed(trial, 0)
     est = harness._point(trial.joint, 0)
     bounds = crlb(est.offsets, est.channel, trial.pilot, trial.noise_vars[0], cfg)

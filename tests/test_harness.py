@@ -5,7 +5,7 @@ import pytest
 import rissync.estimator as estimator
 import rissync.harness as harness
 import rissync.pulse as pulse
-from rissync.channel import cascade
+from rissync.channel import cascade, gen_mmwave, gen_rayleigh
 from rissync.crlb import crlb
 from rissync.errors import FailureRateError, SingularSystemError
 from rissync.estimator import _point, gen_training
@@ -126,34 +126,33 @@ def test_block_rows_are_the_per_seed_draws(scenario, n_surfaces, n_x, n_y, offse
                           offset_model=offset_model, trials=harness._BLOCK + 1, base_seed=11)
     cfg = spec.system_config()
     for start in range(0, spec.trials, harness._BLOCK):
-        block = harness._Block(spec, cfg, range(start, min(start + harness._BLOCK, spec.trials)),
-                               ())
+        block = harness._Block(spec, range(start, min(start + harness._BLOCK, spec.trials)))
         for row, trial in enumerate(block.trials):
             streams = harness._trial_streams(spec.base_seed, trial)
-            channels = harness._draw_channels(spec, cfg, streams["channel"])
-            gains, offsets = cascade(channels), harness._draw_offsets(spec, streams["offsets"])
-            expected = [channels.inbound, channels.outbound, gains, offsets,
-                        gen_training(cfg, streams["pilot"]), np.sum(np.abs(gains) ** 2),
-                        np.sum(offsets ** 2)]
-            assert _bytes(block.links.inbound[row], block.links.outbound[row], block.gains[row],
-                          block.offsets[row], block.pilots[row], block.channel_norms[row],
-                          block.timing_norms[row]) == _bytes(*expected)
+            gains = cascade(gen_rayleigh(cfg, streams["channel"]) if scenario == "rayleigh"
+                            else gen_mmwave(cfg, n_x, streams["channel"]))
+            draws = harness._offset_draws(spec, np.random.default_rng(streams["offsets"]))
+            offsets = np.clip(draws, -pulse._OFFSET_EDGE, pulse._OFFSET_EDGE)
+            expected = [gains, offsets, gen_training(cfg, streams["pilot"]),
+                        np.sum(np.abs(gains) ** 2), np.sum(offsets ** 2)]
+            assert _bytes(block.gains[row], block.offsets[row], block.pilots[row],
+                          block.channel_norms[row], block.timing_norms[row]) == _bytes(*expected)
 
 
 def test_offset_draws_respect_models():
     spec_u = ExperimentSpec(n_surfaces=6, offset_model="uniform")
-    eps = harness._draw_offsets(spec_u, 5)
+    eps = harness._draw_trial(spec_u, 5).offsets
     assert eps.shape == (6,)
     assert np.all(np.abs(eps) < 1.0)
 
     spec_c = ExperimentSpec(n_surfaces=6, offset_model="common-delta", delta_max=0.2)
-    eps = harness._draw_offsets(spec_c, 5)
+    eps = harness._draw_trial(spec_c, 5).offsets
     # all values cluster within 2*delta_max of each other around a common base
     assert eps.max() - eps.min() <= 0.4 + 1e-12
     assert np.all(np.abs(eps) < 1.0)
 
     spec_z = ExperimentSpec(n_surfaces=4, offset_model="common-delta", delta_max=0.0)
-    eps = harness._draw_offsets(spec_z, 9)
+    eps = harness._draw_trial(spec_z, 9).offsets
     assert np.ptp(eps) == 0.0
     assert abs(eps[0]) <= 0.5
 
@@ -201,9 +200,8 @@ def test_channel_estimate_meets_its_bound_row_in_the_linear_regime():
     # sd(x_i - ratio * b_i) / (sqrt(n) * mean(b)).
     spec = ExperimentSpec(n_surfaces=2, n_x=4, n_y=4, snr_grid_db=(10.0,), trials=200,
                           base_seed=0)
-    cfg = spec.system_config()
     rows = {r.metric: r.mean for r in run_estimation_sweep(spec)}
-    scores = [harness._score_estimation(harness._draw_trial(spec, cfg, t))[0]
+    scores = [harness._score_estimation(harness._draw_trial(spec, t))[0]
               for t in range(spec.trials)]
     x, b = (np.array([s[metric][0] for s in scores])
             for metric in ("channel_nmse", "channel_crlb"))
@@ -248,7 +246,7 @@ def test_crlb_rows_are_means_of_per_trial_bounds_over_their_own_norms():
     spec = ExperimentSpec(snr_grid_db=(0.0, 10.0), **{**TINY, "trials": 6})
     cfg = spec.system_config()
     rows = {(r.snr_db, r.metric): r for r in run_crlb_sweep(spec)}
-    trials = [harness._draw_trial(spec, cfg, t) for t in range(spec.trials)]
+    trials = [harness._draw_trial(spec, t) for t in range(spec.trials)]
     for snr_db in spec.snr_grid_db:
         bounds = [crlb(t.offsets, t.gains, t.pilot, 10.0 ** (-snr_db / 10.0), cfg) for t in trials]
         per_trial = {
@@ -337,8 +335,7 @@ def test_proposed_design_beats_both_baselines_at_nk_256():
     # paired per trial: the mean log NMSE ratio exceeds 3 standard errors.
     spec = ExperimentSpec(n_surfaces=4, n_x=8, n_y=8, snr_grid_db=(10.0,), trials=8,
                           offset_model="common-delta", delta_max=0.3, base_seed=77)
-    cfg = spec.system_config()
-    scores = [harness._design_trial(spec, cfg, 10.0, t) for t in range(spec.trials)]
+    scores = [harness._score_design(harness._draw_trial(spec, t), 0) for t in range(spec.trials)]
     proposed = np.log([s["nmse_proposed"] for s in scores])
     for baseline in ("nmse_phase_aligned", "nmse_random"):
         gain = np.log([s[baseline] for s in scores]) - proposed
@@ -552,10 +549,9 @@ def test_conditioning_failure_at_one_point_excludes_that_point_only(monkeypatch)
     # worst spread of the sweep's joint fits, fails at one (trial, point)
     # only: every point is fitted in one stack, but checked on its own.
     spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), offset_model="common-delta", **TINY)
-    cfg = spec.system_config()
     spreads = []
     for index in range(spec.trials):
-        trial = harness._draw_trial(spec, cfg, index)
+        trial = harness._draw_trial(spec, index)
         root = np.sqrt(trial.joint[1])
         spreads += [(s, p) for p, s in enumerate(root.max(axis=-1) / root.min(axis=-1))]
     (worst, point), (next_worst, _) = sorted(spreads, reverse=True)[:2]
@@ -601,7 +597,7 @@ def test_records_are_the_per_point_values_bit_for_bit(geometry):
     spec = ExperimentSpec(snr_grid_db=(-10.0, 0.0, 10.0, 20.0, 30.0),
                           offset_model="common-delta", **geometry)
     noise_vars = tuple(map(harness._noise_var, spec.snr_grid_db))
-    block = harness._Block(spec, spec.system_config(), range(spec.trials), noise_vars)
+    block = harness._Block(spec, range(spec.trials))
     for row in range(spec.trials):
         trial = harness._Trial(block, row)
         unit = crlb(trial.offsets, trial.gains, trial.pilot, 1.0, trial.cfg)
@@ -629,7 +625,7 @@ def test_a_failed_bound_excludes_its_trial_with_the_cond_it_raises_alone(monkeyp
     spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY)
     cfg = spec.system_config()
     _zero_channel_at(monkeypatch, 1)
-    block = harness._Block(spec, cfg, range(spec.trials), (1.0, 0.1, 0.01))
+    block = harness._Block(spec, range(spec.trials))
     with pytest.raises(SingularSystemError) as err:
         crlb(block.offsets[1], block.gains[1], block.pilots[1], 1.0, cfg)
     for row in range(spec.trials):
@@ -651,7 +647,7 @@ def test_a_failed_fit_is_excluded_with_the_spread_of_its_row(monkeypatch):
     # of the joint fits fails, with its own spread; the naive fits share one
     # offset, so every element's Gram entry is equal and their spread is 1
     spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), offset_model="common-delta", **TINY)
-    trials = [harness._draw_trial(spec, spec.system_config(), i) for i in range(spec.trials)]
+    trials = [harness._draw_trial(spec, i) for i in range(spec.trials)]
     roots = [np.sqrt(trial.joint[1]) for trial in trials]
     spreads = np.array([root.max(axis=-1) / root.min(axis=-1) for root in roots])
     worst, next_worst = np.sort(spreads, axis=None)[:-3:-1]
@@ -666,7 +662,7 @@ def test_a_failed_fit_is_excluded_with_the_spread_of_its_row(monkeypatch):
 
 def test_a_design_point_that_raises_stores_its_cond_there_only(monkeypatch):
     spec = ExperimentSpec(snr_grid_db=(0.0, 10.0, 20.0), **TINY)
-    trial = harness._draw_trial(spec, spec.system_config(), 0)
+    trial = harness._draw_trial(spec, 0)
     alone = [harness._score_design(trial, p) for p in range(3)]
     original = harness._score_design
 

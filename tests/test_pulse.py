@@ -9,6 +9,7 @@ exactly 1 at lag 0 and zero up to rounding elsewhere (exactly zero where the
 formula is singular).
 """
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -346,6 +347,17 @@ def test_lag_pilot_matrix_reproduces_the_filtered_pilot(oversampling):
     offsets = np.concatenate([rng.uniform(-_OFFSET_EDGE, _OFFSET_EDGE, 50), edges])
     assert close(rrc_impulse(times - offsets[:, None], cfg) @ a.T,
                  steering_matrix(offsets, cfg) @ pilot)
+
+
+@pytest.mark.parametrize("shape", [(25,), (15,), (3, 19), ()])
+def test_lag_pilot_matrix_rejects_a_pilot_of_another_length(shape):
+    # at seq_len 20, a 25-symbol pilot was cut to its first 20 symbols and a
+    # 15-symbol one raised IndexError; a stack of full pilots is accepted
+    with pytest.raises(ValueError, match=re.escape(f"pilot has shape {shape}")) as err:
+        lag_pilot_matrix(np.ones(shape, complex), CFG)
+    assert f"seq_len = {CFG.seq_len} symbols" in str(err.value)
+    times, a = lag_pilot_matrix(np.ones((3, CFG.seq_len), complex), CFG)
+    assert a.shape == (3, CFG.n_samples, times.size)
 
 
 def test_matched_filter_taps_layout():

@@ -40,10 +40,10 @@ line before and after, for example
 ``design-loops: design-bench 20 17 -> 20 29``; when ``exports`` differ it
 prints, per module, the names added to and removed from its ``__all__``.
 Neither affects the exit status. Last it prints
-``src/rissync lines: PARENT -> CHANGE``, the newlines in each tree's
-``src/rissync/*.py`` as ``wc -l`` counts them; they do not affect the exit
-status. Standard library only; the child imports the tree's ``rissync`` and
-numpy.
+``src/rissync lines: PARENT -> CHANGE`` and ``tests lines: PARENT -> CHANGE``,
+the newlines in each tree's ``src/rissync/*.py`` and ``tests/*.py`` as
+``wc -l`` counts them; they do not affect the exit status. Standard library
+only; the child imports the tree's ``rissync`` and numpy.
 """
 from __future__ import annotations
 
@@ -339,10 +339,10 @@ def outputs(tree: str, work: str) -> dict:
     return texts
 
 
-def source_lines(tree: str) -> int:
-    """Newlines in ``tree``'s ``src/rissync/*.py``, summed as ``wc -l`` counts them."""
+def source_lines(tree: str, folder: str) -> int:
+    """Newlines in ``tree``'s ``folder/*.py``, summed as ``wc -l`` counts them."""
     total = 0
-    for path in glob.glob(os.path.join(tree, "src", "rissync", "*.py")):
+    for path in glob.glob(os.path.join(tree, folder, "*.py")):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
     return total
@@ -464,7 +464,8 @@ def main(argv) -> int:
             print(f"{name}: DIFFERS {problem}")
         for (metric, col), moved in sorted(drifts.items()):
             print(f"{name}: {metric} {col} {moved:.3e}")
-    print("src/rissync lines: {} -> {}".format(*map(source_lines, argv)))
+    for folder in ("src/rissync", "tests"):
+        print(f"{folder} lines: {source_lines(argv[0], folder)} -> {source_lines(argv[1], folder)}")
     return 1 if failed else 0
 
 
